@@ -231,8 +231,7 @@ def perturb(rec: SessionRecording, spec: PerturbationSpec) -> SessionRecording:
 
     events = _inject_collisions(rec, events, spec, rng)
     return SessionRecording(session_id=rec.session_id, user_ids=rec.user_ids,
-                            events=tuple(events),
-                            frame_rate_hint=rec.frame_rate_hint)
+                            events=tuple(events))
 
 
 def _pick_dropped_attach_events(rec: SessionRecording, spec: PerturbationSpec,

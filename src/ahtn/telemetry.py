@@ -10,8 +10,12 @@ Recording format (UTF-8, one event per line, space separated)::
     t=<sec> u=<user> mark <task> start|end
 
 Timestamps must be non-decreasing; quaternions are written normalized
-(scalar-last, checked to 1e-6 here). Blank lines and ``#`` comments are
-skipped.
+(scalar-last, checked to 1e-6 here). Every number must be finite: ``nan``
+and ``inf`` are rejected with the line number. Joint names are stripped of
+surrounding whitespace, must be non-empty, hold no ``,`` ``=`` or ``;``
+and appear once per frame. A frame's joint layout is validated once and
+then shared: every frame with the same names holds the same names tuple.
+Blank lines and ``#`` comments are skipped.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import numpy as np
 from .kernels import scale_about
 
 QUAT_NORM_TOL = 1e-6
+LAYOUT_CACHE_SIZE = 256  # distinct joint layouts kept by _joint_layout
 MIN_FACE_HAND_DISTANCE = 0.01  # m; below this the pose is degenerate
 
 HAND_JOINTS = ("hand-right", "hand-left")
@@ -69,11 +74,39 @@ class TaskMark:
     edge: str  # start | end
 
 
-@dataclass(frozen=True, eq=False)
+# raw names tuple -> validated, stripped names tuple; a process-wide memo
+# whose values depend only on their key, emptied when it reaches its bound
+_layouts: dict[tuple[str, ...], tuple[str, ...]] = {}
+
+
+def _joint_layout(names) -> tuple[str, ...]:
+    """The shared names tuple of a joint layout, validated on first sight:
+    names are stripped, non-empty, free of ``,`` ``=`` ``;`` and unique."""
+    key = tuple(names)
+    layout = _layouts.get(key)
+    if layout is not None:
+        return layout
+    layout = tuple(name.strip() for name in key)
+    for name in layout:
+        if not name or "," in name or "=" in name or ";" in name:
+            raise ValueError(f"bad joint name {name!r}: must be non-empty "
+                             "and hold no ',', '=' or ';'")
+    if len(set(layout)) != len(layout):
+        raise ValueError("duplicate joint name in frame")
+    layout = _layouts.get(layout, layout)
+    if len(_layouts) >= LAYOUT_CACHE_SIZE - 1:
+        _layouts.clear()
+    _layouts[key] = _layouts[layout] = layout
+    return layout
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class SkeletonFrame:
     """One tracked skeleton sample: joint names plus an (J, 3) position array.
 
     Positions are float64 meters; confidences default to 1 per joint.
+    ``names`` is replaced by the validated tuple that every frame with the
+    same joint layout shares.
     """
 
     names: tuple[str, ...]
@@ -81,12 +114,12 @@ class SkeletonFrame:
     confidences: np.ndarray | None = None
 
     def __post_init__(self):
+        names = _joint_layout(self.names)
         pos = np.ascontiguousarray(self.positions, dtype=np.float64)
-        if pos.shape != (len(self.names), 3):
+        if pos.shape != (len(names), 3):
             raise ValueError("positions must be shaped (len(names), 3)")
+        object.__setattr__(self, "names", names)
         object.__setattr__(self, "positions", pos)
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("duplicate joint name in frame")
 
     def __eq__(self, other):
         if not isinstance(other, SkeletonFrame):
@@ -120,7 +153,7 @@ class SkeletonFrame:
 Payload = Pose | Attach | Collision | TextInput | SkeletonFrame | TaskMark
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Event:
     t: float
     user: str
@@ -138,7 +171,6 @@ class SessionRecording:
     session_id: str
     user_ids: tuple[str, ...]
     events: tuple[Event, ...]
-    frame_rate_hint: float | None = None
 
 
 @dataclass(frozen=True)
@@ -195,6 +227,11 @@ class ReferenceSet:
 # ---------------------------------------------------------------------------
 # line parsing
 
+# every byte except the skeleton separators; deleting them leaves a frame's
+# separator sequence, b"=,,;" per joint less the final ";"
+_NOT_SKEL_SEPARATOR = bytes(b for b in range(256) if b not in b",;=")
+
+
 def _parse_prefixed(token: str, prefix: str, lineno: int) -> str:
     if not token.startswith(prefix):
         raise RecordingError(f"expected {prefix}<value>, got {token!r}", lineno)
@@ -203,17 +240,46 @@ def _parse_prefixed(token: str, prefix: str, lineno: int) -> str:
 
 def _parse_floats(tokens: list[str], lineno: int) -> list[float]:
     try:
-        return [float(tok) for tok in tokens]
-    except ValueError:
-        raise RecordingError(f"not a number in {tokens!r}", lineno) from None
+        values = list(map(float, tokens))
+    except ValueError as err:
+        raise RecordingError(f"not a number ({err})", lineno) from None
+    # a finite sum proves every term finite; only a sum that overflowed or
+    # met nan/inf needs the term-by-term test
+    if not (math.isfinite(sum(values)) or all(map(math.isfinite, values))):
+        bad = next(v for v in values if not math.isfinite(v))
+        raise RecordingError(f"non-finite number {bad!r}", lineno)
+    return values
+
+
+def _parse_skeleton(raw: str, lineno: int) -> SkeletonFrame:
+    """``<joint>=x,y,z[;...]`` as one frame: the separator sequence is
+    checked as a whole, then one split yields names and coordinates."""
+    raw = raw.strip()
+    joints = raw.count(";") + 1
+    separators = raw.encode().translate(None, _NOT_SKEL_SEPARATOR)
+    if separators + b";" != b"=,,;" * joints:
+        if raw.count("=") != joints:
+            raise RecordingError(
+                "bad skel entry: want <joint>=x,y,z entries separated by ';'",
+                lineno)
+        raise RecordingError("every skel joint needs x,y,z", lineno)
+    flat = raw.replace(";", ",").replace("=", ",").split(",")
+    names = tuple(flat[::4])
+    del flat[::4]
+    positions = np.array(_parse_floats(flat, lineno))
+    positions.shape = (joints, 3)
+    try:
+        return SkeletonFrame(names=names, positions=positions)
+    except ValueError as e:
+        raise RecordingError(str(e), lineno) from None
 
 
 def parse_event_line(line: str, lineno: int = 0) -> Event:
-    tokens = line.split()
-    if len(tokens) < 3:
+    parts = line.split(None, 3)
+    if len(parts) < 3:
         raise RecordingError("event needs t=, u= and a kind", lineno)
-    t_text = _parse_prefixed(tokens[0], "t=", lineno)
-    user = _parse_prefixed(tokens[1], "u=", lineno)
+    t_text = _parse_prefixed(parts[0], "t=", lineno)
+    user = _parse_prefixed(parts[1], "u=", lineno)
     try:
         t = float(t_text)
     except ValueError:
@@ -222,62 +288,50 @@ def parse_event_line(line: str, lineno: int = 0) -> Event:
         raise RecordingError(f"timestamp out of range: {t_text}", lineno)
     if not user:
         raise RecordingError("empty user id", lineno)
-    kind, rest = tokens[2], tokens[3:]
+    kind = parts[2]
+    rest = parts[3] if len(parts) == 4 else ""
 
-    if kind == "pose":
-        if len(rest) != 8:
+    if kind == "skel":
+        if not rest:
+            raise RecordingError("skel needs joint=x,y,z entries", lineno)
+        payload: Payload = _parse_skeleton(rest, lineno)
+    elif kind == "pose":
+        tokens = rest.split()
+        if len(tokens) != 8:
             raise RecordingError("pose needs <obj> and 7 numbers", lineno)
-        nums = _parse_floats(rest[1:], lineno)
-        quat = tuple(nums[3:])
-        norm = math.sqrt(sum(c * c for c in quat))
+        px, py, pz, qx, qy, qz, qw = _parse_floats(tokens[1:], lineno)
+        norm = math.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)
         if abs(norm - 1.0) > QUAT_NORM_TOL:
             raise RecordingError(f"quaternion norm {norm:.9f} not within 1e-6 of 1", lineno)
-        payload: Payload = Pose(object_id=rest[0],
-                                position=tuple(nums[:3]), orientation=quat)
+        payload = Pose(object_id=tokens[0], position=(px, py, pz),
+                       orientation=(qx, qy, qz, qw))
     elif kind == "attach":
-        if len(rest) != 3 or rest[2] not in ("on", "off"):
+        tokens = rest.split()
+        if len(tokens) != 3 or tokens[2] not in ("on", "off"):
             raise RecordingError("attach needs <obj> <target> on|off", lineno)
-        payload = Attach(object_id=rest[0], target_id=rest[1],
-                         attached=rest[2] == "on")
+        payload = Attach(object_id=tokens[0], target_id=tokens[1],
+                         attached=tokens[2] == "on")
     elif kind == "collide":
-        if len(rest) != 2:
+        tokens = rest.split()
+        if len(tokens) != 2:
             raise RecordingError("collide needs <obj> <other>", lineno)
-        payload = Collision(object_id=rest[0], other_id=rest[1])
+        payload = Collision(object_id=tokens[0], other_id=tokens[1])
     elif kind == "text":
-        if len(rest) < 2:
+        tokens = rest.split(None, 1)
+        if len(tokens) < 2:
             raise RecordingError('text needs <field> "<value>"', lineno)
-        raw = line.split(None, 4)[4]
+        raw = tokens[1]
         if len(raw) < 2 or raw[0] != '"' or raw[-1] != '"':
             raise RecordingError("text value must be double-quoted", lineno)
         value = raw[1:-1]
         if '"' in value:
             raise RecordingError("text value must not contain quotes", lineno)
-        payload = TextInput(field_id=rest[0], value=value)
-    elif kind == "skel":
-        if not rest:
-            raise RecordingError("skel needs joint=x,y,z entries", lineno)
-        raw = line.split(None, 3)[3]
-        names: list[str] = []
-        coords: list[list[float]] = []
-        for part in raw.split(";"):
-            part = part.strip()
-            if "=" not in part:
-                raise RecordingError(f"bad skel entry {part!r}", lineno)
-            name, xyz = part.split("=", 1)
-            pieces = xyz.split(",")
-            if len(pieces) != 3:
-                raise RecordingError(f"joint {name!r} needs x,y,z", lineno)
-            names.append(name)
-            coords.append(_parse_floats(pieces, lineno))
-        try:
-            payload = SkeletonFrame(names=tuple(names),
-                                    positions=np.asarray(coords, dtype=np.float64))
-        except ValueError as e:
-            raise RecordingError(str(e), lineno) from None
+        payload = TextInput(field_id=tokens[0], value=value)
     elif kind == "mark":
-        if len(rest) != 2 or rest[1] not in ("start", "end"):
+        tokens = rest.split()
+        if len(tokens) != 2 or tokens[1] not in ("start", "end"):
             raise RecordingError("mark needs <task> start|end", lineno)
-        payload = TaskMark(task_id=rest[0], edge=rest[1])
+        payload = TaskMark(task_id=tokens[0], edge=tokens[1])
     else:
         raise RecordingError(f"unknown event kind {kind!r}", lineno)
 
@@ -324,22 +378,7 @@ def parse_session(text: str, session_id: str = "session") -> SessionRecording:
         raise RecordingError(f"unmatched start mark for task {task_id!r}", lineno)
 
     return SessionRecording(session_id=session_id, user_ids=tuple(users),
-                            events=tuple(events),
-                            frame_rate_hint=_frame_rate_hint(events))
-
-
-def _frame_rate_hint(events: list[Event]) -> float | None:
-    times: dict[str, list[float]] = {}
-    for e in events:
-        if isinstance(e.payload, SkeletonFrame):
-            times.setdefault(e.user, []).append(e.t)
-    if not times:
-        return None
-    best = max(times.values(), key=len)
-    if len(best) < 2:
-        return None
-    dt = float(np.median(np.diff(np.asarray(best))))
-    return 1.0 / dt if dt > 0 else None
+                            events=tuple(events))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ahtn import telemetry
 from ahtn.telemetry import (Attach, Collision, Event, Pose, RecordingError,
                             Reference, SkeletonFrame, TaskMark, TaskSlice,
                             TextInput, correction_factor, height_correction,
@@ -63,12 +64,42 @@ def test_parse_skel_line():
     ("t=0 u=a collide a", "collide needs"),
     ("t=0 u=a text f noquotes", "double-quoted"),
     ("t=0 u=a skel head=1,2", "x,y,z"),
+    ("t=0 u=a skel a=1=2,3;b,4,5,6", "x,y,z"),
+    ("t=0 u=a skel a=1,2;b=3,4,5,6", "x,y,z"),
+    ("t=0 u=a skel head=1,2,3;", "bad skel entry"),
+    ("t=0 u=a skel head=1,2,3;head=0,1,0", "duplicate"),
+    ("t=0 u=a skel head=1,2,3; head =0,1,0", "duplicate"),
+    ("t=0 u=a skel =1,2,3;head=0,1,0", "bad joint name"),
+    ("t=0 u=a skel head=nan,1,0", "non-finite"),
+    ("t=0 u=a skel head=0,x,0", "not a number"),
+    ("t=0 u=a pose cup 0 0 0 nan nan nan nan", "non-finite"),
+    ("t=0 u=a pose cup nan 0 inf 0 0 0 1", "non-finite"),
     ("t=0 u=a mark T sideways", "mark needs"),
     ("t=0 u=a warp cup", "unknown event kind"),
 ])
 def test_bad_lines_rejected(line, fragment):
     with pytest.raises(RecordingError, match=fragment):
         parse_event_line(line, lineno=7)
+
+
+def test_non_finite_number_names_its_line():
+    text = "t=0 u=a pose cup 0 0 0 0 0 0 1\nt=1 u=a skel head=0,inf,0\n"
+    with pytest.raises(RecordingError, match="^line 2: non-finite") as info:
+        parse_session(text)
+    assert info.value.line == 2
+
+
+def test_skel_whitespace_around_entries_is_stripped():
+    e = parse_event_line("t=0 u=a skel head=1,2,3; hand-right=0,1,0")
+    assert e.payload.names == ("head", "hand-right")
+    assert e.payload.positions.tolist() == [[1, 2, 3], [0, 1, 0]]
+
+
+def test_finite_extremes_accepted():
+    e = parse_event_line("t=0 u=a pose cup 1.7e308 1.7e308 -1.7e308 0 0 0 1")
+    assert e.payload.position == (1.7e308, 1.7e308, -1.7e308)
+    f = parse_event_line("t=0 u=a skel a=1.7e308,1.7e308,5e-324").payload
+    assert f.positions.tolist() == [[1.7e308, 1.7e308, 5e-324]]
 
 
 def test_quaternion_norm_tolerance_is_tight():
@@ -87,7 +118,6 @@ def test_parse_session_user_order_and_hint():
     rec = parse_session(text, session_id="s1")
     assert rec.user_ids == ("bob", "ann")
     assert rec.session_id == "s1"
-    assert rec.frame_rate_hint == pytest.approx(5.0)
 
 
 def test_parse_session_skips_comments_and_blanks():
@@ -140,6 +170,41 @@ def test_pose_round_trip_property(t, pos, raw_q):
     quat = tuple(c / n for c in raw_q)
     e = Event(t=t, user="u", payload=Pose("obj", pos, quat))
     assert parse_event_line(serialize_event(e)) == e
+
+
+_joint_names = st.text(
+    alphabet=st.characters(blacklist_characters=",;=",
+                           blacklist_categories=("Cs", "Cc", "Z")),
+    min_size=1, max_size=12)
+
+
+@given(
+    names=st.lists(_joint_names, min_size=1, max_size=30, unique=True),
+    data=st.data(),
+)
+def test_skel_round_trip_property(names, data):
+    coords = data.draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False, width=64),
+        min_size=3 * len(names), max_size=3 * len(names)))
+    f = SkeletonFrame(names=tuple(names),
+                      positions=np.array(coords).reshape(-1, 3))
+    e = Event(t=0.5, user="u", payload=f)
+    back = parse_event_line(serialize_event(e))
+    assert back == e
+    # -0.0 == 0.0, so compare signs too
+    assert np.array_equal(np.signbit(back.payload.positions),
+                          np.signbit(f.positions))
+
+
+def test_layout_cache_shares_names_and_stays_bounded():
+    a = parse_event_line("t=0 u=a skel head=0,1,0;hand-right=1,1,0").payload
+    b = parse_event_line("t=1 u=b skel head=0,2,0;hand-right=2,1,0").payload
+    assert a.names is b.names
+    c = SkeletonFrame(names=("head", "hand-right"), positions=np.zeros((2, 3)))
+    assert c.names is a.names
+    for i in range(telemetry.LAYOUT_CACHE_SIZE + 10):
+        parse_event_line(f"t=0 u=a skel joint-{i}=0,0,0")
+        assert len(telemetry._layouts) <= telemetry.LAYOUT_CACHE_SIZE
 
 
 @given(value=st.text(
