@@ -15,7 +15,6 @@ from .engine import (Defaults, EngineConfig, Session, aggregate,
 from .harness import (UndefinedCorrelationError, correlate, correlate_values,
                       monotonicity_report, parse_score_pairs, perturb,
                       spec_for_magnitude)
-from .kernels import backend_name, warmup
 from .model import (NetworkError, TaskNetwork, TaskNode, parse_network,
                     ready_tasks, serialize_network, validate_network)
 from .report import AssessmentReport, FeedbackMessage, render_report, write_report
@@ -30,12 +29,12 @@ __all__ = [
     "Defaults", "EngineConfig", "FeedbackMessage", "NetworkError",
     "RecordingError", "Session", "SessionRecording", "TaskNetwork",
     "TaskNode", "TaskScore", "TrajectorySummary",
-    "UndefinedCorrelationError", "aggregate", "backend_name",
+    "UndefinedCorrelationError", "aggregate",
     "build_reference_set", "correlate", "correlate_values",
     "evaluate_task_level", "monotonicity_report", "parse_event_line",
     "parse_network", "parse_score_pairs", "parse_session", "perturb",
     "ready_tasks", "render_report", "score_recording", "serialize_network",
     "serialize_recording", "slice_task", "spec_for_magnitude",
-    "trajectory_score", "validate_network", "warmup", "write_report",
+    "trajectory_score", "validate_network", "write_report",
     "__version__",
 ]

@@ -115,10 +115,10 @@ def _traj_echo(args) -> tuple[str, ...]:
     return tuple(lines)
 
 
-def _engine_config(args, mode: str) -> EngineConfig:
+def _engine_config(args) -> EngineConfig:
     net = _load_network(args.net, args)
     refs = _load_references(net, args.refs)
-    return EngineConfig(network=net, references=refs, mode=mode,
+    return EngineConfig(network=net, references=refs,
                         defaults=_defaults_from(args), echo=_traj_echo(args))
 
 
@@ -137,7 +137,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    config = _engine_config(args, "batch")
+    config = _engine_config(args)
     rec = parse_session(_read(args.session))
     report = score_recording(config, rec)
     write_report(report, args.out)
@@ -146,7 +146,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_stream(args) -> int:
-    config = _engine_config(args, "stream")
+    config = _engine_config(args)
     session = Session(config)
     count = 0
     for lineno, raw in enumerate(sys.stdin, start=1):

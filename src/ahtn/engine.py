@@ -41,7 +41,6 @@ class Defaults:
 class EngineConfig:
     network: TaskNetwork
     references: ReferenceSet
-    mode: str = "batch"  # batch | stream (informational; same semantics)
     feedback_sink: Callable[[str], None] | None = None
     defaults: Defaults = field(default_factory=Defaults)
     echo: tuple[str, ...] = ()  # extra config lines for the report header

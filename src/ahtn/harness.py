@@ -212,8 +212,7 @@ def perturb(rec: SessionRecording, spec: PerturbationSpec) -> SessionRecording:
             if spec.position_sigma > 0:
                 frame = SkeletonFrame(
                     names=p.names,
-                    positions=p.positions + spec.position_sigma * noise,
-                    confidences=p.confidences)
+                    positions=p.positions + spec.position_sigma * noise)
             else:
                 frame = p
             events.append(Event(e.t, e.user, frame))

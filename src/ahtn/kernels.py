@@ -1,113 +1,33 @@
-"""Numeric kernels: numba-jitted fast paths with pure-numpy fallbacks.
-
-The backend is chosen once at import time from the ``AHTN_BACKEND``
-environment variable: ``numba`` (require numba, fail if missing),
-``numpy`` (force the fallback), or ``auto`` (default: numba when
-importable). Both twins of every kernel stay importable so parity tests
-and ``ahtn.bench`` can compare them directly.
-"""
+"""Numpy kernels for the per-frame matching and correction and for rank
+correlation."""
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-try:
-    import numba
-except ImportError:  # pragma: no cover - exercised via AHTN_BACKEND=numpy
-    numba = None
-
-
-def _pick_backend() -> str:
-    choice = os.environ.get("AHTN_BACKEND", "auto").strip().lower()
-    if choice in ("", "auto"):
-        return "numba" if numba is not None else "numpy"
-    if choice == "numba":
-        if numba is None:
-            raise RuntimeError("AHTN_BACKEND=numba but numba is not importable")
-        return "numba"
-    if choice == "numpy":
-        return "numpy"
-    raise RuntimeError(f"AHTN_BACKEND must be auto, numba or numpy (got {choice!r})")
-
-
-BACKEND = _pick_backend()
-
-
-def backend_name() -> str:
-    """Active kernel backend, "numba" or "numpy"."""
-    return BACKEND
-
-
-if numba is not None:
-    _jit = numba.njit(cache=True)
-else:  # decorator that leaves the python source callable for introspection
-    def _jit(fn):
-        return fn
-
 
 # ---------------------------------------------------------------------------
-# joint distances / radius matching (hot: called once per skeleton frame)
+# radius matching (hot: called once per skeleton frame)
 
-def _joint_distances_numpy(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    d = points - targets
-    return np.sqrt((d * d).sum(axis=1))
-
-
-@_jit
-def _joint_distances_numba(points, targets):
-    n = points.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        s = 0.0
-        for k in range(3):
-            x = points[i, k] - targets[i, k]
-            s += x * x
-        out[i] = math.sqrt(s)
-    return out
-
-
-def _all_within_numpy(points: np.ndarray, targets: np.ndarray, radius: float) -> bool:
+def all_within(points: np.ndarray, targets: np.ndarray, radius: float) -> bool:
+    """True iff every point lies within radius of its target (closed ball)."""
     d = points - targets
     return bool(((d * d).sum(axis=1) <= radius * radius).all())
-
-
-@_jit
-def _all_within_numba(points, targets, radius):
-    r2 = radius * radius
-    for i in range(points.shape[0]):
-        s = 0.0
-        for k in range(3):
-            x = points[i, k] - targets[i, k]
-            s += x * x
-        if s > r2:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
 # isotropic scaling about a center (height correction, per frame)
 
-def _scale_about_numpy(points: np.ndarray, center: np.ndarray, factor: float) -> np.ndarray:
+def scale_about(points: np.ndarray, center: np.ndarray, factor: float) -> np.ndarray:
     return center + factor * (points - center)
-
-
-@_jit
-def _scale_about_numba(points, center, factor):
-    n = points.shape[0]
-    out = np.empty((n, 3), dtype=np.float64)
-    for i in range(n):
-        for k in range(3):
-            out[i, k] = center[k] + factor * (points[i, k] - center[k])
-    return out
 
 
 # ---------------------------------------------------------------------------
 # rank correlation building blocks
 
-def _kendall_pair_stats_numpy(x: np.ndarray, y: np.ndarray) -> tuple[int, int, int, int, int]:
+def kendall_pair_stats(x: np.ndarray, y: np.ndarray) -> tuple[int, int, int, int, int]:
     # O(n^2) memory; fine for the list sizes rank correlation sees here.
     dx = np.sign(x[:, None] - x[None, :])
     dy = np.sign(y[:, None] - y[None, :])
@@ -123,32 +43,7 @@ def _kendall_pair_stats_numpy(x: np.ndarray, y: np.ndarray) -> tuple[int, int, i
     return concordant, discordant, ties_x, ties_y, ties_both
 
 
-@_jit
-def _kendall_pair_stats_numba(x, y):
-    n = x.shape[0]
-    concordant = 0
-    discordant = 0
-    ties_x = 0
-    ties_y = 0
-    ties_both = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = x[i] - x[j]
-            dy = y[i] - y[j]
-            if dx == 0.0 and dy == 0.0:
-                ties_both += 1
-            elif dx == 0.0:
-                ties_x += 1
-            elif dy == 0.0:
-                ties_y += 1
-            elif (dx > 0.0) == (dy > 0.0):
-                concordant += 1
-            else:
-                discordant += 1
-    return concordant, discordant, ties_x, ties_y, ties_both
-
-
-def _rank_average_numpy(values: np.ndarray) -> np.ndarray:
+def rank_average(values: np.ndarray) -> np.ndarray:
     order = np.argsort(values, kind="mergesort")
     ranks = np.empty(len(values), dtype=np.float64)
     i = 0
@@ -163,82 +58,10 @@ def _rank_average_numpy(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-@_jit
-def _rank_average_numba(values):
-    order = np.argsort(values)
-    n = values.shape[0]
-    ranks = np.empty(n, dtype=np.float64)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = 0.5 * (i + j) + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
-    return ranks
-
-
-def _pearson_numpy(x: np.ndarray, y: np.ndarray) -> float:
+def pearson(x: np.ndarray, y: np.ndarray) -> float:
     xc = x - x.mean()
     yc = y - y.mean()
     denom = math.sqrt(float((xc * xc).sum()) * float((yc * yc).sum()))
     if denom == 0.0:
         return math.nan
     return float((xc * yc).sum()) / denom
-
-
-@_jit
-def _pearson_numba(x, y):
-    n = x.shape[0]
-    mx = 0.0
-    my = 0.0
-    for i in range(n):
-        mx += x[i]
-        my += y[i]
-    mx /= n
-    my /= n
-    sxy = 0.0
-    sxx = 0.0
-    syy = 0.0
-    for i in range(n):
-        dx = x[i] - mx
-        dy = y[i] - my
-        sxy += dx * dy
-        sxx += dx * dx
-        syy += dy * dy
-    denom = math.sqrt(sxx * syy)
-    if denom == 0.0:
-        return np.nan
-    return sxy / denom
-
-
-if BACKEND == "numba":
-    joint_distances = _joint_distances_numba
-    all_within = _all_within_numba
-    scale_about = _scale_about_numba
-    kendall_pair_stats = _kendall_pair_stats_numba
-    rank_average = _rank_average_numba
-    pearson = _pearson_numba
-else:
-    joint_distances = _joint_distances_numpy
-    all_within = _all_within_numpy
-    scale_about = _scale_about_numpy
-    kendall_pair_stats = _kendall_pair_stats_numpy
-    rank_average = _rank_average_numpy
-    pearson = _pearson_numpy
-
-
-def warmup() -> None:
-    """Force JIT compilation of every selected kernel (no-op on numpy)."""
-    a = np.zeros((2, 3))
-    b = np.ones((2, 3))
-    v = np.array([1.0, 2.0, 2.0, 3.0])
-    w = np.array([1.0, 3.0, 2.0, 4.0])
-    joint_distances(a, b)
-    all_within(a, b, 0.5)
-    scale_about(a, np.zeros(3), 1.5)
-    kendall_pair_stats(v, w)
-    rank_average(v)
-    pearson(v, w)

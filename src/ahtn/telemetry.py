@@ -1,4 +1,4 @@
-"""Session recordings: event model, line parser, task slicing, height correction.
+"""Session recordings: event model, line parser, task slicing, skeleton scaling.
 
 Recording format (UTF-8, one event per line, space separated)::
 
@@ -16,6 +16,10 @@ surrounding whitespace, must be non-empty, hold no ``,`` ``=`` or ``;``
 and appear once per frame. A frame's joint layout is validated once and
 then shared: every frame with the same names holds the same names tuple.
 Blank lines and ``#`` comments are skipped.
+
+``reference_stats`` measures the reference performer's skeleton over a
+task's first second; ``scale_frame`` applies the height-correction factor
+that ``trajectory.ActionEvaluator`` derives from it.
 """
 
 from __future__ import annotations
@@ -104,14 +108,13 @@ def _joint_layout(names) -> tuple[str, ...]:
 class SkeletonFrame:
     """One tracked skeleton sample: joint names plus an (J, 3) position array.
 
-    Positions are float64 meters; confidences default to 1 per joint.
+    Positions are float64 meters.
     ``names`` is replaced by the validated tuple that every frame with the
     same joint layout shares.
     """
 
     names: tuple[str, ...]
     positions: np.ndarray
-    confidences: np.ndarray | None = None
 
     def __post_init__(self):
         names = _joint_layout(self.names)
@@ -126,13 +129,7 @@ class SkeletonFrame:
             return NotImplemented
         if self.names != other.names:
             return False
-        if not np.array_equal(self.positions, other.positions):
-            return False
-        a = self.confidences
-        b = other.confidences
-        if (a is None) != (b is None):
-            return False
-        return a is None or np.array_equal(a, b)
+        return np.array_equal(self.positions, other.positions)
 
     def has(self, joint: str) -> bool:
         return joint in self.names
@@ -145,9 +142,6 @@ class SkeletonFrame:
 
     def position(self, joint: str) -> np.ndarray:
         return self.positions[self.index(joint)]
-
-    def joints(self) -> dict[str, np.ndarray]:
-        return {n: self.positions[i] for i, n in enumerate(self.names)}
 
 
 Payload = Pose | Attach | Collision | TextInput | SkeletonFrame | TaskMark
@@ -190,7 +184,6 @@ class ReferenceStats:
     """Skeleton statistics of the reference performer for one task."""
 
     face_height: float
-    hand_height: float
     face_hand_distance: float
     hand_joint: str = "hand-right"
 
@@ -213,15 +206,6 @@ class ReferenceSet:
     """References grouped per task id, each carrying its skeleton stats."""
 
     by_task: dict[str, list[Reference]]
-
-    def tasks(self) -> tuple[str, ...]:
-        return tuple(self.by_task)
-
-    def for_task(self, task_id: str) -> list[Reference]:
-        refs = self.by_task.get(task_id)
-        if not refs:
-            raise KeyError(f"no reference for task {task_id!r}")
-        return refs
 
 
 # ---------------------------------------------------------------------------
@@ -452,30 +436,7 @@ def skeleton_frames(events, user: str | None = None) -> list[tuple[float, Skelet
 
 
 # ---------------------------------------------------------------------------
-# height correction
-
-def _pick_hand(frame: SkeletonFrame, preferred: str | None) -> str:
-    if preferred is not None and frame.has(preferred):
-        return preferred
-    for hand in HAND_JOINTS:
-        if frame.has(hand):
-            return hand
-    raise ValueError("frame has no hand joint")
-
-
-def correction_factor(frame: SkeletonFrame, stats: ReferenceStats) -> float | None:
-    """Scale factor mapping the user's face-hand distance onto the
-    reference's, or None when the user pose is degenerate (< 1 cm)."""
-    if stats.face_hand_distance <= 0:
-        raise ValueError("reference face-hand distance must be > 0")
-    if not frame.has("head"):
-        raise ValueError("frame has no head joint")
-    hand = _pick_hand(frame, stats.hand_joint)
-    d = float(np.linalg.norm(frame.position("head") - frame.position(hand)))
-    if d < MIN_FACE_HAND_DISTANCE:
-        return None
-    return stats.face_hand_distance / d
-
+# skeleton statistics and scaling
 
 def scale_frame(frame: SkeletonFrame, factor: float) -> SkeletonFrame:
     """Scale all joints about the head position. factor 1 returns the
@@ -484,22 +445,7 @@ def scale_frame(frame: SkeletonFrame, factor: float) -> SkeletonFrame:
         return frame
     center = np.array(frame.position("head"), dtype=np.float64)
     scaled = scale_about(frame.positions, center, float(factor))
-    return SkeletonFrame(names=frame.names, positions=scaled,
-                         confidences=frame.confidences)
-
-
-def height_correction(frame: SkeletonFrame, stats: ReferenceStats) -> SkeletonFrame:
-    """Normalize a user frame to the reference performer's proportions.
-
-    Joints are scaled about the head so the face-hand distance matches the
-    reference. A degenerate user pose (face-hand distance under 1 cm) is
-    passed through unchanged; callers detect that by identity with the
-    input. Missing head or hand joints raise ValueError.
-    """
-    s = correction_factor(frame, stats)
-    if s is None or s == 1.0:
-        return frame
-    return scale_frame(frame, s)
+    return SkeletonFrame(names=frame.names, positions=scaled)
 
 
 def reference_stats(slice_: TaskSlice, subject_object: str | None = None,
@@ -518,7 +464,6 @@ def reference_stats(slice_: TaskSlice, subject_object: str | None = None,
     hands = np.array([f.position(hand) for f in window])
     return ReferenceStats(
         face_height=float(np.median(heads[:, 1])),
-        hand_height=float(np.median(hands[:, 1])),
         face_hand_distance=float(np.median(
             np.linalg.norm(heads - hands, axis=1))),
         hand_joint=hand,

@@ -1,13 +1,16 @@
 """Action-level assessment: trajectory target matching and anomaly watching.
 
 A reference performance is downsampled to key frames (default 2 Hz). Each
-key frame spawns one TargetSet: the reference positions of the tracked
-joints. The user bursts the target by bringing every tracked joint within
-the match radius; a target with no match for longer than the skip time is
-retired as missed and the next one spawns. Meanwhile a short sliding
-window of corrected frames feeds anomaly detection (fall, facing away
-from the station, hand far from its target); an anomaly continuously
-active beyond the wait time aborts the evaluation.
+key frame spawns one target: the reference positions of the tracked
+joints, one row of a ReferenceTrack. The user bursts the target by bringing
+every tracked joint within the match radius (closed ball); a frame missing
+a tracked joint never bursts. A target with no match for longer than the
+skip time is retired as missed and the next one spawns. Frames are height
+corrected first (ActionEvaluator: one factor from the median face-hand
+distance of the first second). Meanwhile a short sliding window of
+corrected frames feeds anomaly detection (fall, facing away from the
+station, hand far from its target); an anomaly continuously active beyond
+the wait time aborts the evaluation.
 """
 
 from __future__ import annotations
@@ -18,35 +21,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import all_within, joint_distances
+from .kernels import all_within
 from .model import TrajectoryParams
-from .telemetry import (ReferenceStats, SkeletonFrame, TaskSlice,
-                        scale_frame, skeleton_frames)
+from .telemetry import (MIN_FACE_HAND_DISTANCE, ReferenceStats, SkeletonFrame,
+                        TaskSlice, scale_frame, skeleton_frames)
 
 ANOMALY_KINDS = ("fall", "orientation", "hand-position")
-
-
-@dataclass(frozen=True)
-class TargetSet:
-    frame_index: int
-    targets: dict[str, np.ndarray]
-    spawned_at: float
-
-    def __eq__(self, other):
-        if not isinstance(other, TargetSet):
-            return NotImplemented
-        return (self.frame_index == other.frame_index
-                and self.spawned_at == other.spawned_at
-                and self.targets.keys() == other.targets.keys()
-                and all(np.array_equal(v, other.targets[k])
-                        for k, v in self.targets.items()))
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    all_matched: bool
-    distances: dict[str, float]
-    missing: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -125,43 +105,10 @@ def build_reference_track(ref_slice: TaskSlice, params: TrajectoryParams,
                           times=times, positions=positions)
 
 
-def build_targets(ref_slice: TaskSlice, params: TrajectoryParams,
-                  cursor: int) -> TargetSet:
-    """TargetSet at a cursor position (spawned-at defaults to the key
-    frame's reference time)."""
-    track = build_reference_track(ref_slice, params)
-    if not 0 <= cursor < track.key_frames:
-        raise ValueError("trajectory exhausted")
-    targets = {j: track.positions[cursor, i].copy()
-               for i, j in enumerate(track.joint_ids)}
-    return TargetSet(frame_index=cursor, targets=targets,
-                     spawned_at=float(track.times[cursor]))
-
-
-def match_frame(targets: TargetSet, frame: SkeletonFrame,
-                params: TrajectoryParams) -> MatchResult:
-    """Closed-ball test: matched iff every target joint is within
-    match_radius (boundary inclusive). Missing joints are flagged and
-    fail the match."""
-    present = [j for j in targets.targets if frame.has(j)]
-    missing = tuple(j for j in targets.targets if not frame.has(j))
-    distances: dict[str, float] = {}
-    ok = not missing
-    if present:
-        points = np.array([frame.position(j) for j in present])
-        goals = np.array([targets.targets[j] for j in present])
-        dists = joint_distances(points, goals)
-        for joint, d in zip(present, dists):
-            distances[joint] = float(d)
-            if d > params.match_radius:
-                ok = False
-    return MatchResult(all_matched=ok, distances=distances, missing=missing)
-
-
-def step_trajectory(state: TrajectoryState, frame: SkeletonFrame, t: float,
-                    track: ReferenceTrack, params: TrajectoryParams,
-                    matched: bool | None = None):
-    """One matching transition. Returns (new state, feedback primitives).
+def step_trajectory(state: TrajectoryState, t: float, track: ReferenceTrack,
+                    params: TrajectoryParams, matched: bool):
+    """One matching transition given whether the current frame matched the
+    cursor's target. Returns (new state, feedback primitives).
 
     Feedback primitives are tuples: ("burst", frame-index, joint-count),
     ("missed", frame-index), ("repetition", n). At most one target is
@@ -170,12 +117,6 @@ def step_trajectory(state: TrajectoryState, frame: SkeletonFrame, t: float,
     """
     if state.aborted or state.complete:
         return state, []
-    if matched is None:
-        goal = track.positions[state.cursor]
-        idx = _joint_indices(frame, track.joint_ids)
-        matched = idx is not None and bool(
-            all_within(frame.positions[idx], goal, params.match_radius))
-
     events: list[tuple] = []
     if matched:
         state = replace(state, burst=state.burst + 1)
@@ -394,7 +335,7 @@ class ActionEvaluator:
         heads = np.array([f.position("head") for f in usable])
         hands = np.array([f.position(self.ref_stats.hand_joint) for f in usable])
         d = float(np.median(np.linalg.norm(heads - hands, axis=1)))
-        if d < 0.01:
+        if d < MIN_FACE_HAND_DISTANCE:
             self._warnings.append("height correction refused: degenerate pose")
             return 1.0
         return self.ref_stats.face_hand_distance / d
@@ -446,7 +387,7 @@ class ActionEvaluator:
 
         matched = self._matches(corrected)
         self.state, step_events = step_trajectory(
-            self.state, corrected, t, self.track, self.params, matched=matched)
+            self.state, t, self.track, self.params, matched)
         events.extend(step_events)
         return events
 

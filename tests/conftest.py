@@ -1,16 +1,9 @@
 import pytest
 
-from ahtn import kernels
 from ahtn.engine import build_reference_set
 from ahtn.fixtures import (collaborative_network, collaborative_reference,
                            hydrometer_network, hydrometer_reference,
                            write_demo_files)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # compile the jitted kernels once so no timed test pays for it
-    kernels.warmup()
 
 
 @pytest.fixture(scope="session")

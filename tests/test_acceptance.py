@@ -198,7 +198,7 @@ def _skel(head, hand, shoulders=True):
 def test_05_skip_time_behavior(criterion):
     with criterion(5, "skip-time retirement"):
         params = TrajectoryParams(joint_ids=("head",))
-        stats = ReferenceStats(1.7, 1.1, 0.45, "hand-right")
+        stats = ReferenceStats(1.7, 0.45, "hand-right")
         ref_events = tuple(
             Event(k / 10.0, "ref", _skel((0.02 * k, 1.7, 0.0),
                                          (0.02 * k + 0.45, 1.7, 0.0)))
@@ -247,7 +247,7 @@ def _fall_stream(total, low_from, low_until):
 def test_06_anomaly_abort(criterion):
     with criterion(6, "fall-anomaly abort"):
         params = TrajectoryParams(joint_ids=("head",))
-        stats = ReferenceStats(1.7, 1.1, 0.45, "hand-right")
+        stats = ReferenceStats(1.7, 0.45, "hand-right")
         ref_events = tuple(
             Event(k / 10.0, "ref", _skel((0.02 * k, 1.7, 0.0),
                                          (0.02 * k + 0.45, 1.7, 0.0)))

@@ -164,6 +164,18 @@ def test_stream_requires_events(run, demo_dir, monkeypatch):
     assert "no events on standard input" in err
 
 
+def test_stream_fails_fast_on_malformed_line(run, demo_dir, tmp_path, monkeypatch):
+    lines = (demo_dir / "hydrometer.rec").read_text().splitlines(keepends=True)
+    bad = lines[:2] + ["t=0.0 u=student pose cup 0 0 0 nan nan nan nan\n"] + lines[2:]
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(bad)))
+    out_path = tmp_path / "report.txt"
+    code, _, err = run("stream", "--net", hydro(demo_dir, "ahtn"),
+                       "--refs", hydro(demo_dir, "rec"), "--out", str(out_path))
+    assert code == 1
+    assert "line 3" in err
+    assert not out_path.exists()
+
+
 # -- simulate -----------------------------------------------------------------------
 
 def test_simulate_table_and_csv(run, demo_dir, tmp_path):

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ahtn import telemetry
+from ahtn.model import TrajectoryParams
 from ahtn.telemetry import (Attach, Collision, Event, Pose, RecordingError,
-                            Reference, SkeletonFrame, TaskMark, TaskSlice,
-                            TextInput, correction_factor, height_correction,
-                            parse_event_line, parse_session, reference_stats,
-                            scale_frame, serialize_event, serialize_recording,
-                            slice_task)
+                            Reference, ReferenceStats, SkeletonFrame, TaskMark,
+                            TaskSlice, TextInput, parse_event_line,
+                            parse_session, reference_stats, scale_frame,
+                            serialize_event, serialize_recording, slice_task)
+from ahtn.trajectory import ActionEvaluator
 
 
 def frame(**joints):
@@ -263,31 +264,46 @@ def test_slice_bundled_matches_brute_scan(hydro_rec):
 
 
 # -- height correction -------------------------------------------------------
+# the correction factor comes from ActionEvaluator's first-second window;
+# scale_frame applies it
 
-def stats_for(face_hand):
-    from ahtn.telemetry import ReferenceStats
-    return ReferenceStats(face_height=1.7, hand_height=1.1,
-                          face_hand_distance=face_hand, hand_joint="hand-right")
+def corrected_summary(frames, face_hand):
+    """Summary after feeding (t, frame) pairs through ActionEvaluator against
+    a reference whose face-hand distance is ``face_hand``."""
+    ref = TaskSlice(task_id="T", t0=0.0, t1=1.0, events=(
+        skel_event(0.0, "r", head=(0, 1.6, 0), **{"hand-right": (0.6, 1.6, 0)}),))
+    stats = ReferenceStats(face_height=1.6, face_hand_distance=face_hand,
+                           hand_joint="hand-right")
+    ev = ActionEvaluator("T", ref, TrajectoryParams(joint_ids=("head", "hand-right")),
+                         stats, t_start=0.0)
+    for t, f in frames:
+        ev.observe(t, f)
+    return ev.finalize(frames[-1][0])
 
 
 def test_correction_identity_when_same_proportions():
     f = frame(head=(0, 1.7, 0), **{"hand-right": (0.4, 1.7, 0)})
-    out = height_correction(f, stats_for(0.4))
-    assert out is f  # bitwise pass-through, no rescaling noise
+    summary = corrected_summary([(0.0, f), (0.5, f)], 0.4)
+    assert summary.correction_factor == 1.0  # exact, so scale_frame passes f through
+    assert scale_frame(f, summary.correction_factor) is f
 
 
 def test_correction_scales_about_head():
     f = frame(head=(0.0, 1.6, 0.0), **{"hand-right": (0.4, 1.6, 0.0)})
-    assert correction_factor(f, stats_for(0.6)) == pytest.approx(1.5)
-    out = height_correction(f, stats_for(0.6))
+    summary = corrected_summary([(0.0, f), (0.5, f)], 0.6)
+    assert summary.correction_factor == pytest.approx(1.5)
+    out = scale_frame(f, 1.5)
     assert np.allclose(out.position("head"), [0.0, 1.6, 0.0])
     assert np.allclose(out.position("hand-right"), [0.6, 1.6, 0.0])
 
 
 def test_correction_refuses_degenerate_pose():
     f = frame(head=(0, 1.6, 0), **{"hand-right": (0.005, 1.6, 0)})
-    assert correction_factor(f, stats_for(0.6)) is None
-    assert height_correction(f, stats_for(0.6)) is f
+    g = frame(head=(0, 1.6, 0), **{"hand-right": (0.5, 1.6, 0)})
+    # median of the warm-up window is 5 mm, under MIN_FACE_HAND_DISTANCE
+    summary = corrected_summary([(0.0, f), (0.3, g), (0.6, f)], 0.6)
+    assert summary.correction_factor == 1.0
+    assert "height correction refused: degenerate pose" in summary.warnings
 
 
 def test_correction_translation_invariant():
@@ -299,22 +315,19 @@ def test_correction_translation_invariant():
         f0 = frame(head=tuple(h), **{"hand-right": tuple(np.add(h, d))})
         f1 = frame(head=tuple(np.add(h, shift)),
                    **{"hand-right": tuple(np.add(h, d) + shift)})
-        a = height_correction(f0, stats_for(0.55))
-        b = height_correction(f1, stats_for(0.55))
+        factor = 0.55 / float(np.linalg.norm(d))
+        a = scale_frame(f0, factor)
+        b = scale_frame(f1, factor)
         rel = a.positions - a.position("head")
         rel2 = b.positions - b.position("head")
         assert np.allclose(rel, rel2, atol=1e-9)
 
 
-def test_correction_falls_back_to_left_hand():
-    f = frame(head=(0, 1.6, 0), **{"hand-left": (0.3, 1.6, 0)})
-    assert correction_factor(f, stats_for(0.6)) == pytest.approx(2.0)
-
-
 def test_correction_requires_head():
     f = frame(**{"hand-right": (0.3, 1.6, 0)})
-    with pytest.raises(ValueError, match="head"):
-        correction_factor(f, stats_for(0.6))
+    summary = corrected_summary([(0.0, f), (0.5, f)], 0.6)
+    assert summary.correction_factor == 1.0
+    assert "height correction skipped: no usable frames" in summary.warnings
 
 
 def test_scale_frame_factor_one_is_identity():
@@ -335,7 +348,7 @@ def test_reference_stats_median_over_first_second():
     sl = TaskSlice(task_id="T", t0=0.0, t1=3.0, events=tuple(events))
     st_ = reference_stats(sl)
     assert st_.face_height == pytest.approx(1.6)
-    assert st_.hand_height == pytest.approx(1.0)
+    assert st_.face_hand_distance == pytest.approx(math.sqrt(0.34))
     assert st_.hand_joint == "hand-right"
 
 

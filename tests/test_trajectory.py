@@ -8,13 +8,12 @@ import pytest
 from ahtn.model import TrajectoryParams
 from ahtn.telemetry import Event, ReferenceStats, SkeletonFrame, TaskSlice
 from ahtn.trajectory import (ActionEvaluator, TrajectoryState, build_reference_track,
-                             build_targets, detect_anomalies, facing_direction,
-                             key_frame_count, match_frame, step_trajectory,
-                             trajectory_score, update_anomalies)
+                             detect_anomalies, facing_direction, key_frame_count,
+                             step_trajectory, trajectory_score, update_anomalies)
 
 PARAMS = TrajectoryParams(joint_ids=("head", "hand-right"))
-STATS = ReferenceStats(face_height=1.7, hand_height=1.1,
-                       face_hand_distance=0.45, hand_joint="hand-right")
+STATS = ReferenceStats(face_height=1.7, face_hand_distance=0.45,
+                       hand_joint="hand-right")
 
 
 def frame(**joints):
@@ -73,32 +72,37 @@ def test_reference_track_requires_joints():
         build_reference_track(skel_slice([], t1=1.0), PARAMS)
 
 
-def test_build_targets_cursor_bounds():
-    samples = straight_line(duration=1.0)
-    sl = skel_slice(samples, t1=1.0)
-    ts = build_targets(sl, PARAMS, 0)
-    assert set(ts.targets) == {"head", "hand-right"}
-    with pytest.raises(ValueError, match="exhausted"):
-        build_targets(sl, PARAMS, 2)  # K = 2 for 1 s
-
-
 # -- matching -----------------------------------------------------------------
+# through ActionEvaluator, the one matching path; the 1 s reference slice has
+# two key frames, both targeting head (0, 1.7, 0) and hand-right (1, 1.7, 0)
+
+def one_frame_reference():
+    return skel_slice([(0.0, frame(head=(0, 1.7, 0), hand_right=(1, 1.7, 0)))],
+                      t1=1.0)
+
 
 def test_match_ball_is_closed():
-    sl = skel_slice([(0.0, frame(head=(0, 0, 0), hand_right=(1, 0, 0)))], t1=1.0)
-    ts = build_targets(sl, PARAMS, 0)
-    on_boundary = frame(head=(0.1, 0, 0), hand_right=(1, 0, 0))
-    assert match_frame(ts, on_boundary, PARAMS).all_matched
-    outside = frame(head=(0.1000001, 0, 0), hand_right=(1, 0, 0))
-    assert not match_frame(ts, outside, PARAMS).all_matched
+    def bursts(head_x):
+        f = frame(head=(head_x, 1.7, 0), hand_right=(1, 1.7, 0))
+        # reference face-hand distance equal to the frame's: factor exactly 1
+        exact = float(np.linalg.norm(f.position("head") - f.position("hand-right")))
+        stats = ReferenceStats(face_height=1.7, face_hand_distance=exact,
+                               hand_joint="hand-right")
+        summary, _ = replay([(0.0, f), (0.1, f)], one_frame_reference(),
+                            stats=stats)
+        assert summary.correction_factor == 1.0
+        return summary.burst
+
+    assert bursts(0.1) == 2  # head exactly match_radius from its target
+    assert bursts(0.1 + 1e-7) == 0
 
 
 def test_match_requires_every_joint():
-    sl = skel_slice([(0.0, frame(head=(0, 0, 0), hand_right=(1, 0, 0)))], t1=1.0)
-    ts = build_targets(sl, PARAMS, 0)
-    res = match_frame(ts, frame(head=(0, 0, 0)), PARAMS)
-    assert not res.all_matched and res.missing == ("hand-right",)
-    assert res.distances["head"] == 0.0
+    handless = frame(head=(0, 1.7, 0))  # head exactly on its target
+    summary, feedback = replay([(0.0, handless), (0.1, handless)],
+                               one_frame_reference())
+    assert summary.burst == 0 and not any(e[0] == "burst" for e in feedback)
+    assert "frames missing tracked joints; targets cannot burst" in summary.warnings
 
 
 # -- stepping -----------------------------------------------------------------
@@ -111,10 +115,9 @@ def track_of(duration):
 def test_skip_is_strictly_greater_than_five_seconds():
     track = track_of(10.0)
     state = TrajectoryState(spawned_at=0.0)
-    f = frame(head=(9, 9, 9), hand_right=(9, 9, 9))
-    state, evs = step_trajectory(state, f, 5.0, track, PARAMS, matched=False)
+    state, evs = step_trajectory(state, 5.0, track, PARAMS, matched=False)
     assert state.missed == 0 and evs == []
-    state, evs = step_trajectory(state, f, 5.01, track, PARAMS, matched=False)
+    state, evs = step_trajectory(state, 5.01, track, PARAMS, matched=False)
     assert state.missed == 1 and evs == [("missed", 0)]
     assert state.cursor == 1 and state.spawned == 2 and state.spawned_at == 5.01
 
@@ -122,8 +125,7 @@ def test_skip_is_strictly_greater_than_five_seconds():
 def test_burst_advances_cursor():
     track = track_of(10.0)
     state = TrajectoryState(spawned_at=0.0)
-    f = frame(head=(9, 9, 9), hand_right=(9, 9, 9))
-    state, evs = step_trajectory(state, f, 0.3, track, PARAMS, matched=True)
+    state, evs = step_trajectory(state, 0.3, track, PARAMS, matched=True)
     assert state.burst == 1 and evs == [("burst", 0, 2)]
     assert state.cursor == 1
 
@@ -132,16 +134,15 @@ def test_repetition_wraps_and_completes():
     track = track_of(1.0)  # K = 2
     params = TrajectoryParams(joint_ids=PARAMS.joint_ids, repetitions=2)
     state = TrajectoryState(spawned_at=0.0)
-    f = frame(head=(0, 0, 0), hand_right=(0, 0, 0))
     seen = []
     for t in (0.1, 0.2, 0.3, 0.4):
-        state, evs = step_trajectory(state, f, t, track, params, matched=True)
+        state, evs = step_trajectory(state, t, track, params, matched=True)
         seen.extend(evs)
     assert state.complete and state.repetitions_done == 2
     assert state.burst == 4 and state.spawned == 4
     assert ("repetition", 1) in seen and ("repetition", 2) in seen
     # complete state is inert
-    state2, evs = step_trajectory(state, f, 9.0, track, params, matched=True)
+    state2, evs = step_trajectory(state, 9.0, track, params, matched=True)
     assert state2 == state and evs == []
 
 
@@ -289,7 +290,7 @@ def test_evaluator_is_deterministic():
     assert a == b and fa == fb
 
 
-def test_height_correction_lets_smaller_user_burst():
+def test_evaluator_correction_lets_smaller_user_burst():
     ref = straight_line(arm=0.45)
     short = straight_line(arm=0.30)  # same head path, shorter reach
     summary, _ = replay(short, skel_slice(ref))
