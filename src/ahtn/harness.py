@@ -159,15 +159,16 @@ def spec_for_magnitude(magnitude: float, seed: int = 0) -> PerturbationSpec:
     )
 
 
-def _quat_mul(a, b):
-    ax, ay, az, aw = a
-    bx, by, bz, bw = b
-    return (
+def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Hamilton product of (N, 4) quaternion blocks (x, y, z, w)."""
+    ax, ay, az, aw = a.T
+    bx, by, bz, bw = b.T
+    return np.stack((
         aw * bx + bw * ax + ay * bz - az * by,
         aw * by + bw * ay + az * bx - ax * bz,
         aw * bz + bw * az + ax * by - ay * bx,
         aw * bw - (ax * bx + ay * by + az * bz),
-    )
+    ), axis=1)
 
 
 def perturb(rec: SessionRecording, spec: PerturbationSpec) -> SessionRecording:
@@ -177,60 +178,92 @@ def perturb(rec: SessionRecording, spec: PerturbationSpec) -> SessionRecording:
     orientation noise on poses, random removal of whole attach intervals,
     spurious collision events, and offsets on numeric text inputs. A
     zero-magnitude spec returns the input unchanged.
+
+    Noise is drawn in blocks, each whether or not its magnitude is 0, in
+    this order: attach drops, pose positions (N, 3), pose rotation axes
+    (N, 3), pose rotation angles (N,), skeleton joints (all joints of all
+    frames, 3), text offsets (T,), then collision times. The draw order is
+    part of the result: changing it changes every seeded study.
     """
     if spec.is_identity:
         return rec
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.seed)))
 
     dropped = _pick_dropped_attach_events(rec, spec, rng)
+    events = list(rec.events)
+    at: dict[type, list[int]] = {Pose: [], SkeletonFrame: [], TextInput: []}
+    for i, e in enumerate(events):
+        slot = at.get(type(e.payload))
+        if slot is not None:
+            slot.append(i)
 
-    events: list[Event] = []
-    for i, e in enumerate(rec.events):
-        if i in dropped:
-            continue
-        p = e.payload
-        if isinstance(p, Pose):
-            noise = rng.standard_normal(3)
-            position = tuple(float(c + spec.position_sigma * z)
-                             for c, z in zip(p.position, noise))
-            axis = rng.standard_normal(3)
-            angle = float(rng.standard_normal()) * spec.orientation_sigma
-            orientation = p.orientation
-            norm = float(np.linalg.norm(axis))
-            if norm > 0 and angle != 0.0:
-                axis = axis / norm
-                half = angle / 2.0
-                q_noise = (axis[0] * math.sin(half), axis[1] * math.sin(half),
-                           axis[2] * math.sin(half), math.cos(half))
-                q = _quat_mul(q_noise, orientation)
-                qn = math.sqrt(sum(c * c for c in q))
-                orientation = tuple(c / qn for c in q)
-            events.append(Event(e.t, e.user, Pose(p.object_id, position,
-                                                  orientation)))
-        elif isinstance(p, SkeletonFrame):
-            noise = rng.standard_normal(p.positions.shape)
-            if spec.position_sigma > 0:
-                frame = SkeletonFrame(
-                    names=p.names,
-                    positions=p.positions + spec.position_sigma * noise)
-            else:
-                frame = p
-            events.append(Event(e.t, e.user, frame))
-        elif isinstance(p, TextInput):
-            z = float(rng.standard_normal())
-            value = p.value
-            if spec.text_error > 0:
-                try:
-                    value = repr(float(p.value) + spec.text_error * z)
-                except ValueError:
-                    pass
-            events.append(Event(e.t, e.user, TextInput(p.field_id, value)))
-        else:
-            events.append(e)
+    # in draw order
+    for kind, noisy in ((Pose, _noisy_poses), (SkeletonFrame, _noisy_frames),
+                        (TextInput, _noisy_text)):
+        indices = at[kind]
+        fresh = noisy([events[i].payload for i in indices], spec, rng)
+        for i, payload in zip(indices, fresh):
+            e = events[i]
+            if payload is not e.payload:
+                events[i] = Event(e.t, e.user, payload)
 
+    if dropped:
+        events = [e for i, e in enumerate(events) if i not in dropped]
     events = _inject_collisions(rec, events, spec, rng)
     return SessionRecording(session_id=rec.session_id, user_ids=rec.user_ids,
                             events=tuple(events))
+
+
+def _noisy_poses(poses: list[Pose], spec: PerturbationSpec, rng) -> list[Pose]:
+    """Position noise, then a rotation by angle ~ N(0, orientation_sigma)
+    about a uniformly random axis, for a block of poses."""
+    n = len(poses)
+    position = np.array([p.position for p in poses], dtype=np.float64).reshape(n, 3)
+    position += spec.position_sigma * rng.standard_normal((n, 3))
+    axis = rng.standard_normal((n, 3))
+    angle = rng.standard_normal(n) * spec.orientation_sigma
+    orientation = np.array([p.orientation for p in poses],
+                           dtype=np.float64).reshape(n, 4)
+    norm = np.sqrt((axis * axis).sum(axis=1))
+    turn = (norm > 0) & (angle != 0.0)
+    half = angle[turn] / 2.0
+    q_noise = np.column_stack((axis[turn] / norm[turn, None] * np.sin(half)[:, None],
+                               np.cos(half)))
+    q = _quat_mul(q_noise, orientation[turn])
+    orientation[turn] = q / np.sqrt((q * q).sum(axis=1))[:, None]
+    # zip over columns builds each tuple directly, with no per-row list
+    return [Pose(p.object_id, xyz, quat) for p, xyz, quat in
+            zip(poses, zip(*position.T.tolist()), zip(*orientation.T.tolist()))]
+
+
+def _noisy_frames(frames: list[SkeletonFrame], spec: PerturbationSpec,
+                  rng) -> list[SkeletonFrame]:
+    """Position noise on every joint; frames keep their layout's names."""
+    sizes = [len(f.names) for f in frames]
+    noise = rng.standard_normal((sum(sizes), 3))
+    if not frames or spec.position_sigma == 0:
+        return frames
+    noise *= spec.position_sigma
+    noise += np.concatenate([f.positions for f in frames])
+    ends = np.cumsum(sizes).tolist()
+    return [SkeletonFrame(names=f.names, positions=noise[end - size:end])
+            for f, size, end in zip(frames, sizes, ends)]
+
+
+def _noisy_text(inputs: list[TextInput], spec: PerturbationSpec,
+                rng) -> list[TextInput]:
+    """Offsets on numeric text inputs; other values pass through."""
+    offsets = rng.standard_normal(len(inputs))
+    if spec.text_error == 0:
+        return inputs
+    out = []
+    for p, z in zip(inputs, offsets.tolist()):
+        try:
+            p = TextInput(p.field_id, repr(float(p.value) + spec.text_error * z))
+        except ValueError:
+            pass
+        out.append(p)
+    return out
 
 
 def _pick_dropped_attach_events(rec: SessionRecording, spec: PerturbationSpec,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -167,10 +168,17 @@ def facing_direction(frame: SkeletonFrame) -> np.ndarray | None:
         out = np.array([v[0], 0.0, v[2]])
     else:
         return None
-    norm = float(np.linalg.norm(out))
+    norm = math.sqrt(out.dot(out))  # np.linalg.norm's arithmetic
     if norm < 1e-9:
         return None
     return out / norm
+
+
+@lru_cache(maxsize=16)
+def _station(forward: tuple[float, float, float]) -> tuple[np.ndarray, float]:
+    """Station forward direction as an array, with its norm."""
+    station = np.asarray(forward, dtype=np.float64)
+    return station, float(np.linalg.norm(station))
 
 
 def detect_anomalies(window: Sequence[tuple[float, SkeletonFrame]],
@@ -180,14 +188,15 @@ def detect_anomalies(window: Sequence[tuple[float, SkeletonFrame]],
     """Currently active anomaly kinds over a sliding window of
     (t, height-corrected frame) samples.
 
-    Returns (kinds, warming_up). A window spanning less than
-    params.anomaly_window seconds only warms up. Fall and orientation are
-    judged on the newest frame; hand-position requires the assessed hand
-    to stay beyond hand_proximity_factor * match_radius from its current
-    target across the whole window.
+    Returns (kinds, warming_up, facing), where facing is the newest
+    frame's facing_direction (None while warming up). A window spanning
+    less than params.anomaly_window seconds only warms up. Fall and
+    orientation are judged on the newest frame; hand-position requires the
+    assessed hand to stay beyond hand_proximity_factor * match_radius from
+    its current target across the whole window.
     """
     if not window or window[-1][0] - window[0][0] < params.anomaly_window:
-        return set(), True
+        return set(), True, None
     kinds: set[str] = set()
     latest = window[-1][1]
 
@@ -197,26 +206,27 @@ def detect_anomalies(window: Sequence[tuple[float, SkeletonFrame]],
 
     facing = facing_direction(latest)
     if facing is not None:
-        station = np.asarray(params.station_forward, dtype=np.float64)
-        norm = float(np.linalg.norm(station))
+        station, norm = _station(params.station_forward)
         if norm > 0 and float(facing @ station) / norm < 0.0:  # cos > 90 degrees
             kinds.add("orientation")
 
     hand = ref_stats.hand_joint
     if current_target is not None and hand in current_target:
         limit = params.hand_proximity_factor * params.match_radius
+        goal = current_target[hand]
         away = True
         seen = False
         for _, f in window:
             if not f.has(hand):
                 continue
             seen = True
-            if float(np.linalg.norm(f.position(hand) - current_target[hand])) <= limit:
+            d = f.position(hand) - goal
+            if math.sqrt(d.dot(d)) <= limit:  # np.linalg.norm's arithmetic
                 away = False
                 break
         if seen and away:
             kinds.add("hand-position")
-    return kinds, False
+    return kinds, False, facing
 
 
 def update_anomalies(state: TrajectoryState, kinds: set[str], t: float,
@@ -250,7 +260,9 @@ def update_anomalies(state: TrajectoryState, kinds: set[str], t: float,
             events.append(("abort", kind))
             return state, events
 
-    state = replace(state, active_anomalies=tuple(active.items()))
+    now_active = tuple(active.items())
+    if now_active != state.active_anomalies:
+        state = replace(state, active_anomalies=now_active)
     return state, events
 
 
@@ -304,7 +316,9 @@ class ActionEvaluator:
 
     Frames inside the first second are buffered so the correction factor
     can be computed from the median face-hand distance of that window
-    (matching how reference statistics are taken), then replayed.
+    (matching how reference statistics are taken), then replayed. Once the
+    factor is not 1, a frame without a head cannot be corrected: it is
+    skipped, with one warning per evaluator.
     """
 
     def __init__(self, task_id: str, ref_slice: TaskSlice,
@@ -316,12 +330,16 @@ class ActionEvaluator:
         self.t_start = t_start
         self.track = build_reference_track(ref_slice, params, ref_user)
         self.state = TrajectoryState(spawned_at=t_start)
+        # joint -> target position, one dict per key frame
+        self._targets = [dict(zip(self.track.joint_ids, row))
+                         for row in self.track.positions]
         self.factor: float | None = None  # None until the warm-up window closes
         self._pending: list[tuple[float, SkeletonFrame]] = []
         self._window: list[tuple[float, SkeletonFrame]] = []
         self._index_cache: dict[tuple[str, ...], object] = {}
         self._warnings: list[str] = []
         self._facing_warned = False
+        self._headless_warned = False
 
     # -- correction ---------------------------------------------------------
 
@@ -361,21 +379,25 @@ class ActionEvaluator:
         return self._step(t, frame)
 
     def _step(self, t: float, frame: SkeletonFrame) -> list[tuple]:
+        if self.factor != 1.0 and not frame.has("head"):
+            # correction scales about the head; without one the frame is unusable
+            if not self._headless_warned:
+                self._headless_warned = True
+                self._warnings.append(
+                    "frames without head skipped: cannot height-correct")
+            return []
         corrected = scale_frame(frame, self.factor)
         window = self._window
         window.append((t, corrected))
         while len(window) >= 2 and window[1][0] <= t - self.params.anomaly_window:
             window.pop(0)
 
-        target = None
-        if not self.state.complete:
-            target = {j: self.track.positions[self.state.cursor, i]
-                      for i, j in enumerate(self.track.joint_ids)}
-        kinds, warming = detect_anomalies(window, self.params,
-                                          self.ref_stats, target)
+        target = None if self.state.complete else self._targets[self.state.cursor]
+        kinds, warming, facing = detect_anomalies(window, self.params,
+                                                  self.ref_stats, target)
         events: list[tuple] = []
         if not warming:
-            if (facing_direction(corrected) is None and not self._facing_warned):
+            if not self._facing_warned and facing is None:
                 self._facing_warned = True
                 self._warnings.append(
                     "orientation anomaly disabled: no shoulder or head-forward joints")

@@ -475,7 +475,7 @@ def test_09_monotonicity(criterion, tmp_path, capsys):
                    "--trials", "50", "--seed", "0"])
         elapsed = time.perf_counter() - t0
         assert rc == 0
-        assert elapsed < 120.0
+        assert elapsed < 40.0  # 6.3x the slowest measured run: 6.35 s, 2 cores
         out = capsys.readouterr().out
         rows = [line.split() for line in out.strip().splitlines()[1:]]
         assert len(rows) == 5

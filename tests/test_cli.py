@@ -5,6 +5,8 @@ import io
 import pytest
 
 from ahtn.cli import main
+from ahtn.telemetry import (Event, SessionRecording, SkeletonFrame,
+                            parse_session, serialize_recording)
 
 
 @pytest.fixture()
@@ -66,6 +68,34 @@ def test_missing_file_exits_one(run):
 
 
 # -- score ----------------------------------------------------------------------
+
+def test_score_survives_headless_frame_after_correction(run, demo_dir, tmp_path):
+    rec = parse_session((demo_dir / "hydrometer.rec").read_text(), "s")
+    events = []
+    for e in rec.events:
+        p = e.payload
+        if isinstance(p, SkeletonFrame):
+            head = p.position("head")
+            # a smaller learner (factor 1.25); one frame mid-T1 loses its head
+            keep = [i for i, n in enumerate(p.names)
+                    if not (n == "head" and 4.0 <= e.t < 4.1)]
+            pos = head + 0.8 * (p.positions - head)
+            p = SkeletonFrame(names=tuple(p.names[i] for i in keep),
+                              positions=pos[keep])
+        events.append(Event(e.t, e.user, p))
+    assert sum(isinstance(e.payload, SkeletonFrame) and not e.payload.has("head")
+               for e in events) > 0
+    session = tmp_path / "headless.rec"
+    session.write_text(serialize_recording(
+        SessionRecording(rec.session_id, rec.user_ids, tuple(events))))
+    out_path = tmp_path / "report.txt"
+    code, _, _ = run("score", "--net", hydro(demo_dir, "ahtn"),
+                     "--refs", hydro(demo_dir, "rec"),
+                     "--session", str(session), "--out", str(out_path))
+    assert code == 0
+    assert ("trajectory-warning frames without head skipped: cannot "
+            "height-correct") in out_path.read_text()
+
 
 def test_score_writes_perfect_report(run, demo_dir, tmp_path):
     out_path = tmp_path / "report.txt"

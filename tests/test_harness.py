@@ -12,7 +12,7 @@ from ahtn.harness import (METHODS, MonotonicityRow, PerturbationSpec,
                           load_study_correlations, monotonicity_csv,
                           monotonicity_report, parse_score_pairs, perturb,
                           spec_for_magnitude)
-from ahtn.telemetry import (Attach, Collision, Pose, TextInput,
+from ahtn.telemetry import (Attach, Collision, Pose, SkeletonFrame, TextInput,
                             parse_session, serialize_recording)
 
 
@@ -179,6 +179,51 @@ def test_perturb_position_noise_magnitude(hydro_rec):
     for e in noisy.events:
         if isinstance(e.payload, Pose):
             assert np.linalg.norm(e.payload.orientation) == pytest.approx(1.0, abs=1e-9)
+
+
+def payload_pairs(before, after, kind):
+    """(input, output) payloads of one kind; the spec must neither drop nor
+    inject events, so the two recordings align one to one."""
+    assert len(before.events) == len(after.events)
+    return [(b.payload, a.payload) for b, a in zip(before.events, after.events)
+            if isinstance(b.payload, kind)]
+
+
+def test_perturb_orientation_noise_magnitude(hydro_rec):
+    sigma = 0.1
+    noisy = perturb(hydro_rec, PerturbationSpec(orientation_sigma=sigma, seed=5))
+    pairs = payload_pairs(hydro_rec, noisy, Pose)
+    angles = [2.0 * math.acos(min(1.0, abs(float(np.dot(b.orientation,
+                                                         a.orientation)))))
+              for b, a in pairs]
+    # rotation by |sigma * z|, z standard normal: mean sigma * sqrt(2/pi)
+    assert np.mean(angles) == pytest.approx(sigma * math.sqrt(2 / math.pi),
+                                            rel=0.15)
+    assert all(b.position == a.position for b, a in pairs)
+
+
+def test_perturb_skeleton_noise_magnitude_and_shared_layout(hydro_rec):
+    sigma = 0.05
+    noisy = perturb(hydro_rec, PerturbationSpec(position_sigma=sigma, seed=6))
+    pairs = payload_pairs(hydro_rec, noisy, SkeletonFrame)
+    assert pairs
+    assert all(a.names is b.names for b, a in pairs)
+    d = np.concatenate([np.linalg.norm(a.positions - b.positions, axis=1)
+                        for b, a in pairs])
+    assert float(d.mean()) == pytest.approx(sigma * math.sqrt(8 / math.pi),
+                                            rel=0.15)
+
+
+def test_perturb_zero_sigma_channels_stay_exact(hydro_rec):
+    turned = perturb(hydro_rec, PerturbationSpec(orientation_sigma=0.2,
+                                                 text_error=0.1, seed=7))
+    assert all(a.position == b.position
+               for b, a in payload_pairs(hydro_rec, turned, Pose))
+    assert all(a == b for b, a in payload_pairs(hydro_rec, turned, SkeletonFrame))
+    moved = perturb(hydro_rec, PerturbationSpec(position_sigma=0.05, seed=8))
+    pose_pairs = payload_pairs(hydro_rec, moved, Pose)
+    assert all(a.orientation == b.orientation for b, a in pose_pairs)
+    assert any(a.position != b.position for b, a in pose_pairs)
 
 
 def test_perturb_drops_whole_attach_intervals(hydro_rec):

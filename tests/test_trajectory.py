@@ -204,8 +204,10 @@ def test_orientation_anomaly_threshold_is_ninety_degrees():
         f = rotated_shoulders(math.radians(deg))
         facing = facing_direction(f)
         assert facing is not None
-        kinds, warming = detect_anomalies(window_of(f), PARAMS, STATS)
+        kinds, warming, latest_facing = detect_anomalies(window_of(f), PARAMS,
+                                                         STATS)
         assert not warming
+        assert np.array_equal(latest_facing, facing)
         assert ("orientation" in kinds) is expect, deg
 
 
@@ -221,18 +223,18 @@ def test_hand_position_anomaly_needs_whole_window_away():
     target = {"hand-right": np.zeros(3)}
     far = frame(head=(0, 1.7, 0), hand_right=(0.35, 1.1, 0))
     near = frame(head=(0, 1.7, 0), hand_right=(0.25, 0, 0))
-    kinds, _ = detect_anomalies(window_of(far), PARAMS, STATS, target)
+    kinds, _, _ = detect_anomalies(window_of(far), PARAMS, STATS, target)
     assert "hand-position" in kinds
     mixed = [(0.0, far), (0.3, near), (0.6, far)]
-    kinds, _ = detect_anomalies(mixed, PARAMS, STATS, target)
+    kinds, _, _ = detect_anomalies(mixed, PARAMS, STATS, target)
     assert "hand-position" not in kinds  # one close sample clears it
 
 
 def test_window_shorter_than_half_second_only_warms_up():
     f = frame(head=(0, 0.1, 0))  # would be a fall
-    kinds, warming = detect_anomalies([(0.0, f)], PARAMS, STATS)
-    assert warming and kinds == set()
-    kinds, warming = detect_anomalies([(0.0, f), (0.4, f)], PARAMS, STATS)
+    kinds, warming, facing = detect_anomalies([(0.0, f)], PARAMS, STATS)
+    assert warming and kinds == set() and facing is None
+    kinds, warming, _ = detect_anomalies([(0.0, f), (0.4, f)], PARAMS, STATS)
     assert warming
 
 
@@ -368,3 +370,36 @@ def test_orientation_watch_disabled_without_shoulders_warns():
     summary, _ = replay(samples, skel_slice(samples))
     assert any("orientation anomaly disabled" in w for w in summary.warnings)
     assert summary.score == 1.0  # still matches fine
+
+
+def test_orientation_disabled_warning_appears_once():
+    def warnings(**extra):
+        samples = [(t, frame(head=(0.03 * t, 1.7, 0),
+                             hand_right=(0.03 * t + 0.45, 1.7, 0), **extra))
+                   for t in np.arange(0, 10.5, 0.1)]
+        summary, _ = replay(samples, skel_slice(samples))
+        return [w for w in summary.warnings if w.startswith("orientation")]
+
+    assert warnings() == [
+        "orientation anomaly disabled: no shoulder or head-forward joints"]
+    assert warnings(head_forward=(0, 1.7, 1)) == []
+
+
+def test_headless_frame_after_correction_is_skipped():
+    stats = ReferenceStats(face_height=1.7, face_hand_distance=0.6,
+                           hand_joint="hand-right")
+    ref = skel_slice([(0.0, frame(head=(0, 1.7, 0), hand_right=(0.6, 1.7, 0)))],
+                     t1=2.0)
+    warm = [(0.1 * i, frame(head=(0, 1.7, 0), hand_right=(0.4, 1.7, 0)))
+            for i in range(12)]
+    headless = [(1.2, frame(hand_right=(0.4, 1.7, 0))),
+                (1.3, frame(hand_right=(0.4, 1.7, 0)))]
+    summary, feedback = replay(warm + headless, ref, stats=stats)
+    assert summary.correction_factor == pytest.approx(1.5)
+    assert summary.warnings.count(
+        "frames without head skipped: cannot height-correct") == 1
+    # skipped outright: the same outcome as never seeing those frames
+    plain, plain_feedback = replay(warm, ref, stats=stats)
+    assert feedback == plain_feedback
+    assert (summary.burst, summary.missed, summary.anomalies) == (
+        plain.burst, plain.missed, plain.anomalies)
