@@ -5,13 +5,22 @@ behaviour: mean orientation, mean position, attachment duration ratio,
 collision count penalty, and text-input comparison. Scores are linear
 ramps clamped to [0, 1]; per-check tolerances come from the CheckSpec and
 fall back to the defaults here.
+
+Orientation, position and text-input compare the user with a reference
+through reductions of each slice (``extract_features``): the subject's
+mean orientation, its mean position, or the field's last text value with
+its finite numeric reading. A reference's reductions are computed once
+and cached on the ``Reference`` (``build_reference_set`` fills the cache).
+When a task ends, the user's slice is reduced once and attachment and
+collision, which need no reference, are scored once; each reference then
+costs only the small comparisons.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -84,23 +93,137 @@ def quaternion_angle(q1: np.ndarray, q2: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# data extraction
+# feature extraction
 
-def _pose_payloads(slice_: TaskSlice, subject: str) -> list[Pose]:
-    return [e.payload for e in slice_.events
-            if isinstance(e.payload, Pose) and e.payload.object_id == subject]
+# check kinds that compare the learner with a reference; attachment and
+# collision read only the learner's slice
+FEATURE_KINDS = frozenset({"orientation", "position", "text-input"})
 
 
-def _subject_positions(slice_: TaskSlice, subject: str) -> np.ndarray:
-    """(N, 3) positions of an object (Pose events) or a joint (Skeleton)."""
-    if is_joint_id(subject):
-        rows = [e.payload.position(subject) for e in slice_.events
-                if isinstance(e.payload, SkeletonFrame) and e.payload.has(subject)]
-    else:
-        rows = [p.position for p in _pose_payloads(slice_, subject)]
-    if not rows:
-        raise ValueError(f"no data: no position samples for {subject!r}")
-    return np.asarray(rows, dtype=np.float64)
+@dataclass(frozen=True, slots=True)
+class Feature:
+    """What one check kind needs of one subject in one slice: a reduction
+    of its samples, never the samples themselves.
+
+    ``samples`` is the number of samples reduced; 0 means no data.
+    ``value`` is the mean unit quaternion (orientation), the mean position
+    (position) or the last text value (text-input); it is None when there
+    are no samples or the reduction failed, in which case ``error`` says
+    why. ``number`` is the text value as a finite float, else None.
+    """
+
+    samples: int
+    value: np.ndarray | str | None = None
+    number: float | None = None
+    error: str | None = None
+
+
+FeatureKey = tuple[str, str]  # (check kind, subject)
+
+
+def feature_key(spec: CheckSpec) -> FeatureKey:
+    return spec.kind, spec.subject
+
+
+def _finite_number(text: str) -> float | None:
+    try:
+        x = float(text)
+    except ValueError:
+        return None
+    return x if math.isfinite(x) else None
+
+
+def extract_features(slice_: TaskSlice,
+                     specs: Iterable[CheckSpec]) -> dict[FeatureKey, Feature]:
+    """One pass over a slice, reduced to a Feature per (kind, subject) of
+    the reference-comparing checks in specs.
+
+    Orientation reads the subject's Pose events; position reads them too,
+    or the skeleton frames that carry the subject when it is a joint;
+    text-input reads the TextInput events of the subject field.
+    """
+    keys = {feature_key(s) for s in specs if s.kind in FEATURE_KINDS}
+    if not keys:
+        return {}
+    quats: dict[str, list] = {}
+    object_rows: dict[str, list] = {}
+    joint_rows: dict[str, list] = {}
+    texts: dict[str, list[str]] = {}
+    for kind, subject in keys:
+        if kind == "orientation":
+            quats[subject] = []
+        elif kind == "text-input":
+            texts[subject] = []
+        elif is_joint_id(subject):
+            joint_rows[subject] = []
+        else:
+            object_rows[subject] = []
+
+    pose_subjects = quats.keys() | object_rows.keys()
+    joints = tuple(joint_rows.items())
+    for e in slice_.events:
+        p = e.payload
+        kind = type(p)
+        if kind is Pose:
+            if p.object_id in pose_subjects:
+                rows = quats.get(p.object_id)
+                if rows is not None:
+                    rows.append(p.orientation)
+                rows = object_rows.get(p.object_id)
+                if rows is not None:
+                    rows.append(p.position)
+        elif kind is SkeletonFrame:
+            names = p.names
+            for joint, rows in joints:
+                if joint in names:
+                    rows.append(p.positions[names.index(joint)])
+        elif kind is TextInput:
+            values = texts.get(p.field_id)
+            if values is not None:
+                values.append(p.value)
+
+    out: dict[FeatureKey, Feature] = {}
+    for subject, rows in quats.items():
+        feature = Feature(len(rows))
+        if rows:
+            try:
+                feature = Feature(len(rows), mean_quaternion(np.asarray(rows)))
+            except ValueError as e:
+                feature = Feature(len(rows), error=str(e))
+        out["orientation", subject] = feature
+    for subject, rows in (object_rows | joint_rows).items():
+        out["position", subject] = (
+            Feature(len(rows), np.asarray(rows, dtype=np.float64).mean(axis=0))
+            if rows else Feature(0))
+    for subject, values in texts.items():
+        out["text-input", subject] = (
+            Feature(len(values), values[-1], _finite_number(values[-1]))
+            if values else Feature(0))
+    return out
+
+
+def reference_features(ref: Reference,
+                       specs: Sequence[CheckSpec]) -> dict[FeatureKey, Feature]:
+    """The features of ref's slice for specs, extracted on first use and
+    kept on ref, so each reference is read once however many sessions it
+    scores."""
+    cache = ref.features
+    missing = [s for s in specs
+               if s.kind in FEATURE_KINDS and feature_key(s) not in cache]
+    if missing:
+        cache.update(extract_features(ref.slice, missing))
+    return cache
+
+
+def _reductions(user: Feature, ref: Feature, user_missing: str,
+                ref_missing: str):
+    """Both sides' values, or a ValueError for the first side without one."""
+    for feature, missing in ((user, user_missing), (ref, ref_missing)):
+        if not feature.samples:
+            raise ValueError(f"no data: {missing}")
+        if feature.error is not None:
+            raise ValueError(feature.error)
+    return user.value, ref.value
 
 
 def _ramp(value: float, limit: float) -> float:
@@ -110,55 +233,32 @@ def _ramp(value: float, limit: float) -> float:
 # ---------------------------------------------------------------------------
 # the five checks
 
-def orientation_score(user_slice: TaskSlice, refs: Sequence[Reference],
-                      spec: CheckSpec,
+def orientation_score(user: Feature, ref: Feature, spec: CheckSpec,
                       defaults: CheckDefaults = DEFAULTS) -> CheckResult:
     """Angle between the mean orientation of the subject in the user slice
-    and in the closest reference, mapped linearly to [0, 1]."""
+    and in the reference, mapped linearly to [0, 1]."""
     tol = spec.tol if spec.tol is not None else defaults.orientation_tol
-    user_quats = [p.orientation for p in _pose_payloads(user_slice, spec.subject)]
-    if not user_quats:
-        raise ValueError(f"no data: no Pose events for {spec.subject!r}")
-    user_mean = mean_quaternion(np.asarray(user_quats))
-
-    best_theta = None
-    for ref in refs:
-        ref_quats = [p.orientation for p in _pose_payloads(ref.slice, spec.subject)]
-        if not ref_quats:
-            continue
-        theta = quaternion_angle(user_mean, mean_quaternion(np.asarray(ref_quats)))
-        if best_theta is None or theta < best_theta:
-            best_theta = theta
-    if best_theta is None:
-        raise ValueError(f"no data: no reference Pose events for {spec.subject!r}")
-    return CheckResult(kind="orientation", score=_ramp(best_theta, tol),
-                       detail=f"theta={best_theta:.6f} rad, tol={tol:.6f}",
-                       samples_used=len(user_quats))
+    user_mean, ref_mean = _reductions(
+        user, ref, f"no Pose events for {spec.subject!r}",
+        f"no reference Pose events for {spec.subject!r}")
+    theta = quaternion_angle(user_mean, ref_mean)
+    return CheckResult(kind="orientation", score=_ramp(theta, tol),
+                       detail=f"theta={theta:.6f} rad, tol={tol:.6f}",
+                       samples_used=user.samples)
 
 
-def position_score(user_slice: TaskSlice, refs: Sequence[Reference],
-                   spec: CheckSpec,
+def position_score(user: Feature, ref: Feature, spec: CheckSpec,
                    defaults: CheckDefaults = DEFAULTS) -> CheckResult:
     """Distance between mean user and mean reference position of the
     subject (game object or skeleton joint), mapped linearly to [0, 1]."""
     tol = spec.tol if spec.tol is not None else defaults.position_tol
-    user_pos = _subject_positions(user_slice, spec.subject)
-    user_mean = user_pos.mean(axis=0)
-
-    best_d = None
-    for ref in refs:
-        try:
-            ref_mean = _subject_positions(ref.slice, spec.subject).mean(axis=0)
-        except ValueError:
-            continue
-        d = float(np.linalg.norm(user_mean - ref_mean))
-        if best_d is None or d < best_d:
-            best_d = d
-    if best_d is None:
-        raise ValueError(f"no data: no reference positions for {spec.subject!r}")
-    return CheckResult(kind="position", score=_ramp(best_d, tol),
-                       detail=f"d={best_d:.6f} m, tol={tol:.6f}",
-                       samples_used=len(user_pos))
+    user_mean, ref_mean = _reductions(
+        user, ref, f"no position samples for {spec.subject!r}",
+        f"no reference positions for {spec.subject!r}")
+    d = float(np.linalg.norm(user_mean - ref_mean))
+    return CheckResult(kind="position", score=_ramp(d, tol),
+                       detail=f"d={d:.6f} m, tol={tol:.6f}",
+                       samples_used=user.samples)
 
 
 def attachment_score(user_slice: TaskSlice, spec: CheckSpec) -> CheckResult:
@@ -225,75 +325,57 @@ def collision_score(user_slice: TaskSlice, spec: CheckSpec,
                        samples_used=k)
 
 
-def text_input_score(user_slice: TaskSlice, refs: Sequence[Reference],
-                     spec: CheckSpec,
+def text_input_score(user: Feature, ref: Feature, spec: CheckSpec,
                      defaults: CheckDefaults = DEFAULTS) -> CheckResult:
     """Compare the user's last text input for the field with the
-    reference's. Numeric values ramp from 1 at |u-r| <= tol down to 0 at
-    2*tol; non-numeric references require an exact string match."""
+    reference's. A reference value that reads as a finite number ramps
+    from 1 at |u-r| <= tol down to 0 at 2*tol, and a user value that does
+    not read as one scores 0; any other reference value requires an exact
+    string match."""
     tol = spec.tol if spec.tol is not None else defaults.text_tol
-    user_inputs = [e.payload.value for e in user_slice.events
-                   if isinstance(e.payload, TextInput)
-                   and e.payload.field_id == spec.subject]
-    if not user_inputs:
-        raise ValueError(f"no data: no TextInput for field {spec.subject!r}")
-    user_value = user_inputs[-1]
-
-    best: CheckResult | None = None
-    for ref in refs:
-        ref_inputs = [e.payload.value for e in ref.slice.events
-                      if isinstance(e.payload, TextInput)
-                      and e.payload.field_id == spec.subject]
-        if not ref_inputs:
-            continue
-        result = _score_text(user_value, ref_inputs[-1], tol, len(user_inputs))
-        if best is None or result.score > best.score:
-            best = result
-    if best is None:
-        raise ValueError(f"no data: no reference TextInput for field {spec.subject!r}")
-    return best
-
-
-def _score_text(user_value: str, ref_value: str, tol: float,
-                samples: int) -> CheckResult:
-    try:
-        r = float(ref_value)
-    except ValueError:
-        score = 1.0 if user_value == ref_value else 0.0
-        return CheckResult(kind="text-input", score=score,
+    user_value, ref_value = _reductions(
+        user, ref, f"no TextInput for field {spec.subject!r}",
+        f"no reference TextInput for field {spec.subject!r}")
+    r, u = ref.number, user.number
+    if r is None:
+        return CheckResult(kind="text-input",
+                           score=1.0 if user_value == ref_value else 0.0,
                            detail=f"string match {user_value!r} vs {ref_value!r}",
-                           samples_used=samples)
-    try:
-        u = float(user_value)
-    except ValueError:
+                           samples_used=user.samples)
+    if u is None:
         return CheckResult(kind="text-input", score=0.0,
                            detail=f"unparsable numeric input {user_value!r}",
-                           samples_used=samples)
+                           samples_used=user.samples)
     d = abs(u - r)
     score = 1.0 if d <= tol else max(0.0, 1.0 - (d - tol) / tol)
     return CheckResult(kind="text-input", score=score,
                        detail=f"|{u!r} - {r!r}| = {d:.6g}, tol {tol:.6g}",
-                       samples_used=samples)
+                       samples_used=user.samples)
 
 
 # ---------------------------------------------------------------------------
 # combination
 
 _CHECK_FUNCS = {
-    "orientation": lambda sl, refs, spec, d: orientation_score(sl, refs, spec, d),
-    "position": lambda sl, refs, spec, d: position_score(sl, refs, spec, d),
-    "attachment": lambda sl, refs, spec, d: attachment_score(sl, spec),
-    "collision": lambda sl, refs, spec, d: collision_score(sl, spec, d),
-    "text-input": lambda sl, refs, spec, d: text_input_score(sl, refs, spec, d),
+    "orientation": orientation_score,
+    "position": position_score,
+    "attachment": lambda user, ref, spec, d: attachment_score(user, spec),
+    "collision": lambda user, ref, spec, d: collision_score(user, spec, d),
+    "text-input": text_input_score,
 }
 
 
-def run_check(spec: CheckSpec, user_slice: TaskSlice,
-              refs: Sequence[Reference],
+def run_check(spec: CheckSpec, user: TaskSlice | Feature,
+              ref: Feature | None = None,
               defaults: CheckDefaults = DEFAULTS) -> CheckResult:
-    """Run one check; errors become a 0-score result with the error text."""
+    """Run one check; errors become a 0-score result with the error text.
+
+    For attachment and collision, which need no reference, ``user`` is the
+    user's slice and ``ref`` is unused; for the other kinds both are the
+    Feature of spec's (kind, subject), the user's and one reference's.
+    """
     try:
-        return _CHECK_FUNCS[spec.kind](user_slice, refs, spec, defaults)
+        return _CHECK_FUNCS[spec.kind](user, ref, spec, defaults)
     except ValueError as e:
         return CheckResult(kind=spec.kind, score=0.0, detail=f"error: {e}")
 
@@ -307,6 +389,9 @@ def evaluate_task_level(node: TaskNode, user_slice: TaskSlice,
     For each reference: omega_r = sum(cweight * score) / sum(cweight),
     scaled by that reference's quality. The reference maximizing the
     scaled value wins (first on ties); its per-check results are retained.
+    The user's slice is read once: attachment and collision are scored
+    once, and the other kinds compare the user's features with each
+    reference's cached ones.
     """
     spec = node.assessment
     if spec is None or not spec.has_task_level:
@@ -314,16 +399,24 @@ def evaluate_task_level(node: TaskNode, user_slice: TaskSlice,
     if not refs:
         raise ValueError(f"no reference for task {node.id!r}")
 
+    checks = spec.checks
+    user = extract_features(user_slice, checks)
+    fixed = [None if c.kind in FEATURE_KINDS
+             else run_check(c, user_slice, None, defaults) for c in checks]
+    keys = [feature_key(c) for c in checks]
+    total_w = sum(c.check_weight for c in checks)
     best: TaskScore | None = None
     for index, ref in enumerate(refs):
-        results = tuple(run_check(c, user_slice, [ref], defaults)
-                        for c in spec.checks)
-        total_w = sum(c.check_weight for c in spec.checks)
+        ref_features = reference_features(ref, checks)
+        results = tuple(
+            result if result is not None
+            else run_check(c, user[key], ref_features[key], defaults)
+            for c, key, result in zip(checks, keys, fixed))
         if total_w == 0:
             omega = 0.0
         else:
             omega = sum(c.check_weight * r.score
-                        for c, r in zip(spec.checks, results)) / total_w
+                        for c, r in zip(checks, results)) / total_w
         omega *= ref.quality
         if best is None or omega > best.omega:
             best = TaskScore(task_id=node.id, omega=omega, checks=results,

@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .checks import CheckDefaults, TaskScore, evaluate_task_level
+from .checks import (CheckDefaults, TaskScore, evaluate_task_level,
+                     reference_features)
 from .model import (TaskNetwork, TaskNode, is_joint_id, ready_tasks,
                     validate_network)
 from .report import (AssessmentReport, FeedbackMessage, MemberResult,
@@ -80,7 +81,8 @@ def build_reference_set(net: TaskNetwork,
                         ) -> ReferenceSet:
     """Slice each assessed task out of each reference recording and attach
     skeleton statistics. Recordings lacking marks for a task simply do not
-    contribute a reference for it.
+    contribute a reference for it. Each reference's check features are
+    extracted here, once, for the task's checks.
 
     Each slice keeps only events from the task's scope members, mirroring
     what live routing admits into a session; a bystander's skeleton in the
@@ -103,7 +105,9 @@ def build_reference_set(net: TaskNetwork,
                                         user=stats_user(node))
             except ValueError:
                 stats = None  # no skeleton stream; fine for object-only tasks
-            refs.append(Reference(slice=sl, quality=quality, stats=stats))
+            ref = Reference(slice=sl, quality=quality, stats=stats)
+            reference_features(ref, node.assessment.checks)
+            refs.append(ref)
         if refs:
             by_task[node_id] = refs
     return ReferenceSet(by_task=by_task)
@@ -338,6 +342,10 @@ class Session:
                     task_score = evaluate_task_level(
                         node, member_slice, refs, self.defaults.checks)
                     value = task_score.omega
+                    run.warnings.extend(
+                        f"check {c.kind} {c.subject}: {r.detail}"
+                        for c, r in zip(spec.checks, task_score.checks)
+                        if r.detail.startswith("error:"))
                 else:
                     run.warnings.append("no reference; task level scored 0")
                     value = 0.0

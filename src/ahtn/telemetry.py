@@ -25,7 +25,7 @@ that ``trajectory.ActionEvaluator`` derives from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -190,11 +190,18 @@ class ReferenceStats:
 
 @dataclass(frozen=True)
 class Reference:
-    """One reference performance of one task with its SME quality rating."""
+    """One reference performance of one task with its SME quality rating.
+
+    ``features`` caches the reductions of ``slice`` that task-level checks
+    compare against, keyed by (check kind, subject); ``ahtn.checks`` fills
+    it on first use.
+    """
 
     slice: TaskSlice
     quality: float = 1.0
     stats: ReferenceStats | None = None
+    features: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.quality <= 1.0:

@@ -81,7 +81,7 @@ def test_01_self_replay_identity(criterion):
             refs = build_reference_set(net, [(rec, 1.0)])
             report = score_recording(EngineConfig(network=net, references=refs), rec)
             elapsed = time.perf_counter() - t0
-            assert elapsed < 5.0
+            assert elapsed < 2.5
             assert not report.aborted and not report.timed_out
             for scope in report.scopes:
                 for entry in scope.entries:
@@ -534,7 +534,7 @@ def test_11_throughput(criterion):
         refs = build_reference_set(net, [(rec, 1.0)])
         report = score_recording(EngineConfig(network=net, references=refs), rec)
         elapsed = time.perf_counter() - t0
-        assert elapsed < 5.0
+        assert elapsed < 2.5  # 3.8x the slowest measured run: 0.654 s, 2 cores
         assert report.scopes
         for scope in report.scopes:
             assert scope.delta == 1.0

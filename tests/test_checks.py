@@ -6,9 +6,11 @@ import random
 import numpy as np
 import pytest
 
+from ahtn import checks
 from ahtn.checks import (CheckDefaults, attachment_score, collision_score,
-                         evaluate_task_level, mean_quaternion, orientation_score,
-                         position_score, quaternion_angle, run_check,
+                         evaluate_task_level, extract_features, feature_key,
+                         mean_quaternion, orientation_score, position_score,
+                         quaternion_angle, reference_features, run_check,
                          text_input_score)
 from ahtn.model import CheckSpec, parse_network
 from ahtn.telemetry import (Attach, Collision, Event, Pose, Reference,
@@ -37,6 +39,14 @@ def text(t, field, value):
 
 def ref(events, quality=1.0, t0=0.0, t1=10.0):
     return Reference(slice=mkslice(events, t0, t1), quality=quality)
+
+
+def against(check, user_slice, reference, spec, *defaults):
+    """Run a reference-comparing check on spec's features of a user slice
+    and of a reference, as evaluate_task_level does."""
+    key = feature_key(spec)
+    return check(extract_features(user_slice, [spec])[key],
+                 reference_features(reference, [spec])[key], spec, *defaults)
 
 
 def zrot(angle):
@@ -92,7 +102,7 @@ def test_orientation_halfway_at_45_degrees():
     user = mkslice([pose(1.0, "cup", (0, 0, 0), zrot(math.pi / 4))])
     r = ref([pose(1.0, "cup", (0, 0, 0))])
     spec = CheckSpec(kind="orientation", subject="cup")
-    out = orientation_score(user, [r], spec)
+    out = against(orientation_score, user, r, spec)
     assert out.score == pytest.approx(0.5, rel=1e-9)  # tol pi/2, angle pi/4
 
 
@@ -100,23 +110,26 @@ def test_orientation_custom_tol():
     user = mkslice([pose(1.0, "cup", (0, 0, 0), zrot(math.pi / 4))])
     r = ref([pose(1.0, "cup", (0, 0, 0))])
     spec = CheckSpec(kind="orientation", subject="cup", tol=math.pi / 4)
-    assert orientation_score(user, [r], spec).score == pytest.approx(0.0, abs=1e-9)
+    assert against(orientation_score, user, r, spec).score == pytest.approx(
+        0.0, abs=1e-9)
 
 
 def test_orientation_identical_is_exactly_one():
     quats = [zrot(0.3), zrot(0.35), zrot(0.32)]
     evs = [pose(i * 0.1, "cup", (0, 0, 0), q) for i, q in enumerate(quats)]
-    out = orientation_score(mkslice(evs), [ref(evs)],
-                            CheckSpec(kind="orientation", subject="cup"))
+    out = against(orientation_score, mkslice(evs), ref(evs),
+                  CheckSpec(kind="orientation", subject="cup"))
     assert out.score == 1.0
 
 
 def test_orientation_no_data():
     spec = CheckSpec(kind="orientation", subject="cup")
     with pytest.raises(ValueError, match="no data"):
-        orientation_score(mkslice([]), [ref([pose(0, "cup", (0, 0, 0))])], spec)
+        against(orientation_score, mkslice([]),
+                ref([pose(0, "cup", (0, 0, 0))]), spec)
     with pytest.raises(ValueError, match="no data"):
-        orientation_score(mkslice([pose(0, "cup", (0, 0, 0))]), [ref([])], spec)
+        against(orientation_score, mkslice([pose(0, "cup", (0, 0, 0))]),
+                ref([]), spec)
 
 
 # -- position ----------------------------------------------------------------
@@ -124,14 +137,16 @@ def test_orientation_no_data():
 def test_position_halfway_at_quarter_meter():
     user = mkslice([pose(1.0, "cup", (0.25, 0, 0))])
     r = ref([pose(1.0, "cup", (0, 0, 0))])
-    out = position_score(user, [r], CheckSpec(kind="position", subject="cup"))
+    out = against(position_score, user, r,
+                  CheckSpec(kind="position", subject="cup"))
     assert out.score == 0.5  # d 0.25 vs tol 0.5
 
 
 def test_position_uses_means():
     user = mkslice([pose(0.0, "cup", (1.0, 0, 0)), pose(1.0, "cup", (-1.0, 0, 0))])
     r = ref([pose(0.0, "cup", (0, 0, 0))])
-    out = position_score(user, [r], CheckSpec(kind="position", subject="cup"))
+    out = against(position_score, user, r,
+                  CheckSpec(kind="position", subject="cup"))
     assert out.score == 1.0
     assert out.samples_used == 2
 
@@ -142,10 +157,10 @@ def test_position_shared_translation_cancels():
         u = [rng.uniform(-1, 1) for _ in range(3)]
         shift = np.array([rng.uniform(-9, 9) for _ in range(3)])
         spec = CheckSpec(kind="position", subject="cup")
-        a = position_score(mkslice([pose(0, "cup", u)]),
-                           [ref([pose(0, "cup", (0, 0, 0))])], spec)
-        b = position_score(mkslice([pose(0, "cup", np.add(u, shift))]),
-                           [ref([pose(0, "cup", shift)])], spec)
+        a = against(position_score, mkslice([pose(0, "cup", u)]),
+                    ref([pose(0, "cup", (0, 0, 0))]), spec)
+        b = against(position_score, mkslice([pose(0, "cup", np.add(u, shift))]),
+                    ref([pose(0, "cup", shift)]), spec)
         assert a.score == pytest.approx(b.score, abs=1e-9)
 
 
@@ -156,14 +171,16 @@ def test_position_joint_subject_reads_skeleton():
 
     user = mkslice([sk(0.0, (0.25, 1.7, 0))])
     r = ref([sk(0.0, (0.0, 1.7, 0))])
-    out = position_score(user, [r], CheckSpec(kind="position", subject="head"))
+    out = against(position_score, user, r,
+                  CheckSpec(kind="position", subject="head"))
     assert out.score == 0.5
 
 
 def test_position_beyond_tolerance_clamps_to_zero():
     user = mkslice([pose(0, "cup", (3.0, 0, 0))])
     r = ref([pose(0, "cup", (0, 0, 0))])
-    assert position_score(user, [r], CheckSpec(kind="position", subject="cup")).score == 0.0
+    spec = CheckSpec(kind="position", subject="cup")
+    assert against(position_score, user, r, spec).score == 0.0
 
 
 # -- attachment --------------------------------------------------------------
@@ -265,28 +282,32 @@ def test_collision_no_events_is_perfect():
 def test_text_numeric_within_tol():
     user = mkslice([text(1.0, "field", "1.255")])
     r = ref([text(1.0, "field", "1.25")])
-    out = text_input_score(user, [r], CheckSpec(kind="text-input", subject="field"))
+    out = against(text_input_score, user, r,
+                  CheckSpec(kind="text-input", subject="field"))
     assert out.score == 1.0
 
 
 def test_text_numeric_ramp_past_tol():
     user = mkslice([text(1.0, "field", "1.265")])
     r = ref([text(1.0, "field", "1.25")])
-    out = text_input_score(user, [r], CheckSpec(kind="text-input", subject="field"))
+    out = against(text_input_score, user, r,
+                  CheckSpec(kind="text-input", subject="field"))
     assert out.score == pytest.approx(0.5, abs=1e-10)  # d 1.5x tol
 
 
 def test_text_numeric_zero_past_double_tol():
     user = mkslice([text(1.0, "field", "1.30")])
     r = ref([text(1.0, "field", "1.25")])
-    out = text_input_score(user, [r], CheckSpec(kind="text-input", subject="field"))
+    out = against(text_input_score, user, r,
+                  CheckSpec(kind="text-input", subject="field"))
     assert out.score == 0.0
 
 
 def test_text_last_value_wins():
     user = mkslice([text(1.0, "field", "9.9"), text(2.0, "field", "1.25")])
     r = ref([text(1.0, "field", "1.25")])
-    out = text_input_score(user, [r], CheckSpec(kind="text-input", subject="field"))
+    out = against(text_input_score, user, r,
+                  CheckSpec(kind="text-input", subject="field"))
     assert out.score == 1.0
     assert out.samples_used == 2
 
@@ -294,14 +315,17 @@ def test_text_last_value_wins():
 def test_text_string_reference_needs_exact_match():
     r = ref([text(1.0, "field", "blue litmus")])
     spec = CheckSpec(kind="text-input", subject="field")
-    assert text_input_score(mkslice([text(0, "field", "blue litmus")]), [r], spec).score == 1.0
-    assert text_input_score(mkslice([text(0, "field", "Blue litmus")]), [r], spec).score == 0.0
+    assert against(text_input_score, mkslice([text(0, "field", "blue litmus")]),
+                   r, spec).score == 1.0
+    assert against(text_input_score, mkslice([text(0, "field", "Blue litmus")]),
+                   r, spec).score == 0.0
 
 
 def test_text_unparsable_numeric_input_scores_zero():
     user = mkslice([text(1.0, "field", "dunno")])
     r = ref([text(1.0, "field", "1.25")])
-    out = text_input_score(user, [r], CheckSpec(kind="text-input", subject="field"))
+    out = against(text_input_score, user, r,
+                  CheckSpec(kind="text-input", subject="field"))
     assert out.score == 0.0
     assert "unparsable" in out.detail
 
@@ -309,14 +333,16 @@ def test_text_unparsable_numeric_input_scores_zero():
 def test_text_no_data():
     spec = CheckSpec(kind="text-input", subject="field")
     with pytest.raises(ValueError, match="no data"):
-        text_input_score(mkslice([]), [ref([text(0, "field", "1")])], spec)
+        against(text_input_score, mkslice([]), ref([text(0, "field", "1")]), spec)
 
 
 # -- run_check wrapper -------------------------------------------------------
 
 def test_run_check_turns_errors_into_zero():
     spec = CheckSpec(kind="orientation", subject="cup")
-    out = run_check(spec, mkslice([]), [ref([])])
+    key = feature_key(spec)
+    out = run_check(spec, extract_features(mkslice([]), [spec])[key],
+                    reference_features(ref([]), [spec])[key])
     assert out.score == 0.0
     assert out.detail.startswith("error: no data")
 
@@ -333,8 +359,13 @@ def test_run_check_dispatches_every_kind():
         "collision": CheckSpec(kind="collision", subject="cup"),
         "text-input": CheckSpec(kind="text-input", subject="field"),
     }
+    user = extract_features(mkslice(evs), kinds.values())
     for kind, spec in kinds.items():
-        out = run_check(spec, mkslice(evs), [r])
+        if kind in ("attachment", "collision"):
+            out = run_check(spec, mkslice(evs))
+        else:
+            out = run_check(spec, user[feature_key(spec)],
+                            reference_features(r, [spec])[feature_key(spec)])
         assert out.kind == kind and 0.0 <= out.score <= 1.0
 
 
@@ -412,3 +443,109 @@ def test_scores_stay_in_unit_interval_on_random_streams():
         assert 0.0 <= out.omega <= 1.0
         for c in out.checks:
             assert 0.0 <= c.score <= 1.0
+
+
+def _degenerate_orientation_events():
+    # a zero quaternion first: sign alignment keeps every sample, and the
+    # opposite unit samples then cancel to a zero mean
+    return [pose(0.0, "cup", (0, 0, 0), (0, 0, 0, 0)),
+            pose(1.0, "cup", (0, 0, 0), (0, 0, 0, 1)),
+            pose(2.0, "cup", (0, 0, 0), (0, 0, 0, -1))]
+
+
+def test_many_references_give_the_best_single_reference_result():
+    node = node_with([
+        "orientation subject=cup", "position subject=cup cweight=2.0",
+        "attachment subject=cup ref=hand", "collision subject=cup",
+        "text-input subject=field",
+    ])
+    user = mkslice([pose(0.5, "cup", (0.1, 0, 0), zrot(0.2)),
+                    attach(1.0, "cup", "hand", True),
+                    pose(2.0, "cup", (0.3, 0, 0), zrot(0.3)),
+                    attach(6.0, "cup", "hand", False),
+                    collide(7.0, "cup", "table"),
+                    text(8.0, "field", "1.26")])
+    refs = [
+        ref([pose(0.5, "cup", (0.2, 0, 0), zrot(0.25)),
+             text(3.0, "field", "1.25")], quality=0.9),
+        ref([text(3.0, "field", "1.25")]),                   # lacks the cup
+        ref(_degenerate_orientation_events() + [text(3.0, "field", "1.25")]),
+        ref([pose(0.5, "cup", (0.2, 0, 0), zrot(0.25)),
+             text(3.0, "field", "1.27")], quality=0.95),
+        ref([pose(0.5, "cup", (0.2, 0, 0), zrot(0.25)),
+             text(3.0, "field", "1.25")], quality=0.9),      # ties the first
+        ref([pose(0.5, "cup", (0.9, 0, 0), zrot(1.5)),
+             text(3.0, "field", "blue")]),
+    ]
+    singles = [evaluate_task_level(node, user, [r]) for r in refs]
+    # all six: the 0.95-quality reference wins; without it, the first of
+    # the two tied 0.9-quality references does
+    for subset, expected in (([0, 1, 2, 3, 4, 5], 3), ([0, 1, 2, 4, 5], 0)):
+        out = evaluate_task_level(node, user, [refs[i] for i in subset])
+        best = max(range(len(subset)),
+                   key=lambda k: (singles[subset[k]].omega, -k))
+        assert subset[best] == expected
+        assert out.reference_index == best
+        assert out.omega == singles[expected].omega
+        assert out.reference_quality == refs[expected].quality
+        assert out.checks == singles[expected].checks
+    # the non-winning single-reference calls still carry their own errors
+    assert singles[1].checks[0].detail == (
+        "error: no data: no reference Pose events for 'cup'")
+    assert singles[1].checks[1].detail == (
+        "error: no data: no reference positions for 'cup'")
+    assert singles[2].checks[0].detail == "error: degenerate orientation mean"
+    assert [c.kind for c in out.checks] == [
+        "orientation", "position", "attachment", "collision", "text-input"]
+
+
+def test_degenerate_learner_orientation_is_an_error_for_every_reference():
+    node = node_with(["orientation subject=cup"])
+    user = mkslice(_degenerate_orientation_events())
+    out = evaluate_task_level(node, user, [ref([pose(0, "cup", (0, 0, 0))]),
+                                           ref([])])
+    assert out.reference_index == 0 and out.omega == 0.0
+    assert out.checks[0].detail == "error: degenerate orientation mean"
+    assert out.checks[0].samples_used == 0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "infinity", "1e999"])
+def test_non_finite_text_reference_scores_one_against_itself(value):
+    node = node_with(["text-input subject=field"])
+    out = evaluate_task_level(node, mkslice([text(1.0, "field", value)]),
+                              [ref([text(1.0, "field", value)])])
+    assert out.omega == 1.0
+    assert out.checks[0].detail == f"string match {value!r} vs {value!r}"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
+def test_non_finite_learner_text_against_a_number_is_unparsable(value):
+    node = node_with(["text-input subject=field"])
+    out = evaluate_task_level(node, mkslice([text(1.0, "field", value)]),
+                              [ref([text(1.0, "field", "1.25")])])
+    assert out.omega == 0.0
+    assert out.checks[0].detail == f"unparsable numeric input {value!r}"
+    assert out.checks[0].samples_used == 1
+
+
+def test_each_reference_is_read_once_across_sessions(monkeypatch):
+    node = node_with(["orientation subject=cup", "position subject=cup",
+                      "collision subject=cup", "text-input subject=field"])
+    refs = [ref([pose(0.5, "cup", (0.1 * i, 0, 0), zrot(0.1 * i)),
+                 text(1.0, "field", "1.25")]) for i in range(4)]
+    ref_slices = [id(r.slice) for r in refs]
+    reads: list[int] = []
+    extract = checks.extract_features
+
+    def counting(slice_, specs):
+        reads.append(id(slice_))
+        return extract(slice_, specs)
+
+    monkeypatch.setattr(checks, "extract_features", counting)
+    sessions = [mkslice([pose(0.5, "cup", (0.2, 0, 0), zrot(x)),
+                         text(1.0, "field", "1.26")]) for x in (0.1, 0.2, 0.3)]
+    for user in sessions:
+        evaluate_task_level(node, user, refs)
+    assert [reads.count(i) for i in ref_slices] == [1, 1, 1, 1]
+    assert [reads.count(id(user)) for user in sessions] == [1, 1, 1]
+    assert len(reads) == 4 + 3

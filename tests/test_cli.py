@@ -173,6 +173,28 @@ def test_stream_report_matches_batch_score(run, demo_dir, tmp_path, monkeypatch)
     assert stream_out.read_bytes() == batch_out.read_bytes()
 
 
+def test_check_error_warning_is_the_same_in_score_and_stream(
+        run, demo_dir, tmp_path, monkeypatch):
+    lines = (demo_dir / "hydrometer.rec").read_text().splitlines(keepends=True)
+    session = "".join(l for l in lines if " text " not in l)
+    assert len(session) < len("".join(lines))
+    session_path = tmp_path / "no-text.rec"
+    session_path.write_text(session)
+    batch_out = tmp_path / "batch.txt"
+    code, _, _ = run("score", "--net", hydro(demo_dir, "ahtn"),
+                     "--refs", hydro(demo_dir, "rec"),
+                     "--session", str(session_path), "--out", str(batch_out))
+    assert code == 0
+    stream_out = tmp_path / "stream.txt"
+    monkeypatch.setattr("sys.stdin", io.StringIO(session))
+    code, _, _ = run("stream", "--net", hydro(demo_dir, "ahtn"),
+                     "--refs", hydro(demo_dir, "rec"), "--out", str(stream_out))
+    assert code == 0
+    assert stream_out.read_bytes() == batch_out.read_bytes()
+    assert ("warning task T4: check text-input measured-value: error: no data: "
+            "no TextInput for field 'measured-value'\n") in batch_out.read_text()
+
+
 def test_stream_emits_realtime_feedback(run, demo_dir, tmp_path, monkeypatch):
     monkeypatch.setattr("sys.stdin",
                         io.StringIO((demo_dir / "collaborative.rec").read_text()))

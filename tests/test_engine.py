@@ -10,7 +10,8 @@ from ahtn.engine import (Defaults, EngineConfig, Session, aggregate,
 from ahtn.checks import CheckDefaults
 from ahtn.model import parse_network
 from ahtn.report import render_report
-from ahtn.telemetry import Event, SessionRecording, TaskMark, parse_session
+from ahtn.telemetry import (Event, SessionRecording, TaskMark, TextInput,
+                            parse_session)
 
 
 def cfg(net, refs, **kw):
@@ -179,6 +180,59 @@ def test_unfinished_task_scores_zero(hydro_net, hydro_rec, hydro_refs):
     assert entry.status == "unfinished" and entry.omega == 0.0
     assert any("T4: never ended" in w for w in report.warnings)
     assert report.scope("student").delta == pytest.approx(0.8, abs=1e-12)
+
+
+def drop_text_input(rec):
+    return SessionRecording(
+        session_id=rec.session_id, user_ids=rec.user_ids,
+        events=tuple(e for e in rec.events
+                     if not isinstance(e.payload, TextInput)))
+
+
+def test_clean_self_replay_has_no_check_warning(hydro_net, hydro_rec, hydro_refs):
+    report = score_recording(cfg(hydro_net, hydro_refs), hydro_rec)
+    assert not any(": check " in w for w in report.warnings)
+
+
+def test_learner_check_error_is_a_warning_line(hydro_net, hydro_rec, hydro_refs):
+    report = score_recording(cfg(hydro_net, hydro_refs),
+                             drop_text_input(hydro_rec))
+    entry = {e.task_id: e for e in report.scope("student").entries}["T4"]
+    assert entry.omega == 0.0
+    assert [w for w in report.warnings if ": check " in w] == [
+        "task T4: check text-input measured-value: error: no data: "
+        "no TextInput for field 'measured-value'"]
+
+
+def test_reference_check_error_is_a_warning_line(hydro_net, hydro_rec):
+    refs = build_reference_set(hydro_net, [(drop_text_input(hydro_rec), 1.0)])
+    report = score_recording(cfg(hydro_net, refs), hydro_rec)
+    assert [w for w in report.warnings if ": check " in w] == [
+        "task T4: check text-input measured-value: error: no data: "
+        "no reference TextInput for field 'measured-value'"]
+
+
+def test_reference_features_are_extracted_at_build_only(
+        hydro_net, hydro_rec, monkeypatch):
+    from ahtn import checks
+    reads = []
+    extract = checks.extract_features
+
+    def counting(slice_, specs):
+        reads.append(slice_)
+        return extract(slice_, specs)
+
+    monkeypatch.setattr(checks, "extract_features", counting)
+    refs = build_reference_set(hydro_net, [(hydro_rec, 1.0)])
+    # T1 orientation, T3 position, T4 text-input; T2's attachment and
+    # collision checks read no reference
+    assert len(reads) == 3
+    ref_slices = {id(r.slice) for rs in refs.by_task.values() for r in rs}
+    reads.clear()
+    for _ in range(3):
+        score_recording(cfg(hydro_net, refs), hydro_rec)
+    assert len(reads) == 3 * 4  # one learner extraction per task end
+    assert not any(id(sl) in ref_slices for sl in reads)
 
 
 def test_out_of_order_start_is_flagged():
