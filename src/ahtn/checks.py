@@ -9,8 +9,8 @@ fall back to the defaults here.
 Orientation, position and text-input compare the user with a reference
 through reductions of each slice (``extract_features``): the subject's
 mean orientation, its mean position, or the field's last text value with
-its finite numeric reading. A reference's reductions are computed once
-and cached on the ``Reference`` (``build_reference_set`` fills the cache).
+its finite numeric reading. A reference's reductions are computed once,
+when the reference set is built, and held as ``Reference.features``.
 When a task ends, the user's slice is reduced once and attachment and
 collision, which need no reference, are scored once; each reference then
 costs only the small comparisons.
@@ -202,19 +202,6 @@ def extract_features(slice_: TaskSlice,
     return out
 
 
-def reference_features(ref: Reference,
-                       specs: Sequence[CheckSpec]) -> dict[FeatureKey, Feature]:
-    """The features of ref's slice for specs, extracted on first use and
-    kept on ref, so each reference is read once however many sessions it
-    scores."""
-    cache = ref.features
-    missing = [s for s in specs
-               if s.kind in FEATURE_KINDS and feature_key(s) not in cache]
-    if missing:
-        cache.update(extract_features(ref.slice, missing))
-    return cache
-
-
 def _reductions(user: Feature, ref: Feature, user_missing: str,
                 ref_missing: str):
     """Both sides' values, or a ValueError for the first side without one."""
@@ -391,7 +378,7 @@ def evaluate_task_level(node: TaskNode, user_slice: TaskSlice,
     scaled value wins (first on ties); its per-check results are retained.
     The user's slice is read once: attachment and collision are scored
     once, and the other kinds compare the user's features with each
-    reference's cached ones.
+    reference's.
     """
     spec = node.assessment
     if spec is None or not spec.has_task_level:
@@ -407,10 +394,9 @@ def evaluate_task_level(node: TaskNode, user_slice: TaskSlice,
     total_w = sum(c.check_weight for c in checks)
     best: TaskScore | None = None
     for index, ref in enumerate(refs):
-        ref_features = reference_features(ref, checks)
         results = tuple(
             result if result is not None
-            else run_check(c, user[key], ref_features[key], defaults)
+            else run_check(c, user[key], ref.features[key], defaults)
             for c, key, result in zip(checks, keys, fixed))
         if total_w == 0:
             omega = 0.0

@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .checks import (CheckDefaults, TaskScore, evaluate_task_level,
-                     reference_features)
+from .checks import (FEATURE_KINDS, CheckDefaults, TaskScore,
+                     evaluate_task_level, extract_features)
 from .model import (TaskNetwork, TaskNode, is_joint_id, ready_tasks,
                     validate_network)
 from .report import (AssessmentReport, FeedbackMessage, MemberResult,
@@ -24,7 +24,8 @@ from .telemetry import (Attach, Collision, Event, Pose, Reference,
                         ReferenceSet, SessionRecording, SkeletonFrame,
                         TaskMark, TaskSlice, TextInput, reference_stats,
                         slice_task)
-from .trajectory import ActionEvaluator, TrajectorySummary
+from .trajectory import (ActionEvaluator, TrajectorySummary,
+                         build_reference_track)
 
 
 @dataclass(frozen=True)
@@ -76,38 +77,51 @@ def stats_user(node: TaskNode) -> str | None:
     return node.users.user_ids[0]
 
 
+def build_reference(node: TaskNode, rec: SessionRecording,
+                    quality: float = 1.0) -> Reference | None:
+    """Reduce one reference recording to what grading reads for one task:
+    the check features, the skeleton statistics and, for a trajectory
+    task, the key-frame track; ``error`` says why the statistics or the
+    track could not be built. None when the recording has no usable marks
+    for the task.
+
+    The task's slice keeps only its scope members' events, so a
+    bystander's skeleton cannot shift the reference means. Unlike live
+    routing it keeps events about unlisted objects; the reductions read
+    only the subjects the task lists, so those never count."""
+    try:
+        sl = slice_task(rec, node.id)
+    except ValueError:
+        return None
+    members = node.users.user_ids
+    sl = TaskSlice(task_id=sl.task_id, t0=sl.t0, t1=sl.t1,
+                   events=tuple(e for e in sl.events if e.user in members))
+    spec = node.assessment
+    stats = track = error = None
+    try:
+        stats = reference_stats(sl, subject_object=first_game_object(node),
+                                user=stats_user(node))
+        if spec.trajectory is not None:
+            track = build_reference_track(sl, spec.trajectory, stats_user(node))
+    except ValueError as e:
+        error = str(e)
+    compared = [c for c in spec.checks if c.kind in FEATURE_KINDS]
+    features = extract_features(sl, compared) if compared else {}
+    return Reference(quality=quality, features=features, stats=stats,
+                     track=track, error=error)
+
+
 def build_reference_set(net: TaskNetwork,
                         recordings: Sequence[tuple[SessionRecording, float]]
                         ) -> ReferenceSet:
-    """Slice each assessed task out of each reference recording and attach
-    skeleton statistics. Recordings lacking marks for a task simply do not
-    contribute a reference for it. Each reference's check features are
-    extracted here, once, for the task's checks.
-
-    Each slice keeps only events from the task's scope members, mirroring
-    what live routing admits into a session; a bystander's skeleton in the
-    reference recording must not shift the reference means."""
+    """Reduce each assessed task of each reference recording once
+    (``build_reference``). Recordings lacking marks for a task simply do
+    not contribute a reference for it."""
     by_task: dict[str, list[Reference]] = {}
     for node_id in net.primitive_ids():
-        node = net.nodes[node_id]
-        members = node.users.user_ids
-        refs: list[Reference] = []
-        for rec, quality in recordings:
-            try:
-                sl = slice_task(rec, node_id)
-            except ValueError:
-                continue
-            sl = TaskSlice(task_id=sl.task_id, t0=sl.t0, t1=sl.t1,
-                           events=tuple(e for e in sl.events
-                                        if e.user in members))
-            try:
-                stats = reference_stats(sl, subject_object=first_game_object(node),
-                                        user=stats_user(node))
-            except ValueError:
-                stats = None  # no skeleton stream; fine for object-only tasks
-            ref = Reference(slice=sl, quality=quality, stats=stats)
-            reference_features(ref, node.assessment.checks)
-            refs.append(ref)
+        refs = [ref for ref in (build_reference(net.nodes[node_id], rec, quality)
+                                for rec, quality in recordings)
+                if ref is not None]
         if refs:
             by_task[node_id] = refs
     return ReferenceSet(by_task=by_task)
@@ -156,6 +170,11 @@ class Session:
         if missing:
             raise ValueError(
                 f"weighted tasks without a reference: {', '.join(missing)}")
+        stale = [i for i in self.net.primitive_ids()
+                 if _stale_tracks(self.net.nodes[i], self.refs.by_task.get(i, ()))]
+        if stale:
+            raise ValueError("references built for other trajectory params: "
+                             f"{', '.join(stale)}")
 
         self._runs = {i: _TaskRun(self.net.nodes[i])
                       for i in self.net.primitive_ids()}
@@ -249,20 +268,13 @@ class Session:
             run.warnings.append("no reference; action level cannot be scored")
             return
         ref, _ = self._best_reference(refs)
-        stats = ref.stats
-        if stats is None:
-            try:
-                stats = reference_stats(ref.slice,
-                                        subject_object=first_game_object(run.node),
-                                        user=stats_user(run.node))
-            except ValueError as e:
-                run.warnings.append(f"action level cannot be scored: {e}")
-                return
+        if ref.track is None:
+            run.warnings.append(f"action level cannot be scored: {ref.error}")
+            return
         for member in run.members:
             run.evaluators[member] = ActionEvaluator(
-                task_id=run.node.id, ref_slice=ref.slice,
-                params=spec.trajectory, ref_stats=stats,
-                t_start=run.t_start, ref_user=stats_user(run.node))
+                task_id=run.node.id, track=ref.track, ref_stats=ref.stats,
+                t_start=run.t_start)
 
     @staticmethod
     def _best_reference(refs: list[Reference]) -> tuple[Reference, int]:
@@ -461,6 +473,15 @@ class Session:
                  f"timeout {d.timeout!r}",
                  f"action-share {d.action_share!r}")
         return lines + tuple(self.config.echo)
+
+
+def _stale_tracks(node: TaskNode, refs: Sequence[Reference]) -> bool:
+    """True when a reference of a trajectory task has a track built for
+    other params than the node's, or none although nothing failed."""
+    params = node.assessment.trajectory
+    return params is not None and any(
+        r.error is None and (r.track is None or r.track.params != params)
+        for r in refs)
 
 
 def _relevant(run: _TaskRun, payload) -> bool:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from importlib import resources
 from typing import Sequence
 
 import numpy as np
@@ -380,22 +379,3 @@ def monotonicity_csv(rows: Sequence[MonotonicityRow]) -> str:
     for r in rows:
         lines.append(f"{r.magnitude!r},{r.mean_delta!r},{r.std_delta!r},{r.trials}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# published study table
-
-def load_study_correlations() -> dict[str, dict[str, float]]:
-    """Published per-task correlation percentages between system and
-    instructor scores for the single-user study, keyed by task label then
-    method. Reference data for comparison output; not an acceptance
-    target."""
-    text = (resources.files("ahtn") / "data" /
-            "hydrometer_study_correlations.csv").read_text(encoding="utf-8")
-    out: dict[str, dict[str, float]] = {}
-    lines = text.strip().splitlines()
-    header = lines[0].split(",")[1:]
-    for line in lines[1:]:
-        parts = line.split(",")
-        out[parts[0]] = {m: float(v) for m, v in zip(header, parts[1:])}
-    return out

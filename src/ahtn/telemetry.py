@@ -25,11 +25,15 @@ that ``trajectory.ActionEvaluator`` derives from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .kernels import scale_about
+
+if TYPE_CHECKING:
+    from .trajectory import ReferenceTrack
 
 QUAT_NORM_TOL = 1e-6
 LAYOUT_CACHE_SIZE = 256  # distinct joint layouts kept by _joint_layout
@@ -188,20 +192,20 @@ class ReferenceStats:
     hand_joint: str = "hand-right"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Reference:
-    """One reference performance of one task with its SME quality rating.
-
-    ``features`` caches the reductions of ``slice`` that task-level checks
-    compare against, keyed by (check kind, subject); ``ahtn.checks`` fills
-    it on first use.
+    """One reference performance of one task, held as what grading reads:
+    its SME quality rating, the check ``features`` keyed by (check kind,
+    subject), the performer's skeleton ``stats`` and, for trajectory
+    tasks, the key-frame ``track``. ``error`` says why the stats or the
+    track could not be built. ``engine.build_reference`` makes one.
     """
 
-    slice: TaskSlice
-    quality: float = 1.0
+    quality: float
+    features: dict
     stats: ReferenceStats | None = None
-    features: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
+    track: ReferenceTrack | None = None
+    error: str | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.quality <= 1.0:
@@ -210,7 +214,7 @@ class Reference:
 
 @dataclass
 class ReferenceSet:
-    """References grouped per task id, each carrying its skeleton stats."""
+    """References grouped per task id."""
 
     by_task: dict[str, list[Reference]]
 
@@ -415,12 +419,10 @@ def slice_task(rec: SessionRecording, task_id: str) -> TaskSlice:
     Events with t in [t0, t1] are kept (closed interval); the task's own
     marks are not part of the slice.
     """
-    starts = [e for e in rec.events
-              if isinstance(e.payload, TaskMark)
-              and e.payload.task_id == task_id and e.payload.edge == "start"]
-    ends = [e for e in rec.events
-            if isinstance(e.payload, TaskMark)
-            and e.payload.task_id == task_id and e.payload.edge == "end"]
+    marks = [e for e in rec.events
+             if type(e.payload) is TaskMark and e.payload.task_id == task_id]
+    starts = [e for e in marks if e.payload.edge == "start"]
+    ends = [e for e in marks if e.payload.edge == "end"]
     if not starts or not ends:
         raise ValueError(f"no marks for task {task_id!r}")
     if len(starts) > 1 or len(ends) > 1:
@@ -431,7 +433,7 @@ def slice_task(rec: SessionRecording, task_id: str) -> TaskSlice:
     kept = tuple(
         e for e in rec.events
         if t0 <= e.t <= t1
-        and not (isinstance(e.payload, TaskMark) and e.payload.task_id == task_id))
+        and not (type(e.payload) is TaskMark and e.payload.task_id == task_id))
     return TaskSlice(task_id=task_id, t0=t0, t1=t1, events=kept)
 
 

@@ -1,8 +1,9 @@
 """Action-level assessment: trajectory target matching and anomaly watching.
 
-A reference performance is downsampled to key frames (default 2 Hz). Each
-key frame spawns one target: the reference positions of the tracked
-joints, one row of a ReferenceTrack. The user bursts the target by bringing
+A reference performance is downsampled to key frames (default 2 Hz) once,
+when the reference set is built (``build_reference_track``). Each key
+frame spawns one target: the reference positions of the tracked joints,
+one row of the ReferenceTrack an ActionEvaluator is given. The user bursts the target by bringing
 every tracked joint within the match radius (closed ball); a frame missing
 a tracked joint never bursts. A target with no match for longer than the
 skip time is retired as missed and the next one spawns. Frames are height
@@ -59,11 +60,16 @@ class TrajectoryState:
 @dataclass(frozen=True)
 class ReferenceTrack:
     """Key-framed reference trajectory: times (K,) and positions (K, J, 3)
-    for the tracked joints, in params.joint_ids order."""
+    for the tracked joints, in params.joint_ids order, with the params it
+    was built for."""
 
-    joint_ids: tuple[str, ...]
+    params: TrajectoryParams
     times: np.ndarray
     positions: np.ndarray
+
+    @property
+    def joint_ids(self) -> tuple[str, ...]:
+        return self.params.joint_ids
 
     @property
     def key_frames(self) -> int:
@@ -102,8 +108,7 @@ def build_reference_track(ref_slice: TaskSlice, params: TrajectoryParams,
             if not frame.has(joint):
                 raise ValueError(f"reference missing joint {joint!r} at key frame {k}")
             positions[k, j] = frame.position(joint)
-    return ReferenceTrack(joint_ids=tuple(params.joint_ids),
-                          times=times, positions=positions)
+    return ReferenceTrack(params=params, times=times, positions=positions)
 
 
 def step_trajectory(state: TrajectoryState, t: float, track: ReferenceTrack,
@@ -312,7 +317,8 @@ class TrajectorySummary:
 
 class ActionEvaluator:
     """Streams one user's frames through height correction, target
-    matching and anomaly watching for a single task activation.
+    matching and anomaly watching for a single task activation, against
+    a reference track; the track's params drive the matching.
 
     Frames inside the first second are buffered so the correction factor
     can be computed from the median face-hand distance of that window
@@ -321,14 +327,13 @@ class ActionEvaluator:
     skipped, with one warning per evaluator.
     """
 
-    def __init__(self, task_id: str, ref_slice: TaskSlice,
-                 params: TrajectoryParams, ref_stats: ReferenceStats,
-                 t_start: float, ref_user: str | None = None):
+    def __init__(self, task_id: str, track: ReferenceTrack,
+                 ref_stats: ReferenceStats, t_start: float):
         self.task_id = task_id
-        self.params = params
+        self.track = track
+        self.params = track.params
         self.ref_stats = ref_stats
         self.t_start = t_start
-        self.track = build_reference_track(ref_slice, params, ref_user)
         self.state = TrajectoryState(spawned_at=t_start)
         # joint -> target position, one dict per key frame
         self._targets = [dict(zip(self.track.joint_ids, row))

@@ -46,7 +46,7 @@ from ahtn.telemetry import (
     SkeletonFrame,
     TaskSlice,
 )
-from ahtn.trajectory import ActionEvaluator
+from ahtn.trajectory import ActionEvaluator, build_reference_track
 
 
 @pytest.fixture
@@ -204,8 +204,9 @@ def test_05_skip_time_behavior(criterion):
                                          (0.02 * k + 0.45, 1.7, 0.0)))
             for k in range(101))
         ref_slice = TaskSlice("T", 0.0, 10.0, ref_events)  # K = 20 targets
+        track = build_reference_track(ref_slice, params)
 
-        ev = ActionEvaluator("T", ref_slice, params, stats, t_start=0.0)
+        ev = ActionEvaluator("T", track, stats, t_start=0.0)
         missed_times = []
         last_t = 0.0
         for k in range(1041):  # 104 s at 10 Hz, user parked far away
@@ -253,9 +254,10 @@ def test_06_anomaly_abort(criterion):
                                          (0.02 * k + 0.45, 1.7, 0.0)))
             for k in range(101))
         ref_slice = TaskSlice("T", 0.0, 10.0, ref_events)
+        track = build_reference_track(ref_slice, params)
 
         # held low for 13 s: must abort exactly once and zero the score
-        ev = ActionEvaluator("T", ref_slice, params, stats, t_start=0.0)
+        ev = ActionEvaluator("T", track, stats, t_start=0.0)
         feedback = []
         for t, frame in _fall_stream(14.0, 1.0, 14.0):
             feedback.extend(ev.observe(t, frame))
@@ -266,7 +268,7 @@ def test_06_anomaly_abort(criterion):
         assert summary.score == 0.0
 
         # held low for 9 s: episode logged, no abort
-        ev = ActionEvaluator("T", ref_slice, params, stats, t_start=0.0)
+        ev = ActionEvaluator("T", track, stats, t_start=0.0)
         feedback = []
         for t, frame in _fall_stream(12.0, 1.0, 10.0):
             feedback.extend(ev.observe(t, frame))

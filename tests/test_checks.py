@@ -6,15 +6,15 @@ import random
 import numpy as np
 import pytest
 
-from ahtn import checks
+from ahtn import checks, engine
 from ahtn.checks import (CheckDefaults, attachment_score, collision_score,
                          evaluate_task_level, extract_features, feature_key,
                          mean_quaternion, orientation_score, position_score,
-                         quaternion_angle, reference_features, run_check,
-                         text_input_score)
+                         quaternion_angle, run_check, text_input_score)
 from ahtn.model import CheckSpec, parse_network
-from ahtn.telemetry import (Attach, Collision, Event, Pose, Reference,
-                            SkeletonFrame, TaskSlice, TextInput)
+from ahtn.telemetry import (Attach, Collision, Event, Pose, SkeletonFrame,
+                            TaskSlice, TextInput)
+from conftest import reduce_reference
 
 
 def mkslice(events, t0=0.0, t1=10.0):
@@ -38,7 +38,7 @@ def text(t, field, value):
 
 
 def ref(events, quality=1.0, t0=0.0, t1=10.0):
-    return Reference(slice=mkslice(events, t0, t1), quality=quality)
+    return reduce_reference(events, quality, t0, t1)
 
 
 def against(check, user_slice, reference, spec, *defaults):
@@ -46,7 +46,7 @@ def against(check, user_slice, reference, spec, *defaults):
     and of a reference, as evaluate_task_level does."""
     key = feature_key(spec)
     return check(extract_features(user_slice, [spec])[key],
-                 reference_features(reference, [spec])[key], spec, *defaults)
+                 reference.features[key], spec, *defaults)
 
 
 def zrot(angle):
@@ -342,7 +342,7 @@ def test_run_check_turns_errors_into_zero():
     spec = CheckSpec(kind="orientation", subject="cup")
     key = feature_key(spec)
     out = run_check(spec, extract_features(mkslice([]), [spec])[key],
-                    reference_features(ref([]), [spec])[key])
+                    ref([]).features[key])
     assert out.score == 0.0
     assert out.detail.startswith("error: no data")
 
@@ -365,7 +365,7 @@ def test_run_check_dispatches_every_kind():
             out = run_check(spec, mkslice(evs))
         else:
             out = run_check(spec, user[feature_key(spec)],
-                            reference_features(r, [spec])[feature_key(spec)])
+                            r.features[feature_key(spec)])
         assert out.kind == kind and 0.0 <= out.score <= 1.0
 
 
@@ -531,17 +531,20 @@ def test_non_finite_learner_text_against_a_number_is_unparsable(value):
 def test_each_reference_is_read_once_across_sessions(monkeypatch):
     node = node_with(["orientation subject=cup", "position subject=cup",
                       "collision subject=cup", "text-input subject=field"])
-    refs = [ref([pose(0.5, "cup", (0.1 * i, 0, 0), zrot(0.1 * i)),
-                 text(1.0, "field", "1.25")]) for i in range(4)]
-    ref_slices = [id(r.slice) for r in refs]
     reads: list[int] = []
+    slices = []  # keeps every read slice alive, so no two share an id
     extract = checks.extract_features
 
     def counting(slice_, specs):
         reads.append(id(slice_))
+        slices.append(slice_)
         return extract(slice_, specs)
 
     monkeypatch.setattr(checks, "extract_features", counting)
+    monkeypatch.setattr(engine, "extract_features", counting)
+    refs = [ref([pose(0.5, "cup", (0.1 * i, 0, 0), zrot(0.1 * i)),
+                 text(1.0, "field", "1.25")]) for i in range(4)]
+    ref_slices = list(reads)  # the slice each reference was reduced from
     sessions = [mkslice([pose(0.5, "cup", (0.2, 0, 0), zrot(x)),
                          text(1.0, "field", "1.26")]) for x in (0.1, 0.2, 0.3)]
     for user in sessions:

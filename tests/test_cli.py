@@ -195,6 +195,29 @@ def test_check_error_warning_is_the_same_in_score_and_stream(
             "no TextInput for field 'measured-value'\n") in batch_out.read_text()
 
 
+def test_reference_missing_tracked_joint_is_the_same_warning_in_score_and_stream(
+        run, demo_dir, tmp_path, monkeypatch):
+    text = (demo_dir / "hydrometer.ahtn").read_text()
+    tracked = "objects hydrometer hand head hand-right\n"
+    assert tracked in text
+    net_path = tmp_path / "knee.ahtn"
+    net_path.write_text(text.replace(tracked, tracked[:-1] + " knee-left\n"))
+    batch_out = tmp_path / "batch.txt"
+    code, _, _ = run("score", "--net", str(net_path),
+                     "--refs", hydro(demo_dir, "rec"),
+                     "--session", hydro(demo_dir, "rec"), "--out", str(batch_out))
+    assert code == 0
+    stream_out = tmp_path / "stream.txt"
+    monkeypatch.setattr("sys.stdin",
+                        io.StringIO((demo_dir / "hydrometer.rec").read_text()))
+    code, _, _ = run("stream", "--net", str(net_path),
+                     "--refs", hydro(demo_dir, "rec"), "--out", str(stream_out))
+    assert code == 0
+    assert stream_out.read_bytes() == batch_out.read_bytes()
+    assert ("warning task T1: action level cannot be scored: reference missing "
+            "joint 'knee-left' at key frame 0\n") in batch_out.read_text()
+
+
 def test_stream_emits_realtime_feedback(run, demo_dir, tmp_path, monkeypatch):
     monkeypatch.setattr("sys.stdin",
                         io.StringIO((demo_dir / "collaborative.rec").read_text()))

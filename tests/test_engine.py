@@ -1,5 +1,6 @@
 """Session routing, feedback gating, aggregation, and report assembly."""
 
+import gc
 import random
 
 import numpy as np
@@ -8,10 +9,10 @@ import pytest
 from ahtn.engine import (Defaults, EngineConfig, Session, aggregate,
                          build_reference_set, score_recording)
 from ahtn.checks import CheckDefaults
-from ahtn.model import parse_network
+from ahtn.model import parse_network, with_trajectory_defaults
 from ahtn.report import render_report
-from ahtn.telemetry import (Event, SessionRecording, TaskMark, TextInput,
-                            parse_session)
+from ahtn.telemetry import (Event, SessionRecording, SkeletonFrame, TaskMark,
+                            TextInput, parse_session)
 
 
 def cfg(net, refs, **kw):
@@ -214,7 +215,7 @@ def test_reference_check_error_is_a_warning_line(hydro_net, hydro_rec):
 
 def test_reference_features_are_extracted_at_build_only(
         hydro_net, hydro_rec, monkeypatch):
-    from ahtn import checks
+    from ahtn import checks, engine
     reads = []
     extract = checks.extract_features
 
@@ -223,16 +224,72 @@ def test_reference_features_are_extracted_at_build_only(
         return extract(slice_, specs)
 
     monkeypatch.setattr(checks, "extract_features", counting)
+    monkeypatch.setattr(engine, "extract_features", counting)
     refs = build_reference_set(hydro_net, [(hydro_rec, 1.0)])
     # T1 orientation, T3 position, T4 text-input; T2's attachment and
     # collision checks read no reference
     assert len(reads) == 3
-    ref_slices = {id(r.slice) for rs in refs.by_task.values() for r in rs}
+    built = reads[:]  # the slices the references were reduced from, kept alive
+    ref_slices = {id(sl) for sl in built}
     reads.clear()
     for _ in range(3):
         score_recording(cfg(hydro_net, refs), hydro_rec)
     assert len(reads) == 3 * 4  # one learner extraction per task end
     assert not any(id(sl) in ref_slices for sl in reads)
+
+
+@pytest.mark.parametrize("demo", ["hydro", "collab"])
+def test_reference_set_holds_no_events(demo, request):
+    refs = request.getfixturevalue(f"{demo}_refs")
+    seen = {id(refs)}
+    stack = [refs]
+    while stack:
+        obj = stack.pop()
+        assert not isinstance(obj, Event)
+        for child in gc.get_referents(obj):
+            # classes lead to modules and from there to everything
+            if not isinstance(child, type) and id(child) not in seen:
+                seen.add(id(child))
+                stack.append(child)
+
+
+def test_reference_without_skeleton_cannot_score_action_level(
+        hydro_net, hydro_rec):
+    no_skeleton = SessionRecording(
+        session_id="no-skeleton", user_ids=hydro_rec.user_ids,
+        events=tuple(e for e in hydro_rec.events
+                     if not isinstance(e.payload, SkeletonFrame)))
+    refs = build_reference_set(hydro_net, [(no_skeleton, 1.0)])
+    report = score_recording(cfg(hydro_net, refs), hydro_rec)
+    assert ("task T1: action level cannot be scored: "
+            "slice for 'T1' has no skeleton frames") in report.warnings
+
+
+def test_reference_missing_tracked_joint_cannot_score_action_level(
+        hydro_net, hydro_rec):
+    net = with_trajectory_defaults(hydro_net,
+                                   joint_ids=("head", "hand-right", "knee-left"))
+    refs = build_reference_set(net, [(hydro_rec, 1.0)])
+    report = score_recording(cfg(net, refs), hydro_rec)
+    assert ("task T1: action level cannot be scored: "
+            "reference missing joint 'knee-left' at key frame 0") in report.warnings
+    entry = {e.task_id: e for e in report.scope("student").entries}["T1"]
+    assert entry.status == "performed"
+    assert entry.members[0].trajectory is None
+    assert entry.omega == 1.0 - Defaults().action_share  # task level only
+
+
+@pytest.mark.parametrize("override", [{"key_rate": 4.0},
+                                      {"joint_ids": ("head",)},
+                                      {"match_radius": 0.2}],
+                         ids=["key_rate", "joint_ids", "match_radius"])
+def test_session_rejects_references_built_for_other_trajectory_params(
+        hydro_net, hydro_rec, hydro_refs, override):
+    net = with_trajectory_defaults(hydro_net, **override)
+    with pytest.raises(ValueError,
+                       match="references built for other trajectory params: T1"):
+        Session(cfg(net, hydro_refs))
+    Session(cfg(net, build_reference_set(net, [(hydro_rec, 1.0)])))
 
 
 def test_out_of_order_start_is_flagged():

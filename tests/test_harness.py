@@ -9,9 +9,8 @@ import pytest
 from ahtn.harness import (METHODS, MonotonicityRow, PerturbationSpec,
                           ScorePairSet, UndefinedCorrelationError, correlate,
                           correlate_values, format_monotonicity,
-                          load_study_correlations, monotonicity_csv,
-                          monotonicity_report, parse_score_pairs, perturb,
-                          spec_for_magnitude)
+                          monotonicity_csv, monotonicity_report,
+                          parse_score_pairs, perturb, spec_for_magnitude)
 from ahtn.telemetry import (Attach, Collision, Pose, SkeletonFrame, TextInput,
                             parse_session, serialize_recording)
 
@@ -292,15 +291,3 @@ def test_monotonicity_formatting():
     head, *body = csv.splitlines()
     assert head == "magnitude,mean_delta,std_delta,trials"
     assert [float(b.split(",")[1]) for b in body] == [1.0, 0.75]
-
-
-# -- published study table ---------------------------------------------------------
-
-def test_study_correlation_table():
-    table = load_study_correlations()
-    assert set(table) == {"T1", "T2", "T3", "T4", "delta"}
-    assert table["delta"]["pearson"] == pytest.approx(91.83)
-    assert table["T1"]["spearman"] == pytest.approx(88.12)
-    assert table["T4"]["kendall"] == pytest.approx(82.00)
-    for label in table:
-        assert set(table[label]) == {"pearson", "spearman", "kendall"}

@@ -10,11 +10,12 @@ from hypothesis import given, strategies as st
 from ahtn import telemetry
 from ahtn.model import TrajectoryParams
 from ahtn.telemetry import (Attach, Collision, Event, Pose, RecordingError,
-                            Reference, ReferenceStats, SkeletonFrame, TaskMark,
+                            ReferenceStats, SkeletonFrame, TaskMark,
                             TaskSlice, TextInput, parse_event_line,
                             parse_session, reference_stats, scale_frame,
                             serialize_event, serialize_recording, slice_task)
-from ahtn.trajectory import ActionEvaluator
+from ahtn.trajectory import ActionEvaluator, build_reference_track
+from conftest import reduce_reference
 
 
 def frame(**joints):
@@ -274,8 +275,9 @@ def corrected_summary(frames, face_hand):
         skel_event(0.0, "r", head=(0, 1.6, 0), **{"hand-right": (0.6, 1.6, 0)}),))
     stats = ReferenceStats(face_height=1.6, face_hand_distance=face_hand,
                            hand_joint="hand-right")
-    ev = ActionEvaluator("T", ref, TrajectoryParams(joint_ids=("head", "hand-right")),
-                         stats, t_start=0.0)
+    track = build_reference_track(
+        ref, TrajectoryParams(joint_ids=("head", "hand-right")))
+    ev = ActionEvaluator("T", track, stats, t_start=0.0)
     for t, f in frames:
         ev.observe(t, f)
     return ev.finalize(frames[-1][0])
@@ -373,6 +375,5 @@ def test_reference_stats_requires_frames():
 
 
 def test_reference_quality_range():
-    sl = TaskSlice(task_id="T", t0=0.0, t1=1.0, events=())
     with pytest.raises(ValueError):
-        Reference(slice=sl, quality=1.5)
+        reduce_reference([], quality=1.5, t1=1.0)

@@ -265,7 +265,8 @@ def test_abort_after_wait_is_strict():
 # -- streaming evaluator ------------------------------------------------------
 
 def replay(samples, ref_slice, params=PARAMS, stats=STATS, t_start=0.0):
-    ev = ActionEvaluator("T", ref_slice, params, stats, t_start=t_start)
+    ev = ActionEvaluator("T", build_reference_track(ref_slice, params), stats,
+                         t_start=t_start)
     feedback = []
     for t, f in samples:
         feedback.extend(ev.observe(t, f))
