@@ -22,8 +22,8 @@ from .report import (AssessmentReport, FeedbackMessage, MemberResult,
                      ScopeReport, TaskEntry)
 from .telemetry import (Attach, Collision, Event, Pose, Reference,
                         ReferenceSet, SessionRecording, SkeletonFrame,
-                        TaskMark, TaskSlice, TextInput, reference_stats,
-                        slice_task)
+                        TaskMark, TaskSlice, TaskSlicer, TextInput,
+                        reference_stats)
 from .trajectory import (ActionEvaluator, TrajectorySummary,
                          build_reference_track)
 
@@ -77,22 +77,17 @@ def stats_user(node: TaskNode) -> str | None:
     return node.users.user_ids[0]
 
 
-def build_reference(node: TaskNode, rec: SessionRecording,
-                    quality: float = 1.0) -> Reference | None:
-    """Reduce one reference recording to what grading reads for one task:
-    the check features, the skeleton statistics and, for a trajectory
-    task, the key-frame track; ``error`` says why the statistics or the
-    track could not be built. None when the recording has no usable marks
-    for the task.
+def build_reference(node: TaskNode, sl: TaskSlice,
+                    quality: float = 1.0) -> Reference:
+    """Reduce a reference recording's slice for one task to what grading
+    reads: the check features, the skeleton statistics and, for a
+    trajectory task, the key-frame track; ``error`` says why the
+    statistics or the track could not be built.
 
-    The task's slice keeps only its scope members' events, so a
-    bystander's skeleton cannot shift the reference means. Unlike live
-    routing it keeps events about unlisted objects; the reductions read
-    only the subjects the task lists, so those never count."""
-    try:
-        sl = slice_task(rec, node.id)
-    except ValueError:
-        return None
+    Only the scope members' events count, so a bystander's skeleton cannot
+    shift the reference means. Unlike live routing the slice keeps events
+    about unlisted objects; the reductions read only the subjects the task
+    lists, so those never count."""
     members = node.users.user_ids
     sl = TaskSlice(task_id=sl.task_id, t0=sl.t0, t1=sl.t1,
                    events=tuple(e for e in sl.events if e.user in members))
@@ -115,13 +110,19 @@ def build_reference_set(net: TaskNetwork,
                         recordings: Sequence[tuple[SessionRecording, float]]
                         ) -> ReferenceSet:
     """Reduce each assessed task of each reference recording once
-    (``build_reference``). Recordings lacking marks for a task simply do
-    not contribute a reference for it."""
+    (``build_reference``), scanning each recording once for its marks.
+    Recordings lacking usable marks for a task simply do not contribute a
+    reference for it."""
+    slicers = [(TaskSlicer(rec), quality) for rec, quality in recordings]
     by_task: dict[str, list[Reference]] = {}
     for node_id in net.primitive_ids():
-        refs = [ref for ref in (build_reference(net.nodes[node_id], rec, quality)
-                                for rec, quality in recordings)
-                if ref is not None]
+        refs = []
+        for slicer, quality in slicers:
+            try:
+                sl = slicer.cut(node_id)
+            except ValueError:
+                continue
+            refs.append(build_reference(net.nodes[node_id], sl, quality))
         if refs:
             by_task[node_id] = refs
     return ReferenceSet(by_task=by_task)
@@ -339,6 +340,9 @@ class Session:
         quality = 1.0
         if refs:
             quality = self._best_reference(refs)[0].quality
+        if not run.events:
+            run.warnings.append(
+                f"no events routed from {', '.join(run.members)}")
 
         members: list[MemberResult] = []
         for member in run.members:

@@ -17,6 +17,15 @@ and appear once per frame. A frame's joint layout is validated once and
 then shared: every frame with the same names holds the same names tuple.
 Blank lines and ``#`` comments are skipped.
 
+``parse_event_line`` is the reference grammar; live grading runs it line by
+line. ``parse_session`` gives the same events and errors but converts
+numbers in bulk, a block of ``PARSE_BLOCK_LINES`` lines at a time: the
+numbers of all skel and pose lines of a block, per kind and joint count,
+go through one ``np.loadtxt`` call, and the frames of a block are rows of
+one array. A block that fails anywhere is parsed again by the per-line
+loop from the stream state at its start, so errors keep their message and
+first bad line. ``TaskSlicer`` cuts task slices by bisecting event times.
+
 ``reference_stats`` measures the reference performer's skeleton over a
 task's first second; ``scale_frame`` applies the height-correction factor
 that ``trajectory.ActionEvaluator`` derives from it.
@@ -25,6 +34,7 @@ that ``trajectory.ActionEvaluator`` derives from it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -37,6 +47,7 @@ if TYPE_CHECKING:
 
 QUAT_NORM_TOL = 1e-6
 LAYOUT_CACHE_SIZE = 256  # distinct joint layouts kept by _joint_layout
+PARSE_BLOCK_LINES = 2048  # lines per bulk conversion; bounds its transient memory
 MIN_FACE_HAND_DISTANCE = 0.01  # m; below this the pose is degenerate
 
 HAND_JOINTS = ("hand-right", "hand-left")
@@ -225,6 +236,9 @@ class ReferenceSet:
 # every byte except the skeleton separators; deleting them leaves a frame's
 # separator sequence, b"=,,;" per joint less the final ";"
 _NOT_SKEL_SEPARATOR = bytes(b for b in range(256) if b not in b",;=")
+# the same for the bulk path, which also keeps \x1f so that a line holding
+# it never matches a separator pattern (see _convert_block)
+_NOT_BULK_SKEL_SEPARATOR = bytes(b for b in range(256) if b not in b",;=\x1f")
 
 
 def _parse_prefixed(token: str, prefix: str, lineno: int) -> str:
@@ -335,14 +349,56 @@ def parse_event_line(line: str, lineno: int = 0) -> Event:
 
 def parse_session(text: str, session_id: str = "session") -> SessionRecording:
     """Parse a full recording. Rejects (never sorts) timestamp regressions
-    and unmatched or nested TaskMarks, reporting the offending line."""
+    and unmatched or nested TaskMarks, reporting the offending line.
+
+    The text is taken ``PARSE_BLOCK_LINES`` lines at a time. A block is
+    first converted in bulk (``_convert_block``); if that meets anything it
+    does not accept, the block is parsed again from the same stream state
+    by the per-line loop (``_parse_lines``), whose events and errors are
+    the result."""
+    lines = text.splitlines()
     events: list[Event] = []
-    users: list[str] = []
-    seen_users: set[str] = set()
     open_marks: dict[str, int] = {}
     last_t = -math.inf
+    for first in range(0, len(lines), PARSE_BLOCK_LINES):
+        block = lines[first:first + PARSE_BLOCK_LINES]
+        kept, block_marks = len(events), dict(open_marks)
+        try:
+            last_t = _convert_block(block, first + 1, last_t, open_marks, events)
+        except ValueError:
+            del events[kept:]
+            open_marks = block_marks
+            last_t = _parse_lines(block, first + 1, last_t, open_marks, events)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    if open_marks:
+        task_id, lineno = next(iter(open_marks.items()))
+        raise RecordingError(f"unmatched start mark for task {task_id!r}", lineno)
+
+    users = tuple(dict.fromkeys([e.user for e in events]))
+    return SessionRecording(session_id=session_id, user_ids=users,
+                            events=tuple(events))
+
+
+def _track_mark(mark: TaskMark, lineno: int, open_marks: dict[str, int]) -> None:
+    """Open or close a task's mark pair; nested and unopened marks raise."""
+    task_id = mark.task_id
+    if mark.edge == "start":
+        if task_id in open_marks:
+            raise RecordingError(f"nested start mark for task {task_id!r}", lineno)
+        open_marks[task_id] = lineno
+    else:
+        if task_id not in open_marks:
+            raise RecordingError(
+                f"end mark without start for task {task_id!r}", lineno)
+        del open_marks[task_id]
+
+
+def _parse_lines(lines: list[str], lineno: int, last_t: float,
+                 open_marks: dict[str, int], events: list[Event]) -> float:
+    """The per-line reference loop: ``parse_event_line`` and the stream
+    checks, line by line from ``lineno``. Appends to ``events``, updates
+    ``open_marks`` and returns the last timestamp."""
+    for lineno, raw in enumerate(lines, lineno):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -351,29 +407,103 @@ def parse_session(text: str, session_id: str = "session") -> SessionRecording:
             raise RecordingError(
                 f"timestamp regression: {event.t} after {last_t}", lineno)
         last_t = event.t
-        if event.user not in seen_users:
-            seen_users.add(event.user)
-            users.append(event.user)
-        if isinstance(event.payload, TaskMark):
-            task_id = event.payload.task_id
-            if event.payload.edge == "start":
-                if task_id in open_marks:
-                    raise RecordingError(
-                        f"nested start mark for task {task_id!r}", lineno)
-                open_marks[task_id] = lineno
-            else:
-                if task_id not in open_marks:
-                    raise RecordingError(
-                        f"end mark without start for task {task_id!r}", lineno)
-                del open_marks[task_id]
+        if type(event.payload) is TaskMark:
+            _track_mark(event.payload, lineno, open_marks)
         events.append(event)
+    return last_t
 
-    if open_marks:
-        task_id, lineno = next(iter(open_marks.items()))
-        raise RecordingError(f"unmatched start mark for task {task_id!r}", lineno)
 
-    return SessionRecording(session_id=session_id, user_ids=tuple(users),
-                            events=tuple(events))
+def _convert_block(lines: list[str], lineno: int, last_t: float,
+                   open_marks: dict[str, int], events: list[Event]) -> float:
+    """Bulk form of ``_parse_lines`` with the same result for every block
+    it accepts; it raises ValueError on anything else, and the caller then
+    runs ``_parse_lines`` on the block.
+
+    Pass 1 splits each line into its t=, u= and kind fields and does the
+    stream checks. Mark, attach, collide and text lines go through
+    ``parse_event_line``; skel and pose lines are held back, with their
+    separator pattern and joint names checked against the last layout
+    seen. Then the numbers of all held-back lines of one kind and joint
+    count go through one ``np.loadtxt`` call. ``loadtxt`` reads numbers as
+    ``float()`` does, but rejects some that ``float()`` takes (``1_0``,
+    non-ASCII digits), so those lines fall back; \\x1f, which ``loadtxt``
+    strips around a number and ``float()`` does not, never reaches it.
+    Finiteness and the quaternion norm are checked on the whole array, with
+    the IEEE operations of the per-line check. Each frame's positions are
+    its (J, 3) rows of the block array."""
+    held_poses: list[tuple] = []  # (event slot, t, user, object id)
+    pose_numbers: list[str] = []
+    held_frames: dict[int, tuple[list[tuple], list[str]]] = {}  # J -> frames, rows
+    prefixes: tuple[str, ...] = ()
+    startswith = str.startswith
+    for lineno, raw in enumerate(lines, lineno):
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        parts = line.split(None, 3)
+        kind = parts[2] if len(parts) == 4 else None
+        if kind != "skel" and kind != "pose":
+            event = parse_event_line(line, lineno)
+            if event.t < last_t:
+                raise ValueError("timestamp regression")
+            last_t = event.t
+            if type(event.payload) is TaskMark:
+                _track_mark(event.payload, lineno, open_marks)
+            events.append(event)
+            continue
+        t_text, user, _, rest = parts
+        if t_text[:2] != "t=" or user[:2] != "u=" or len(user) == 2:
+            raise ValueError("bad t= or u= field")
+        t = float(t_text[2:])
+        if t < last_t or not 0.0 <= t < math.inf:
+            raise ValueError("timestamp out of range or order")
+        last_t = t
+        held = (len(events), t, user[2:])
+        events.append(None)  # filled once the block's numbers are converted
+        if kind == "pose":
+            obj, numbers = rest.split(None, 1)
+            held_poses.append((*held, obj))
+            pose_numbers.append(numbers)
+            continue
+        pieces = rest.split(";")
+        if len(pieces) != len(prefixes) or not all(map(startswith, pieces, prefixes)):
+            names = tuple(piece.partition("=")[0] for piece in pieces)
+            layout = _joint_layout(names)
+            prefixes = tuple(name + "=" for name in names)
+            separators = (b"=,,;" * len(names))[:-1]
+            frames, rows = held_frames.setdefault(len(names), ([], []))
+        if rest.encode().translate(None, _NOT_BULK_SKEL_SEPARATOR) != separators:
+            raise ValueError("skel separators")
+        frames.append((*held, layout))
+        rows.append(rest)
+
+    if pose_numbers:
+        numbers = np.loadtxt(pose_numbers, dtype=np.float64, comments=None,
+                             ndmin=2)
+        if numbers.shape[1] != 7 or not np.isfinite(numbers).all():
+            raise ValueError("pose numbers")
+        qx, qy, qz, qw = numbers[:, 3:].T
+        norm = np.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)
+        if not (np.abs(norm - 1.0) <= QUAT_NORM_TOL).all():
+            raise ValueError("quaternion norm")
+        positions = zip(*numbers[:, :3].T.tolist())
+        orientations = zip(*numbers[:, 3:].T.tolist())
+        for (slot, t, user, obj), position, orientation in zip(
+                held_poses, positions, orientations):
+            events[slot] = Event(t, user, Pose(obj, position, orientation))
+    for joints, (frames, rows) in held_frames.items():
+        # with "=" and ";" read as ",", a row is name,x,y,z per joint
+        numbers = np.loadtxt(
+            [row.replace(";", ",").replace("=", ",") for row in rows],
+            dtype=np.float64, delimiter=",",
+            usecols=[c for c in range(4 * joints) if c % 4],
+            comments=None, ndmin=2)
+        if not np.isfinite(numbers).all():
+            raise ValueError("skel numbers")
+        for (slot, t, user, layout), positions in zip(
+                frames, numbers.reshape(-1, joints, 3)):
+            events[slot] = Event(t, user, SkeletonFrame(layout, positions))
+    return last_t
 
 
 # ---------------------------------------------------------------------------
@@ -413,28 +543,44 @@ def serialize_recording(rec: SessionRecording) -> str:
 # ---------------------------------------------------------------------------
 # slicing
 
-def slice_task(rec: SessionRecording, task_id: str) -> TaskSlice:
-    """Cut the sub-stream between a task's start and end marks.
+class TaskSlicer:
+    """Cuts task slices out of one recording whose event times are
+    non-decreasing, as ``parse_session`` guarantees. One scan finds every
+    task's marks; each window is then found by bisecting the event times.
 
-    Events with t in [t0, t1] are kept (closed interval); the task's own
-    marks are not part of the slice.
-    """
-    marks = [e for e in rec.events
-             if type(e.payload) is TaskMark and e.payload.task_id == task_id]
-    starts = [e for e in marks if e.payload.edge == "start"]
-    ends = [e for e in marks if e.payload.edge == "end"]
-    if not starts or not ends:
-        raise ValueError(f"no marks for task {task_id!r}")
-    if len(starts) > 1 or len(ends) > 1:
-        raise ValueError(f"multiple mark pairs for task {task_id!r}")
-    t0, t1 = starts[0].t, ends[0].t
-    if t1 <= t0:
-        raise ValueError(f"task {task_id!r} marks are not a positive interval")
-    kept = tuple(
-        e for e in rec.events
-        if t0 <= e.t <= t1
-        and not (type(e.payload) is TaskMark and e.payload.task_id == task_id))
-    return TaskSlice(task_id=task_id, t0=t0, t1=t1, events=kept)
+    A slice keeps the events with t in [t0, t1] (closed interval) except
+    the task's own marks."""
+
+    def __init__(self, rec: SessionRecording):
+        self.events = rec.events
+        self.times = [e.t for e in rec.events]
+        self.marks: dict[str, tuple[list[float], list[float]]] = {}
+        for e in rec.events:
+            if type(e.payload) is TaskMark:
+                starts, ends = self.marks.setdefault(e.payload.task_id, ([], []))
+                (starts if e.payload.edge == "start" else ends).append(e.t)
+
+    def cut(self, task_id: str) -> TaskSlice:
+        starts, ends = self.marks.get(task_id, ((), ()))
+        if not starts or not ends:
+            raise ValueError(f"no marks for task {task_id!r}")
+        if len(starts) > 1 or len(ends) > 1:
+            raise ValueError(f"multiple mark pairs for task {task_id!r}")
+        t0, t1 = starts[0], ends[0]
+        if t1 <= t0:
+            raise ValueError(f"task {task_id!r} marks are not a positive interval")
+        window = self.events[bisect_left(self.times, t0):
+                             bisect_right(self.times, t1)]
+        kept = tuple(
+            e for e in window
+            if not (type(e.payload) is TaskMark and e.payload.task_id == task_id))
+        return TaskSlice(task_id=task_id, t0=t0, t1=t1, events=kept)
+
+
+def slice_task(rec: SessionRecording, task_id: str) -> TaskSlice:
+    """Cut the sub-stream between a task's start and end marks
+    (``TaskSlicer``)."""
+    return TaskSlicer(rec).cut(task_id)
 
 
 def skeleton_frames(events, user: str | None = None) -> list[tuple[float, SkeletonFrame]]:

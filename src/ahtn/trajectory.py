@@ -57,11 +57,12 @@ class TrajectoryState:
         return self.burst + self.missed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceTrack:
     """Key-framed reference trajectory: times (K,) and positions (K, J, 3)
     for the tracked joints, in params.joint_ids order, with the params it
-    was built for."""
+    was built for. Compared by identity, as its arrays have no single
+    truth value."""
 
     params: TrajectoryParams
     times: np.ndarray

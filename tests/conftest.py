@@ -5,7 +5,7 @@ from ahtn.fixtures import (collaborative_network, collaborative_reference,
                            hydrometer_network, hydrometer_reference,
                            write_demo_files)
 from ahtn.model import parse_network
-from ahtn.telemetry import Event, SessionRecording, TaskMark
+from ahtn.telemetry import TaskSlice
 
 # every (kind, subject) feature the check tests compare against
 REFERENCE_CHECKS = ("orientation subject=cup", "position subject=cup",
@@ -21,11 +21,9 @@ def reduce_reference(events, quality=1.0, t0=0.0, t1=10.0,
     lines += [f"  check {c}" for c in checks]
     lines += ["  feedback final", "end"]
     node = parse_network("\n".join(lines) + "\n").nodes["T"]
-    marked = (Event(t0, "u", TaskMark("T", "start")),
-              *sorted(events, key=lambda e: e.t),
-              Event(t1, "u", TaskMark("T", "end")))
-    return build_reference(node, SessionRecording("reference", ("u",), marked),
-                           quality)
+    window = tuple(e for e in sorted(events, key=lambda e: e.t)
+                   if t0 <= e.t <= t1)
+    return build_reference(node, TaskSlice("T", t0, t1, window), quality)
 
 
 @pytest.fixture(scope="session")

@@ -195,6 +195,40 @@ def test_check_error_warning_is_the_same_in_score_and_stream(
             "no TextInput for field 'measured-value'\n") in batch_out.read_text()
 
 
+def test_misspelled_user_warns_of_empty_tasks_in_score_and_stream(
+        run, demo_dir, tmp_path, monkeypatch):
+    text = (demo_dir / "hydrometer.rec").read_text()
+    assert " u=student " in text
+    session = text.replace(" u=student ", " u=Student ")
+    session_path = tmp_path / "misspelled.rec"
+    session_path.write_text(session)
+    batch_out = tmp_path / "batch.txt"
+    code, _, _ = run("score", "--net", hydro(demo_dir, "ahtn"),
+                     "--refs", hydro(demo_dir, "rec"),
+                     "--session", str(session_path), "--out", str(batch_out))
+    assert code == 0
+    stream_out = tmp_path / "stream.txt"
+    monkeypatch.setattr("sys.stdin", io.StringIO(session))
+    code, _, _ = run("stream", "--net", hydro(demo_dir, "ahtn"),
+                     "--refs", hydro(demo_dir, "rec"), "--out", str(stream_out))
+    assert code == 0
+    assert stream_out.read_bytes() == batch_out.read_bytes()
+    report = batch_out.read_text()
+    assert "task T2 status performed omega 0.500000000" in report
+    for task in ("T1", "T2", "T3", "T4"):
+        assert report.count(
+            f"warning task {task}: no events routed from student\n") == 1
+
+
+def test_clean_session_has_no_empty_task_warning(run, demo_dir, tmp_path):
+    out = tmp_path / "report.txt"
+    code, _, _ = run("score", "--net", hydro(demo_dir, "ahtn"),
+                     "--refs", hydro(demo_dir, "rec"),
+                     "--session", hydro(demo_dir, "rec"), "--out", str(out))
+    assert code == 0
+    assert "no events routed" not in out.read_text()
+
+
 def test_reference_missing_tracked_joint_is_the_same_warning_in_score_and_stream(
         run, demo_dir, tmp_path, monkeypatch):
     text = (demo_dir / "hydrometer.ahtn").read_text()

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ahtn import telemetry
 from ahtn.model import TrajectoryParams
@@ -141,6 +141,224 @@ def test_parse_session_mark_discipline(text, fragment):
 def test_equal_timestamps_allowed():
     rec = parse_session("t=1 u=a collide x y\nt=1 u=b collide x y\n")
     assert len(rec.events) == 2
+
+
+# -- bulk conversion against the per-line loop -------------------------------
+# parse_session converts skel and pose numbers a block at a time and re-runs
+# a block line by line when the bulk pass meets anything it does not accept;
+# the per-line loop is the reference grammar
+
+def outcome(text):
+    """What parse_session makes of a text: its events as wire lines (so
+    -0.0 and 0.0 differ), the names tuples, the users, or its error."""
+    try:
+        rec = parse_session(text)
+    except RecordingError as err:
+        return "error", str(err), err.line
+    frames = [e.payload.names for e in rec.events
+              if isinstance(e.payload, SkeletonFrame)]
+    return ("ok", [serialize_event(e) for e in rec.events], frames,
+            rec.user_ids, rec.events)
+
+
+def per_line_outcome(text, monkeypatch):
+    def refuse(*args):
+        raise ValueError("bulk conversion disabled")
+    monkeypatch.setattr(telemetry, "_convert_block", refuse)
+    return outcome(text)
+
+
+_good_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-5, 5).map(str),
+    st.sampled_from(["-0.0", ".5", "5.", "+1", "1E3", "5e-324", "1.7e308",
+                     " 1", "1 ", "\t2", "\xa03"]),
+)
+# numbers the per-line grammar takes but loadtxt does not, and numbers or
+# whitespace that no path may take
+_odd_numbers = st.sampled_from(["1_0", "１２", "0_5e1"])
+_bad_numbers = st.sampled_from(["nan", "inf", "-inf", "1e400", "", "x", "0x10",
+                                "1\x00", "1 2", "1\x1f\xa0"])
+# loadtxt strips \x1f around a number as whitespace, float() does not
+_x1f_numbers = st.sampled_from(["\x1f1", "1\x1f", "\x1f2\x1f"])
+_layouts = st.sampled_from([
+    ("head",), ("head", "hand-right"), ("hand-right", "head"), ("a", "b", "c"),
+    (" head", "hand-right "), ("head", " hand-right"), ("x y", "z"),
+    ("a\x1fb", "c"),
+])
+_bad_layouts = st.sampled_from([("a", "a"), ("", "b"), (" a", "a "), ("a,b", "c")])
+_quats = st.sampled_from([("0", "0", "0", "1"), ("0.5", "0.5", "0.5", "0.5"),
+                          ("1", "0", "0", "0"), ("0", "0", "0", "1.0000005"),
+                          ("-0.0", "0", "0", "-1")])
+_bad_quats = st.sampled_from([("0", "0", "0", "1.00001"), ("0", "0", "0", "2"),
+                              ("0", "0", "0", "0")])
+
+
+def _numbers_with(draw, count, odd):
+    """``count`` good numbers, one of them replaced by an ``odd`` one."""
+    numbers = [draw(_good_numbers) for _ in range(count)]
+    if odd is not None:
+        numbers[draw(st.integers(0, count - 1))] = draw(odd)
+    return numbers
+
+
+def _skel(draw, names, odd=None):
+    numbers = iter(_numbers_with(draw, 3 * len(names), odd))
+    gap = draw(st.sampled_from([";", ";", "; ", " ;"]))
+    return "skel " + gap.join(
+        f"{n}={next(numbers)},{next(numbers)},{next(numbers)}" for n in names)
+
+
+def _pose(draw, quat, odd=None):
+    gap = draw(st.sampled_from([" ", " ", "  ", "\t"]))
+    return "pose cup " + gap.join(_numbers_with(draw, 3, odd) + list(quat))
+
+
+# one way to spoil a line each; "odd" and "pose-gap" lines stay valid
+_FLAWS = ("odd", "odd", "bad-number", "bad-number", "x1f", "x1f", "bad-layout",
+          "bad-quat", "drop", "tail", "semi", "extra", "eq", "pose-count",
+          "pose-gap", "regression", "stamp", "user", "mark", "kind")
+
+
+@st.composite
+def _recording(draw):
+    """A valid recording of skel, pose and other lines, then at most one
+    flaw on one line."""
+    lines, rests, stamps, t, open_marks = [], [], [], 0.0, set()
+    for _ in range(draw(st.integers(0, 14))):
+        t += draw(st.sampled_from([0.0, 0.5, 1.0]))
+        kind = draw(st.sampled_from(["skel", "skel", "skel", "pose", "pose",
+                                     "other", "blank"]))
+        rest = "collide x y"
+        if kind == "skel":
+            rest = _skel(draw, draw(_layouts))
+        elif kind == "pose":
+            rest = _pose(draw, draw(_quats))
+        elif kind == "other":
+            task = draw(st.sampled_from("AB"))
+            edge = "end" if task in open_marks else "start"
+            open_marks ^= {task}
+            rest = draw(st.sampled_from([f"mark {task} {edge}", "collide x y",
+                                         'text f "1.5"', "attach cup hand on"]))
+        user = draw(st.sampled_from(["a", "a", "b"]))
+        pad = draw(st.sampled_from(["", "", " "]))
+        line = f"{pad}t={t!r} u={user} {rest}{pad}"
+        if kind == "blank":
+            line = draw(st.sampled_from(["", "# note", "  "]))
+        lines.append(line)
+        rests.append(rest)
+        stamps.append(t)
+    for task in sorted(open_marks):
+        lines.append(f"t={t!r} u=a mark {task} end")
+        rests.append(f"mark {task} end")
+        stamps.append(t)
+
+    flaw = draw(st.sampled_from((None, None) + _FLAWS))
+    if flaw is not None and lines:
+        i = draw(st.integers(0, len(lines) - 1))
+        head, rest = f"t={stamps[i]!r} u=a ", rests[i]
+        odd = {"odd": _odd_numbers, "bad-number": _bad_numbers,
+               "x1f": _x1f_numbers}.get(flaw)
+        if odd is not None and (flaw == "x1f" or draw(st.booleans())):
+            rest = _skel(draw, draw(_layouts), odd)
+        elif odd is not None:
+            rest = _pose(draw, draw(_quats), odd)
+        elif flaw in ("bad-layout", "drop", "tail", "semi", "extra", "eq"):
+            layout = _bad_layouts if flaw == "bad-layout" else _layouts
+            rest = _skel(draw, draw(layout))
+            rest = {"drop": rest.rsplit(",", 1)[0], "tail": rest + ";",
+                    "semi": rest.replace(",", ";", 1), "extra": rest + ",0",
+                    "eq": rest.replace(",", "=", 1)}.get(flaw, rest)
+        elif flaw in ("bad-quat", "pose-count", "pose-gap"):
+            rest = _pose(draw, draw(_bad_quats if flaw == "bad-quat" else _quats))
+            if flaw == "pose-count":
+                rest = draw(st.sampled_from([rest + " 0", rest.rsplit(None, 1)[0]]))
+            elif flaw == "pose-gap":
+                rest = "\x1f".join(rest.rsplit(None, 1))
+        elif flaw == "mark":
+            rest = draw(st.sampled_from(["mark C end", "mark C start"]))
+        elif flaw == "kind":
+            rest = draw(st.sampled_from(["skel", "pose cup", "warp x"]))
+        elif flaw == "regression":
+            head = f"t={stamps[i] - 0.25!r} u=a "
+        elif flaw == "stamp":
+            head = draw(st.sampled_from(["t=-1 u=a ", "t=nan u=a ", "t=abc u=a ",
+                                         "t=1e400 u=a ", "x=1 u=a "]))
+        else:
+            head = draw(st.sampled_from([f"t={stamps[i]!r} u= ",
+                                         f"t={stamps[i]!r} v=a "]))
+        lines[i] = head + rest
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_recording(), block=st.integers(1, 5))
+def test_bulk_parse_matches_per_line_loop(text, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(telemetry, "PARSE_BLOCK_LINES", block)
+        bulk = outcome(text)
+        reference = per_line_outcome(text, mp)
+    assert bulk == reference
+
+
+@pytest.mark.parametrize("text", [
+    "t=0 u=a skel head=0,1,2;hand-right=3,4,5\nt=1 u=a skel hand-right=0,1,2;head=3,4,5",
+    "t=0 u=a skel head=0,1,2\nt=1 u=a skel a=1,2,3;b=4,5,6\nt=2 u=a skel head=7,8,9",
+    "t=0 u=a skel head=0,1,2\nt=0 u=a skel head=\x1f1,2,3",
+    "t=0 u=a skel head=1,2,3\x1f;b=1,2,3",
+    "t=0 u=a skel head=1=2,3",
+    "t=0 u=a skel head=1,2,3,4",
+    "t=0 u=a skel head=1,2,3;b=4,5,6,7",
+    "t=0 u=a pose cup 0 0 0 0 0 0 1\nt=0 u=a pose cup 0 0 0 0 0 0 1 1",
+    "t=0 u=a pose cup 0 0 0 0 0 1",
+    "t=0 u=a pose cup 0 0 0 0 0 0 1\nt=0 u=a pose cup 0 1e400 0 0 0 0 1",
+    "t=0 u=a pose cup nan 0 0 0 0 0 1",
+    "t=0 u=a pose cup 0 0 0 0 0 0 1\x1f\nt=0 u=a pose cup 1_0 0 0 0 0 0 1",
+    "t=0 u=a mark A start\nt=0 u=a skel h=1,2,3\nt=1 u=b skel h=1,2,3\nt=0.5 u=a skel h=1,2,3",
+])
+def test_bulk_parse_matches_per_line_loop_on_edge_cases(text, monkeypatch):
+    monkeypatch.setattr(telemetry, "PARSE_BLOCK_LINES", 3)
+    assert outcome(text) == per_line_outcome(text, monkeypatch)
+
+
+@pytest.mark.parametrize("number,value", [("1_0", 10.0), ("１２", 12.0),
+                                          ("\xa03", 3.0)])
+def test_numbers_only_float_reads_keep_their_value(number, value):
+    text = (f"t=0 u=a skel head=0,{number},0\n"
+            f"t=1 u=a pose cup 0 {number} 0 0 0 0 1\n")
+    skel, pose = parse_session(text).events
+    assert skel.payload.positions[0, 1] == value
+    assert pose.payload.position[1] == value
+
+
+def test_error_line_is_exact_across_blocks(monkeypatch):
+    good = "t=0 u=a skel head=0,1,0;hand-right=1,1,0\n"
+    text = good * 6 + "t=0 u=a skel head=0,1,0;hand-right=1,inf,0\n" + good
+    monkeypatch.setattr(telemetry, "PARSE_BLOCK_LINES", 4)
+    with pytest.raises(RecordingError, match="^line 7: non-finite number inf$"):
+        parse_session(text)
+
+
+def test_bulk_frames_share_one_block_array(monkeypatch):
+    text = "".join(f"t={i} u=a skel head=0,{i},0;hand-right=1,1,0\n"
+                   for i in range(6))
+    monkeypatch.setattr(telemetry, "PARSE_BLOCK_LINES", 4)
+    frames = [e.payload for e in parse_session(text).events]
+    assert [f.positions[0, 1] for f in frames] == [0, 1, 2, 3, 4, 5]
+    assert frames[0].positions.base is frames[3].positions.base
+    assert frames[4].positions.base is not frames[3].positions.base
+    assert all(f.names is frames[0].names for f in frames)
+
+
+def test_bulk_parse_matches_per_line_on_bundled_recordings(
+        hydro_rec, collab_rec, monkeypatch):
+    for rec in (hydro_rec, collab_rec):
+        text = serialize_recording(rec)
+        monkeypatch.setattr(telemetry, "PARSE_BLOCK_LINES", 97)
+        bulk = outcome(text)
+        assert bulk == per_line_outcome(text, monkeypatch)
+        assert bulk[1] == text.splitlines()
+        monkeypatch.undo()
 
 
 # -- round trips -------------------------------------------------------------

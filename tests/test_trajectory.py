@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ahtn.engine import build_reference_set
 from ahtn.model import TrajectoryParams
 from ahtn.telemetry import Event, ReferenceStats, SkeletonFrame, TaskSlice
 from ahtn.trajectory import (ActionEvaluator, TrajectoryState, build_reference_track,
@@ -70,6 +71,14 @@ def test_reference_track_requires_joints():
         build_reference_track(skel_slice(samples, t1=1.0), PARAMS)
     with pytest.raises(ValueError, match="no skeleton frames"):
         build_reference_track(skel_slice([], t1=1.0), PARAMS)
+
+
+def test_reference_tracks_compare_by_identity(hydro_net, hydro_rec):
+    first, second = (build_reference_set(hydro_net, [(hydro_rec, 1.0)])
+                     .by_task["T1"][0].track for _ in range(2))
+    assert np.array_equal(first.positions, second.positions)
+    assert first == first
+    assert first != second  # no elementwise array comparison
 
 
 # -- matching -----------------------------------------------------------------
