@@ -19,7 +19,7 @@ from .model import (NetworkError, TaskNetwork, TaskNode, parse_network,
                     ready_tasks, serialize_network, validate_network)
 from .report import AssessmentReport, FeedbackMessage, render_report, write_report
 from .telemetry import (RecordingError, SessionRecording, parse_event_line,
-                        parse_session, serialize_recording, slice_task)
+                        parse_session, serialize_recording)
 from .trajectory import ActionEvaluator, TrajectorySummary, trajectory_score
 
 __version__ = "0.1.0"
@@ -34,7 +34,7 @@ __all__ = [
     "evaluate_task_level", "monotonicity_report", "parse_event_line",
     "parse_network", "parse_score_pairs", "parse_session", "perturb",
     "ready_tasks", "render_report", "score_recording", "serialize_network",
-    "serialize_recording", "slice_task", "spec_for_magnitude",
+    "serialize_recording", "spec_for_magnitude",
     "trajectory_score", "validate_network", "write_report",
     "__version__",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .checks import (FEATURE_KINDS, CheckDefaults, TaskScore,
                      evaluate_task_level, extract_features)
@@ -43,7 +43,6 @@ class Defaults:
 class EngineConfig:
     network: TaskNetwork
     references: ReferenceSet
-    feedback_sink: Callable[[str], None] | None = None
     defaults: Defaults = field(default_factory=Defaults)
     echo: tuple[str, ...] = ()  # extra config lines for the report header
 
@@ -69,37 +68,38 @@ def first_game_object(node: TaskNode) -> str | None:
     return None
 
 
-def stats_user(node: TaskNode) -> str | None:
-    """Whose skeleton frames define reference statistics: the assessed
-    user for single and individual scopes; all members pooled for groups."""
-    if node.users is None or node.users.category == "group":
-        return None
-    return node.users.user_ids[0]
+def wants_skeleton(node: TaskNode) -> bool:
+    """Whether a task reads skeleton frames: it matches a trajectory or
+    checks a joint."""
+    spec = node.assessment
+    return (spec.trajectory is not None
+            or any(is_joint_id(c.subject) for c in spec.checks))
 
 
 def build_reference(node: TaskNode, sl: TaskSlice,
                     quality: float = 1.0) -> Reference:
     """Reduce a reference recording's slice for one task to what grading
-    reads: the check features, the skeleton statistics and, for a
-    trajectory task, the key-frame track; ``error`` says why the
-    statistics or the track could not be built.
+    reads: the check features and, for a trajectory task, the skeleton
+    statistics and the key-frame track; ``error`` says why those two could
+    not be built.
 
-    Only the scope members' events count, so a bystander's skeleton cannot
-    shift the reference means. Unlike live routing the slice keeps events
-    about unlisted objects; the reductions read only the subjects the task
-    lists, so those never count."""
-    members = node.users.user_ids
-    sl = TaskSlice(task_id=sl.task_id, t0=sl.t0, t1=sl.t1,
-                   events=tuple(e for e in sl.events if e.user in members))
+    The slice is reduced to the events a live ``Session`` would route to
+    the task: a scope member's, about the task's objects or, when the task
+    wants them, a skeleton frame (``_relevant``). So a bystander's skeleton
+    cannot shift the reference means, and one rule decides what both
+    sides of a comparison read."""
+    members, skeleton = node.users.user_ids, wants_skeleton(node)
+    sl = TaskSlice(task_id=sl.task_id, t0=sl.t0, t1=sl.t1, events=tuple(
+        e for e in sl.events
+        if e.user in members and _relevant(node.objects, skeleton, e.payload)))
     spec = node.assessment
     stats = track = error = None
-    try:
-        stats = reference_stats(sl, subject_object=first_game_object(node),
-                                user=stats_user(node))
-        if spec.trajectory is not None:
-            track = build_reference_track(sl, spec.trajectory, stats_user(node))
-    except ValueError as e:
-        error = str(e)
+    if spec.trajectory is not None:
+        try:
+            stats = reference_stats(sl, subject_object=first_game_object(node))
+            track = build_reference_track(sl, spec.trajectory)
+        except ValueError as e:
+            error = str(e)
     compared = [c for c in spec.checks if c.kind in FEATURE_KINDS]
     features = extract_features(sl, compared) if compared else {}
     return Reference(quality=quality, features=features, stats=stats,
@@ -143,12 +143,7 @@ class _TaskRun:
         self.out_of_order = False
         self.result: TaskEntry | None = None
         self.warnings: list[str] = []
-        spec = node.assessment
-        self.wants_skeleton = (spec.trajectory is not None
-                               or any(is_joint_id(c.subject) for c in spec.checks))
-
-    def covers(self, user: str) -> bool:
-        return user in self.members
+        self.wants_skeleton = wants_skeleton(node)
 
 
 class Session:
@@ -215,13 +210,8 @@ class Session:
             return []
 
         if isinstance(event.payload, TaskMark):
-            messages = self._handle_mark(event)
-        else:
-            messages = self._route(event)
-        if self.config.feedback_sink is not None:
-            for m in messages:
-                self.config.feedback_sink(m.render() + "\n")
-        return messages
+            return self._handle_mark(event)
+        return self._route(event)
 
     def consume(self, rec: SessionRecording) -> list[FeedbackMessage]:
         out: list[FeedbackMessage] = []
@@ -290,9 +280,9 @@ class Session:
     def _route(self, event: Event) -> list[FeedbackMessage]:
         messages: list[FeedbackMessage] = []
         for run in self._runs.values():
-            if run.status != "active" or not run.covers(event.user):
+            if run.status != "active" or event.user not in run.members:
                 continue
-            if not _relevant(run, event.payload):
+            if not _relevant(run.node.objects, run.wants_skeleton, event.payload):
                 continue
             run.events.append(event)
             evaluator = run.evaluators.get(event.user)
@@ -488,8 +478,10 @@ def _stale_tracks(node: TaskNode, refs: Sequence[Reference]) -> bool:
         for r in refs)
 
 
-def _relevant(run: _TaskRun, payload) -> bool:
-    objects = run.node.objects
+def _relevant(objects: tuple[str, ...], skeleton: bool, payload) -> bool:
+    """Whether a task with these objects routes an event payload: poses,
+    attachments, collisions and text inputs that name one of its objects,
+    and skeleton frames when ``skeleton`` is set; never marks."""
     if isinstance(payload, Pose):
         return payload.object_id in objects
     if isinstance(payload, Attach):
@@ -499,7 +491,7 @@ def _relevant(run: _TaskRun, payload) -> bool:
     if isinstance(payload, TextInput):
         return payload.field_id in objects
     if isinstance(payload, SkeletonFrame):
-        return run.wants_skeleton
+        return skeleton
     return False
 
 

@@ -72,9 +72,6 @@ class UserScope:
     category: str
     user_ids: tuple[str, ...]
 
-    def covers(self, user_id: str) -> bool:
-        return user_id in self.user_ids
-
     def key(self) -> str:
         """Stable report-scope key for this assessment target."""
         if self.category == "group":
@@ -109,11 +106,7 @@ class TrajectoryParams:
     anomaly_wait: float = 10.0
     repetitions: int = 1
     anomaly_penalty: float = 0.05
-    station_forward: tuple[float, float, float] = (0.0, 0.0, 1.0)
-    fall_height_fraction: float = 0.5
     key_rate: float = 2.0
-    hand_proximity_factor: float = 3.0
-    anomaly_window: float = 0.5
 
 
 @dataclass(frozen=True)

@@ -24,17 +24,24 @@ numbers of all skel and pose lines of a block, per kind and joint count,
 go through one ``np.loadtxt`` call, and the frames of a block are rows of
 one array. A block that fails anywhere is parsed again by the per-line
 loop from the stream state at its start, so errors keep their message and
-first bad line. ``TaskSlicer`` cuts task slices by bisecting event times.
+first bad line.
+
+Which events belong to a task is one rule, in stream order: those after
+its start mark and before its end mark. ``engine.Session`` applies it as
+the stream arrives; ``TaskSlicer`` cuts the same run out of a whole
+recording by the marks' event indices, so events that share a mark's
+timestamp fall on the side of the mark where they were written. Both
+sides then keep the same events of that run (``engine.build_reference``).
 
 ``reference_stats`` measures the reference performer's skeleton over a
-task's first second; ``scale_frame`` applies the height-correction factor
-that ``trajectory.ActionEvaluator`` derives from it.
+task's first second and ``trajectory.ActionEvaluator`` the learner's, both
+with ``face_hand_medians``; ``scale_frame`` applies the resulting
+height-correction factor.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -207,9 +214,9 @@ class ReferenceStats:
 class Reference:
     """One reference performance of one task, held as what grading reads:
     its SME quality rating, the check ``features`` keyed by (check kind,
-    subject), the performer's skeleton ``stats`` and, for trajectory
-    tasks, the key-frame ``track``. ``error`` says why the stats or the
-    track could not be built. ``engine.build_reference`` makes one.
+    subject) and, for trajectory tasks, the performer's skeleton ``stats``
+    and the key-frame ``track``. ``error`` says why the stats or the track
+    could not be built. ``engine.build_reference`` makes one.
     """
 
     quality: float
@@ -544,21 +551,20 @@ def serialize_recording(rec: SessionRecording) -> str:
 # slicing
 
 class TaskSlicer:
-    """Cuts task slices out of one recording whose event times are
-    non-decreasing, as ``parse_session`` guarantees. One scan finds every
-    task's marks; each window is then found by bisecting the event times.
-
-    A slice keeps the events with t in [t0, t1] (closed interval) except
-    the task's own marks."""
+    """Cuts task slices out of one recording. One scan records the event
+    index of every task's marks; a task's slice is then the events that
+    lie strictly between its start and end mark in stream order, the
+    events a live ``engine.Session`` sees while the task is active.
+    Events that share a mark's timestamp but sit on its far side stay
+    outside. t0 and t1 are the two marks' times."""
 
     def __init__(self, rec: SessionRecording):
         self.events = rec.events
-        self.times = [e.t for e in rec.events]
-        self.marks: dict[str, tuple[list[float], list[float]]] = {}
-        for e in rec.events:
+        self.marks: dict[str, tuple[list[int], list[int]]] = {}
+        for i, e in enumerate(rec.events):
             if type(e.payload) is TaskMark:
                 starts, ends = self.marks.setdefault(e.payload.task_id, ([], []))
-                (starts if e.payload.edge == "start" else ends).append(e.t)
+                (starts if e.payload.edge == "start" else ends).append(i)
 
     def cut(self, task_id: str) -> TaskSlice:
         starts, ends = self.marks.get(task_id, ((), ()))
@@ -566,28 +572,18 @@ class TaskSlicer:
             raise ValueError(f"no marks for task {task_id!r}")
         if len(starts) > 1 or len(ends) > 1:
             raise ValueError(f"multiple mark pairs for task {task_id!r}")
-        t0, t1 = starts[0], ends[0]
+        start, end = starts[0], ends[0]
+        t0, t1 = self.events[start].t, self.events[end].t
         if t1 <= t0:
             raise ValueError(f"task {task_id!r} marks are not a positive interval")
-        window = self.events[bisect_left(self.times, t0):
-                             bisect_right(self.times, t1)]
-        kept = tuple(
-            e for e in window
-            if not (type(e.payload) is TaskMark and e.payload.task_id == task_id))
-        return TaskSlice(task_id=task_id, t0=t0, t1=t1, events=kept)
+        return TaskSlice(task_id=task_id, t0=t0, t1=t1,
+                         events=self.events[start + 1:end])
 
 
-def slice_task(rec: SessionRecording, task_id: str) -> TaskSlice:
-    """Cut the sub-stream between a task's start and end marks
-    (``TaskSlicer``)."""
-    return TaskSlicer(rec).cut(task_id)
-
-
-def skeleton_frames(events, user: str | None = None) -> list[tuple[float, SkeletonFrame]]:
-    """(t, frame) pairs for one user (or all users when user is None)."""
+def skeleton_frames(events) -> list[tuple[float, SkeletonFrame]]:
+    """The (t, frame) pairs among events."""
     return [(e.t, e.payload) for e in events
-            if isinstance(e.payload, SkeletonFrame)
-            and (user is None or e.user == user)]
+            if isinstance(e.payload, SkeletonFrame)]
 
 
 # ---------------------------------------------------------------------------
@@ -603,26 +599,36 @@ def scale_frame(frame: SkeletonFrame, factor: float) -> SkeletonFrame:
     return SkeletonFrame(names=frame.names, positions=scaled)
 
 
-def reference_stats(slice_: TaskSlice, subject_object: str | None = None,
-                    user: str | None = None) -> ReferenceStats:
-    """Skeleton statistics over a slice's first second (median, robust to
-    first-frame noise). The measured hand is the one nearer the assessed
-    object at slice start, defaulting to the right hand."""
-    frames = skeleton_frames(slice_.events, user)
+def face_hand_medians(frames, hand: str) -> tuple[float, float]:
+    """Median head height and median head-to-hand distance over the frames
+    that hold both ``head`` and ``hand``; ValueError when none does. The
+    one measurement behind both the reference statistics and the
+    learner's height-correction factor."""
+    usable = [f for f in frames if f.has("head") and f.has(hand)]
+    if not usable:
+        raise ValueError(f"no skeleton frame holds both head and {hand}")
+    heads = np.array([f.position("head") for f in usable])
+    hands = np.array([f.position(hand) for f in usable])
+    return (float(np.median(heads[:, 1])),
+            float(np.median(np.linalg.norm(heads - hands, axis=1))))
+
+
+def reference_stats(slice_: TaskSlice,
+                    subject_object: str | None = None) -> ReferenceStats:
+    """Skeleton statistics over a slice's first second (``face_hand_medians``,
+    robust to first-frame noise). The measured hand is the one nearer the
+    assessed object at slice start, defaulting to the right hand."""
+    frames = skeleton_frames(slice_.events)
     if not frames:
         raise ValueError(f"slice for {slice_.task_id!r} has no skeleton frames")
     first = frames[0][1]
     hand = _nearest_hand(slice_.events, first, subject_object)
     cutoff = slice_.t0 + 1.0
     window = [f for t, f in frames if t <= cutoff] or [first]
-    heads = np.array([f.position("head") for f in window])
-    hands = np.array([f.position(hand) for f in window])
-    return ReferenceStats(
-        face_height=float(np.median(heads[:, 1])),
-        face_hand_distance=float(np.median(
-            np.linalg.norm(heads - hands, axis=1))),
-        hand_joint=hand,
-    )
+    face_height, face_hand_distance = face_hand_medians(window, hand)
+    return ReferenceStats(face_height=face_height,
+                          face_hand_distance=face_hand_distance,
+                          hand_joint=hand)
 
 
 def _nearest_hand(events, frame: SkeletonFrame, subject_object: str | None) -> str:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -26,9 +25,14 @@ import numpy as np
 from .kernels import all_within
 from .model import TrajectoryParams
 from .telemetry import (MIN_FACE_HAND_DISTANCE, ReferenceStats, SkeletonFrame,
-                        TaskSlice, scale_frame, skeleton_frames)
+                        TaskSlice, face_hand_medians, scale_frame,
+                        skeleton_frames)
 
 ANOMALY_KINDS = ("fall", "orientation", "hand-position")
+ANOMALY_WINDOW = 0.5  # s of corrected frames an anomaly is judged over
+FALL_HEIGHT_FRACTION = 0.5  # of the reference face height; lower is a fall
+HAND_PROXIMITY_FACTOR = 3.0  # match radii; farther from the target is away
+STATION_FORWARD = np.array([0.0, 0.0, 1.0])  # unit; facing against it is away
 
 
 @dataclass(frozen=True)
@@ -83,14 +87,14 @@ def key_frame_count(duration: float, key_rate: float) -> int:
     return max(1, math.ceil(duration * key_rate))
 
 
-def build_reference_track(ref_slice: TaskSlice, params: TrajectoryParams,
-                          user: str | None = None) -> ReferenceTrack:
+def build_reference_track(ref_slice: TaskSlice,
+                          params: TrajectoryParams) -> ReferenceTrack:
     """Downsample the reference skeleton stream to key frames.
 
     Key frame k targets time t0 + k/key_rate and takes the first recorded
     frame at or after it (the last frame when the stream ends early).
     """
-    frames = skeleton_frames(ref_slice.events, user)
+    frames = skeleton_frames(ref_slice.events)
     if not frames:
         raise ValueError(f"reference slice for {ref_slice.task_id!r} has no skeleton frames")
     count = key_frame_count(ref_slice.duration, params.key_rate)
@@ -180,13 +184,6 @@ def facing_direction(frame: SkeletonFrame) -> np.ndarray | None:
     return out / norm
 
 
-@lru_cache(maxsize=16)
-def _station(forward: tuple[float, float, float]) -> tuple[np.ndarray, float]:
-    """Station forward direction as an array, with its norm."""
-    station = np.asarray(forward, dtype=np.float64)
-    return station, float(np.linalg.norm(station))
-
-
 def detect_anomalies(window: Sequence[tuple[float, SkeletonFrame]],
                      params: TrajectoryParams,
                      ref_stats: ReferenceStats,
@@ -196,29 +193,27 @@ def detect_anomalies(window: Sequence[tuple[float, SkeletonFrame]],
 
     Returns (kinds, warming_up, facing), where facing is the newest
     frame's facing_direction (None while warming up). A window spanning
-    less than params.anomaly_window seconds only warms up. Fall and
-    orientation are judged on the newest frame; hand-position requires the
-    assessed hand to stay beyond hand_proximity_factor * match_radius from
-    its current target across the whole window.
+    less than ANOMALY_WINDOW seconds only warms up. Fall and orientation
+    are judged on the newest frame; hand-position requires the assessed
+    hand to stay beyond HAND_PROXIMITY_FACTOR * match_radius from its
+    current target across the whole window.
     """
-    if not window or window[-1][0] - window[0][0] < params.anomaly_window:
+    if not window or window[-1][0] - window[0][0] < ANOMALY_WINDOW:
         return set(), True, None
     kinds: set[str] = set()
     latest = window[-1][1]
 
     if latest.has("head"):
-        if latest.position("head")[1] < params.fall_height_fraction * ref_stats.face_height:
+        if latest.position("head")[1] < FALL_HEIGHT_FRACTION * ref_stats.face_height:
             kinds.add("fall")
 
     facing = facing_direction(latest)
-    if facing is not None:
-        station, norm = _station(params.station_forward)
-        if norm > 0 and float(facing @ station) / norm < 0.0:  # cos > 90 degrees
-            kinds.add("orientation")
+    if facing is not None and float(facing @ STATION_FORWARD) < 0.0:  # cos > 90 degrees
+        kinds.add("orientation")
 
     hand = ref_stats.hand_joint
     if current_target is not None and hand in current_target:
-        limit = params.hand_proximity_factor * params.match_radius
+        limit = HAND_PROXIMITY_FACTOR * params.match_radius
         goal = current_target[hand]
         away = True
         seen = False
@@ -350,15 +345,12 @@ class ActionEvaluator:
     # -- correction ---------------------------------------------------------
 
     def _compute_factor(self) -> float:
-        frames = [f for _, f in self._pending]
-        usable = [f for f in frames
-                  if f.has("head") and f.has(self.ref_stats.hand_joint)]
-        if not usable:
+        try:
+            _, d = face_hand_medians((f for _, f in self._pending),
+                                     self.ref_stats.hand_joint)
+        except ValueError:
             self._warnings.append("height correction skipped: no usable frames")
             return 1.0
-        heads = np.array([f.position("head") for f in usable])
-        hands = np.array([f.position(self.ref_stats.hand_joint) for f in usable])
-        d = float(np.median(np.linalg.norm(heads - hands, axis=1)))
         if d < MIN_FACE_HAND_DISTANCE:
             self._warnings.append("height correction refused: degenerate pose")
             return 1.0
@@ -395,7 +387,7 @@ class ActionEvaluator:
         corrected = scale_frame(frame, self.factor)
         window = self._window
         window.append((t, corrected))
-        while len(window) >= 2 and window[1][0] <= t - self.params.anomaly_window:
+        while len(window) >= 2 and window[1][0] <= t - ANOMALY_WINDOW:
             window.pop(0)
 
         target = None if self.state.complete else self._targets[self.state.cursor]

@@ -252,6 +252,44 @@ def test_reference_missing_tracked_joint_is_the_same_warning_in_score_and_stream
             "joint 'knee-left' at key frame 0\n") in batch_out.read_text()
 
 
+@pytest.mark.parametrize("headless, warning", [
+    ((0.6, 0.61), None),
+    ((0.0, 1.6), "warning task T1: action level cannot be scored: "
+                 "no skeleton frame holds both head and hand-right\n"),
+], ids=["one-frame", "first-second"])
+def test_reference_frames_without_head_are_the_same_in_score_and_stream(
+        run, demo_dir, tmp_path, monkeypatch, headless, warning):
+    rec = parse_session((demo_dir / "hydrometer.rec").read_text(), "ref")
+    events = []
+    for e in rec.events:
+        p = e.payload
+        if isinstance(p, SkeletonFrame) and headless[0] <= e.t < headless[1]:
+            keep = [i for i, n in enumerate(p.names) if n != "head"]
+            p = SkeletonFrame(names=tuple(p.names[i] for i in keep),
+                              positions=p.positions[keep])
+        events.append(Event(e.t, e.user, p))
+    refs = tmp_path / "headless.rec"
+    refs.write_text(serialize_recording(
+        SessionRecording(rec.session_id, rec.user_ids, tuple(events))))
+    batch_out = tmp_path / "batch.txt"
+    code, _, err = run("score", "--net", hydro(demo_dir, "ahtn"),
+                       "--refs", str(refs),
+                       "--session", hydro(demo_dir, "rec"), "--out", str(batch_out))
+    assert code == 0, err
+    stream_out = tmp_path / "stream.txt"
+    monkeypatch.setattr("sys.stdin",
+                        io.StringIO((demo_dir / "hydrometer.rec").read_text()))
+    code, _, err = run("stream", "--net", hydro(demo_dir, "ahtn"),
+                       "--refs", str(refs), "--out", str(stream_out))
+    assert code == 0, err
+    assert stream_out.read_bytes() == batch_out.read_bytes()
+    report = batch_out.read_text()
+    if warning is None:
+        assert "cannot be scored" not in report
+    else:
+        assert warning in report
+
+
 def test_stream_emits_realtime_feedback(run, demo_dir, tmp_path, monkeypatch):
     monkeypatch.setattr("sys.stdin",
                         io.StringIO((demo_dir / "collaborative.rec").read_text()))

@@ -1,18 +1,23 @@
 """Session routing, feedback gating, aggregation, and report assembly."""
 
+import functools
 import gc
+import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from ahtn import fixtures
 from ahtn.engine import (Defaults, EngineConfig, Session, aggregate,
                          build_reference_set, score_recording)
-from ahtn.checks import CheckDefaults
+from ahtn.checks import FEATURE_KINDS, CheckDefaults
 from ahtn.model import parse_network, with_trajectory_defaults
 from ahtn.report import render_report
 from ahtn.telemetry import (Event, SessionRecording, SkeletonFrame, TaskMark,
-                            TextInput, parse_session)
+                            TextInput, parse_event_line, parse_session,
+                            serialize_recording)
 
 
 def cfg(net, refs, **kw):
@@ -129,6 +134,107 @@ def test_group_self_replay_identity():
     assert all(abs(m.omega - 1.0) <= 1e-12 for m in entry.members)
 
 
+# -- one rule for which events a task reads ---------------------------------------
+
+@functools.cache
+def demo(name):
+    """A bundled network and its reference recording as text."""
+    rec = getattr(fixtures, f"{name}_reference")()
+    return getattr(fixtures, f"{name}_network")(), serialize_recording(rec)
+
+
+def move_marks(text, fractions):
+    """The recording with each mark line moved within its run of
+    equal-timestamp lines, to the place the next fraction picks (0 before
+    the run's first other line, 1 after its last); other lines keep their
+    order."""
+    draws = iter(fractions)
+    out = []
+    for _, run in itertools.groupby(text.splitlines(),
+                                    key=lambda line: line.split(None, 1)[0]):
+        run = list(run)
+        lines = [line for line in run if " mark " not in line]
+        for mark in (line for line in run if " mark " in line):
+            lines.insert(min(int(next(draws) * (len(lines) + 1)), len(lines)),
+                         mark)
+        out.extend(lines)
+    return "\n".join(out) + "\n"
+
+
+# Attachment is left out: it reads only the learner's slice, and an "on"
+# written at a start mark's time but before the mark lies outside the task
+# on both sides, so where the start mark sits among same-time lines moves
+# the learner's attachment score. Every check that compares with the
+# reference, and every trajectory, reads the same events on both sides.
+@pytest.mark.parametrize("name", ["hydrometer", "collaborative"])
+@settings(max_examples=8, deadline=None)
+@given(fractions=st.lists(st.floats(0.0, 1.0), min_size=10, max_size=10))
+@example(fractions=[0.0] * 10)
+@example(fractions=[1.0] * 10)
+def test_self_replay_holds_wherever_a_mark_sits_among_same_time_lines(
+        name, fractions):
+    net, text = demo(name)
+    moved = move_marks(text, fractions)
+    rec = parse_session(moved)
+    config = cfg(net, build_reference_set(net, [(rec, 1.0)]))
+    batch = score_recording(config, rec)
+    live = Session(config, session_id=rec.session_id)
+    for lineno, line in enumerate(moved.splitlines(), 1):
+        live.ingest(parse_event_line(line, lineno))
+    assert render_report(live.finalize()) == render_report(batch)
+    for scope in batch.scopes:
+        for entry in scope.entries:
+            spec = net.nodes[entry.task_id].assessment
+            for member in entry.members:
+                assert (member.trajectory is not None) == spec.has_action_level
+                if member.trajectory is not None:
+                    assert member.trajectory.score == 1.0, entry.task_id
+                results = member.task_score.checks if member.task_score else ()
+                for check, result in zip(spec.checks, results):
+                    if check.kind in FEATURE_KINDS:
+                        assert result.score == 1.0, (entry.task_id, result)
+
+
+def test_reference_reads_the_events_a_session_routes(monkeypatch):
+    from ahtn import checks, engine
+    net = parse_network(
+        "task T\n  kind primitive\n  user single u\n  weight 1.0\n"
+        "  objects cup head hand-right\n  assess both\n"
+        "  check orientation subject=cup\n  feedback final\nend\n")
+    skel = "skel head=0,1.7,0;hand-right=0.4,1.2,0.1"
+    lines = [
+        "t=0.0 u=u pose cup 0 1 0 0 0 0 1",
+        "t=1.0 u=u pose cup 0.1 1 0 0 0 0 1",  # same time, before the start
+        "t=1.0 u=u mark T start",
+        f"t=1.0 u=b {skel}",  # bystander
+        f"t=1.0 u=u {skel}",
+        "t=1.5 u=u pose plate 0 1 0 0 0 0 1",  # unlisted object
+        "t=1.5 u=u collide plate bowl",
+        "t=1.5 u=u collide cup plate",
+        't=1.5 u=u text field "1"',
+        "t=1.5 u=u attach cup hand-right on",
+        "t=2.0 u=b pose cup 0.3 1 0 0 0 0 1",
+        "t=2.0 u=u pose cup 0.2 1 0 0 0 0 1",
+        f"t=2.0 u=u {skel}",
+        "t=3.0 u=u mark T end",
+        "t=3.0 u=u pose cup 0.4 1 0 0 0 0 1",  # same time, after the end
+    ]
+    rec = parse_session("\n".join(lines) + "\n")
+    reads = []
+    extract = checks.extract_features
+
+    def recording(slice_, specs):
+        reads.append(slice_.events)
+        return extract(slice_, specs)
+
+    monkeypatch.setattr(checks, "extract_features", recording)
+    monkeypatch.setattr(engine, "extract_features", recording)
+    refs = build_reference_set(net, [(rec, 1.0)])
+    score_recording(cfg(net, refs), rec)
+    reference, learner = reads
+    assert reference == learner == tuple(rec.events[i] for i in (4, 7, 9, 11, 12))
+
+
 # -- feedback gating ------------------------------------------------------------
 
 def test_final_feedback_emits_nothing_live(hydro_net, hydro_rec, hydro_refs):
@@ -139,8 +245,7 @@ def test_final_feedback_emits_nothing_live(hydro_net, hydro_rec, hydro_refs):
 
 
 def test_realtime_feedback_emits_scores_and_bursts(collab_net, collab_rec, collab_refs):
-    sink: list[str] = []
-    session = Session(cfg(collab_net, collab_refs, feedback_sink=sink.append))
+    session = Session(cfg(collab_net, collab_refs))
     messages = session.consume(collab_rec)
     session.finalize()
     by_kind: dict[str, list] = {}
@@ -151,8 +256,6 @@ def test_realtime_feedback_emits_scores_and_bursts(collab_net, collab_rec, colla
     assert all("pass=true" in m.payload for m in by_kind["task-score"])
     assert any("task=C5" in m.payload for m in by_kind["burst"])
     assert "anomaly" not in by_kind and "abort" not in by_kind
-    # the sink saw every message, rendered
-    assert sink == [m.render() + "\n" for m in messages]
 
 
 def test_message_render_format(collab_net, collab_rec, collab_refs):

@@ -11,9 +11,9 @@ from ahtn import telemetry
 from ahtn.model import TrajectoryParams
 from ahtn.telemetry import (Attach, Collision, Event, Pose, RecordingError,
                             ReferenceStats, SkeletonFrame, TaskMark,
-                            TaskSlice, TextInput, parse_event_line,
-                            parse_session, reference_stats, scale_frame,
-                            serialize_event, serialize_recording, slice_task)
+                            TaskSlice, TaskSlicer, TextInput,
+                            parse_event_line, parse_session, reference_stats,
+                            scale_frame, serialize_event, serialize_recording)
 from ahtn.trajectory import ActionEvaluator, build_reference_track
 from conftest import reduce_reference
 
@@ -446,10 +446,25 @@ def test_slice_closed_interval():
             "t=4.0 u=a collide e f\n"
             "t=4.0 u=a mark T end\n"
             "t=5.0 u=a collide g h\n")
-    sl = slice_task(parse_session(text), "T")
+    sl = TaskSlicer(parse_session(text)).cut("T")
     assert sl.t0 == 1.0 and sl.t1 == 4.0 and sl.duration == 3.0
     pairs = [(e.payload.object_id, e.payload.other_id) for e in sl.events]
     assert pairs == [("a", "b"), ("c", "d"), ("e", "f")]
+
+
+def test_slice_cuts_at_the_marks_not_at_their_times():
+    # same-time events on the far side of a mark stay outside, as they do
+    # for a live Session, which sees them before the start or after the end
+    text = ("t=1.0 u=a collide before start\n"
+            "t=1.0 u=a mark T start\n"
+            "t=1.0 u=a collide a b\n"
+            "t=4.0 u=a collide e f\n"
+            "t=4.0 u=a mark T end\n"
+            "t=4.0 u=a collide after end\n")
+    sl = TaskSlicer(parse_session(text)).cut("T")
+    assert sl.t0 == 1.0 and sl.t1 == 4.0
+    pairs = [(e.payload.object_id, e.payload.other_id) for e in sl.events]
+    assert pairs == [("a", "b"), ("e", "f")]
 
 
 def test_slice_excludes_only_own_marks():
@@ -457,7 +472,7 @@ def test_slice_excludes_only_own_marks():
             "t=2.0 u=a mark inner start\n"
             "t=3.0 u=a mark inner end\n"
             "t=4.0 u=a mark outer end\n")
-    sl = slice_task(parse_session(text), "outer")
+    sl = TaskSlicer(parse_session(text)).cut("outer")
     kinds = [(e.payload.task_id, e.payload.edge) for e in sl.events]
     assert kinds == [("inner", "start"), ("inner", "end")]
 
@@ -465,15 +480,15 @@ def test_slice_excludes_only_own_marks():
 def test_slice_errors():
     rec = parse_session("t=0 u=a collide x y\n")
     with pytest.raises(ValueError, match="no marks"):
-        slice_task(rec, "T")
+        TaskSlicer(rec).cut("T")
     two = parse_session("t=0 u=a mark T start\nt=1 u=a mark T end\n"
                         "t=2 u=a mark T start\nt=3 u=a mark T end\n")
     with pytest.raises(ValueError, match="multiple mark pairs"):
-        slice_task(two, "T")
+        TaskSlicer(two).cut("T")
 
 
 def test_slice_bundled_matches_brute_scan(hydro_rec):
-    sl = slice_task(hydro_rec, "T2")
+    sl = TaskSlicer(hydro_rec).cut("T2")
     brute = tuple(
         e for e in hydro_rec.events
         if sl.t0 <= e.t <= sl.t1
