@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 
@@ -27,7 +28,7 @@ from .harness import (METHODS, correlate, format_monotonicity,
 from .model import (TaskNetwork, parse_network, validate_network,
                     with_trajectory_defaults)
 from .report import write_report
-from .telemetry import parse_event_line, parse_session
+from .telemetry import parse_session, read_events
 from .trajectory import TrajectoryParams
 
 log = logging.getLogger("ahtn")
@@ -149,11 +150,7 @@ def _cmd_stream(args) -> int:
     config = _engine_config(args)
     session = Session(config)
     count = 0
-    for lineno, raw in enumerate(sys.stdin, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        event = parse_event_line(line, lineno)
+    for event in read_events(sys.stdin):
         count += 1
         for message in session.ingest(event):
             sys.stdout.write(message.render() + "\n")
@@ -194,36 +191,55 @@ def _cmd_correlate(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+def _finite(rule: str, ok):
+    """An argparse type: a finite float for which ``ok`` holds."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not (math.isfinite(value) and ok(value)):
+            raise argparse.ArgumentTypeError(f"must be finite and {rule}: {text!r}")
+        return value
+    return parse
+
+
+_POSITIVE = _finite("> 0", lambda v: v > 0)
+_NON_NEGATIVE = _finite(">= 0", lambda v: v >= 0)
+_SHARE = _finite("in [0, 1]", lambda v: 0 <= v <= 1)
+_PENALTY = _finite("in (0, 1]", lambda v: 0 < v <= 1)  # the network's penalty= rule
+
+
 def _add_override_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("scoring overrides")
-    g.add_argument("--collision-penalty", type=float, default=None,
+    g.add_argument("--collision-penalty", type=_PENALTY, default=None,
                    help="global collision penalty factor (default: per-check, 0.01)")
-    g.add_argument("--orientation-tol", type=float, default=None,
+    g.add_argument("--orientation-tol", type=_POSITIVE, default=None,
                    help="orientation tolerance in radians (default pi/2)")
-    g.add_argument("--position-tol", type=float, default=None,
+    g.add_argument("--position-tol", type=_POSITIVE, default=None,
                    help="position tolerance in meters (default 0.5)")
-    g.add_argument("--text-tol", type=float, default=None,
+    g.add_argument("--text-tol", type=_POSITIVE, default=None,
                    help="numeric text tolerance (default 0.01)")
-    g.add_argument("--pass-threshold", type=float, default=None,
+    g.add_argument("--pass-threshold", type=_SHARE, default=None,
                    help="real-time pass flag threshold (default 0.95)")
-    g.add_argument("--timeout", type=float, default=None,
+    g.add_argument("--timeout", type=_POSITIVE, default=None,
                    help="session timeout in seconds (default 1800)")
-    g.add_argument("--action-share", type=float, default=None,
+    g.add_argument("--action-share", type=_SHARE, default=None,
                    help="trajectory share of a both-mode grade (default 0.5)")
     _add_traj_flags(p)
 
 
 def _add_traj_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("trajectory overrides")
-    g.add_argument("--match-radius", type=float, default=None,
+    g.add_argument("--match-radius", type=_POSITIVE, default=None,
                    help="key pose matching radius in meters (default 0.1)")
-    g.add_argument("--skip-time", type=float, default=None,
+    g.add_argument("--skip-time", type=_NON_NEGATIVE, default=None,
                    help="seconds before an unmatched key pose is skipped (default 5)")
-    g.add_argument("--anomaly-wait", type=float, default=None,
+    g.add_argument("--anomaly-wait", type=_NON_NEGATIVE, default=None,
                    help="seconds of continuous anomaly before abort (default 10)")
-    g.add_argument("--key-rate", type=float, default=None,
+    g.add_argument("--key-rate", type=_POSITIVE, default=None,
                    help="key poses per second sampled from the reference (default 2)")
-    g.add_argument("--anomaly-penalty", type=float, default=None,
+    g.add_argument("--anomaly-penalty", type=_NON_NEGATIVE, default=None,
                    help="score deduction per anomaly episode (default 0.05)")
 
 

@@ -4,8 +4,8 @@ by each task's feedback mode, and aggregates per-scope grades.
 A Session consumes one time-ordered event stream (batch or live, the code
 path is identical) and produces an AssessmentReport. Task activations are
 driven by TaskMark events; each activation buffers the events relevant to
-its task and, for action-level tasks, steps a per-user ActionEvaluator so
-bursts and anomalies surface while the task runs.
+its task until its end mark scores them and, for action-level tasks, steps
+a per-user ActionEvaluator so bursts and anomalies surface as they happen.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .telemetry import (Attach, Collision, Event, Pose, Reference,
                         ReferenceSet, SessionRecording, SkeletonFrame,
                         TaskMark, TaskSlice, TaskSlicer, TextInput,
                         reference_stats)
-from .trajectory import (ActionEvaluator, TrajectorySummary,
-                         build_reference_track)
+from .trajectory import (FEEDBACK_TEXT, PROGRESS_KINDS, ActionEvaluator,
+                         TrajectorySummary, build_reference_track)
 
 
 @dataclass(frozen=True)
@@ -138,12 +138,13 @@ class _TaskRun:
         self.status = "pending"  # pending | active | done
         self.t_start = 0.0
         self.t_end = 0.0
-        self.events: list[Event] = []
+        self.events: dict[str, list[Event]] = {m: [] for m in self.members}
         self.evaluators: dict[str, ActionEvaluator] = {}
         self.out_of_order = False
         self.result: TaskEntry | None = None
         self.warnings: list[str] = []
         self.wants_skeleton = wants_skeleton(node)
+        self.realtime = node.feedback == "real-time"
 
 
 class Session:
@@ -284,42 +285,24 @@ class Session:
                 continue
             if not _relevant(run.node.objects, run.wants_skeleton, event.payload):
                 continue
-            run.events.append(event)
+            run.events[event.user].append(event)
             evaluator = run.evaluators.get(event.user)
             if evaluator is not None and isinstance(event.payload, SkeletonFrame):
                 primitives = evaluator.observe(event.t, event.payload)
-                messages.extend(self._wrap(run, event.t, primitives))
+                if primitives:
+                    messages += self._wrap(run, event.t, primitives)
+                    self._aborted = self._aborted or evaluator.aborted
         return messages
 
-    def _wrap(self, run: _TaskRun, t: float,
+    @staticmethod
+    def _wrap(run: _TaskRun, t: float,
               primitives: list[tuple]) -> list[FeedbackMessage]:
-        realtime = run.node.feedback == "real-time"
-        out: list[FeedbackMessage] = []
-        task = run.node.id
-        for p in primitives:
-            kind = p[0]
-            if kind == "burst":
-                if realtime:
-                    out.append(FeedbackMessage(
-                        t, run.scope_key, "burst",
-                        f"task={task} target={p[1]} joints={p[2]}"))
-            elif kind == "missed":
-                if realtime:
-                    out.append(FeedbackMessage(
-                        t, run.scope_key, "missed", f"task={task} target={p[1]}"))
-            elif kind == "repetition":
-                if realtime:
-                    out.append(FeedbackMessage(
-                        t, run.scope_key, "repetition", f"task={task} n={p[1]}"))
-            elif kind == "anomaly":
-                out.append(FeedbackMessage(
-                    t, run.scope_key, "anomaly",
-                    f"task={task} anomaly={p[1]} edge={p[2]}"))
-            elif kind == "abort":
-                self._aborted = True
-                out.append(FeedbackMessage(
-                    t, run.scope_key, "abort", f"task={task} anomaly={p[1]}"))
-        return out
+        """An evaluator's primitives as messages; target progress goes
+        to real-time tasks only."""
+        return [FeedbackMessage(t, run.scope_key, kind,
+                                FEEDBACK_TEXT[kind].format(run.node.id, *fields))
+                for kind, *fields in primitives
+                if run.realtime or kind not in PROGRESS_KINDS]
 
     # -- evaluation ---------------------------------------------------------
 
@@ -330,7 +313,8 @@ class Session:
         quality = 1.0
         if refs:
             quality = self._best_reference(refs)[0].quality
-        if not run.events:
+        events, run.events = run.events, {}  # read here only; release them
+        if not any(events.values()):
             run.warnings.append(
                 f"no events routed from {', '.join(run.members)}")
 
@@ -338,7 +322,7 @@ class Session:
         for member in run.members:
             member_slice = TaskSlice(
                 task_id=node.id, t0=run.t_start, t1=run.t_end,
-                events=tuple(e for e in run.events if e.user == member))
+                events=tuple(events[member]))
             task_score: TaskScore | None = None
             traj: TrajectorySummary | None = None
             parts: list[tuple[float, float]] = []  # (share, value)
@@ -391,7 +375,7 @@ class Session:
             time_factor=time_factor)
         self._warnings.extend(f"task {node.id}: {w}" for w in run.warnings)
 
-        if node.feedback != "real-time":
+        if not run.realtime:
             return []
         passed = omega >= self.defaults.pass_threshold
         return [

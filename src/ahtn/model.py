@@ -104,7 +104,6 @@ class TrajectoryParams:
     match_radius: float = 0.10
     skip_time: float = 5.0
     anomaly_wait: float = 10.0
-    repetitions: int = 1
     anomaly_penalty: float = 0.05
     key_rate: float = 2.0
 

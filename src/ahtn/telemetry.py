@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -361,7 +361,7 @@ def parse_session(text: str, session_id: str = "session") -> SessionRecording:
     The text is taken ``PARSE_BLOCK_LINES`` lines at a time. A block is
     first converted in bulk (``_convert_block``); if that meets anything it
     does not accept, the block is parsed again from the same stream state
-    by the per-line loop (``_parse_lines``), whose events and errors are
+    by the per-line loop (``read_events``), whose events and errors are
     the result."""
     lines = text.splitlines()
     events: list[Event] = []
@@ -375,7 +375,8 @@ def parse_session(text: str, session_id: str = "session") -> SessionRecording:
         except ValueError:
             del events[kept:]
             open_marks = block_marks
-            last_t = _parse_lines(block, first + 1, last_t, open_marks, events)
+            events.extend(read_events(block, first + 1, last_t, open_marks))
+            last_t = events[-1].t if events else last_t
 
     if open_marks:
         task_id, lineno = next(iter(open_marks.items()))
@@ -400,11 +401,16 @@ def _track_mark(mark: TaskMark, lineno: int, open_marks: dict[str, int]) -> None
         del open_marks[task_id]
 
 
-def _parse_lines(lines: list[str], lineno: int, last_t: float,
-                 open_marks: dict[str, int], events: list[Event]) -> float:
+def read_events(lines: Iterable[str], lineno: int = 1,
+                last_t: float = -math.inf,
+                open_marks: dict[str, int] | None = None) -> Iterator[Event]:
     """The per-line reference loop: ``parse_event_line`` and the stream
-    checks, line by line from ``lineno``. Appends to ``events``, updates
-    ``open_marks`` and returns the last timestamp."""
+    checks, line by line from ``lineno``, yielding each event. A timestamp
+    regression and a nested or unopened mark raise with their line
+    number; ``open_marks`` (task id -> line of its open start mark) is
+    updated in place."""
+    if open_marks is None:
+        open_marks = {}
     for lineno, raw in enumerate(lines, lineno):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -416,15 +422,14 @@ def _parse_lines(lines: list[str], lineno: int, last_t: float,
         last_t = event.t
         if type(event.payload) is TaskMark:
             _track_mark(event.payload, lineno, open_marks)
-        events.append(event)
-    return last_t
+        yield event
 
 
 def _convert_block(lines: list[str], lineno: int, last_t: float,
                    open_marks: dict[str, int], events: list[Event]) -> float:
-    """Bulk form of ``_parse_lines`` with the same result for every block
+    """Bulk form of ``read_events`` with the same result for every block
     it accepts; it raises ValueError on anything else, and the caller then
-    runs ``_parse_lines`` on the block.
+    runs ``read_events`` on the block.
 
     Pass 1 splits each line into its t=, u= and kind fields and does the
     stream checks. Mark, attach, collide and text lines go through

@@ -2,22 +2,28 @@
 
 A reference performance is downsampled to key frames (default 2 Hz) once,
 when the reference set is built (``build_reference_track``). Each key
-frame spawns one target: the reference positions of the tracked joints,
-one row of the ReferenceTrack an ActionEvaluator is given. The user bursts the target by bringing
-every tracked joint within the match radius (closed ball); a frame missing
-a tracked joint never bursts. A target with no match for longer than the
-skip time is retired as missed and the next one spawns. Frames are height
-corrected first (ActionEvaluator: one factor from the median face-hand
-distance of the first second). Meanwhile a short sliding window of
+frame is one target: the reference positions of the tracked joints, one
+row of the ReferenceTrack an ActionEvaluator is given.
+
+The ActionEvaluator is the whole streaming machine, for one user and one
+task activation. Frames are height corrected first (one factor from the
+median face-hand distance of the first second). Targets spawn one at a
+time, in order. The user bursts the target in flight by bringing every
+tracked joint within the match radius (closed ball); a frame missing a
+tracked joint never bursts. A target with no match for longer than the
+skip time is retired as missed and the next one spawns; retiring the last
+target completes the evaluator. Meanwhile a short sliding window of
 corrected frames feeds anomaly detection (fall, facing away from the
 station, hand far from its target); an anomaly continuously active beyond
-the wait time aborts the evaluation.
-"""
+the wait time aborts the evaluation. ``finalize`` scores it.
 
+The evaluator reports what happens as feedback primitives, tuples led by
+their kind; ``FEEDBACK_TEXT`` holds each kind's message text.
+"""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,31 +40,23 @@ FALL_HEIGHT_FRACTION = 0.5  # of the reference face height; lower is a fall
 HAND_PROXIMITY_FACTOR = 3.0  # match radii; farther from the target is away
 STATION_FORWARD = np.array([0.0, 0.0, 1.0])  # unit; facing against it is away
 
+# feedback kind -> message text, formatted with the task id and then the
+# fields of the primitive, e.g. ("burst", target, joint count)
+FEEDBACK_TEXT = {
+    "burst": "task={} target={} joints={}",
+    "missed": "task={} target={}",
+    "repetition": "task={} n={}",
+    "anomaly": "task={} anomaly={} edge={}",
+    "abort": "task={} anomaly={}",
+}
+PROGRESS_KINDS = frozenset(("burst", "missed", "repetition"))  # real-time tasks only
+
 
 @dataclass(frozen=True)
 class Anomaly:
     kind: str
     t_start: float
     t_end: float
-
-
-@dataclass(frozen=True)
-class TrajectoryState:
-    cursor: int = 0
-    burst: int = 0
-    missed: int = 0
-    repetitions_done: int = 0
-    spawned: int = 1
-    spawned_at: float = 0.0
-    complete: bool = False
-    active_anomalies: tuple[tuple[str, float], ...] = ()
-    anomaly_log: tuple[Anomaly, ...] = ()
-    aborted: bool = False
-    abort_kind: str | None = None
-
-    @property
-    def retired(self) -> int:
-        return self.burst + self.missed
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,50 +112,6 @@ def build_reference_track(ref_slice: TaskSlice,
                 raise ValueError(f"reference missing joint {joint!r} at key frame {k}")
             positions[k, j] = frame.position(joint)
     return ReferenceTrack(params=params, times=times, positions=positions)
-
-
-def step_trajectory(state: TrajectoryState, t: float, track: ReferenceTrack,
-                    params: TrajectoryParams, matched: bool):
-    """One matching transition given whether the current frame matched the
-    cursor's target. Returns (new state, feedback primitives).
-
-    Feedback primitives are tuples: ("burst", frame-index, joint-count),
-    ("missed", frame-index), ("repetition", n). At most one target is
-    retired per call; an already complete or aborted state passes through
-    unchanged.
-    """
-    if state.aborted or state.complete:
-        return state, []
-    events: list[tuple] = []
-    if matched:
-        state = replace(state, burst=state.burst + 1)
-        events.append(("burst", state.cursor, len(track.joint_ids)))
-    elif t - state.spawned_at > params.skip_time:
-        state = replace(state, missed=state.missed + 1)
-        events.append(("missed", state.cursor))
-    else:
-        return state, events
-
-    cursor = state.cursor + 1
-    if cursor >= track.key_frames:
-        done = state.repetitions_done + 1
-        if done < params.repetitions:
-            state = replace(state, cursor=0, repetitions_done=done,
-                            spawned=state.spawned + 1, spawned_at=t)
-        else:
-            state = replace(state, repetitions_done=done, complete=True)
-        events.append(("repetition", done))
-    else:
-        state = replace(state, cursor=cursor,
-                        spawned=state.spawned + 1, spawned_at=t)
-    return state, events
-
-
-def _joint_indices(frame: SkeletonFrame, joints: tuple[str, ...]):
-    try:
-        return np.array([frame.index(j) for j in joints], dtype=np.int64)
-    except KeyError:
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -230,76 +184,12 @@ def detect_anomalies(window: Sequence[tuple[float, SkeletonFrame]],
     return kinds, False, facing
 
 
-def update_anomalies(state: TrajectoryState, kinds: set[str], t: float,
-                     params: TrajectoryParams):
-    """Fold a detection result into the state: opens and closes episodes,
-    and aborts when one kind stays active beyond anomaly_wait.
-
-    Feedback primitives: ("anomaly", kind, "start"|"end"), ("abort", kind).
-    """
-    if state.aborted:
-        return state, []
-    events: list[tuple] = []
-    active = dict(state.active_anomalies)
-
-    for kind in ANOMALY_KINDS:
-        if kind in kinds and kind not in active:
-            active[kind] = t
-            events.append(("anomaly", kind, "start"))
-        elif kind not in kinds and kind in active:
-            onset = active.pop(kind)
-            state = replace(state, anomaly_log=state.anomaly_log
-                            + (Anomaly(kind, onset, t),))
-            events.append(("anomaly", kind, "end"))
-
-    for kind in ANOMALY_KINDS:
-        if kind in active and t - active[kind] > params.anomaly_wait:
-            log = state.anomaly_log + tuple(
-                Anomaly(k, onset, t) for k, onset in active.items())
-            state = replace(state, active_anomalies=(), anomaly_log=log,
-                            aborted=True, abort_kind=kind)
-            events.append(("abort", kind))
-            return state, events
-
-    now_active = tuple(active.items())
-    if now_active != state.active_anomalies:
-        state = replace(state, active_anomalies=now_active)
-    return state, events
-
-
-def close_anomalies(state: TrajectoryState, t: float) -> TrajectoryState:
-    """End any still-active episodes at time t (used at finalize)."""
-    if not state.active_anomalies:
-        return state
-    log = state.anomaly_log + tuple(
-        Anomaly(k, onset, max(onset, t)) for k, onset in state.active_anomalies)
-    return replace(state, active_anomalies=(), anomaly_log=log)
-
-
 # ---------------------------------------------------------------------------
-# scoring
-
-def trajectory_score(state: TrajectoryState,
-                     params: TrajectoryParams) -> tuple[float, str]:
-    """Burst ratio minus a penalty per anomaly episode, clamped to [0, 1].
-
-    Aborted evaluations score 0; so does a state that never retired a
-    target. Returns (score, detail)."""
-    if state.aborted:
-        return 0.0, f"aborted: {state.abort_kind} anomaly exceeded wait"
-    total = state.burst + state.missed
-    if total == 0:
-        return 0.0, "no trajectory activity"
-    episodes = len(state.anomaly_log)
-    score = max(0.0, state.burst / total - params.anomaly_penalty * episodes)
-    return score, (f"burst {state.burst}/{total}, {episodes} anomaly episodes")
-
+# the evaluator
 
 @dataclass(frozen=True)
 class TrajectorySummary:
-    task_id: str
     score: float
-    detail: str
     burst: int
     missed: int
     spawned: int
@@ -320,7 +210,8 @@ class ActionEvaluator:
     can be computed from the median face-hand distance of that window
     (matching how reference statistics are taken), then replayed. Once the
     factor is not 1, a frame without a head cannot be corrected: it is
-    skipped, with one warning per evaluator.
+    skipped, with one warning per evaluator. After an abort the evaluator
+    is inert.
     """
 
     def __init__(self, task_id: str, track: ReferenceTrack,
@@ -330,7 +221,18 @@ class ActionEvaluator:
         self.params = track.params
         self.ref_stats = ref_stats
         self.t_start = t_start
-        self.state = TrajectoryState(spawned_at=t_start)
+        # targets 0..cursor have spawned; the cursor's one is in flight
+        # until it is retired, burst or missed, and the last one retired
+        # completes the evaluator
+        self.cursor = 0
+        self.spawned_at = t_start
+        self.burst = 0
+        self.missed = 0
+        self.complete = False
+        self.aborted = False
+        self.abort_kind: str | None = None
+        self.open_episodes: dict[str, float] = {}  # kind -> onset, oldest first
+        self.anomalies: list[Anomaly] = []  # closed episodes
         # joint -> target position, one dict per key frame
         self._targets = [dict(zip(self.track.joint_ids, row))
                          for row in self.track.positions]
@@ -356,25 +258,32 @@ class ActionEvaluator:
             return 1.0
         return self.ref_stats.face_hand_distance / d
 
+    def _warm_up(self) -> list[tuple]:
+        """Close the warm-up window: fix the factor from the buffered
+        frames and replay them, up to an abort."""
+        self.factor = self._compute_factor()
+        events: list[tuple] = []
+        for t, frame in self._pending:
+            events += self._step(t, frame)
+            if self.aborted:
+                break
+        self._pending.clear()
+        return events
+
     # -- streaming ----------------------------------------------------------
 
     def observe(self, t: float, frame: SkeletonFrame) -> list[tuple]:
-        if self.state.aborted:
+        if self.aborted:
             return []
-        if self.factor is None:
-            if t <= self.t_start + 1.0:
-                self._pending.append((t, frame))
-                return []
-            self.factor = self._compute_factor()
-            events: list[tuple] = []
-            for pt, pf in self._pending:
-                events.extend(self._step(pt, pf))
-                if self.state.aborted:
-                    return events
-            self._pending.clear()
-            events.extend(self._step(t, frame))
-            return events
-        return self._step(t, frame)
+        if self.factor is not None:
+            return self._step(t, frame)
+        if t <= self.t_start + 1.0:
+            self._pending.append((t, frame))
+            return []
+        events = self._warm_up()
+        if not self.aborted:
+            events += self._step(t, frame)
+        return events
 
     def _step(self, t: float, frame: SkeletonFrame) -> list[tuple]:
         if self.factor != 1.0 and not frame.has("head"):
@@ -390,7 +299,7 @@ class ActionEvaluator:
         while len(window) >= 2 and window[1][0] <= t - ANOMALY_WINDOW:
             window.pop(0)
 
-        target = None if self.state.complete else self._targets[self.state.cursor]
+        target = None if self.complete else self._targets[self.cursor]
         kinds, warming, facing = detect_anomalies(window, self.params,
                                                   self.ref_stats, target)
         events: list[tuple] = []
@@ -399,25 +308,68 @@ class ActionEvaluator:
                 self._facing_warned = True
                 self._warnings.append(
                     "orientation anomaly disabled: no shoulder or head-forward joints")
-            self.state, anomaly_events = update_anomalies(
-                self.state, kinds, t, self.params)
-            events.extend(anomaly_events)
-            if self.state.aborted:
+            events = self._watch(t, kinds)
+            if self.aborted:
                 return events
-
-        matched = self._matches(corrected)
-        self.state, step_events = step_trajectory(
-            self.state, t, self.track, self.params, matched)
-        events.extend(step_events)
+        if not self.complete:
+            events += self._advance(t, self._matches(corrected))
         return events
 
+    def _advance(self, t: float, matched: bool) -> list[tuple]:
+        """Retire the target in flight when the frame matched it (burst)
+        or it has waited strictly longer than skip_time (missed), then
+        spawn the next one."""
+        if matched:
+            self.burst += 1
+            events = [("burst", self.cursor, len(self.track.joint_ids))]
+        elif t - self.spawned_at > self.params.skip_time:
+            self.missed += 1
+            events = [("missed", self.cursor)]
+        else:
+            return []
+        if self.cursor + 1 < self.track.key_frames:
+            self.cursor += 1
+            self.spawned_at = t
+        else:
+            self.complete = True
+            events.append(("repetition", 1))
+        return events
+
+    def _watch(self, t: float, kinds: set[str]) -> list[tuple]:
+        """Open an episode for each newly active anomaly kind and close
+        each that cleared; abort when one has been open strictly longer
+        than anomaly_wait."""
+        events: list[tuple] = []
+        episodes = self.open_episodes
+        for kind in ANOMALY_KINDS:
+            if kind in kinds:
+                if kind not in episodes:
+                    episodes[kind] = t
+                    events.append(("anomaly", kind, "start"))
+            elif kind in episodes:
+                self.anomalies.append(Anomaly(kind, episodes.pop(kind), t))
+                events.append(("anomaly", kind, "end"))
+        for kind in ANOMALY_KINDS:
+            if kind in episodes and t - episodes[kind] > self.params.anomaly_wait:
+                self._close_episodes(t)
+                self.aborted = True
+                self.abort_kind = kind
+                events.append(("abort", kind))
+                break
+        return events
+
+    def _close_episodes(self, t: float) -> None:
+        self.anomalies.extend(Anomaly(kind, onset, max(onset, t))
+                              for kind, onset in self.open_episodes.items())
+        self.open_episodes.clear()
+
     def _matches(self, frame: SkeletonFrame) -> bool:
-        if self.state.complete:
-            return False
         idx = self._index_cache.get(frame.names)
         if idx is None:
-            idx = _joint_indices(frame, self.track.joint_ids)
-            if idx is None:
+            try:
+                idx = np.array([frame.index(j) for j in self.track.joint_ids],
+                               dtype=np.int64)
+            except KeyError:
                 idx = "missing"
                 self._warnings.append(
                     "frames missing tracked joints; targets cannot burst")
@@ -425,31 +377,28 @@ class ActionEvaluator:
         if isinstance(idx, str):
             return False
         return bool(all_within(frame.positions[idx],
-                               self.track.positions[self.state.cursor],
+                               self.track.positions[self.cursor],
                                self.params.match_radius))
 
     # -- finalize -----------------------------------------------------------
 
     def finalize(self, t_end: float) -> TrajectorySummary:
-        if self.factor is None:
-            # task ended inside the warm-up window; replay what we have
-            self.factor = self._compute_factor() if self._pending else 1.0
-            for pt, pf in self._pending:
-                self._step(pt, pf)
-                if self.state.aborted:
-                    break
-            self._pending.clear()
-        state = self.state
-        if not state.aborted and not state.complete and state.spawned > state.retired:
-            state = replace(state, missed=state.missed + 1)
-        state = close_anomalies(state, t_end)
-        self.state = state
-        score, detail = trajectory_score(state, self.params)
+        """Score the activation: the burst ratio minus anomaly_penalty per
+        episode, clamped at 0; 0 when aborted. A target still in flight
+        counts as missed, so the ratio always has a retired target."""
+        if self.factor is None and self._pending:
+            self._warm_up()  # the task ended inside the warm-up window
+        if not self.aborted and not self.complete:
+            self.missed += 1
+        self._close_episodes(t_end)
+        score = 0.0
+        if not self.aborted:
+            score = max(0.0, self.burst / (self.burst + self.missed)
+                        - self.params.anomaly_penalty * len(self.anomalies))
         return TrajectorySummary(
-            task_id=self.task_id, score=score, detail=detail,
-            burst=state.burst, missed=state.missed, spawned=state.spawned,
-            repetitions_done=state.repetitions_done,
-            anomalies=state.anomaly_log, aborted=state.aborted,
-            abort_kind=state.abort_kind,
-            correction_factor=self.factor if self.factor is not None else 1.0,
+            score=score, burst=self.burst, missed=self.missed,
+            spawned=self.cursor + 1, repetitions_done=int(self.complete),
+            anomalies=tuple(self.anomalies), aborted=self.aborted,
+            abort_kind=self.abort_kind,
+            correction_factor=1.0 if self.factor is None else self.factor,
             warnings=tuple(self._warnings))

@@ -143,6 +143,41 @@ def test_score_override_flags_echo_into_report(run, demo_dir, tmp_path):
     assert "config match-radius 0.1" in text  # untouched default still echoed
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--orientation-tol", "0"),  # once a ZeroDivisionError
+    ("--key-rate", "0"),  # once a ZeroDivisionError
+    ("--position-tol", "nan"),  # once scored T3 0 without a word
+    ("--skip-time", "-1"),
+    ("--match-radius", "-1"),  # once matched within 1 m: the radius is squared
+    ("--timeout", "-1"),  # once left every task unperformed
+    ("--orientation-tol", "-1"),
+    ("--collision-penalty", "-1"),
+    ("--action-share", "2"),
+])
+def test_out_of_range_override_is_usage_error(run, demo_dir, tmp_path, flag, value):
+    out_path = tmp_path / "r.txt"
+    code, _, err = run("score", "--net", hydro(demo_dir, "ahtn"),
+                       "--refs", hydro(demo_dir, "rec"),
+                       "--session", hydro(demo_dir, "rec"),
+                       "--out", str(out_path), flag, value)
+    assert code == 2
+    assert f"argument {flag}: must be finite and " in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ("--pass-threshold", "0", "--action-share", "0"),
+    ("--pass-threshold", "1", "--action-share", "1", "--collision-penalty", "1"),
+    ("--skip-time", "0", "--anomaly-wait", "0", "--anomaly-penalty", "0"),
+])
+def test_override_range_edges_are_accepted(run, demo_dir, tmp_path, flags):
+    code, _, err = run("score", "--net", hydro(demo_dir, "ahtn"),
+                       "--refs", hydro(demo_dir, "rec"),
+                       "--session", hydro(demo_dir, "rec"),
+                       "--out", str(tmp_path / "r.txt"), *flags)
+    assert code == 0, err
+
+
 def test_score_missing_reference_names_tasks(run, demo_dir, tmp_path):
     # collaborative references cannot satisfy the hydrometer network
     code, _, err = run("score", "--net", hydro(demo_dir, "ahtn"),
@@ -321,6 +356,41 @@ def test_stream_fails_fast_on_malformed_line(run, demo_dir, tmp_path, monkeypatc
     assert code == 1
     assert "line 3" in err
     assert not out_path.exists()
+
+
+def _stream_and_score(run, demo_dir, tmp_path, monkeypatch, text):
+    """Exit codes and errors of stream and score over the same text."""
+    session = tmp_path / "session.rec"
+    session.write_text(text)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    stream_out = tmp_path / "stream.txt"
+    streamed = run("stream", "--net", hydro(demo_dir, "ahtn"),
+                   "--refs", hydro(demo_dir, "rec"), "--out", str(stream_out))
+    scored = run("score", "--net", hydro(demo_dir, "ahtn"),
+                 "--refs", hydro(demo_dir, "rec"), "--session", str(session),
+                 "--out", str(tmp_path / "score.txt"))
+    assert not stream_out.exists()
+    return (streamed[0], streamed[2]), (scored[0], scored[2])
+
+
+def test_stream_rejects_a_nested_start_mark_like_score(
+        run, demo_dir, tmp_path, monkeypatch):
+    lines = (demo_dir / "hydrometer.rec").read_text().splitlines(keepends=True)
+    assert lines[46] == "t=0.5 u=student mark T1 start\n"
+    text = "".join(lines[:47] + lines[46:])
+    error = "ahtn: error: line 48: nested start mark for task 'T1'\n"
+    assert _stream_and_score(run, demo_dir, tmp_path, monkeypatch, text) == (
+        (1, error), (1, error))
+
+
+def test_stream_names_the_line_of_a_timestamp_regression(
+        run, demo_dir, tmp_path, monkeypatch):
+    lines = (demo_dir / "hydrometer.rec").read_text().splitlines(keepends=True)
+    text = "".join(lines[:100] + [lines[0]] + lines[100:])
+    (code, err), scored = _stream_and_score(run, demo_dir, tmp_path,
+                                            monkeypatch, text)
+    assert code == 1 and "ahtn: error: line 101: timestamp regression: 0.0 after" in err
+    assert scored == (code, err)
 
 
 # -- simulate -----------------------------------------------------------------------

@@ -451,6 +451,22 @@ def test_ingest_rejects_regressions(hydro_net, hydro_refs):
         session.ingest(Event(t=4.0, user="student", payload=TaskMark("T1", "end")))
 
 
+def test_scored_task_holds_no_events(hydro_net, hydro_rec, hydro_refs):
+    session = Session(cfg(hydro_net, hydro_refs))
+    held = {}  # task -> routed events held just before and after its end mark
+    for event in hydro_rec.events:
+        mark = event.payload
+        if isinstance(mark, TaskMark) and mark.edge == "end":
+            run = session._runs[mark.task_id]
+            before = sum(map(len, run.events.values()))
+            session.ingest(event)
+            held[mark.task_id] = (before, sum(map(len, run.events.values())))
+        else:
+            session.ingest(event)
+    assert list(held) == ["T1", "T2", "T3", "T4"]
+    assert all(before > 0 and after == 0 for before, after in held.values())
+
+
 def test_lifecycle_errors(hydro_net, hydro_rec, hydro_refs):
     session = Session(cfg(hydro_net, hydro_refs))
     with pytest.raises(ValueError, match="finalize before start"):

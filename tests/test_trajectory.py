@@ -8,9 +8,8 @@ import pytest
 from ahtn.engine import build_reference_set
 from ahtn.model import TrajectoryParams
 from ahtn.telemetry import Event, ReferenceStats, SkeletonFrame, TaskSlice
-from ahtn.trajectory import (ActionEvaluator, TrajectoryState, build_reference_track,
-                             detect_anomalies, facing_direction, key_frame_count,
-                             step_trajectory, trajectory_score, update_anomalies)
+from ahtn.trajectory import (ActionEvaluator, Anomaly, build_reference_track,
+                             detect_anomalies, facing_direction, key_frame_count)
 
 PARAMS = TrajectoryParams(joint_ids=("head", "hand-right"))
 STATS = ReferenceStats(face_height=1.7, face_hand_distance=0.45,
@@ -114,69 +113,101 @@ def test_match_requires_every_joint():
     assert "frames missing tracked joints; targets cannot burst" in summary.warnings
 
 
-# -- stepping -----------------------------------------------------------------
+# -- stepping and scoring -------------------------------------------------------
+# through observe and finalize. PARKED sits 0.2 m off the 10 s line's first
+# targets: it never bursts, and its hand stays within the hand-position
+# limit (3 match radii); FALL is PARKED with the head below the fall line.
+# Both keep the reference face-hand distance, so the correction factor is 1.
 
-def track_of(duration):
+PARKED = frame(head=(0, 1.7, 0.2), hand_right=(0.45, 1.7, 0.2))
+FALL = frame(head=(0, 0.3, 0.2), hand_right=(0.45, 1.7, 0.2))
+
+
+def track_of(duration, params=PARAMS):
     return build_reference_track(skel_slice(straight_line(duration=duration),
-                                            t1=duration), PARAMS)
+                                            t1=duration), params)
+
+
+def on_target(track, k):
+    head, hand = track.positions[k]
+    return frame(head=tuple(head), hand_right=tuple(hand))
+
+
+def feed(ev, samples):
+    """Observe (t, frame) pairs; the feedback of each observe call."""
+    return [ev.observe(t, f) for t, f in samples]
 
 
 def test_skip_is_strictly_greater_than_five_seconds():
-    track = track_of(10.0)
-    state = TrajectoryState(spawned_at=0.0)
-    state, evs = step_trajectory(state, 5.0, track, PARAMS, matched=False)
-    assert state.missed == 0 and evs == []
-    state, evs = step_trajectory(state, 5.01, track, PARAMS, matched=False)
-    assert state.missed == 1 and evs == [("missed", 0)]
-    assert state.cursor == 1 and state.spawned == 2 and state.spawned_at == 5.01
+    ev = ActionEvaluator("T", track_of(10.0), STATS, t_start=0.0)
+    # warm-up frames, then one past the window that replays them
+    assert feed(ev, [(t, PARKED) for t in (0.0, 0.5, 1.0, 2.0)]) == [[]] * 4
+    assert ev.observe(5.0, PARKED) == [] and ev.missed == 0
+    assert ev.observe(5.01, PARKED) == [("missed", 0)]
+    assert (ev.missed, ev.cursor, ev.spawned_at) == (1, 1, 5.01)
+    assert ev.finalize(5.01).spawned == 2
 
 
 def test_burst_advances_cursor():
     track = track_of(10.0)
-    state = TrajectoryState(spawned_at=0.0)
-    state, evs = step_trajectory(state, 0.3, track, PARAMS, matched=True)
-    assert state.burst == 1 and evs == [("burst", 0, 2)]
-    assert state.cursor == 1
+    ev = ActionEvaluator("T", track, STATS, t_start=0.0)
+    assert ev.observe(0.0, on_target(track, 0)) == []  # warm-up
+    assert ev.observe(1.1, PARKED) == [("burst", 0, 2)]
+    assert (ev.burst, ev.cursor, ev.spawned_at) == (1, 1, 0.0)
 
 
-def test_repetition_wraps_and_completes():
+def test_completed_evaluator_ignores_later_matches():
     track = track_of(1.0)  # K = 2
-    params = TrajectoryParams(joint_ids=PARAMS.joint_ids, repetitions=2)
-    state = TrajectoryState(spawned_at=0.0)
-    seen = []
-    for t in (0.1, 0.2, 0.3, 0.4):
-        state, evs = step_trajectory(state, t, track, params, matched=True)
-        seen.extend(evs)
-    assert state.complete and state.repetitions_done == 2
-    assert state.burst == 4 and state.spawned == 4
-    assert ("repetition", 1) in seen and ("repetition", 2) in seen
-    # complete state is inert
-    state2, evs = step_trajectory(state, 9.0, track, params, matched=True)
-    assert state2 == state and evs == []
+    ev = ActionEvaluator("T", track, STATS, t_start=0.0)
+    assert feed(ev, [(0.0, on_target(track, 0)), (0.5, on_target(track, 1)),
+                     (1.1, on_target(track, 1))]) == [
+        [], [], [("burst", 0, 2), ("burst", 1, 2), ("repetition", 1)]]
+    assert ev.complete
+    assert ev.observe(9.0, on_target(track, 0)) == []
+    assert ev.observe(9.5, on_target(track, 1)) == []
+    summary = ev.finalize(9.5)
+    assert (summary.burst, summary.missed, summary.spawned) == (2, 0, 2)
+    assert summary.repetitions_done == 1 and summary.score == 1.0
 
-
-# -- scoring ------------------------------------------------------------------
 
 def test_score_formula():
-    st = TrajectoryState(burst=15, missed=5,
-                         anomaly_log=(("fall", 0.0, 1.0),))
-    score, detail = trajectory_score(st, PARAMS)
-    assert score == pytest.approx(0.70)
-    assert "15/20" in detail
+    track = track_of(2.0)  # K = 4
+    ev = ActionEvaluator("T", track, STATS, t_start=0.0)
+    head, hand = track.positions[3]
+    fallen_on_3 = frame(head=(head[0], 0.3, head[2]), hand_right=tuple(hand))
+    feedback = feed(ev, [(0.0, on_target(track, 0)), (1.1, on_target(track, 1)),
+                         (3.0, PARKED), (6.5, PARKED), (7.0, fallen_on_3),
+                         (7.5, on_target(track, 3))])
+    assert feedback == [[], [("burst", 0, 2), ("burst", 1, 2)], [],
+                        [("missed", 2)], [("anomaly", "fall", "start")],
+                        [("anomaly", "fall", "end"), ("burst", 3, 2),
+                         ("repetition", 1)]]
+    summary = ev.finalize(7.5)
+    assert (summary.burst, summary.missed, len(summary.anomalies)) == (3, 1, 1)
+    assert summary.score == pytest.approx(3 / 4 - 0.05)
 
 
 def test_score_clamps_at_zero():
-    st = TrajectoryState(burst=1, missed=9,
-                         anomaly_log=tuple(("fall", float(i), i + 0.5) for i in range(3)))
-    assert trajectory_score(st, PARAMS)[0] == 0.0
+    ev = ActionEvaluator("T", track_of(10.0), STATS, t_start=0.0)
+    feed(ev, [(0.0, PARKED), (1.1, PARKED), (1.6, FALL), (2.1, PARKED)])
+    summary = ev.finalize(2.1)
+    # burst 0/1 less one episode's penalty is below 0
+    assert (summary.burst, summary.missed, len(summary.anomalies)) == (0, 1, 1)
+    assert summary.score == 0.0
 
 
 def test_score_aborted_and_empty():
-    aborted = TrajectoryState(aborted=True, abort_kind="fall", burst=10)
-    score, detail = trajectory_score(aborted, PARAMS)
-    assert score == 0.0 and "aborted" in detail
-    score, detail = trajectory_score(TrajectoryState(), PARAMS)
-    assert score == 0.0 and detail == "no trajectory activity"
+    track = track_of(10.0)
+    ev = ActionEvaluator("T", track, STATS, t_start=0.0)
+    feedback = feed(ev, [(0.0, on_target(track, 0))]
+                    + [(1.1 + 0.5 * i, FALL) for i in range(23)])
+    assert [e for f in feedback for e in f if e[0] == "abort"] == [("abort", "fall")]
+    summary = ev.finalize(12.1)
+    assert summary.aborted and summary.burst == 1 and summary.score == 0.0
+
+    idle = ActionEvaluator("T", track, STATS, t_start=0.0).finalize(3.0)
+    assert (idle.burst, idle.missed, idle.spawned) == (0, 1, 1)
+    assert idle.score == 0.0 and idle.correction_factor == 1.0
 
 
 # -- anomalies ----------------------------------------------------------------
@@ -247,28 +278,30 @@ def test_window_shorter_than_half_second_only_warms_up():
     assert warming
 
 
-def test_update_anomalies_episode_lifecycle():
-    state = TrajectoryState()
-    state, evs = update_anomalies(state, {"fall"}, 1.0, PARAMS)
-    assert evs == [("anomaly", "fall", "start")]
-    state, evs = update_anomalies(state, set(), 3.5, PARAMS)
-    assert evs == [("anomaly", "fall", "end")]
-    assert len(state.anomaly_log) == 1
-    ep = state.anomaly_log[0]
-    assert (ep.kind, ep.t_start, ep.t_end) == ("fall", 1.0, 3.5)
+def test_anomaly_episode_lifecycle():
+    ev = ActionEvaluator("T", track_of(10.0), STATS, t_start=0.0)
+    assert feed(ev, [(0.0, PARKED), (1.1, PARKED), (1.6, FALL), (2.0, FALL),
+                     (3.5, PARKED)]) == [
+        [], [], [("anomaly", "fall", "start")], [], [("anomaly", "fall", "end")]]
+    assert ev.anomalies == [Anomaly("fall", 1.6, 3.5)]
+    assert ev.observe(4.0, FALL) == [("anomaly", "fall", "start")]
+    summary = ev.finalize(4.5)  # closes the open episode at the end
+    assert summary.anomalies == (Anomaly("fall", 1.6, 3.5), Anomaly("fall", 4.0, 4.5))
 
 
 def test_abort_after_wait_is_strict():
-    state = TrajectoryState()
-    state, _ = update_anomalies(state, {"fall"}, 0.0, PARAMS)
-    state, evs = update_anomalies(state, {"fall"}, 10.0, PARAMS)
-    assert not state.aborted and evs == []
-    state, evs = update_anomalies(state, {"fall"}, 10.01, PARAMS)
-    assert state.aborted and state.abort_kind == "fall"
-    assert evs == [("abort", "fall")]
-    # aborted state ignores further updates
-    state2, evs = update_anomalies(state, set(), 11.0, PARAMS)
-    assert state2 is state and evs == []
+    params = TrajectoryParams(joint_ids=PARAMS.joint_ids, skip_time=100.0)
+    ev = ActionEvaluator("T", track_of(10.0, params), STATS, t_start=0.0)
+    assert feed(ev, [(0.0, PARKED), (1.5, PARKED), (2.0, FALL), (12.0, FALL)]) == [
+        [], [], [("anomaly", "fall", "start")], []]
+    assert not ev.aborted
+    assert ev.observe(12.25, FALL) == [("abort", "fall")]
+    assert ev.aborted and ev.abort_kind == "fall"
+    # an aborted evaluator ignores further frames
+    assert ev.observe(13.0, PARKED) == []
+    summary = ev.finalize(13.0)
+    assert summary.anomalies == (Anomaly("fall", 2.0, 12.25),)
+    assert (summary.burst, summary.missed) == (0, 0) and summary.score == 0.0
 
 
 # -- streaming evaluator ------------------------------------------------------
