@@ -9,14 +9,14 @@ harness (:mod:`ahtn.harness`) correlates and perturbs. ``ahtn.cli`` wraps
 it all for the command line.
 """
 
-from .checks import CheckDefaults, CheckResult, TaskScore, evaluate_task_level
+from .checks import CheckResult, TaskScore, evaluate_task_level
 from .engine import (Defaults, EngineConfig, Session, aggregate,
                      build_reference_set, score_recording)
 from .harness import (UndefinedCorrelationError, correlate, correlate_values,
                       monotonicity_report, parse_score_pairs, perturb,
                       spec_for_magnitude)
 from .model import (NetworkError, TaskNetwork, TaskNode, parse_network,
-                    ready_tasks, serialize_network, validate_network)
+                    ready_tasks, validate_network)
 from .report import AssessmentReport, FeedbackMessage, render_report, write_report
 from .telemetry import (RecordingError, SessionRecording, parse_event_line,
                         parse_session, serialize_recording)
@@ -25,7 +25,7 @@ from .trajectory import ActionEvaluator, TrajectorySummary
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssessmentReport", "ActionEvaluator", "CheckDefaults", "CheckResult",
+    "AssessmentReport", "ActionEvaluator", "CheckResult",
     "Defaults", "EngineConfig", "FeedbackMessage", "NetworkError",
     "RecordingError", "Session", "SessionRecording", "TaskNetwork",
     "TaskNode", "TaskScore", "TrajectorySummary",
@@ -33,7 +33,7 @@ __all__ = [
     "build_reference_set", "correlate", "correlate_values",
     "evaluate_task_level", "monotonicity_report", "parse_event_line",
     "parse_network", "parse_score_pairs", "parse_session", "perturb",
-    "ready_tasks", "render_report", "score_recording", "serialize_network",
+    "ready_tasks", "render_report", "score_recording",
     "serialize_recording", "spec_for_magnitude", "validate_network",
     "write_report",
     "__version__",

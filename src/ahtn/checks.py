@@ -4,7 +4,7 @@ Five check kinds score how closely a user's slice matches reference
 behaviour: mean orientation, mean position, attachment duration ratio,
 collision count penalty, and text-input comparison. Scores are linear
 ramps clamped to [0, 1]; per-check tolerances come from the CheckSpec and
-fall back to the defaults here.
+fall back to the engine's ``Defaults``.
 
 Orientation, position and text-input compare the user with a reference
 through reductions of each slice (``extract_features``): the subject's
@@ -24,23 +24,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import CheckSpec, TaskNode, is_joint_id
+from .model import CheckSpec, Defaults, TaskNode, is_joint_id
 from .telemetry import (Attach, Collision, Pose, Reference, SkeletonFrame,
                         TaskSlice, TextInput)
 
 
-@dataclass(frozen=True)
-class CheckDefaults:
-    """Fallback tolerances for checks that do not set their own, plus an
-    optional global collision-penalty override."""
-
-    orientation_tol: float = math.pi / 2
-    position_tol: float = 0.5
-    text_tol: float = 0.01
-    collision_penalty: float | None = None
-
-
-DEFAULTS = CheckDefaults()
+DEFAULTS = Defaults()
 
 
 @dataclass(frozen=True)
@@ -221,7 +210,7 @@ def _ramp(value: float, limit: float) -> float:
 # the five checks
 
 def orientation_score(user: Feature, ref: Feature, spec: CheckSpec,
-                      defaults: CheckDefaults = DEFAULTS) -> CheckResult:
+                      defaults: Defaults = DEFAULTS) -> CheckResult:
     """Angle between the mean orientation of the subject in the user slice
     and in the reference, mapped linearly to [0, 1]."""
     tol = spec.tol if spec.tol is not None else defaults.orientation_tol
@@ -235,7 +224,7 @@ def orientation_score(user: Feature, ref: Feature, spec: CheckSpec,
 
 
 def position_score(user: Feature, ref: Feature, spec: CheckSpec,
-                   defaults: CheckDefaults = DEFAULTS) -> CheckResult:
+                   defaults: Defaults = DEFAULTS) -> CheckResult:
     """Distance between mean user and mean reference position of the
     subject (game object or skeleton joint), mapped linearly to [0, 1]."""
     tol = spec.tol if spec.tol is not None else defaults.position_tol
@@ -297,7 +286,7 @@ def attachment_score(user_slice: TaskSlice, spec: CheckSpec) -> CheckResult:
 
 
 def collision_score(user_slice: TaskSlice, spec: CheckSpec,
-                    defaults: CheckDefaults = DEFAULTS) -> CheckResult:
+                    defaults: Defaults = DEFAULTS) -> CheckResult:
     """1 minus a fixed penalty per collision of the subject (optionally
     restricted to one other object), clamped at 0."""
     penalty = (defaults.collision_penalty
@@ -313,7 +302,7 @@ def collision_score(user_slice: TaskSlice, spec: CheckSpec,
 
 
 def text_input_score(user: Feature, ref: Feature, spec: CheckSpec,
-                     defaults: CheckDefaults = DEFAULTS) -> CheckResult:
+                     defaults: Defaults = DEFAULTS) -> CheckResult:
     """Compare the user's last text input for the field with the
     reference's. A reference value that reads as a finite number ramps
     from 1 at |u-r| <= tol down to 0 at 2*tol, and a user value that does
@@ -354,7 +343,7 @@ _CHECK_FUNCS = {
 
 def run_check(spec: CheckSpec, user: TaskSlice | Feature,
               ref: Feature | None = None,
-              defaults: CheckDefaults = DEFAULTS) -> CheckResult:
+              defaults: Defaults = DEFAULTS) -> CheckResult:
     """Run one check; errors become a 0-score result with the error text.
 
     For attachment and collision, which need no reference, ``user`` is the
@@ -369,7 +358,7 @@ def run_check(spec: CheckSpec, user: TaskSlice | Feature,
 
 def evaluate_task_level(node: TaskNode, user_slice: TaskSlice,
                         refs: Sequence[Reference],
-                        defaults: CheckDefaults = DEFAULTS) -> TaskScore:
+                        defaults: Defaults = DEFAULTS) -> TaskScore:
     """Run every check against each reference and keep the best
     quality-scaled outcome.
 

@@ -7,6 +7,11 @@ decay under synthetic perturbation, and ``correlate`` compares two score
 columns. Exit status: 0 on success, 1 on validation or scoring failures,
 2 on usage errors.
 
+The override flags are made from the settings of ``model.Defaults`` and
+``model.TrajectoryParams``, one per setting, and checked by its rule
+(``model.check_setting``), as is each ``--magnitudes`` entry: a bad value
+is a usage error naming the flag.
+
 Diagnostics go to standard error; set AHTN_LOG=info or AHTN_LOG=debug for
 more of them.
 """
@@ -15,33 +20,20 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import os
 import sys
 
-from .checks import CheckDefaults
-from .engine import (Defaults, EngineConfig, Session, build_reference_set,
-                     score_recording)
+from .engine import EngineConfig, Session, build_reference_set, score_recording
 from .harness import (METHODS, correlate, format_monotonicity,
                       monotonicity_csv, monotonicity_report,
                       parse_score_pairs)
-from .model import (TaskNetwork, parse_network, validate_network,
-                    with_trajectory_defaults)
+from .model import (Defaults, TaskNetwork, TrajectoryParams, check_setting,
+                    parse_network, setting_lines, setting_text, settings,
+                    validate_network, with_trajectory_defaults)
 from .report import write_report
 from .telemetry import parse_session, read_events
-from .trajectory import TrajectoryParams
 
 log = logging.getLogger("ahtn")
-
-# flag name -> TrajectoryParams field it overrides on every action-level task
-_TRAJ_FLAGS = {
-    "match_radius": "match_radius",
-    "skip_time": "skip_time",
-    "anomaly_wait": "anomaly_wait",
-    "key_rate": "key_rate",
-    "anomaly_penalty": "anomaly_penalty",
-}
-_TRAJ_BASE = TrajectoryParams(joint_ids=("head",))  # only defaults are read
 
 
 def _setup_logging() -> None:
@@ -59,16 +51,15 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_network(path: str, args=None) -> TaskNetwork:
-    net = parse_network(_read(path))
-    log.info("parsed network %s: %d tasks", path, len(net.nodes))
-    if args is not None:
-        overrides = {field: getattr(args, flag)
-                     for flag, field in _TRAJ_FLAGS.items()
-                     if getattr(args, flag, None) is not None}
-        if overrides:
-            net = with_trajectory_defaults(net, **overrides)
-    return net
+def _settings_from(args, cls) -> dict:
+    """The values of cls's settings as the command's flags hold them."""
+    return {f.name: getattr(args, f.name) for f in settings(cls)}
+
+
+def _load_network(args) -> TaskNetwork:
+    net = parse_network(_read(args.net))
+    log.info("parsed network %s: %d tasks", args.net, len(net.nodes))
+    return with_trajectory_defaults(net, **_settings_from(args, TrajectoryParams))
 
 
 def _load_references(net: TaskNetwork, specs: list[str]):
@@ -87,40 +78,12 @@ def _load_references(net: TaskNetwork, specs: list[str]):
     return build_reference_set(net, pairs)
 
 
-def _pick(flag_value, default):
-    return default if flag_value is None else flag_value
-
-
-def _defaults_from(args) -> Defaults:
-    base_checks = CheckDefaults()
-    base = Defaults()
-    checks = CheckDefaults(
-        orientation_tol=_pick(args.orientation_tol, base_checks.orientation_tol),
-        position_tol=_pick(args.position_tol, base_checks.position_tol),
-        text_tol=_pick(args.text_tol, base_checks.text_tol),
-        collision_penalty=args.collision_penalty)
-    return Defaults(
-        checks=checks,
-        pass_threshold=_pick(args.pass_threshold, base.pass_threshold),
-        timeout=_pick(args.timeout, base.timeout),
-        action_share=_pick(args.action_share, base.action_share))
-
-
-def _traj_echo(args) -> tuple[str, ...]:
-    lines = []
-    for flag, field in _TRAJ_FLAGS.items():
-        value = getattr(args, flag, None)
-        if value is None:
-            value = getattr(_TRAJ_BASE, field)
-        lines.append(f"{flag.replace('_', '-')} {value!r}")
-    return tuple(lines)
-
-
 def _engine_config(args) -> EngineConfig:
-    net = _load_network(args.net, args)
-    refs = _load_references(net, args.refs)
-    return EngineConfig(network=net, references=refs,
-                        defaults=_defaults_from(args), echo=_traj_echo(args))
+    net = _load_network(args)
+    trajectory = TrajectoryParams(joint_ids=(), **_settings_from(args, TrajectoryParams))
+    return EngineConfig(network=net, references=_load_references(net, args.refs),
+                        defaults=Defaults(**_settings_from(args, Defaults)),
+                        echo=setting_lines(trajectory))
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +129,13 @@ def _cmd_stream(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    net = _load_network(args.net, args)
+    net = _load_network(args)
     specs = args.refs
     if len(specs) != 1:
         raise ValueError("simulate takes exactly one --refs recording")
     path = specs[0].rpartition("@")[0] if "@" in specs[0] else specs[0]
     rec = parse_session(_read(path), session_id=os.path.basename(path))
-    magnitudes = [float(tok) for tok in args.magnitudes.split(",") if tok]
-    rows = monotonicity_report(net, rec, magnitudes, args.trials, args.seed)
+    rows = monotonicity_report(net, rec, args.magnitudes, args.trials, args.seed)
     sys.stdout.write(format_monotonicity(rows))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
@@ -191,56 +153,34 @@ def _cmd_correlate(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _finite(rule: str, ok):
-    """An argparse type: a finite float for which ``ok`` holds."""
+def _number(rule: str):
+    """An argparse type: a float that check_setting accepts under rule."""
     def parse(text: str) -> float:
         try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-        if not (math.isfinite(value) and ok(value)):
-            raise argparse.ArgumentTypeError(f"must be finite and {rule}: {text!r}")
-        return value
+            return check_setting(rule, float(text))
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
     return parse
 
 
-_POSITIVE = _finite("> 0", lambda v: v > 0)
-_NON_NEGATIVE = _finite(">= 0", lambda v: v >= 0)
-_SHARE = _finite("in [0, 1]", lambda v: 0 <= v <= 1)
-_PENALTY = _finite("in (0, 1]", lambda v: 0 < v <= 1)  # the network's penalty= rule
+def _magnitudes(text: str) -> list[float]:
+    return [_number(">= 0")(tok) for tok in text.split(",") if tok]
 
 
-def _add_override_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("scoring overrides")
-    g.add_argument("--collision-penalty", type=_PENALTY, default=None,
-                   help="global collision penalty factor (default: per-check, 0.01)")
-    g.add_argument("--orientation-tol", type=_POSITIVE, default=None,
-                   help="orientation tolerance in radians (default pi/2)")
-    g.add_argument("--position-tol", type=_POSITIVE, default=None,
-                   help="position tolerance in meters (default 0.5)")
-    g.add_argument("--text-tol", type=_POSITIVE, default=None,
-                   help="numeric text tolerance (default 0.01)")
-    g.add_argument("--pass-threshold", type=_SHARE, default=None,
-                   help="real-time pass flag threshold (default 0.95)")
-    g.add_argument("--timeout", type=_POSITIVE, default=None,
-                   help="session timeout in seconds (default 1800)")
-    g.add_argument("--action-share", type=_SHARE, default=None,
-                   help="trajectory share of a both-mode grade (default 0.5)")
-    _add_traj_flags(p)
+_OVERRIDES = (("scoring overrides", Defaults),
+              ("trajectory overrides", TrajectoryParams))
 
 
-def _add_traj_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("trajectory overrides")
-    g.add_argument("--match-radius", type=_POSITIVE, default=None,
-                   help="key pose matching radius in meters (default 0.1)")
-    g.add_argument("--skip-time", type=_NON_NEGATIVE, default=None,
-                   help="seconds before an unmatched key pose is skipped (default 5)")
-    g.add_argument("--anomaly-wait", type=_NON_NEGATIVE, default=None,
-                   help="seconds of continuous anomaly before abort (default 10)")
-    g.add_argument("--key-rate", type=_POSITIVE, default=None,
-                   help="key poses per second sampled from the reference (default 2)")
-    g.add_argument("--anomaly-penalty", type=_NON_NEGATIVE, default=None,
-                   help="score deduction per anomaly episode (default 0.05)")
+def _add_setting_flags(p: argparse.ArgumentParser, groups=_OVERRIDES) -> None:
+    """One flag per setting of each group's type, defaulting to the
+    declared value."""
+    for title, cls in groups:
+        g = p.add_argument_group(title)
+        for f in settings(cls):
+            g.add_argument("--" + f.name.replace("_", "-"),
+                           type=_number(f.metadata["rule"]), default=f.default,
+                           help=f"{f.metadata['about']}, {f.metadata['rule']} "
+                                f"(default {setting_text(f.default)})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reference recording, repeatable; @QUALITY in [0,1]")
     p.add_argument("--session", required=True, help="recording to grade")
     p.add_argument("--out", required=True, help="report output path")
-    _add_override_flags(p)
+    _add_setting_flags(p)
     p.set_defaults(fn=_cmd_score)
 
     p = sub.add_parser("stream", help="grade events from standard input")
@@ -267,20 +207,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refs", required=True, action="append", metavar="PATH[@QUALITY]",
                    help="reference recording, repeatable; @QUALITY in [0,1]")
     p.add_argument("--out", default=None, help="report output path (optional)")
-    _add_override_flags(p)
+    _add_setting_flags(p)
     p.set_defaults(fn=_cmd_stream)
 
     p = sub.add_parser("simulate", help="tabulate grade decay under perturbation")
     p.add_argument("--net", required=True, help="task definition file")
     p.add_argument("--refs", required=True, action="append", metavar="PATH",
                    help="reference recording to perturb")
-    p.add_argument("--magnitudes", required=True,
+    p.add_argument("--magnitudes", required=True, type=_magnitudes,
                    help="comma separated perturbation magnitudes, increasing")
     p.add_argument("--trials", type=int, default=20,
                    help="perturbed copies per magnitude (minimum 10)")
     p.add_argument("--seed", type=int, default=0, help="base random seed")
     p.add_argument("--csv", default=None, help="also write the table as CSV")
-    _add_traj_flags(p)
+    _add_setting_flags(p, _OVERRIDES[1:])
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("correlate", help="correlate two score columns")

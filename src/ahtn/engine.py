@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .checks import (FEATURE_KINDS, CheckDefaults, TaskScore,
-                     evaluate_task_level, extract_features)
-from .model import (TaskNetwork, TaskNode, is_joint_id, ready_tasks,
-                    validate_network)
+from .checks import (FEATURE_KINDS, TaskScore, evaluate_task_level,
+                     extract_features)
+from .model import (Defaults, TaskNetwork, TaskNode, is_joint_id,
+                    ready_tasks, setting_lines, validate_network)
 from .report import (AssessmentReport, FeedbackMessage, MemberResult,
                      ScopeReport, TaskEntry)
 from .telemetry import (Attach, Collision, Event, Pose, Reference,
@@ -28,23 +28,12 @@ from .trajectory import (FEEDBACK_TEXT, PROGRESS_KINDS, ActionEvaluator,
                          TrajectorySummary, build_reference_track)
 
 
-@dataclass(frozen=True)
-class Defaults:
-    """Engine-wide knobs; per-check and per-task values in the network win
-    where they exist."""
-
-    checks: CheckDefaults = field(default_factory=CheckDefaults)
-    pass_threshold: float = 0.95
-    timeout: float = 1800.0
-    action_share: float = 0.5  # trajectory weight inside a both-mode omega
-
-
 @dataclass
 class EngineConfig:
     network: TaskNetwork
     references: ReferenceSet
     defaults: Defaults = field(default_factory=Defaults)
-    echo: tuple[str, ...] = ()  # extra config lines for the report header
+    echo: tuple[str, ...] = ()  # config lines after the defaults' in the header
 
 
 def aggregate(weights: Sequence[float], omegas: Sequence[float]) -> float:
@@ -318,6 +307,7 @@ class Session:
             run.warnings.append(
                 f"no events routed from {', '.join(run.members)}")
 
+        messages: list[FeedbackMessage] = []
         members: list[MemberResult] = []
         for member in run.members:
             member_slice = TaskSlice(
@@ -330,7 +320,7 @@ class Session:
             if spec.has_task_level:
                 if refs:
                     task_score = evaluate_task_level(
-                        node, member_slice, refs, self.defaults.checks)
+                        node, member_slice, refs, self.defaults)
                     value = task_score.omega
                     run.warnings.extend(
                         f"check {c.kind} {c.subject}: {r.detail}"
@@ -343,7 +333,11 @@ class Session:
             if spec.has_action_level:
                 evaluator = run.evaluators.get(member)
                 if evaluator is not None:
+                    # a task that ended inside its first second replays
+                    # its warm-up here, and that replay's feedback is sent
+                    messages += self._wrap(run, run.t_end, evaluator.flush())
                     traj = evaluator.finalize(run.t_end)
+                    self._aborted = self._aborted or traj.aborted
                     run.warnings.extend(traj.warnings)
                     value = traj.score * quality
                 else:
@@ -376,9 +370,9 @@ class Session:
         self._warnings.extend(f"task {node.id}: {w}" for w in run.warnings)
 
         if not run.realtime:
-            return []
+            return messages
         passed = omega >= self.defaults.pass_threshold
-        return [
+        return messages + [
             FeedbackMessage(run.t_end, run.scope_key, "task-complete",
                             f"task={node.id}"),
             FeedbackMessage(run.t_end, run.scope_key, "task-score",
@@ -437,20 +431,7 @@ class Session:
             session_id=self.session_id, duration=duration,
             aborted=self._aborted, timed_out=self._timed_out,
             scopes=tuple(scopes), warnings=tuple(self._warnings),
-            config=self._config_echo())
-
-    def _config_echo(self) -> tuple[str, ...]:
-        d = self.defaults
-        penalty = ("per-check" if d.checks.collision_penalty is None
-                   else repr(d.checks.collision_penalty))
-        lines = (f"collision-penalty {penalty}",
-                 f"orientation-tol {d.checks.orientation_tol!r}",
-                 f"position-tol {d.checks.position_tol!r}",
-                 f"text-tol {d.checks.text_tol!r}",
-                 f"pass-threshold {d.pass_threshold!r}",
-                 f"timeout {d.timeout!r}",
-                 f"action-share {d.action_share!r}")
-        return lines + tuple(self.config.echo)
+            config=setting_lines(self.defaults) + tuple(self.config.echo))
 
 
 def _stale_tracks(node: TaskNode, refs: Sequence[Reference]) -> bool:

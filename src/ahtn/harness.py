@@ -17,7 +17,7 @@ import numpy as np
 
 from .engine import EngineConfig, build_reference_set, score_recording
 from .kernels import kendall_pair_stats, pearson, rank_average
-from .model import TaskNetwork
+from .model import Settings, TaskNetwork, check_setting, setting, settings
 from .telemetry import (Attach, Collision, Event, Pose, SessionRecording,
                         SkeletonFrame, TextInput)
 
@@ -118,36 +118,27 @@ def correlate(pairs: ScorePairSet, method: str) -> float:
 # perturbation
 
 @dataclass(frozen=True)
-class PerturbationSpec:
-    """How hard to corrupt a recording. All magnitudes must be >= 0; a
-    fixed seed makes the corruption reproducible across platforms (the
-    generator is counter-based)."""
+class PerturbationSpec(Settings):
+    """How hard to corrupt a recording; each magnitude is checked by its
+    rule when the spec is built. A fixed seed makes the corruption
+    reproducible across platforms (the generator is counter-based)."""
 
-    position_sigma: float = 0.0
-    orientation_sigma: float = 0.0
-    drop_attach_prob: float = 0.0
-    inject_collisions: int = 0
-    text_error: float = 0.0
+    position_sigma: float = setting(0.0, ">= 0", "noise on pose and joint positions, in m")
+    orientation_sigma: float = setting(0.0, ">= 0", "noise on pose rotation angles, in rad")
+    drop_attach_prob: float = setting(0.0, "in [0, 1]", "chance an attach interval is dropped")
+    inject_collisions: int = setting(0, ">= 0", "spurious collisions added")
+    text_error: float = setting(0.0, ">= 0", "noise on numeric text inputs")
     seed: int = 0
-
-    def __post_init__(self):
-        if (self.position_sigma < 0 or self.orientation_sigma < 0
-                or self.text_error < 0 or self.inject_collisions < 0
-                or not 0.0 <= self.drop_attach_prob <= 1.0):
-            raise ValueError("perturbation magnitudes must be >= 0")
 
     @property
     def is_identity(self) -> bool:
-        return (self.position_sigma == 0 and self.orientation_sigma == 0
-                and self.drop_attach_prob == 0 and self.inject_collisions == 0
-                and self.text_error == 0)
+        return not any(getattr(self, f.name) for f in settings(PerturbationSpec))
 
 
 def spec_for_magnitude(magnitude: float, seed: int = 0) -> PerturbationSpec:
     """Single-knob mapping used by the simulate command: one magnitude m
     drives every corruption channel at a proportionate strength."""
-    if magnitude < 0:
-        raise ValueError("magnitude must be >= 0")
+    check_setting(">= 0", magnitude, "magnitude")
     return PerturbationSpec(
         position_sigma=magnitude,
         orientation_sigma=2.0 * magnitude,

@@ -28,19 +28,26 @@ Definition file format (UTF-8, line oriented, ``#`` comments)::
 One directive per line; block order is irrelevant. Joint ids appearing in
 ``objects`` (head, hand-left, finger-*, ...) select the skeleton joints
 tracked by action-level assessment.
+
+Every number a user sets goes through ``check_setting``: it must be finite
+and pass one of the four rules of ``RULES``. The file's ``weight``,
+``time``, ``penalty=``, ``tol=`` and ``cweight=`` are checked as they are
+read, and a bad one is a NetworkError with its line number. The
+engine-wide settings are declared once, as ``setting`` fields of
+``Defaults`` and ``TrajectoryParams``, with their default, rule and a
+one-line description; both types check them when built, and the CLI's
+override flags and the report's config lines are generated from them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 
 CHECK_KINDS = ("orientation", "position", "attachment", "collision", "text-input")
 ASSESS_MODES = ("task-level", "action-level", "both")
 SCOPE_CATEGORIES = ("single-user", "group", "individual-in-group")
 FEEDBACK_MODES = ("real-time", "final-score")
-
-DEFAULT_COLLISION_PENALTY = 0.01
-DEFAULT_CHECK_WEIGHT = 1.0
 
 _JOINT_IDS = frozenset({
     "head", "head-forward", "neck", "spine-base", "spine-mid",
@@ -63,6 +70,74 @@ class NetworkError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(f"line {line}: {message}" if line else message)
+
+
+# ---------------------------------------------------------------------------
+# settings
+
+RULES = {
+    "> 0": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+}
+
+
+def check_setting(rule: str, value: float, name: str = "") -> float:
+    """``value`` when it is finite and passes ``rule``, a key of RULES;
+    otherwise a ValueError that states the rule, led by ``name``."""
+    if not (math.isfinite(value) and RULES[rule](value)):
+        raise ValueError(f"{name} must be finite and {rule}: {value!r}".lstrip())
+    return value
+
+
+def setting(default, rule: str, about: str):
+    """A dataclass field holding a setting: its default, its RULES key and
+    a one-line description."""
+    return field(default=default, metadata={"rule": rule, "about": about})
+
+
+def settings(cls) -> tuple:
+    """The ``setting`` fields of a dataclass, in declaration order."""
+    return tuple(f for f in fields(cls) if "rule" in f.metadata)
+
+
+def setting_text(value) -> str:
+    """A setting's value as the report and the CLI help show it; None
+    (no global collision penalty) reads ``per-check``."""
+    return "per-check" if value is None else repr(value)
+
+
+def setting_lines(obj) -> tuple[str, ...]:
+    """One ``name value`` line per setting of obj, for the report header."""
+    return tuple(f"{f.name.replace('_', '-')} {setting_text(getattr(obj, f.name))}"
+                 for f in settings(type(obj)))
+
+
+class Settings:
+    """Base of a dataclass with ``setting`` fields: building one raises a
+    ValueError naming the first setting, other than None, that fails its
+    rule."""
+
+    def __post_init__(self):
+        for f in settings(type(self)):
+            if (value := getattr(self, f.name)) is not None:
+                check_setting(f.metadata["rule"], value, f.name)
+
+
+@dataclass(frozen=True)
+class Defaults(Settings):
+    """Engine-wide scoring settings; per-check and per-task values in the
+    network win where they exist."""
+
+    collision_penalty: float | None = setting(
+        None, "in (0, 1]", "collision penalty for every check, in place of its penalty=")
+    orientation_tol: float = setting(math.pi / 2, "> 0", "orientation tolerance in radians")
+    position_tol: float = setting(0.5, "> 0", "position tolerance in meters")
+    text_tol: float = setting(0.01, "> 0", "numeric text tolerance")
+    pass_threshold: float = setting(0.95, "in [0, 1]", "real-time pass flag threshold")
+    timeout: float = setting(1800.0, "> 0", "session timeout in seconds")
+    action_share: float = setting(0.5, "in [0, 1]", "trajectory share of a both-mode grade")
 
 
 @dataclass(frozen=True)
@@ -91,21 +166,21 @@ class CheckSpec:
     kind: str
     subject: str
     reference_object: str | None = None
-    penalty: float = DEFAULT_COLLISION_PENALTY
+    penalty: float = 0.01
     tol: float | None = None
-    check_weight: float = DEFAULT_CHECK_WEIGHT
+    check_weight: float = 1.0
 
 
 @dataclass(frozen=True)
-class TrajectoryParams:
+class TrajectoryParams(Settings):
     """Action-level matching configuration for one task."""
 
     joint_ids: tuple[str, ...]
-    match_radius: float = 0.10
-    skip_time: float = 5.0
-    anomaly_wait: float = 10.0
-    anomaly_penalty: float = 0.05
-    key_rate: float = 2.0
+    match_radius: float = setting(0.10, "> 0", "key pose matching radius in meters")
+    skip_time: float = setting(5.0, ">= 0", "seconds before an unmatched key pose is skipped")
+    anomaly_wait: float = setting(10.0, ">= 0", "seconds of continuous anomaly before abort")
+    key_rate: float = setting(2.0, "> 0", "key poses per second sampled from the reference")
+    anomaly_penalty: float = setting(0.05, ">= 0", "score deduction per anomaly episode")
 
 
 @dataclass(frozen=True)
@@ -185,11 +260,20 @@ _AUGMENTED = ("pred", "user", "weight", "input", "output", "objects",
               "assess", "check", "feedback", "time")
 
 
-def _parse_float(token: str, what: str, line: int) -> float:
+# the file's numbers, by directive or check option, and their RULES key
+_NUMBERS = {"weight": ">= 0", "time": "> 0", "penalty": "in (0, 1]",
+            "tol": "> 0", "cweight": ">= 0"}
+
+
+def _parse_number(token: str, what: str, line: int) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise NetworkError(f"{what} is not a number: {token!r}", line) from None
+    try:
+        return check_setting(_NUMBERS[what], value, what)
+    except ValueError as e:
+        raise NetworkError(str(e), line) from None
 
 
 def _parse_check(tokens: list[str], line: int) -> CheckSpec:
@@ -218,24 +302,12 @@ def _parse_check(tokens: list[str], line: int) -> CheckSpec:
         raise NetworkError("check requires subject=<id>", line)
     if kind == "attachment" and "ref" not in fields:
         raise NetworkError("attachment check requires ref=<id>", line)
-    penalty = DEFAULT_COLLISION_PENALTY
-    if "penalty" in fields:
-        penalty = _parse_float(fields["penalty"], "penalty", line)
-        if not 0.0 < penalty <= 1.0:
-            raise NetworkError("penalty must be in (0, 1]", line)
-    tol = None
-    if "tol" in fields:
-        tol = _parse_float(fields["tol"], "tol", line)
-        if tol <= 0:
-            raise NetworkError("tol must be > 0", line)
-    cweight = DEFAULT_CHECK_WEIGHT
-    if "cweight" in fields:
-        cweight = _parse_float(fields["cweight"], "cweight", line)
-        if cweight < 0:
-            raise NetworkError("cweight must be >= 0", line)
+    numbers = {name: _parse_number(fields[key], key, line)
+               for key, name in (("penalty", "penalty"), ("tol", "tol"),
+                                 ("cweight", "check_weight"))
+               if key in fields}
     return CheckSpec(kind=kind, subject=fields["subject"],
-                     reference_object=fields.get("ref"),
-                     penalty=penalty, tol=tol, check_weight=cweight)
+                     reference_object=fields.get("ref"), **numbers)
 
 
 class _Block:
@@ -370,10 +442,7 @@ def parse_network(text: str) -> TaskNetwork:
         elif directive == "weight":
             if len(args) != 1:
                 raise NetworkError("weight takes one number", lineno)
-            w = _parse_float(args[0], "weight", lineno)
-            if w < 0:
-                raise NetworkError("weight must be >= 0", lineno)
-            block.fields["weight"] = w
+            block.fields["weight"] = _parse_number(args[0], "weight", lineno)
         elif directive in ("input", "output", "objects"):
             if not args:
                 raise NetworkError(f"{directive} needs at least one id", lineno)
@@ -391,10 +460,7 @@ def parse_network(text: str) -> TaskNetwork:
         elif directive == "time":
             if len(args) != 1:
                 raise NetworkError("time takes one number of seconds", lineno)
-            t = _parse_float(args[0], "time", lineno)
-            if t <= 0:
-                raise NetworkError("time must be > 0", lineno)
-            block.fields["time"] = t
+            block.fields["time"] = _parse_number(args[0], "time", lineno)
         else:
             raise NetworkError(f"unknown directive {directive!r}", lineno)
 
@@ -449,10 +515,13 @@ def validate_network(net: TaskNetwork) -> ValidationReport:
                     or node.assessment is None or node.feedback is None:
                 err(node.id, "primitive node missing augmented parameters")
                 continue
-            if node.weight < 0:
-                err(node.id, "negative weight")
-            if node.time_constraint is not None and node.time_constraint <= 0:
-                err(node.id, "time constraint must be > 0")
+            for what, value in (("weight", node.weight),
+                                ("time", node.time_constraint)):
+                try:
+                    if value is not None:
+                        check_setting(_NUMBERS[what], value, what)
+                except ValueError as e:
+                    err(node.id, str(e))
             try:
                 _check_scope(node.users)
             except NetworkError as e:
@@ -571,66 +640,13 @@ def ready_tasks(net: TaskNetwork, completed: set[str]) -> set[str]:
     return ready
 
 
-# ---------------------------------------------------------------------------
-# canonical serialization
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def serialize_network(net: TaskNetwork) -> str:
-    """Canonical definition text; parse_network(serialize_network(n)) == n."""
-    out: list[str] = []
-    for node in net.nodes.values():
-        out.append(f"task {node.id}")
-        out.append(f"  kind {node.kind}")
-        if node.name != node.id:
-            out.append(f"  name {node.name}")
-        if node.desc:
-            out.append(f"  desc {node.desc}")
-        for c in node.children:
-            out.append(f"  child {c}")
-        for p in node.predecessors:
-            out.append(f"  pred {p}")
-        if node.users is not None:
-            keyword = {v: k for k, v in _SCOPE_KEYWORDS.items()}[node.users.category]
-            out.append(f"  user {keyword} {' '.join(node.users.user_ids)}")
-        if node.weight is not None:
-            out.append(f"  weight {_fmt(node.weight)}")
-        if node.inputs:
-            out.append(f"  input {' '.join(node.inputs)}")
-        if node.outputs:
-            out.append(f"  output {' '.join(node.outputs)}")
-        if node.objects:
-            out.append(f"  objects {' '.join(node.objects)}")
-        if node.assessment is not None:
-            out.append(f"  assess {node.assessment.mode}")
-            for ch in node.assessment.checks:
-                parts = [f"check {ch.kind}", f"subject={ch.subject}"]
-                if ch.reference_object is not None:
-                    parts.append(f"ref={ch.reference_object}")
-                if ch.kind == "collision" and ch.penalty != DEFAULT_COLLISION_PENALTY:
-                    parts.append(f"penalty={_fmt(ch.penalty)}")
-                if ch.tol is not None:
-                    parts.append(f"tol={_fmt(ch.tol)}")
-                if ch.check_weight != DEFAULT_CHECK_WEIGHT:
-                    parts.append(f"cweight={_fmt(ch.check_weight)}")
-                out.append("  " + " ".join(parts))
-        if node.feedback is not None:
-            keyword = {v: k for k, v in _FEEDBACK_KEYWORDS.items()}[node.feedback]
-            out.append(f"  feedback {keyword}")
-        if node.time_constraint is not None:
-            out.append(f"  time {_fmt(node.time_constraint)}")
-        out.append("end")
-        out.append("")
-    return "\n".join(out)
-
-
 def with_trajectory_defaults(net: TaskNetwork, **overrides) -> TaskNetwork:
     """Copy of the network with TrajectoryParams fields overridden on every
-    action-level node (used by the CLI to apply global flag overrides)."""
+    action-level node (used by the CLI to apply global flag overrides).
+    The overrides are checked even when no node has a trajectory."""
     if not overrides:
         return net
+    TrajectoryParams(**{"joint_ids": (), **overrides})
     nodes = {}
     for node_id, node in net.nodes.items():
         spec = node.assessment

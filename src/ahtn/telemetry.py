@@ -48,6 +48,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 import numpy as np
 
 from .kernels import scale_about
+from .model import check_setting
 
 if TYPE_CHECKING:
     from .trajectory import ReferenceTrack
@@ -226,8 +227,7 @@ class Reference:
     error: str | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.quality <= 1.0:
-            raise ValueError("reference quality must be in [0, 1]")
+        check_setting("in [0, 1]", self.quality, "reference quality")
 
 
 @dataclass

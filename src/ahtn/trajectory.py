@@ -1,9 +1,9 @@
 """Action-level assessment: trajectory target matching and anomaly watching.
 
-A reference performance is downsampled to key frames (default 2 Hz) once,
-when the reference set is built (``build_reference_track``). Each key
-frame is one target: the reference positions of the tracked joints, one
-row of the ReferenceTrack an ActionEvaluator is given.
+A reference performance is downsampled to key frames, ``key_rate`` a
+second, once, when the reference set is built (``build_reference_track``).
+Each key frame is one target: the reference positions of the tracked
+joints, one row of the ReferenceTrack an ActionEvaluator is given.
 
 The ActionEvaluator is the whole streaming machine, for one user and one
 task activation. Frames are height corrected first (one factor from the
@@ -15,7 +15,8 @@ skip time is retired as missed and the next one spawns; retiring the last
 target completes the evaluator. Meanwhile a short sliding window of
 corrected frames feeds anomaly detection (fall, facing away from the
 station, hand far from its target); an anomaly continuously active beyond
-the wait time aborts the evaluation. ``finalize`` scores it.
+the wait time aborts the evaluation. ``flush`` replays a warm-up window
+the task ended inside, and ``finalize`` scores the evaluation.
 
 The evaluator reports what happens as feedback primitives, tuples led by
 their kind; ``FEEDBACK_TEXT`` holds each kind's message text.
@@ -382,12 +383,20 @@ class ActionEvaluator:
 
     # -- finalize -----------------------------------------------------------
 
+    def flush(self) -> list[tuple]:
+        """The primitives of a warm-up window the task ended inside,
+        replayed now; nothing when the window has closed already."""
+        if self.factor is None and self._pending:
+            return self._warm_up()
+        return []
+
     def finalize(self, t_end: float) -> TrajectorySummary:
         """Score the activation: the burst ratio minus anomaly_penalty per
         episode, clamped at 0; 0 when aborted. A target still in flight
-        counts as missed, so the ratio always has a retired target."""
-        if self.factor is None and self._pending:
-            self._warm_up()  # the task ended inside the warm-up window
+        counts as missed, so the ratio always has a retired target. A
+        warm-up window still open is replayed first (``flush``), and its
+        primitives are dropped unless the caller flushed before."""
+        self.flush()
         if not self.aborted and not self.complete:
             self.missed += 1
         self._close_episodes(t_end)

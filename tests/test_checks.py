@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from ahtn import checks, engine
-from ahtn.checks import (CheckDefaults, attachment_score, collision_score,
+from ahtn.checks import (attachment_score, collision_score,
                          evaluate_task_level, extract_features, feature_key,
                          mean_quaternion, orientation_score, position_score,
                          quaternion_angle, run_check, text_input_score)
-from ahtn.model import CheckSpec, parse_network
+from ahtn.model import CheckSpec, Defaults, parse_network
 from ahtn.telemetry import (Attach, Collision, Event, Pose, SkeletonFrame,
                             TaskSlice, TextInput)
 from conftest import reduce_reference
@@ -268,7 +268,7 @@ def test_collision_penalty_sources():
     assert collision_score(mkslice(evs), spec).score == pytest.approx(0.5)
     # engine-level override beats the per-check penalty
     overridden = collision_score(mkslice(evs), spec,
-                                 CheckDefaults(collision_penalty=0.02))
+                                 Defaults(collision_penalty=0.02))
     assert overridden.score == pytest.approx(0.9)
 
 

@@ -5,7 +5,7 @@ import io
 import pytest
 
 from ahtn.cli import main
-from ahtn.telemetry import (Event, SessionRecording, SkeletonFrame,
+from ahtn.telemetry import (Event, SessionRecording, SkeletonFrame, TaskMark,
                             parse_session, serialize_recording)
 
 
@@ -230,6 +230,50 @@ def test_check_error_warning_is_the_same_in_score_and_stream(
             "no TextInput for field 'measured-value'\n") in batch_out.read_text()
 
 
+def test_warm_up_replayed_at_the_end_mark_sends_its_feedback(
+        run, demo_dir, tmp_path, monkeypatch):
+    # T1 runs 0.5 s to 1.4 s, inside its first second, with the head at a
+    # fifth of its height: the warm-up replay at the end mark sees a fall
+    # and, with no wait, aborts
+    rec = parse_session((demo_dir / "hydrometer.rec").read_text(), "s")
+    events = []
+    for e in rec.events:
+        p = e.payload
+        if p == TaskMark("T1", "end"):
+            continue
+        if isinstance(p, SkeletonFrame) and 0.5 <= e.t <= 1.4:
+            pos = p.positions.copy()
+            pos[p.index("head"), 1] *= 0.2
+            p = SkeletonFrame(names=p.names, positions=pos)
+        events.append(Event(e.t, e.user, p))
+    at = next(i for i, e in enumerate(events) if e.t > 1.4)
+    events.insert(at, Event(1.4, "student", TaskMark("T1", "end")))
+    session = serialize_recording(
+        SessionRecording(rec.session_id, rec.user_ids, tuple(events)))
+    session_path = tmp_path / "fall.rec"
+    session_path.write_text(session)
+    batch_out = tmp_path / "batch.txt"
+    code, _, _ = run("score", "--net", hydro(demo_dir, "ahtn"),
+                     "--refs", hydro(demo_dir, "rec"), "--anomaly-wait", "0",
+                     "--session", str(session_path), "--out", str(batch_out))
+    assert code == 0
+    stream_out = tmp_path / "stream.txt"
+    monkeypatch.setattr("sys.stdin", io.StringIO(session))
+    code, out, _ = run("stream", "--net", hydro(demo_dir, "ahtn"),
+                       "--refs", hydro(demo_dir, "rec"), "--anomaly-wait", "0",
+                       "--out", str(stream_out))
+    assert code == 0
+    assert stream_out.read_bytes() == batch_out.read_bytes()
+    # T1's feedback is final: anomaly and abort are sent, progress is not
+    assert out.splitlines() == [
+        "t=1.400000000 scope=student kind=anomaly task=T1 anomaly=fall edge=start",
+        "t=1.400000000 scope=student kind=abort task=T1 anomaly=fall"]
+    report = batch_out.read_text()
+    assert "\naborted true\n" in report
+    assert ("task T1 status performed omega 0.500000000 weight 0.300000000 "
+            "[aborted]\n") in report
+
+
 def test_misspelled_user_warns_of_empty_tasks_in_score_and_stream(
         run, demo_dir, tmp_path, monkeypatch):
     text = (demo_dir / "hydrometer.rec").read_text()
@@ -429,6 +473,19 @@ def test_simulate_takes_one_reference(run, demo_dir):
                        "--magnitudes", "0,0.1", "--trials", "10")
     assert code == 1
     assert "exactly one" in err
+
+
+@pytest.mark.parametrize("magnitudes", [
+    "0,inf",  # once an OverflowError traceback
+    "0,1e400",  # the same: reads as inf
+    "nan",  # once cannot convert float NaN to integer
+])
+def test_simulate_non_finite_magnitude_is_usage_error(run, demo_dir, magnitudes):
+    code, _, err = run("simulate", "--net", hydro(demo_dir, "ahtn"),
+                       "--refs", hydro(demo_dir, "rec"),
+                       "--magnitudes", magnitudes, "--trials", "10")
+    assert code == 2
+    assert "argument --magnitudes: must be finite and >= 0" in err
 
 
 # -- correlate -----------------------------------------------------------------------

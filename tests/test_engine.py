@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from ahtn import fixtures
 from ahtn.engine import (Defaults, EngineConfig, Session, aggregate,
                          build_reference_set, score_recording)
-from ahtn.checks import FEATURE_KINDS, CheckDefaults
+from ahtn.checks import FEATURE_KINDS
 from ahtn.model import parse_network, with_trajectory_defaults
 from ahtn.report import render_report
 from ahtn.telemetry import (Event, SessionRecording, SkeletonFrame, TaskMark,
@@ -506,8 +506,7 @@ def test_batch_and_incremental_delivery_render_identically(
 # -- report details ----------------------------------------------------------------
 
 def test_config_echo_lines(hydro_net, hydro_rec, hydro_refs):
-    custom = Defaults(checks=CheckDefaults(collision_penalty=0.02),
-                      pass_threshold=0.9)
+    custom = Defaults(collision_penalty=0.02, pass_threshold=0.9)
     config = cfg(hydro_net, hydro_refs, defaults=custom, echo=("extra knob",))
     report = score_recording(config, hydro_rec)
     assert report.config[0] == "collision-penalty 0.02"

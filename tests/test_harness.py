@@ -140,6 +140,17 @@ def test_spec_for_magnitude_mapping():
         PerturbationSpec(position_sigma=-1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: spec_for_magnitude(math.inf),  # once an OverflowError
+    lambda: PerturbationSpec(position_sigma=math.nan),  # once scored 0.55
+    lambda: PerturbationSpec(text_error=math.inf),
+    lambda: PerturbationSpec(drop_attach_prob=math.nan),
+], ids=["magnitude", "position_sigma", "text_error", "drop_attach_prob"])
+def test_perturbation_magnitudes_must_be_finite(build):
+    with pytest.raises(ValueError, match="must be finite and "):
+        build()
+
+
 def test_perturb_identity_returns_input(hydro_rec):
     assert perturb(hydro_rec, PerturbationSpec()) is hydro_rec
 

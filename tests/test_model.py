@@ -1,12 +1,14 @@
 """Task network parsing, validation, readiness, and round-trips."""
 
 import itertools
+import math
 import random
 
 import pytest
 
-from ahtn.model import (NetworkError, parse_network, ready_tasks,
-                        serialize_network, validate_network,
+from ahtn.cli import main
+from ahtn.model import (Defaults, NetworkError, TrajectoryParams,
+                        parse_network, ready_tasks, validate_network,
                         with_trajectory_defaults)
 
 MINIMAL = """\
@@ -290,22 +292,67 @@ def test_ready_matches_brute_force_on_random_dags():
             assert ready_tasks(net, done) == brute_force_ready(net, done)
 
 
-# -- serialization -----------------------------------------------------------
+# -- numbers -----------------------------------------------------------------
 
-def test_serialize_round_trip_bundled(hydro_net, collab_net):
-    for net in (hydro_net, collab_net):
-        again = parse_network(serialize_network(net))
-        assert again == net
-        # canonical text is a fixed point
-        assert serialize_network(again) == serialize_network(net)
-
-
-def test_serialize_round_trip_with_options():
+def test_check_options_are_read():
     text = MINIMAL.replace(
         "check position subject=widget",
         "check position subject=widget tol=0.25 cweight=2.0", 1)
-    net = parse_network(text)
-    assert parse_network(serialize_network(net)) == net
+    check = parse_network(text).nodes["T1"].assessment.checks[0]
+    assert (check.tol, check.check_weight, check.penalty) == (0.25, 2.0, 0.01)
+
+
+def edit_hydrometer(demo_dir, line, old, new):
+    """The bundled hydrometer network text with old replaced by new on a
+    1-based line."""
+    lines = (demo_dir / "hydrometer.ahtn").read_text().splitlines(keepends=True)
+    assert old in lines[line - 1]
+    lines[line - 1] = lines[line - 1].replace(old, new)
+    return "".join(lines)
+
+
+# each once parsed and validated cleanly, then scored delta nan or n/a, a
+# self-replay below 1, or no time limit
+@pytest.mark.parametrize("line, old, new", [
+    (20, "weight 0.3", "weight nan"),
+    (20, "weight 0.3", "weight inf"),
+    (23, "subject=hand", "subject=hand cweight=inf"),
+    (23, "subject=hand", "subject=hand cweight=nan"),
+    (23, "subject=hand", "subject=hand tol=nan"),
+    (23, "subject=hand", "subject=hand tol=inf"),
+    (39, "time 60", "time nan"),
+])
+def test_non_finite_network_number_fails_at_parse(demo_dir, tmp_path, line,
+                                                  old, new):
+    text = edit_hydrometer(demo_dir, line, old, new)
+    what = new.split()[-1].split("=")[0] if "=" in new else new.split()[0]
+    with pytest.raises(NetworkError,
+                       match=rf"^line {line}: {what} must be finite and "):
+        parse_network(text)
+    path = tmp_path / "bad.ahtn"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+
+
+@pytest.mark.parametrize("line, old, new", [
+    (20, "weight 0.3", "weight 0"),
+    (23, "subject=hand", "subject=hand cweight=0"),
+    (37, "ref=cylinder", "ref=cylinder penalty=1"),
+])
+def test_network_number_edges_parse(demo_dir, line, old, new):
+    assert validate_network(parse_network(
+        edit_hydrometer(demo_dir, line, old, new))).ok
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda net: Defaults(orientation_tol=0), "orientation_tol"),
+    (lambda net: TrajectoryParams(joint_ids=("head",), key_rate=math.nan),
+     "key_rate"),
+    (lambda net: with_trajectory_defaults(net, skip_time=-1), "skip_time"),
+], ids=["Defaults", "TrajectoryParams", "with_trajectory_defaults"])
+def test_library_settings_are_checked(hydro_net, build, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and "):
+        build(hydro_net)
 
 
 def test_with_trajectory_defaults_overrides():
