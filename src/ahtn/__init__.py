@@ -9,7 +9,7 @@ harness (:mod:`ahtn.harness`) correlates and perturbs. ``ahtn.cli`` wraps
 it all for the command line.
 """
 
-from .checks import CheckResult, TaskScore, evaluate_task_level
+from .checks import CheckResult, TaskSamples, TaskScore, evaluate_task_level
 from .engine import (Defaults, EngineConfig, Session, aggregate,
                      build_reference_set, score_recording)
 from .harness import (UndefinedCorrelationError, correlate, correlate_values,
@@ -28,7 +28,7 @@ __all__ = [
     "AssessmentReport", "ActionEvaluator", "CheckResult",
     "Defaults", "EngineConfig", "FeedbackMessage", "NetworkError",
     "RecordingError", "Session", "SessionRecording", "TaskNetwork",
-    "TaskNode", "TaskScore", "TrajectorySummary",
+    "TaskNode", "TaskSamples", "TaskScore", "TrajectorySummary",
     "UndefinedCorrelationError", "aggregate",
     "build_reference_set", "correlate", "correlate_values",
     "evaluate_task_level", "monotonicity_report", "parse_event_line",

@@ -6,14 +6,14 @@ collision count penalty, and text-input comparison. Scores are linear
 ramps clamped to [0, 1]; per-check tolerances come from the CheckSpec and
 fall back to the engine's ``Defaults``.
 
-Orientation, position and text-input compare the user with a reference
-through reductions of each slice (``extract_features``): the subject's
-mean orientation, its mean position, or the field's last text value with
-its finite numeric reading. A reference's reductions are computed once,
-when the reference set is built, and held as ``Reference.features``.
-When a task ends, the user's slice is reduced once and attachment and
-collision, which need no reference, are scored once; each reference then
-costs only the small comparisons.
+A task's events are reduced as they arrive, by one ``TaskSamples`` per
+(task, member): its ``add`` decides which events the task reads and keeps
+only the rows the checks need. Orientation, position and text-input
+compare the user's ``features()`` (the subject's mean orientation, its
+mean position, or the field's last text value with its finite numeric
+reading) with a reference's, computed once when the reference set is
+built (``Reference.features``). Attachment and collision need no
+reference and read the stored transitions and partners.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .model import CheckSpec, Defaults, TaskNode, is_joint_id
-from .telemetry import (Attach, Collision, Pose, Reference, SkeletonFrame,
-                        TaskSlice, TextInput)
+from .telemetry import (Attach, Collision, Event, Pose, Reference,
+                        SkeletonFrame, TaskSlice, TextInput)
 
 
 DEFAULTS = Defaults()
@@ -82,10 +82,10 @@ def quaternion_angle(q1: np.ndarray, q2: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# feature extraction
+# reduction
 
 # check kinds that compare the learner with a reference; attachment and
-# collision read only the learner's slice
+# collision read only the learner's samples
 FEATURE_KINDS = frozenset({"orientation", "position", "text-input"})
 
 
@@ -122,73 +122,120 @@ def _finite_number(text: str) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def extract_features(slice_: TaskSlice,
-                     specs: Iterable[CheckSpec]) -> dict[FeatureKey, Feature]:
-    """One pass over a slice, reduced to a Feature per (kind, subject) of
-    the reference-comparing checks in specs.
+class TaskSamples:
+    """What one member's events in one task reduce to, kept as they arrive.
 
-    Orientation reads the subject's Pose events; position reads them too,
-    or the skeleton frames that carry the subject when it is a joint;
-    text-input reads the TextInput events of the subject field.
+    ``add`` is the one rule for which events a task reads: a Pose or a
+    TextInput that names one of its ``objects``, an Attach or a Collision
+    with an object on either side, and a SkeletonFrame when ``skeleton``
+    is set; never a mark. Of each event it takes, it keeps only the rows
+    the checks read: the subjects' orientations and positions, the
+    fields' text values, each attachment pair's (t, on) transitions with
+    the first Pose time of each object, and each collision subject's
+    partners. ``count`` is the number of events taken. ``t0`` and ``t1``
+    are the task's marks; ``t1`` is set when the task ends.
     """
-    keys = {feature_key(s) for s in specs if s.kind in FEATURE_KINDS}
-    if not keys:
-        return {}
-    quats: dict[str, list] = {}
-    object_rows: dict[str, list] = {}
-    joint_rows: dict[str, list] = {}
-    texts: dict[str, list[str]] = {}
-    for kind, subject in keys:
-        if kind == "orientation":
-            quats[subject] = []
-        elif kind == "text-input":
-            texts[subject] = []
-        elif is_joint_id(subject):
-            joint_rows[subject] = []
-        else:
-            object_rows[subject] = []
 
-    pose_subjects = quats.keys() | object_rows.keys()
-    joints = tuple(joint_rows.items())
-    for e in slice_.events:
-        p = e.payload
+    def __init__(self, checks: Iterable[CheckSpec], objects: Iterable[str],
+                 skeleton: bool, t0: float):
+        self.objects = frozenset(objects)
+        self.skeleton = skeleton
+        self.t0 = t0
+        self.t1: float | None = None
+        self.count = 0
+        self.quats: dict[str, list] = {}
+        self.positions: dict[str, list] = {}  # of game objects, from poses
+        self.joints: dict[str, list] = {}  # of joints, from skeleton frames
+        self.texts: dict[str, list[str]] = {}
+        self.transitions: dict[tuple[str, str], list[tuple[float, bool]]] = {}
+        self.first_pose: dict[str, float] = {}
+        self.partners: dict[str, list[str]] = {}
+        for c in checks:
+            if c.kind == "orientation":
+                self.quats[c.subject] = []
+            elif c.kind == "position":
+                rows = self.joints if is_joint_id(c.subject) else self.positions
+                rows[c.subject] = []
+            elif c.kind == "text-input":
+                self.texts[c.subject] = []
+            elif c.kind == "attachment":
+                self.transitions[c.subject, c.reference_object] = []
+            else:
+                self.partners[c.subject] = []
+
+    @classmethod
+    def of(cls, slice_: TaskSlice, checks: Sequence[CheckSpec]) -> TaskSamples:
+        """A whole slice reduced for checks, reading every event about a
+        check's subject."""
+        subjects = [c.subject for c in checks]
+        samples = cls(checks, subjects, any(map(is_joint_id, subjects)),
+                      slice_.t0)
+        for e in slice_.events:
+            samples.add(e)
+        samples.t1 = slice_.t1
+        return samples
+
+    def add(self, event: Event) -> bool:
+        """Take the event's rows if the task reads it; whether it did."""
+        p = event.payload
         kind = type(p)
         if kind is Pose:
-            if p.object_id in pose_subjects:
-                rows = quats.get(p.object_id)
-                if rows is not None:
-                    rows.append(p.orientation)
-                rows = object_rows.get(p.object_id)
-                if rows is not None:
-                    rows.append(p.position)
+            subject = p.object_id
+            if subject not in self.objects:
+                return False
+            if subject in self.quats:
+                self.quats[subject].append(p.orientation)
+            if subject in self.positions:
+                self.positions[subject].append(p.position)
+            self.first_pose.setdefault(subject, event.t)
         elif kind is SkeletonFrame:
+            if not self.skeleton:
+                return False
             names = p.names
-            for joint, rows in joints:
+            for joint, rows in self.joints.items():
                 if joint in names:
                     rows.append(p.positions[names.index(joint)])
         elif kind is TextInput:
-            values = texts.get(p.field_id)
-            if values is not None:
-                values.append(p.value)
+            if p.field_id not in self.objects:
+                return False
+            if p.field_id in self.texts:
+                self.texts[p.field_id].append(p.value)
+        elif kind is Attach:
+            if p.object_id not in self.objects and p.target_id not in self.objects:
+                return False
+            pair = p.object_id, p.target_id
+            if pair in self.transitions:
+                self.transitions[pair].append((event.t, p.attached))
+        elif kind is Collision:
+            if p.object_id not in self.objects and p.other_id not in self.objects:
+                return False
+            if p.object_id in self.partners:
+                self.partners[p.object_id].append(p.other_id)
+        else:
+            return False
+        self.count += 1
+        return True
 
-    out: dict[FeatureKey, Feature] = {}
-    for subject, rows in quats.items():
-        feature = Feature(len(rows))
-        if rows:
-            try:
-                feature = Feature(len(rows), mean_quaternion(np.asarray(rows)))
-            except ValueError as e:
-                feature = Feature(len(rows), error=str(e))
-        out["orientation", subject] = feature
-    for subject, rows in (object_rows | joint_rows).items():
-        out["position", subject] = (
-            Feature(len(rows), np.asarray(rows, dtype=np.float64).mean(axis=0))
-            if rows else Feature(0))
-    for subject, values in texts.items():
-        out["text-input", subject] = (
-            Feature(len(values), values[-1], _finite_number(values[-1]))
-            if values else Feature(0))
-    return out
+    def features(self) -> dict[FeatureKey, Feature]:
+        """A Feature per (kind, subject) of the reference-comparing checks."""
+        out: dict[FeatureKey, Feature] = {}
+        for subject, rows in self.quats.items():
+            feature = Feature(len(rows))
+            if rows:
+                try:
+                    feature = Feature(len(rows), mean_quaternion(np.asarray(rows)))
+                except ValueError as e:
+                    feature = Feature(len(rows), error=str(e))
+            out["orientation", subject] = feature
+        for subject, rows in (self.positions | self.joints).items():
+            out["position", subject] = (
+                Feature(len(rows), np.asarray(rows, dtype=np.float64).mean(axis=0))
+                if rows else Feature(0))
+        for subject, values in self.texts.items():
+            out["text-input", subject] = (
+                Feature(len(values), values[-1], _finite_number(values[-1]))
+                if values else Feature(0))
+        return out
 
 
 def _reductions(user: Feature, ref: Feature, user_missing: str,
@@ -237,65 +284,57 @@ def position_score(user: Feature, ref: Feature, spec: CheckSpec,
                        samples_used=user.samples)
 
 
-def attachment_score(user_slice: TaskSlice, spec: CheckSpec) -> CheckResult:
-    """Fraction of the slice during which subject was attached to the
+def _samples(user: TaskSamples | TaskSlice, spec: CheckSpec) -> TaskSamples:
+    """The reducer a check reads: user itself, or a slice reduced for spec."""
+    return user if isinstance(user, TaskSamples) else TaskSamples.of(user, (spec,))
+
+
+def attachment_score(user: TaskSamples | TaskSlice,
+                     spec: CheckSpec) -> CheckResult:
+    """Fraction of the task during which subject was attached to the
     reference object.
 
     The pair starts detached. A first `on` arriving before the subject's
-    first Pose event backdates the attachment to the slice start (the
+    first Pose event backdates the attachment to the task start (the
     object had not moved, so it was held from the beginning). Transitions
     must alternate; anything else is a state mismatch error.
     """
-    if user_slice.duration <= 0:
+    samples = _samples(user, spec)
+    t0, t1 = samples.t0, samples.t1
+    if t1 - t0 <= 0:
         raise ValueError("zero-duration slice")
-    first_pose_t = math.inf
-    for e in user_slice.events:
-        if isinstance(e.payload, Pose) and e.payload.object_id == spec.subject:
-            first_pose_t = e.t
-            break
-
+    first_pose_t = samples.first_pose.get(spec.subject, math.inf)
+    transitions = samples.transitions[spec.subject, spec.reference_object]
     total = 0.0
     on_t: float | None = None
-    seen_any = False
-    for e in user_slice.events:
-        p = e.payload
-        if not (isinstance(p, Attach) and p.object_id == spec.subject
-                and p.target_id == spec.reference_object):
-            continue
-        if p.attached:
+    for i, (t, on) in enumerate(transitions):
+        if on:
             if on_t is not None:
                 raise ValueError("attach state mismatch: on while attached")
-            on_t = user_slice.t0 if (not seen_any and e.t < first_pose_t) else e.t
+            on_t = t0 if (i == 0 and t < first_pose_t) else t
         else:
             if on_t is None:
                 raise ValueError("attach state mismatch: off while detached")
-            total += e.t - on_t
+            total += t - on_t
             on_t = None
-        seen_any = True
     if on_t is not None:
-        total += user_slice.t1 - on_t
+        total += t1 - on_t
 
-    score = min(1.0, max(0.0, total / user_slice.duration))
+    score = min(1.0, max(0.0, total / (t1 - t0)))
     return CheckResult(kind="attachment", score=score,
-                       detail=f"attached {total:.6f} s of {user_slice.duration:.6f} s",
-                       samples_used=sum(
-                           1 for e in user_slice.events
-                           if isinstance(e.payload, Attach)
-                           and e.payload.object_id == spec.subject
-                           and e.payload.target_id == spec.reference_object))
+                       detail=f"attached {total:.6f} s of {t1 - t0:.6f} s",
+                       samples_used=len(transitions))
 
 
-def collision_score(user_slice: TaskSlice, spec: CheckSpec,
+def collision_score(user: TaskSamples | TaskSlice, spec: CheckSpec,
                     defaults: Defaults = DEFAULTS) -> CheckResult:
     """1 minus a fixed penalty per collision of the subject (optionally
     restricted to one other object), clamped at 0."""
     penalty = (defaults.collision_penalty
                if defaults.collision_penalty is not None else spec.penalty)
-    k = sum(1 for e in user_slice.events
-            if isinstance(e.payload, Collision)
-            and e.payload.object_id == spec.subject
-            and (spec.reference_object is None
-                 or e.payload.other_id == spec.reference_object))
+    partners = _samples(user, spec).partners[spec.subject]
+    k = (len(partners) if spec.reference_object is None
+         else partners.count(spec.reference_object))
     return CheckResult(kind="collision", score=max(0.0, 1.0 - penalty * k),
                        detail=f"{k} collisions, penalty {penalty}",
                        samples_used=k)
@@ -341,14 +380,14 @@ _CHECK_FUNCS = {
 }
 
 
-def run_check(spec: CheckSpec, user: TaskSlice | Feature,
+def run_check(spec: CheckSpec, user: TaskSamples | Feature,
               ref: Feature | None = None,
               defaults: Defaults = DEFAULTS) -> CheckResult:
     """Run one check; errors become a 0-score result with the error text.
 
     For attachment and collision, which need no reference, ``user`` is the
-    user's slice and ``ref`` is unused; for the other kinds both are the
-    Feature of spec's (kind, subject), the user's and one reference's.
+    user's TaskSamples and ``ref`` is unused; for the other kinds both are
+    the Feature of spec's (kind, subject), the user's and one reference's.
     """
     try:
         return _CHECK_FUNCS[spec.kind](user, ref, spec, defaults)
@@ -356,7 +395,7 @@ def run_check(spec: CheckSpec, user: TaskSlice | Feature,
         return CheckResult(kind=spec.kind, score=0.0, detail=f"error: {e}")
 
 
-def evaluate_task_level(node: TaskNode, user_slice: TaskSlice,
+def evaluate_task_level(node: TaskNode, samples: TaskSamples,
                         refs: Sequence[Reference],
                         defaults: Defaults = DEFAULTS) -> TaskScore:
     """Run every check against each reference and keep the best
@@ -365,9 +404,9 @@ def evaluate_task_level(node: TaskNode, user_slice: TaskSlice,
     For each reference: omega_r = sum(cweight * score) / sum(cweight),
     scaled by that reference's quality. The reference maximizing the
     scaled value wins (first on ties); its per-check results are retained.
-    The user's slice is read once: attachment and collision are scored
-    once, and the other kinds compare the user's features with each
-    reference's.
+    The user's samples are reduced once: attachment and collision are
+    scored once, and the other kinds compare the user's features with
+    each reference's.
     """
     spec = node.assessment
     if spec is None or not spec.has_task_level:
@@ -376,9 +415,9 @@ def evaluate_task_level(node: TaskNode, user_slice: TaskSlice,
         raise ValueError(f"no reference for task {node.id!r}")
 
     checks = spec.checks
-    user = extract_features(user_slice, checks)
+    user = samples.features()
     fixed = [None if c.kind in FEATURE_KINDS
-             else run_check(c, user_slice, None, defaults) for c in checks]
+             else run_check(c, samples, None, defaults) for c in checks]
     keys = [feature_key(c) for c in checks]
     total_w = sum(c.check_weight for c in checks)
     best: TaskScore | None = None

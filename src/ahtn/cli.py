@@ -24,9 +24,9 @@ import os
 import sys
 
 from .engine import EngineConfig, Session, build_reference_set, score_recording
-from .harness import (METHODS, correlate, format_monotonicity,
-                      monotonicity_csv, monotonicity_report,
-                      parse_score_pairs)
+from .harness import (MAGNITUDE_RULE, METHODS, correlate,
+                      format_monotonicity, monotonicity_csv,
+                      monotonicity_report, parse_score_pairs)
 from .model import (Defaults, TaskNetwork, TrajectoryParams, check_setting,
                     parse_network, setting_lines, setting_text, settings,
                     validate_network, with_trajectory_defaults)
@@ -164,7 +164,7 @@ def _number(rule: str):
 
 
 def _magnitudes(text: str) -> list[float]:
-    return [_number(">= 0")(tok) for tok in text.split(",") if tok]
+    return [_number(MAGNITUDE_RULE)(tok) for tok in text.split(",") if tok]
 
 
 _OVERRIDES = (("scoring overrides", Defaults),
@@ -215,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refs", required=True, action="append", metavar="PATH",
                    help="reference recording to perturb")
     p.add_argument("--magnitudes", required=True, type=_magnitudes,
-                   help="comma separated perturbation magnitudes, increasing")
+                   help="comma separated perturbation magnitudes, increasing, "
+                        + MAGNITUDE_RULE)
     p.add_argument("--trials", type=int, default=20,
                    help="perturbed copies per magnitude (minimum 10)")
     p.add_argument("--seed", type=int, default=0, help="base random seed")

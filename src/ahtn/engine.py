@@ -3,26 +3,26 @@ by each task's feedback mode, and aggregates per-scope grades.
 
 A Session consumes one time-ordered event stream (batch or live, the code
 path is identical) and produces an AssessmentReport. Task activations are
-driven by TaskMark events; each activation buffers the events relevant to
-its task until its end mark scores them and, for action-level tasks, steps
-a per-user ActionEvaluator so bursts and anomalies surface as they happen.
+driven by TaskMark events; each activation gives every member of the
+task's scope a ``checks.TaskSamples``, which takes the events the task
+reads and keeps only what its checks need until the end mark scores them.
+For action-level tasks it also steps a per-user ActionEvaluator so bursts
+and anomalies surface as they happen.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .checks import (FEATURE_KINDS, TaskScore, evaluate_task_level,
-                     extract_features)
+from .checks import TaskSamples, TaskScore, evaluate_task_level
 from .model import (Defaults, TaskNetwork, TaskNode, is_joint_id,
                     ready_tasks, setting_lines, validate_network)
 from .report import (AssessmentReport, FeedbackMessage, MemberResult,
                      ScopeReport, TaskEntry)
-from .telemetry import (Attach, Collision, Event, Pose, Reference,
-                        ReferenceSet, SessionRecording, SkeletonFrame,
-                        TaskMark, TaskSlice, TaskSlicer, TextInput,
+from .telemetry import (Event, Reference, ReferenceSet, SessionRecording,
+                        SkeletonFrame, TaskMark, TaskSlice, TaskSlicer,
                         reference_stats)
 from .trajectory import (FEEDBACK_TEXT, PROGRESS_KINDS, ActionEvaluator,
                          TrajectorySummary, build_reference_track)
@@ -50,19 +50,14 @@ def aggregate(weights: Sequence[float], omegas: Sequence[float]) -> float:
     return sum(w * o for w, o in zip(weights, omegas)) / total
 
 
-def first_game_object(node: TaskNode) -> str | None:
-    for obj in node.objects:
-        if not is_joint_id(obj):
-            return obj
-    return None
-
-
-def wants_skeleton(node: TaskNode) -> bool:
-    """Whether a task reads skeleton frames: it matches a trajectory or
-    checks a joint."""
+def task_samples(node: TaskNode, t0: float) -> TaskSamples:
+    """A reducer for one member's events in a task that starts at t0. The
+    task reads skeleton frames when it matches a trajectory or checks a
+    joint."""
     spec = node.assessment
-    return (spec.trajectory is not None
-            or any(is_joint_id(c.subject) for c in spec.checks))
+    skeleton = (spec.trajectory is not None
+                or any(is_joint_id(c.subject) for c in spec.checks))
+    return TaskSamples(spec.checks, node.objects, skeleton, t0)
 
 
 def build_reference(node: TaskNode, sl: TaskSlice,
@@ -72,26 +67,24 @@ def build_reference(node: TaskNode, sl: TaskSlice,
     statistics and the key-frame track; ``error`` says why those two could
     not be built.
 
-    The slice is reduced to the events a live ``Session`` would route to
-    the task: a scope member's, about the task's objects or, when the task
-    wants them, a skeleton frame (``_relevant``). So a bystander's skeleton
-    cannot shift the reference means, and one rule decides what both
-    sides of a comparison read."""
-    members, skeleton = node.users.user_ids, wants_skeleton(node)
-    sl = TaskSlice(task_id=sl.task_id, t0=sl.t0, t1=sl.t1, events=tuple(
-        e for e in sl.events
-        if e.user in members and _relevant(node.objects, skeleton, e.payload)))
-    spec = node.assessment
+    The scope members' events are fed to one ``task_samples`` reducer,
+    whose ``add`` a live ``Session`` also routes through, and the events
+    it takes are the slice the statistics and the track read. So a
+    bystander's skeleton cannot shift the reference means, and one rule
+    decides what both sides of a comparison read."""
+    members, spec = node.users.user_ids, node.assessment
+    samples = task_samples(node, sl.t0)
+    sl = replace(sl, events=tuple(
+        e for e in sl.events if e.user in members and samples.add(e)))
     stats = track = error = None
     if spec.trajectory is not None:
         try:
-            stats = reference_stats(sl, subject_object=first_game_object(node))
+            game_objects = (o for o in node.objects if not is_joint_id(o))
+            stats = reference_stats(sl, subject_object=next(game_objects, None))
             track = build_reference_track(sl, spec.trajectory)
         except ValueError as e:
             error = str(e)
-    compared = [c for c in spec.checks if c.kind in FEATURE_KINDS]
-    features = extract_features(sl, compared) if compared else {}
-    return Reference(quality=quality, features=features, stats=stats,
+    return Reference(quality=quality, features=samples.features(), stats=stats,
                      track=track, error=error)
 
 
@@ -127,12 +120,11 @@ class _TaskRun:
         self.status = "pending"  # pending | active | done
         self.t_start = 0.0
         self.t_end = 0.0
-        self.events: dict[str, list[Event]] = {m: [] for m in self.members}
+        self.samples: dict[str, TaskSamples] = {}  # by member, while active
         self.evaluators: dict[str, ActionEvaluator] = {}
         self.out_of_order = False
         self.result: TaskEntry | None = None
         self.warnings: list[str] = []
-        self.wants_skeleton = wants_skeleton(node)
         self.realtime = node.feedback == "real-time"
 
 
@@ -165,9 +157,8 @@ class Session:
         self._runs = {i: _TaskRun(self.net.nodes[i])
                       for i in self.net.primitive_ids()}
         self._completed: set[str] = set()
-        self._started = False
         self._finalized = False
-        self._t0: float | None = None
+        self._t0: float | None = None  # the first event's time
         self._last_t = -math.inf
         self._aborted = False
         self._timed_out = False
@@ -175,17 +166,11 @@ class Session:
 
     # -- lifecycle ----------------------------------------------------------
 
-    def start(self, t: float = 0.0) -> None:
-        if not self._started:
-            self._started = True
-            self._t0 = t
-            self._last_t = t
-
     def ingest(self, event: Event) -> list[FeedbackMessage]:
         if self._finalized:
             raise ValueError("session already finalized")
-        if not self._started:
-            self.start(event.t)
+        if self._t0 is None:
+            self._t0 = self._last_t = event.t
         if event.t < self._last_t:
             raise ValueError(
                 f"timestamp regression: {event.t} after {self._last_t}")
@@ -225,6 +210,8 @@ class Session:
                 return []
             run.status = "active"
             run.t_start = event.t
+            run.samples = {m: task_samples(run.node, event.t)
+                           for m in run.members}
             if mark.task_id not in ready_tasks(self.net, self._completed):
                 run.out_of_order = True
                 run.warnings.append("started before predecessors completed")
@@ -248,7 +235,7 @@ class Session:
         if not refs:
             run.warnings.append("no reference; action level cannot be scored")
             return
-        ref, _ = self._best_reference(refs)
+        ref = _best_reference(refs)
         if ref.track is None:
             run.warnings.append(f"action level cannot be scored: {ref.error}")
             return
@@ -257,24 +244,14 @@ class Session:
                 task_id=run.node.id, track=ref.track, ref_stats=ref.stats,
                 t_start=run.t_start)
 
-    @staticmethod
-    def _best_reference(refs: list[Reference]) -> tuple[Reference, int]:
-        best_i = 0
-        for i, r in enumerate(refs):
-            if r.quality > refs[best_i].quality:
-                best_i = i
-        return refs[best_i], best_i
-
     # -- event routing ------------------------------------------------------
 
     def _route(self, event: Event) -> list[FeedbackMessage]:
         messages: list[FeedbackMessage] = []
         for run in self._runs.values():
-            if run.status != "active" or event.user not in run.members:
+            samples = run.samples.get(event.user)
+            if samples is None or not samples.add(event):
                 continue
-            if not _relevant(run.node.objects, run.wants_skeleton, event.payload):
-                continue
-            run.events[event.user].append(event)
             evaluator = run.evaluators.get(event.user)
             if evaluator is not None and isinstance(event.payload, SkeletonFrame):
                 primitives = evaluator.observe(event.t, event.payload)
@@ -299,20 +276,16 @@ class Session:
         node = run.node
         spec = node.assessment
         refs = self.refs.by_task.get(node.id)
-        quality = 1.0
-        if refs:
-            quality = self._best_reference(refs)[0].quality
-        events, run.events = run.events, {}  # read here only; release them
-        if not any(events.values()):
+        quality = _best_reference(refs).quality if refs else 1.0
+        samples, run.samples = run.samples, {}
+        if not any(s.count for s in samples.values()):
             run.warnings.append(
                 f"no events routed from {', '.join(run.members)}")
 
         messages: list[FeedbackMessage] = []
         members: list[MemberResult] = []
         for member in run.members:
-            member_slice = TaskSlice(
-                task_id=node.id, t0=run.t_start, t1=run.t_end,
-                events=tuple(events[member]))
+            samples[member].t1 = run.t_end
             task_score: TaskScore | None = None
             traj: TrajectorySummary | None = None
             parts: list[tuple[float, float]] = []  # (share, value)
@@ -320,7 +293,7 @@ class Session:
             if spec.has_task_level:
                 if refs:
                     task_score = evaluate_task_level(
-                        node, member_slice, refs, self.defaults)
+                        node, samples[member], refs, self.defaults)
                     value = task_score.omega
                     run.warnings.extend(
                         f"check {c.kind} {c.subject}: {r.detail}"
@@ -383,7 +356,7 @@ class Session:
     # -- finalize -----------------------------------------------------------
 
     def finalize(self) -> AssessmentReport:
-        if not self._started:
+        if self._t0 is None:
             raise ValueError("finalize before start")
         if self._finalized:
             raise ValueError("session already finalized")
@@ -406,18 +379,14 @@ class Session:
                     task_id=run.node.id, status="unperformed", omega=0.0,
                     weight=run.node.weight)
 
-        scope_keys: list[str] = []
-        by_scope: dict[str, list[TaskEntry]] = {}
+        by_scope: dict[str, list[TaskEntry]] = {}  # in order of first task
         for task_id in self.net.primitive_ids():
             run = self._runs[task_id]
-            if run.scope_key not in by_scope:
-                by_scope[run.scope_key] = []
-                scope_keys.append(run.scope_key)
-            by_scope[run.scope_key].append(run.result)
+            by_scope.setdefault(run.scope_key, []).append(run.result)
 
         scopes = []
-        for key in scope_keys:
-            entries = tuple(by_scope[key])
+        for key, entries in by_scope.items():
+            entries = tuple(entries)
             weights = [e.weight for e in entries]
             omegas = [e.omega for e in entries]
             total = sum(weights)
@@ -426,12 +395,16 @@ class Session:
             scopes.append(ScopeReport(key=key, entries=entries, delta=delta,
                                       weighted_sum=weighted, total_weight=total))
 
-        duration = self._last_t - self._t0 if self._t0 is not None else 0.0
         return AssessmentReport(
-            session_id=self.session_id, duration=duration,
+            session_id=self.session_id, duration=self._last_t - self._t0,
             aborted=self._aborted, timed_out=self._timed_out,
             scopes=tuple(scopes), warnings=tuple(self._warnings),
             config=setting_lines(self.defaults) + tuple(self.config.echo))
+
+
+def _best_reference(refs: Sequence[Reference]) -> Reference:
+    """The reference of highest quality, the first of equals."""
+    return max(refs, key=lambda r: r.quality)
 
 
 def _stale_tracks(node: TaskNode, refs: Sequence[Reference]) -> bool:
@@ -441,23 +414,6 @@ def _stale_tracks(node: TaskNode, refs: Sequence[Reference]) -> bool:
     return params is not None and any(
         r.error is None and (r.track is None or r.track.params != params)
         for r in refs)
-
-
-def _relevant(objects: tuple[str, ...], skeleton: bool, payload) -> bool:
-    """Whether a task with these objects routes an event payload: poses,
-    attachments, collisions and text inputs that name one of its objects,
-    and skeleton frames when ``skeleton`` is set; never marks."""
-    if isinstance(payload, Pose):
-        return payload.object_id in objects
-    if isinstance(payload, Attach):
-        return payload.object_id in objects or payload.target_id in objects
-    if isinstance(payload, Collision):
-        return payload.object_id in objects or payload.other_id in objects
-    if isinstance(payload, TextInput):
-        return payload.field_id in objects
-    if isinstance(payload, SkeletonFrame):
-        return skeleton
-    return False
 
 
 def score_recording(config: EngineConfig, rec: SessionRecording,

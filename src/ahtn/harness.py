@@ -135,10 +135,14 @@ class PerturbationSpec(Settings):
         return not any(getattr(self, f.name) for f in settings(PerturbationSpec))
 
 
+MAGNITUDE_RULE = "in [0, 1]"
+
+
 def spec_for_magnitude(magnitude: float, seed: int = 0) -> PerturbationSpec:
     """Single-knob mapping used by the simulate command: one magnitude m
-    drives every corruption channel at a proportionate strength."""
-    check_setting(">= 0", magnitude, "magnitude")
+    drives every corruption channel at a proportionate strength, up to
+    m = 1: every attach interval dropped and 50 collisions injected."""
+    check_setting(MAGNITUDE_RULE, magnitude, "magnitude")
     return PerturbationSpec(
         position_sigma=magnitude,
         orientation_sigma=2.0 * magnitude,

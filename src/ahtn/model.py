@@ -30,13 +30,13 @@ One directive per line; block order is irrelevant. Joint ids appearing in
 tracked by action-level assessment.
 
 Every number a user sets goes through ``check_setting``: it must be finite
-and pass one of the four rules of ``RULES``. The file's ``weight``,
-``time``, ``penalty=``, ``tol=`` and ``cweight=`` are checked as they are
-read, and a bad one is a NetworkError with its line number. The
-engine-wide settings are declared once, as ``setting`` fields of
-``Defaults`` and ``TrajectoryParams``, with their default, rule and a
-one-line description; both types check them when built, and the CLI's
-override flags and the report's config lines are generated from them.
+and pass one of the four rules of ``RULES``. Each is declared once, as a
+``setting`` field with its default, rule and a one-line description, on
+the type that holds it: ``TaskNode`` and ``CheckSpec`` for the file's
+numbers, ``Defaults`` and ``TrajectoryParams`` for the engine-wide ones.
+Each type checks its settings however it is built; the parser checks a
+file's number by the same rule as it reads it, with its line number. The
+CLI's flags and the report's config lines come from the engine-wide ones.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ class UserScope:
 
 
 @dataclass(frozen=True)
-class CheckSpec:
+class CheckSpec(Settings):
     """One task-level object-manipulation check.
 
     ``tol`` is interpreted per kind (orientation: max angle in radians,
@@ -166,9 +166,9 @@ class CheckSpec:
     kind: str
     subject: str
     reference_object: str | None = None
-    penalty: float = 0.01
-    tol: float | None = None
-    check_weight: float = 1.0
+    penalty: float = setting(0.01, "in (0, 1]", "score lost per collision")
+    tol: float | None = setting(None, "> 0", "tolerance of the check's kind")
+    check_weight: float = setting(1.0, ">= 0", "weight among the task's checks")
 
 
 @dataclass(frozen=True)
@@ -199,7 +199,7 @@ class AssessmentSpec:
 
 
 @dataclass(frozen=True)
-class TaskNode:
+class TaskNode(Settings):
     id: str
     kind: str  # abstract | primitive
     name: str
@@ -208,12 +208,12 @@ class TaskNode:
     inputs: tuple[str, ...] = ()
     outputs: tuple[str, ...] = ()
     users: UserScope | None = None
-    weight: float | None = None
+    weight: float | None = setting(None, ">= 0", "task weight in its scope")
     predecessors: tuple[str, ...] = ()
     objects: tuple[str, ...] = ()
     assessment: AssessmentSpec | None = None
     feedback: str | None = None
-    time_constraint: float | None = None
+    time_constraint: float | None = setting(None, "> 0", "completion time limit in seconds")
 
     @property
     def is_primitive(self) -> bool:
@@ -260,18 +260,16 @@ _AUGMENTED = ("pred", "user", "weight", "input", "output", "objects",
               "assess", "check", "feedback", "time")
 
 
-# the file's numbers, by directive or check option, and their RULES key
-_NUMBERS = {"weight": ">= 0", "time": "> 0", "penalty": "in (0, 1]",
-            "tol": "> 0", "cweight": ">= 0"}
-
-
-def _parse_number(token: str, what: str, line: int) -> float:
+def _parse_number(token: str, what: str, line: int, cls, name: str) -> float:
+    """The file's number ``what``, checked by the rule cls declares for its
+    setting ``name``."""
     try:
         value = float(token)
     except ValueError:
         raise NetworkError(f"{what} is not a number: {token!r}", line) from None
     try:
-        return check_setting(_NUMBERS[what], value, what)
+        return check_setting(cls.__dataclass_fields__[name].metadata["rule"],
+                             value, what)
     except ValueError as e:
         raise NetworkError(str(e), line) from None
 
@@ -302,7 +300,7 @@ def _parse_check(tokens: list[str], line: int) -> CheckSpec:
         raise NetworkError("check requires subject=<id>", line)
     if kind == "attachment" and "ref" not in fields:
         raise NetworkError("attachment check requires ref=<id>", line)
-    numbers = {name: _parse_number(fields[key], key, line)
+    numbers = {name: _parse_number(fields[key], key, line, CheckSpec, name)
                for key, name in (("penalty", "penalty"), ("tol", "tol"),
                                  ("cweight", "check_weight"))
                if key in fields}
@@ -442,7 +440,8 @@ def parse_network(text: str) -> TaskNetwork:
         elif directive == "weight":
             if len(args) != 1:
                 raise NetworkError("weight takes one number", lineno)
-            block.fields["weight"] = _parse_number(args[0], "weight", lineno)
+            block.fields["weight"] = _parse_number(args[0], "weight", lineno,
+                                                   TaskNode, "weight")
         elif directive in ("input", "output", "objects"):
             if not args:
                 raise NetworkError(f"{directive} needs at least one id", lineno)
@@ -460,7 +459,8 @@ def parse_network(text: str) -> TaskNetwork:
         elif directive == "time":
             if len(args) != 1:
                 raise NetworkError("time takes one number of seconds", lineno)
-            block.fields["time"] = _parse_number(args[0], "time", lineno)
+            block.fields["time"] = _parse_number(args[0], "time", lineno,
+                                                 TaskNode, "time_constraint")
         else:
             raise NetworkError(f"unknown directive {directive!r}", lineno)
 
@@ -515,13 +515,6 @@ def validate_network(net: TaskNetwork) -> ValidationReport:
                     or node.assessment is None or node.feedback is None:
                 err(node.id, "primitive node missing augmented parameters")
                 continue
-            for what, value in (("weight", node.weight),
-                                ("time", node.time_constraint)):
-                try:
-                    if value is not None:
-                        check_setting(_NUMBERS[what], value, what)
-                except ValueError as e:
-                    err(node.id, str(e))
             try:
                 _check_scope(node.users)
             except NetworkError as e:

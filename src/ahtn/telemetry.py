@@ -30,8 +30,9 @@ Which events belong to a task is one rule, in stream order: those after
 its start mark and before its end mark. ``engine.Session`` applies it as
 the stream arrives; ``TaskSlicer`` cuts the same run out of a whole
 recording by the marks' event indices, so events that share a mark's
-timestamp fall on the side of the mark where they were written. Both
-sides then keep the same events of that run (``engine.build_reference``).
+timestamp fall on the side of the mark where they were written. Of that
+run, both sides keep a scope member's events that one
+``checks.TaskSamples.add`` takes (``engine.build_reference``).
 
 ``reference_stats`` measures the reference performer's skeleton over a
 task's first second and ``trajectory.ActionEvaluator`` the learner's, both

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from ahtn.engine import build_reference, build_reference_set
@@ -24,6 +26,24 @@ def reduce_reference(events, quality=1.0, t0=0.0, t1=10.0,
     window = tuple(e for e in sorted(events, key=lambda e: e.t)
                    if t0 <= e.t <= t1)
     return build_reference(node, TaskSlice("T", t0, t1, window), quality)
+
+
+def move_marks(text, fractions):
+    """The recording with each mark line moved within its run of
+    equal-timestamp lines, to the place the next fraction picks (0 before
+    the run's first other line, 1 after its last); other lines keep their
+    order."""
+    draws = iter(fractions)
+    out = []
+    for _, run in itertools.groupby(text.splitlines(),
+                                    key=lambda line: line.split(None, 1)[0]):
+        run = list(run)
+        lines = [line for line in run if " mark " not in line]
+        for mark in (line for line in run if " mark " in line):
+            lines.insert(min(int(next(draws) * (len(lines) + 1)), len(lines)),
+                         mark)
+        out.extend(lines)
+    return "\n".join(out) + "\n"
 
 
 @pytest.fixture(scope="session")

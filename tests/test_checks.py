@@ -6,14 +6,14 @@ import random
 import numpy as np
 import pytest
 
-from ahtn import checks, engine
-from ahtn.checks import (attachment_score, collision_score,
-                         evaluate_task_level, extract_features, feature_key,
+from ahtn import engine
+from ahtn.checks import (TaskSamples, attachment_score, collision_score,
+                         evaluate_task_level, feature_key,
                          mean_quaternion, orientation_score, position_score,
                          quaternion_angle, run_check, text_input_score)
 from ahtn.model import CheckSpec, Defaults, parse_network
-from ahtn.telemetry import (Attach, Collision, Event, Pose, SkeletonFrame,
-                            TaskSlice, TextInput)
+from ahtn.telemetry import (Attach, Collision, Event, Pose, SessionRecording,
+                            SkeletonFrame, TaskMark, TaskSlice, TextInput)
 from conftest import reduce_reference
 
 
@@ -45,8 +45,14 @@ def against(check, user_slice, reference, spec, *defaults):
     """Run a reference-comparing check on spec's features of a user slice
     and of a reference, as evaluate_task_level does."""
     key = feature_key(spec)
-    return check(extract_features(user_slice, [spec])[key],
+    return check(TaskSamples.of(user_slice, [spec]).features()[key],
                  reference.features[key], spec, *defaults)
+
+
+def evaluate(node, user_slice, refs):
+    """evaluate_task_level on a user slice reduced for node's checks."""
+    return evaluate_task_level(
+        node, TaskSamples.of(user_slice, node.assessment.checks), refs)
 
 
 def zrot(angle):
@@ -205,6 +211,39 @@ def test_attachment_backdates_hold_that_precedes_first_pose():
     assert out.score == 0.5  # 5 s, not 3 s
 
 
+# an `on` counts from the slice start only when it comes strictly before
+# the subject's first Pose; a Pose with the same timestamp, in either
+# stream order, keeps it at its own time
+BACKDATING_CASES = {
+    "pose after on, same t": ([(2.0, "on"), (2.0, "pose")], 8.0),
+    "pose before on, same t": ([(2.0, "pose"), (2.0, "on")], 8.0),
+    "later pose": ([(2.0, "on"), (3.0, "pose")], 10.0),
+    "no pose": ([(2.0, "on")], 10.0),
+}
+
+
+@pytest.mark.parametrize("case", BACKDATING_CASES)
+def test_attachment_backdating_is_strictly_before_the_first_pose(case):
+    steps, held = BACKDATING_CASES[case]
+    events = [pose(t, "cup", (0, 0, 0)) if what == "pose"
+              else attach(t, "cup", "hand", True) for t, what in steps]
+    spec = CheckSpec(kind="attachment", subject="cup", reference_object="hand")
+    detail = f"attached {held:.6f} s of 10.000000 s"
+    assert attachment_score(mkslice(events), spec).detail == detail
+    # the same events in the same order, routed live by a Session
+    net = parse_network(
+        "task T\n  kind primitive\n  user single u\n  weight 1.0\n"
+        "  objects cup hand\n  assess task-level\n"
+        "  check attachment subject=cup ref=hand\n  feedback final\nend\n")
+    marks = [Event(0.0, "u", TaskMark("T", "start")),
+             Event(10.0, "u", TaskMark("T", "end"))]
+    rec = SessionRecording("s", ("u",), (marks[0], *events, marks[1]))
+    refs = engine.build_reference_set(net, [(rec, 1.0)])
+    report = engine.score_recording(engine.EngineConfig(net, refs), rec)
+    member = report.scope("u").entries[0].members[0]
+    assert member.task_score.checks[0].detail == detail
+
+
 def test_attachment_open_hold_runs_to_slice_end():
     evs = [pose(0.1, "cup", (0, 0, 0)), attach(4.0, "cup", "hand", True)]
     out = attachment_score(mkslice(evs), CheckSpec(kind="attachment", subject="cup",
@@ -341,7 +380,7 @@ def test_text_no_data():
 def test_run_check_turns_errors_into_zero():
     spec = CheckSpec(kind="orientation", subject="cup")
     key = feature_key(spec)
-    out = run_check(spec, extract_features(mkslice([]), [spec])[key],
+    out = run_check(spec, TaskSamples.of(mkslice([]), [spec]).features()[key],
                     ref([]).features[key])
     assert out.score == 0.0
     assert out.detail.startswith("error: no data")
@@ -359,10 +398,11 @@ def test_run_check_dispatches_every_kind():
         "collision": CheckSpec(kind="collision", subject="cup"),
         "text-input": CheckSpec(kind="text-input", subject="field"),
     }
-    user = extract_features(mkslice(evs), kinds.values())
+    samples = TaskSamples.of(mkslice(evs), list(kinds.values()))
+    user = samples.features()
     for kind, spec in kinds.items():
         if kind in ("attachment", "collision"):
-            out = run_check(spec, mkslice(evs))
+            out = run_check(spec, samples)
         else:
             out = run_check(spec, user[feature_key(spec)],
                             r.features[feature_key(spec)])
@@ -375,13 +415,13 @@ def test_check_weights_combine():
     node = node_with(["collision subject=cup cweight=1.0",
                       "collision subject=dish cweight=3.0"])
     evs = [collide(float(i) * 0.1, "dish", "t") for i in range(40)]
-    out = evaluate_task_level(node, mkslice(evs), [ref([])])
+    out = evaluate(node, mkslice(evs), [ref([])])
     assert out.omega == pytest.approx(0.7)  # (1*1.0 + 3*0.6) / 4
 
 
 def test_quality_scales_omega():
     node = node_with(["collision subject=cup"])
-    out = evaluate_task_level(node, mkslice([]), [ref([], quality=0.9)])
+    out = evaluate(node, mkslice([]), [ref([], quality=0.9)])
     assert out.omega == pytest.approx(0.9)
     assert out.reference_quality == 0.9
 
@@ -391,7 +431,7 @@ def test_best_reference_wins():
     user = mkslice([pose(0, "cup", (2.0, 0, 0))])
     far = ref([pose(0, "cup", (0, 0, 0))], quality=1.0)
     near = ref([pose(0, "cup", (2.0, 0, 0))], quality=0.8)
-    out = evaluate_task_level(node, user, [far, near])
+    out = evaluate(node, user, [far, near])
     assert out.reference_index == 1
     assert out.omega == pytest.approx(0.8)
 
@@ -400,13 +440,13 @@ def test_reference_tie_keeps_first():
     node = node_with(["position subject=cup"])
     user = mkslice([pose(0, "cup", (0, 0, 0))])
     same = [ref([pose(0, "cup", (0, 0, 0))]), ref([pose(0, "cup", (0, 0, 0))])]
-    assert evaluate_task_level(node, user, same).reference_index == 0
+    assert evaluate(node, user, same).reference_index == 0
 
 
 def test_evaluate_requires_reference():
     node = node_with(["position subject=cup"])
     with pytest.raises(ValueError, match="no reference"):
-        evaluate_task_level(node, mkslice([]), [])
+        evaluate(node, mkslice([]), [])
 
 
 def test_scores_stay_in_unit_interval_on_random_streams():
@@ -439,7 +479,7 @@ def test_scores_stay_in_unit_interval_on_random_streams():
 
     for _ in range(30):
         user, r = mkslice(rand_events()), ref(rand_events())
-        out = evaluate_task_level(node, user, [r])
+        out = evaluate(node, user, [r])
         assert 0.0 <= out.omega <= 1.0
         for c in out.checks:
             assert 0.0 <= c.score <= 1.0
@@ -477,11 +517,11 @@ def test_many_references_give_the_best_single_reference_result():
         ref([pose(0.5, "cup", (0.9, 0, 0), zrot(1.5)),
              text(3.0, "field", "blue")]),
     ]
-    singles = [evaluate_task_level(node, user, [r]) for r in refs]
+    singles = [evaluate(node, user, [r]) for r in refs]
     # all six: the 0.95-quality reference wins; without it, the first of
     # the two tied 0.9-quality references does
     for subset, expected in (([0, 1, 2, 3, 4, 5], 3), ([0, 1, 2, 4, 5], 0)):
-        out = evaluate_task_level(node, user, [refs[i] for i in subset])
+        out = evaluate(node, user, [refs[i] for i in subset])
         best = max(range(len(subset)),
                    key=lambda k: (singles[subset[k]].omega, -k))
         assert subset[best] == expected
@@ -502,7 +542,7 @@ def test_many_references_give_the_best_single_reference_result():
 def test_degenerate_learner_orientation_is_an_error_for_every_reference():
     node = node_with(["orientation subject=cup"])
     user = mkslice(_degenerate_orientation_events())
-    out = evaluate_task_level(node, user, [ref([pose(0, "cup", (0, 0, 0))]),
+    out = evaluate(node, user, [ref([pose(0, "cup", (0, 0, 0))]),
                                            ref([])])
     assert out.reference_index == 0 and out.omega == 0.0
     assert out.checks[0].detail == "error: degenerate orientation mean"
@@ -512,7 +552,7 @@ def test_degenerate_learner_orientation_is_an_error_for_every_reference():
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "infinity", "1e999"])
 def test_non_finite_text_reference_scores_one_against_itself(value):
     node = node_with(["text-input subject=field"])
-    out = evaluate_task_level(node, mkslice([text(1.0, "field", value)]),
+    out = evaluate(node, mkslice([text(1.0, "field", value)]),
                               [ref([text(1.0, "field", value)])])
     assert out.omega == 1.0
     assert out.checks[0].detail == f"string match {value!r} vs {value!r}"
@@ -521,7 +561,7 @@ def test_non_finite_text_reference_scores_one_against_itself(value):
 @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
 def test_non_finite_learner_text_against_a_number_is_unparsable(value):
     node = node_with(["text-input subject=field"])
-    out = evaluate_task_level(node, mkslice([text(1.0, "field", value)]),
+    out = evaluate(node, mkslice([text(1.0, "field", value)]),
                               [ref([text(1.0, "field", "1.25")])])
     assert out.omega == 0.0
     assert out.checks[0].detail == f"unparsable numeric input {value!r}"
@@ -532,23 +572,24 @@ def test_each_reference_is_read_once_across_sessions(monkeypatch):
     node = node_with(["orientation subject=cup", "position subject=cup",
                       "collision subject=cup", "text-input subject=field"])
     reads: list[int] = []
-    slices = []  # keeps every read slice alive, so no two share an id
-    extract = checks.extract_features
+    reducers = []  # keeps every read reducer alive, so no two share an id
+    features = TaskSamples.features
 
-    def counting(slice_, specs):
-        reads.append(id(slice_))
-        slices.append(slice_)
-        return extract(slice_, specs)
+    def counting(samples):
+        reads.append(id(samples))
+        reducers.append(samples)
+        return features(samples)
 
-    monkeypatch.setattr(checks, "extract_features", counting)
-    monkeypatch.setattr(engine, "extract_features", counting)
+    monkeypatch.setattr(TaskSamples, "features", counting)
     refs = [ref([pose(0.5, "cup", (0.1 * i, 0, 0), zrot(0.1 * i)),
                  text(1.0, "field", "1.25")]) for i in range(4)]
-    ref_slices = list(reads)  # the slice each reference was reduced from
-    sessions = [mkslice([pose(0.5, "cup", (0.2, 0, 0), zrot(x)),
-                         text(1.0, "field", "1.26")]) for x in (0.1, 0.2, 0.3)]
+    ref_reducers = list(reads)  # the reducer each reference was built from
+    sessions = [TaskSamples.of(
+        mkslice([pose(0.5, "cup", (0.2, 0, 0), zrot(x)),
+                 text(1.0, "field", "1.26")]), node.assessment.checks)
+        for x in (0.1, 0.2, 0.3)]
     for user in sessions:
         evaluate_task_level(node, user, refs)
-    assert [reads.count(i) for i in ref_slices] == [1, 1, 1, 1]
+    assert [reads.count(i) for i in ref_reducers] == [1, 1, 1, 1]
     assert [reads.count(id(user)) for user in sessions] == [1, 1, 1]
     assert len(reads) == 4 + 3

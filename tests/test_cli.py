@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from ahtn.cli import main
+from ahtn.cli import build_parser, main
 from ahtn.telemetry import (Event, SessionRecording, SkeletonFrame, TaskMark,
                             parse_session, serialize_recording)
 
@@ -485,7 +485,21 @@ def test_simulate_non_finite_magnitude_is_usage_error(run, demo_dir, magnitudes)
                        "--refs", hydro(demo_dir, "rec"),
                        "--magnitudes", magnitudes, "--trials", "10")
     assert code == 2
-    assert "argument --magnitudes: must be finite and >= 0" in err
+    assert "argument --magnitudes: must be finite and in [0, 1]" in err
+
+
+def test_simulate_magnitude_above_one_is_usage_error(capsys):
+    # the flag is parsed only: simulate at 1e8 once asked perturb for
+    # 5,000,000,000 collisions
+    with pytest.raises(SystemExit) as exit_:
+        build_parser().parse_args(["simulate", "--net", "n.ahtn", "--refs", "r.rec",
+                                   "--magnitudes", "0,1e8"])
+    assert exit_.value.code == 2
+    assert ("argument --magnitudes: must be finite and in [0, 1]: 100000000.0"
+            in capsys.readouterr().err)
+    args = build_parser().parse_args(["simulate", "--net", "n.ahtn",
+                                      "--refs", "r.rec", "--magnitudes", "0,1"])
+    assert args.magnitudes == [0.0, 1.0]
 
 
 # -- correlate -----------------------------------------------------------------------

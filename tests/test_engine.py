@@ -2,7 +2,6 @@
 
 import functools
 import gc
-import itertools
 import random
 
 import numpy as np
@@ -12,12 +11,13 @@ from hypothesis import example, given, settings, strategies as st
 from ahtn import fixtures
 from ahtn.engine import (Defaults, EngineConfig, Session, aggregate,
                          build_reference_set, score_recording)
-from ahtn.checks import FEATURE_KINDS
+from ahtn.checks import FEATURE_KINDS, TaskSamples
 from ahtn.model import parse_network, with_trajectory_defaults
 from ahtn.report import render_report
 from ahtn.telemetry import (Event, SessionRecording, SkeletonFrame, TaskMark,
                             TextInput, parse_event_line, parse_session,
                             serialize_recording)
+from conftest import move_marks
 
 
 def cfg(net, refs, **kw):
@@ -143,24 +143,6 @@ def demo(name):
     return getattr(fixtures, f"{name}_network")(), serialize_recording(rec)
 
 
-def move_marks(text, fractions):
-    """The recording with each mark line moved within its run of
-    equal-timestamp lines, to the place the next fraction picks (0 before
-    the run's first other line, 1 after its last); other lines keep their
-    order."""
-    draws = iter(fractions)
-    out = []
-    for _, run in itertools.groupby(text.splitlines(),
-                                    key=lambda line: line.split(None, 1)[0]):
-        run = list(run)
-        lines = [line for line in run if " mark " not in line]
-        for mark in (line for line in run if " mark " in line):
-            lines.insert(min(int(next(draws) * (len(lines) + 1)), len(lines)),
-                         mark)
-        out.extend(lines)
-    return "\n".join(out) + "\n"
-
-
 # Attachment is left out: it reads only the learner's slice, and an "on"
 # written at a start mark's time but before the mark lies outside the task
 # on both sides, so where the start mark sits among same-time lines moves
@@ -196,7 +178,6 @@ def test_self_replay_holds_wherever_a_mark_sits_among_same_time_lines(
 
 
 def test_reference_reads_the_events_a_session_routes(monkeypatch):
-    from ahtn import checks, engine
     net = parse_network(
         "task T\n  kind primitive\n  user single u\n  weight 1.0\n"
         "  objects cup head hand-right\n  assess both\n"
@@ -220,19 +201,20 @@ def test_reference_reads_the_events_a_session_routes(monkeypatch):
         "t=3.0 u=u pose cup 0.4 1 0 0 0 0 1",  # same time, after the end
     ]
     rec = parse_session("\n".join(lines) + "\n")
-    reads = []
-    extract = checks.extract_features
+    taken = {}  # reducer -> the events its add accepted
+    add = TaskSamples.add
 
-    def recording(slice_, specs):
-        reads.append(slice_.events)
-        return extract(slice_, specs)
+    def recording(samples, event):
+        kept = add(samples, event)
+        if kept:
+            taken.setdefault(samples, []).append(event)
+        return kept
 
-    monkeypatch.setattr(checks, "extract_features", recording)
-    monkeypatch.setattr(engine, "extract_features", recording)
+    monkeypatch.setattr(TaskSamples, "add", recording)
     refs = build_reference_set(net, [(rec, 1.0)])
     score_recording(cfg(net, refs), rec)
-    reference, learner = reads
-    assert reference == learner == tuple(rec.events[i] for i in (4, 7, 9, 11, 12))
+    reference, learner = taken.values()
+    assert reference == learner == [rec.events[i] for i in (4, 7, 9, 11, 12)]
 
 
 # -- feedback gating ------------------------------------------------------------
@@ -318,42 +300,29 @@ def test_reference_check_error_is_a_warning_line(hydro_net, hydro_rec):
 
 def test_reference_features_are_extracted_at_build_only(
         hydro_net, hydro_rec, monkeypatch):
-    from ahtn import checks, engine
     reads = []
-    extract = checks.extract_features
+    features = TaskSamples.features
 
-    def counting(slice_, specs):
-        reads.append(slice_)
-        return extract(slice_, specs)
+    def counting(samples):
+        reads.append(samples)
+        return features(samples)
 
-    monkeypatch.setattr(checks, "extract_features", counting)
-    monkeypatch.setattr(engine, "extract_features", counting)
+    monkeypatch.setattr(TaskSamples, "features", counting)
     refs = build_reference_set(hydro_net, [(hydro_rec, 1.0)])
-    # T1 orientation, T3 position, T4 text-input; T2's attachment and
-    # collision checks read no reference
-    assert len(reads) == 3
-    built = reads[:]  # the slices the references were reduced from, kept alive
-    ref_slices = {id(sl) for sl in built}
+    assert len(reads) == 4  # one reduction per task of the reference
+    built = reads[:]  # the reference reducers, kept alive so no id is reused
+    ref_reducers = {id(samples) for samples in built}
     reads.clear()
     for _ in range(3):
         score_recording(cfg(hydro_net, refs), hydro_rec)
-    assert len(reads) == 3 * 4  # one learner extraction per task end
-    assert not any(id(sl) in ref_slices for sl in reads)
+    assert len(reads) == 3 * 4  # one learner reduction per task end
+    assert not any(id(samples) in ref_reducers for samples in reads)
 
 
 @pytest.mark.parametrize("demo", ["hydro", "collab"])
 def test_reference_set_holds_no_events(demo, request):
     refs = request.getfixturevalue(f"{demo}_refs")
-    seen = {id(refs)}
-    stack = [refs]
-    while stack:
-        obj = stack.pop()
-        assert not isinstance(obj, Event)
-        for child in gc.get_referents(obj):
-            # classes lead to modules and from there to everything
-            if not isinstance(child, type) and id(child) not in seen:
-                seen.add(id(child))
-                stack.append(child)
+    assert not any(isinstance(obj, Event) for obj in held_objects(refs))
 
 
 def test_reference_without_skeleton_cannot_score_action_level(
@@ -451,20 +420,35 @@ def test_ingest_rejects_regressions(hydro_net, hydro_refs):
         session.ingest(Event(t=4.0, user="student", payload=TaskMark("T1", "end")))
 
 
+def held_objects(root):
+    """Every object reachable from root, classes and what they lead to aside."""
+    seen, stack = {id(root)}, [root]
+    while stack:
+        obj = stack.pop()
+        yield obj
+        for child in gc.get_referents(obj):
+            # classes lead to modules and from there to everything
+            if not isinstance(child, type) and id(child) not in seen:
+                seen.add(id(child))
+                stack.append(child)
+
+
 def test_scored_task_holds_no_events(hydro_net, hydro_rec, hydro_refs):
     session = Session(cfg(hydro_net, hydro_refs))
-    held = {}  # task -> routed events held just before and after its end mark
+    held = {}  # task -> events taken just before its end mark, reducers after
     for event in hydro_rec.events:
         mark = event.payload
         if isinstance(mark, TaskMark) and mark.edge == "end":
             run = session._runs[mark.task_id]
-            before = sum(map(len, run.events.values()))
+            taken = sum(s.count for s in run.samples.values())
+            assert not any(isinstance(obj, Event)
+                           for obj in held_objects(run.samples))
             session.ingest(event)
-            held[mark.task_id] = (before, sum(map(len, run.events.values())))
+            held[mark.task_id] = (taken, run.samples)
         else:
             session.ingest(event)
     assert list(held) == ["T1", "T2", "T3", "T4"]
-    assert all(before > 0 and after == 0 for before, after in held.values())
+    assert all(taken > 0 and after == {} for taken, after in held.values())
 
 
 def test_lifecycle_errors(hydro_net, hydro_rec, hydro_refs):

@@ -151,6 +151,15 @@ def test_perturbation_magnitudes_must_be_finite(build):
         build()
 
 
+def test_magnitude_is_at_most_one():
+    # built only, never perturbed with: 1e8 once asked for 5e9 collisions
+    with pytest.raises(ValueError,
+                       match=r"^magnitude must be finite and in \[0, 1\]: 100000000.0$"):
+        spec_for_magnitude(1e8)
+    full = spec_for_magnitude(1.0)
+    assert (full.drop_attach_prob, full.inject_collisions) == (1.0, 50)
+
+
 def test_perturb_identity_returns_input(hydro_rec):
     assert perturb(hydro_rec, PerturbationSpec()) is hydro_rec
 

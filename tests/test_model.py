@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -349,7 +350,19 @@ def test_network_number_edges_parse(demo_dir, line, old, new):
     (lambda net: TrajectoryParams(joint_ids=("head",), key_rate=math.nan),
      "key_rate"),
     (lambda net: with_trajectory_defaults(net, skip_time=-1), "skip_time"),
-], ids=["Defaults", "TrajectoryParams", "with_trajectory_defaults"])
+    # library-built checks and tasks: each once validated ok
+    (lambda net: replace(net.nodes["T3"].assessment.checks[0], tol=math.nan),
+     "tol"),
+    (lambda net: replace(net.nodes["T2"].assessment.checks[1], penalty=math.inf),
+     "penalty"),
+    (lambda net: replace(net.nodes["T1"].assessment.checks[0],
+                         check_weight=math.nan), "check_weight"),
+    (lambda net: replace(net.nodes["T1"], weight=-1.0), "weight"),
+    (lambda net: replace(net.nodes["T4"], time_constraint=0.0),
+     "time_constraint"),
+], ids=["Defaults", "TrajectoryParams", "with_trajectory_defaults",
+        "CheckSpec.tol", "CheckSpec.penalty", "CheckSpec.check_weight",
+        "TaskNode.weight", "TaskNode.time_constraint"])
 def test_library_settings_are_checked(hydro_net, build, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite and "):
         build(hydro_net)
