@@ -12,7 +12,7 @@ it all for the command line.
 from .checks import CheckResult, TaskSamples, TaskScore, evaluate_task_level
 from .engine import (Defaults, EngineConfig, Session, aggregate,
                      build_reference_set, score_recording)
-from .harness import (UndefinedCorrelationError, correlate, correlate_values,
+from .harness import (UndefinedCorrelationError, correlate_values,
                       monotonicity_report, parse_score_pairs, perturb,
                       spec_for_magnitude)
 from .model import (NetworkError, TaskNetwork, TaskNode, parse_network,
@@ -30,7 +30,7 @@ __all__ = [
     "RecordingError", "Session", "SessionRecording", "TaskNetwork",
     "TaskNode", "TaskSamples", "TaskScore", "TrajectorySummary",
     "UndefinedCorrelationError", "aggregate",
-    "build_reference_set", "correlate", "correlate_values",
+    "build_reference_set", "correlate_values",
     "evaluate_task_level", "monotonicity_report", "parse_event_line",
     "parse_network", "parse_score_pairs", "parse_session", "perturb",
     "ready_tasks", "render_report", "score_recording",

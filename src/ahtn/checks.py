@@ -45,7 +45,6 @@ class TaskScore:
     """Combined task-level result: check-weight-normalized mean of check
     scores, scaled by the quality of the best-scoring reference."""
 
-    task_id: str
     omega: float
     checks: tuple[CheckResult, ...]
     reference_index: int
@@ -433,7 +432,7 @@ def evaluate_task_level(node: TaskNode, samples: TaskSamples,
                         for c, r in zip(checks, results)) / total_w
         omega *= ref.quality
         if best is None or omega > best.omega:
-            best = TaskScore(task_id=node.id, omega=omega, checks=results,
-                             reference_index=index, reference_quality=ref.quality)
+            best = TaskScore(omega=omega, checks=results, reference_index=index,
+                             reference_quality=ref.quality)
     assert best is not None
     return best

@@ -24,7 +24,7 @@ import os
 import sys
 
 from .engine import EngineConfig, Session, build_reference_set, score_recording
-from .harness import (MAGNITUDE_RULE, METHODS, correlate,
+from .harness import (MAGNITUDE_RULE, METHODS, correlate_values,
                       format_monotonicity, monotonicity_csv,
                       monotonicity_report, parse_score_pairs)
 from .model import (Defaults, TaskNetwork, TrajectoryParams, check_setting,
@@ -92,8 +92,9 @@ def _engine_config(args) -> EngineConfig:
 def _cmd_validate(args) -> int:
     net = parse_network(_read(args.network))
     report = validate_network(net)
-    for issue in report.issues:
-        print(f"{issue.severity} {issue.node_id}: {issue.message}")
+    for issue in report.issues:  # a network-wide issue names no task
+        where = " ".join(filter(None, (issue.severity, issue.node_id)))
+        print(f"{where}: {issue.message}")
     if not report.ok:
         return 1
     print("ok")
@@ -133,7 +134,7 @@ def _cmd_simulate(args) -> int:
     specs = args.refs
     if len(specs) != 1:
         raise ValueError("simulate takes exactly one --refs recording")
-    path = specs[0].rpartition("@")[0] if "@" in specs[0] else specs[0]
+    path = specs[0]
     rec = parse_session(_read(path), session_id=os.path.basename(path))
     rows = monotonicity_report(net, rec, args.magnitudes, args.trials, args.seed)
     sys.stdout.write(format_monotonicity(rows))
@@ -145,7 +146,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_correlate(args) -> int:
     pairs = parse_score_pairs(_read(args.pairs))
-    coefficient = correlate(pairs, args.method)
+    coefficient = correlate_values(pairs.system, pairs.grader, args.method)
     print(f"{coefficient:.6f}")
     return 0
 

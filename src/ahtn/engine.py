@@ -96,7 +96,7 @@ def build_reference_set(net: TaskNetwork,
     Recordings lacking usable marks for a task simply do not contribute a
     reference for it."""
     slicers = [(TaskSlicer(rec), quality) for rec, quality in recordings]
-    by_task: dict[str, list[Reference]] = {}
+    by_task: ReferenceSet = {}
     for node_id in net.primitive_ids():
         refs = []
         for slicer, quality in slicers:
@@ -107,7 +107,7 @@ def build_reference_set(net: TaskNetwork,
             refs.append(build_reference(net.nodes[node_id], sl, quality))
         if refs:
             by_task[node_id] = refs
-    return ReferenceSet(by_task=by_task)
+    return by_task
 
 
 class _TaskRun:
@@ -144,12 +144,12 @@ class Session:
 
         missing = [i for i in self.net.primitive_ids()
                    if self.net.nodes[i].weight > 0
-                   and i not in self.refs.by_task]
+                   and i not in self.refs]
         if missing:
             raise ValueError(
                 f"weighted tasks without a reference: {', '.join(missing)}")
         stale = [i for i in self.net.primitive_ids()
-                 if _stale_tracks(self.net.nodes[i], self.refs.by_task.get(i, ()))]
+                 if _stale_tracks(self.net.nodes[i], self.refs.get(i, ()))]
         if stale:
             raise ValueError("references built for other trajectory params: "
                              f"{', '.join(stale)}")
@@ -160,7 +160,6 @@ class Session:
         self._finalized = False
         self._t0: float | None = None  # the first event's time
         self._last_t = -math.inf
-        self._aborted = False
         self._timed_out = False
         self._warnings: list[str] = []
 
@@ -231,7 +230,7 @@ class Session:
         spec = run.node.assessment
         if spec.trajectory is None:
             return
-        refs = self.refs.by_task.get(run.node.id)
+        refs = self.refs.get(run.node.id)
         if not refs:
             run.warnings.append("no reference; action level cannot be scored")
             return
@@ -257,7 +256,6 @@ class Session:
                 primitives = evaluator.observe(event.t, event.payload)
                 if primitives:
                     messages += self._wrap(run, event.t, primitives)
-                    self._aborted = self._aborted or evaluator.aborted
         return messages
 
     @staticmethod
@@ -275,7 +273,7 @@ class Session:
     def _evaluate(self, run: _TaskRun) -> list[FeedbackMessage]:
         node = run.node
         spec = node.assessment
-        refs = self.refs.by_task.get(node.id)
+        refs = self.refs.get(node.id)
         quality = _best_reference(refs).quality if refs else 1.0
         samples, run.samples = run.samples, {}
         if not any(s.count for s in samples.values()):
@@ -310,7 +308,6 @@ class Session:
                     # its warm-up here, and that replay's feedback is sent
                     messages += self._wrap(run, run.t_end, evaluator.flush())
                     traj = evaluator.finalize(run.t_end)
-                    self._aborted = self._aborted or traj.aborted
                     run.warnings.extend(traj.warnings)
                     value = traj.score * quality
                 else:
@@ -397,7 +394,9 @@ class Session:
 
         return AssessmentReport(
             session_id=self.session_id, duration=self._last_t - self._t0,
-            aborted=self._aborted, timed_out=self._timed_out,
+            aborted=any(e.aborted for run in self._runs.values()
+                        for e in run.evaluators.values()),
+            timed_out=self._timed_out,
             scopes=tuple(scopes), warnings=tuple(self._warnings),
             config=setting_lines(self.defaults) + tuple(self.config.echo))
 

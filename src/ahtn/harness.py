@@ -1,6 +1,6 @@
 """Evaluation harness: correlation statistics and perturbation studies.
 
-Two tools for judging the scorer itself: correlate() compares system
+Two tools for judging the scorer itself: correlate_values() compares system
 scores with human grades (Pearson, Spearman with average ranks, Kendall
 tau-b), and perturb()/monotonicity_report() synthesize degraded sessions
 from a reference recording to confirm that the grade falls as corruption
@@ -78,7 +78,8 @@ def parse_score_pairs(text: str) -> ScorePairSet:
 
 def correlate_values(x: Sequence[float], y: Sequence[float],
                      method: str) -> float:
-    """Correlation coefficient between two aligned vectors."""
+    """Correlation coefficient between two aligned vectors of finite
+    values."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if len(x) != len(y):
@@ -87,6 +88,9 @@ def correlate_values(x: Sequence[float], y: Sequence[float],
         raise ValueError("need at least two pairs")
     ax = np.ascontiguousarray(x, dtype=np.float64)
     ay = np.ascontiguousarray(y, dtype=np.float64)
+    bad = [v for v in (*ax.tolist(), *ay.tolist()) if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"non-finite value {bad[0]!r} in correlation input")
 
     if method == "pearson":
         r = float(pearson(ax, ay))
@@ -108,10 +112,6 @@ def correlate_values(x: Sequence[float], y: Sequence[float],
             raise UndefinedCorrelationError("all-tied ranking in kendall input")
         r = (conc - disc) / denom
     return min(1.0, max(-1.0, r))
-
-
-def correlate(pairs: ScorePairSet, method: str) -> float:
-    return correlate_values(pairs.system, pairs.grader, method)
 
 
 # ---------------------------------------------------------------------------
@@ -301,16 +301,12 @@ def _inject_collisions(rec: SessionRecording, events: list[Event],
     user = rec.user_ids[0] if rec.user_ids else "user"
 
     t0, t1 = events[0].t, events[-1].t
-    times = np.sort(rng.uniform(t0, t1, size=spec.inject_collisions))
-    existing = np.array([e.t for e in events])
-    out = list(events)
-    # insert from the latest time so earlier insertion points stay valid
-    for j in range(len(times) - 1, -1, -1):
-        t = float(times[j])
-        pair = (first, second) if j % 2 == 0 else (second, first)
-        idx = int(np.searchsorted(existing, t, side="right"))
-        out.insert(idx, Event(t, user, Collision(*pair)))
-    return out
+    times = np.sort(rng.uniform(t0, t1, size=spec.inject_collisions)).tolist()
+    pairs = ((first, second), (second, first))
+    injected = [Event(t, user, Collision(*pairs[j % 2]))
+                for j, t in enumerate(times)]
+    # stable: a collision lands after the events that share its time
+    return sorted(events + injected, key=lambda e: e.t)
 
 
 # ---------------------------------------------------------------------------

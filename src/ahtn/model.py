@@ -41,6 +41,7 @@ CLI's flags and the report's config lines come from the engine-wide ones.
 
 from __future__ import annotations
 
+import graphlib
 import math
 from dataclasses import dataclass, field, fields, replace
 
@@ -223,7 +224,6 @@ class TaskNode(Settings):
 @dataclass(frozen=True)
 class TaskNetwork:
     nodes: dict[str, TaskNode]
-    root_ids: tuple[str, ...]
 
     def primitive_ids(self) -> tuple[str, ...]:
         return tuple(i for i, n in self.nodes.items() if n.is_primitive)
@@ -382,7 +382,6 @@ def parse_network(text: str) -> TaskNetwork:
     """
     nodes: dict[str, TaskNode] = {}
     block: _Block | None = None
-    all_children: list[str] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -408,7 +407,6 @@ def parse_network(text: str) -> TaskNetwork:
                 raise NetworkError("end takes no arguments", lineno)
             node = _finish_block(block)
             nodes[node.id] = node
-            all_children.extend(node.children)
             block = None
             continue
 
@@ -466,10 +464,7 @@ def parse_network(text: str) -> TaskNetwork:
 
     if block is not None:
         raise NetworkError(f"task {block.id!r} not closed with end", block.line)
-
-    child_set = set(all_children)
-    roots = tuple(i for i in nodes if i not in child_set)
-    return TaskNetwork(nodes=nodes, root_ids=roots)
+    return TaskNetwork(nodes=nodes)
 
 
 def _check_scope(scope: UserScope, line: int | None = None) -> None:
@@ -529,7 +524,7 @@ def validate_network(net: TaskNetwork) -> ValidationReport:
                 if check.subject not in declared:
                     warn(node.id, f"check subject {check.subject!r} not listed in objects")
             for ref in node.inputs + node.outputs:
-                if not _object_declared(net, ref):
+                if not any(ref in n.objects for n in net.nodes.values()):
                     warn(node.id, f"input/output id {ref!r} not produced by any task")
 
     if _has_cycle(net, lambda n: n.children):
@@ -549,35 +544,14 @@ def validate_network(net: TaskNetwork) -> ValidationReport:
     return ValidationReport(issues=tuple(issues))
 
 
-def _object_declared(net: TaskNetwork, object_id: str) -> bool:
-    return any(object_id in n.objects for n in net.nodes.values())
-
-
 def _has_cycle(net: TaskNetwork, edges) -> bool:
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {i: WHITE for i in net.nodes}
-
-    for start in net.nodes:
-        if color[start] != WHITE:
-            continue
-        stack = [(start, iter(edges(net.nodes[start])))]
-        color[start] = GREY
-        while stack:
-            node_id, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in net.nodes:
-                    continue
-                if color[nxt] == GREY:
-                    return True
-                if color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    stack.append((nxt, iter(edges(net.nodes[nxt]))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node_id] = BLACK
-                stack.pop()
+    """Whether the edges between existing nodes form a cycle; a self-loop does."""
+    graph = {i: [j for j in edges(n) if j in net.nodes]
+             for i, n in net.nodes.items()}
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError:
+        return True
     return False
 
 
@@ -589,7 +563,8 @@ def ready_tasks(net: TaskNetwork, completed: set[str]) -> set[str]:
     not themselves complete.
 
     A predecessor naming an abstract node counts as complete once every
-    primitive descendant of that node is complete.
+    primitive its children reach is complete, and it reaches one; a
+    cycle in the child hierarchy does not change the answer.
     """
     for task_id in completed:
         node = net.nodes.get(task_id)
@@ -598,31 +573,21 @@ def ready_tasks(net: TaskNetwork, completed: set[str]) -> set[str]:
         if not node.is_primitive:
             raise ValueError(f"completed set contains non-primitive task {task_id!r}")
 
-    desc_cache: dict[str, frozenset[str]] = {}
-
-    def primitive_descendants(node_id: str, trail: frozenset[str] = frozenset()) -> frozenset[str]:
-        if node_id in desc_cache:
-            return desc_cache[node_id]
-        if node_id in trail:  # malformed child cycle; treat as no descendants
-            return frozenset()
-        node = net.nodes[node_id]
-        if node.is_primitive:
-            out = frozenset((node_id,))
-        else:
-            out = frozenset().union(*(
-                primitive_descendants(c, trail | {node_id})
-                for c in node.children if c in net.nodes)) if node.children else frozenset()
-        desc_cache[node_id] = out
-        return out
-
     def satisfied(pred_id: str) -> bool:
-        node = net.nodes.get(pred_id)
-        if node is None:
-            return False
-        if node.is_primitive:
-            return pred_id in completed
-        members = primitive_descendants(pred_id)
-        return bool(members) and members <= completed
+        """Whether pred_id reaches a primitive, and only complete ones."""
+        seen, stack, reached = {pred_id}, [pred_id], set()
+        while stack:
+            node = net.nodes.get(stack.pop())
+            if node is None:
+                continue
+            if node.is_primitive:
+                reached.add(node.id)
+                continue
+            for c in node.children:
+                if c not in seen:
+                    seen.add(c)
+                    stack.append(c)
+        return bool(reached) and reached <= completed
 
     ready = set()
     for node in net.nodes.values():
@@ -647,4 +612,4 @@ def with_trajectory_defaults(net: TaskNetwork, **overrides) -> TaskNetwork:
             new_traj = replace(spec.trajectory, **overrides)
             node = replace(node, assessment=replace(spec, trajectory=new_traj))
         nodes[node_id] = node
-    return TaskNetwork(nodes=nodes, root_ids=net.root_ids)
+    return TaskNetwork(nodes=nodes)

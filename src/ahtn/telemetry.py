@@ -171,17 +171,11 @@ class SkeletonFrame:
 Payload = Pose | Attach | Collision | TextInput | SkeletonFrame | TaskMark
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     t: float
     user: str
     payload: Payload
-
-    def __eq__(self, other):
-        if not isinstance(other, Event):
-            return NotImplemented
-        return (self.t == other.t and self.user == other.user
-                and self.payload == other.payload)
 
 
 @dataclass(frozen=True)
@@ -197,10 +191,6 @@ class TaskSlice:
     t0: float
     t1: float
     events: tuple[Event, ...]
-
-    @property
-    def duration(self) -> float:
-        return self.t1 - self.t0
 
 
 @dataclass(frozen=True)
@@ -231,11 +221,7 @@ class Reference:
         check_setting("in [0, 1]", self.quality, "reference quality")
 
 
-@dataclass
-class ReferenceSet:
-    """References grouped per task id."""
-
-    by_task: dict[str, list[Reference]]
+ReferenceSet = dict[str, list[Reference]]  # references per task id
 
 
 # ---------------------------------------------------------------------------

@@ -62,13 +62,12 @@ class Anomaly:
 
 @dataclass(frozen=True, eq=False)
 class ReferenceTrack:
-    """Key-framed reference trajectory: times (K,) and positions (K, J, 3)
-    for the tracked joints, in params.joint_ids order, with the params it
-    was built for. Compared by identity, as its arrays have no single
-    truth value."""
+    """Key-framed reference trajectory: positions (K, J, 3) of the
+    tracked joints, in params.joint_ids order, with the params it was
+    built for. Compared by identity, as its array has no single truth
+    value."""
 
     params: TrajectoryParams
-    times: np.ndarray
     positions: np.ndarray
 
     @property
@@ -77,7 +76,7 @@ class ReferenceTrack:
 
     @property
     def key_frames(self) -> int:
-        return len(self.times)
+        return len(self.positions)
 
 
 def key_frame_count(duration: float, key_rate: float) -> int:
@@ -96,23 +95,21 @@ def build_reference_track(ref_slice: TaskSlice,
     frames = skeleton_frames(ref_slice.events)
     if not frames:
         raise ValueError(f"reference slice for {ref_slice.task_id!r} has no skeleton frames")
-    count = key_frame_count(ref_slice.duration, params.key_rate)
+    count = key_frame_count(ref_slice.t1 - ref_slice.t0, params.key_rate)
     frame_times = np.array([t for t, _ in frames])
 
-    times = np.empty(count)
     positions = np.empty((count, len(params.joint_ids), 3))
     for k in range(count):
         goal = ref_slice.t0 + k / params.key_rate
         i = int(np.searchsorted(frame_times, goal, side="left"))
         if i >= len(frames):
             i = len(frames) - 1
-        t, frame = frames[i]
-        times[k] = t
+        frame = frames[i][1]
         for j, joint in enumerate(params.joint_ids):
             if not frame.has(joint):
                 raise ValueError(f"reference missing joint {joint!r} at key frame {k}")
             positions[k, j] = frame.position(joint)
-    return ReferenceTrack(params=params, times=times, positions=positions)
+    return ReferenceTrack(params=params, positions=positions)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +139,7 @@ def facing_direction(frame: SkeletonFrame) -> np.ndarray | None:
 def detect_anomalies(window: Sequence[tuple[float, SkeletonFrame]],
                      params: TrajectoryParams,
                      ref_stats: ReferenceStats,
-                     current_target: dict[str, np.ndarray] | None = None):
+                     hand_goal: np.ndarray | None = None):
     """Currently active anomaly kinds over a sliding window of
     (t, height-corrected frame) samples.
 
@@ -150,8 +147,9 @@ def detect_anomalies(window: Sequence[tuple[float, SkeletonFrame]],
     frame's facing_direction (None while warming up). A window spanning
     less than ANOMALY_WINDOW seconds only warms up. Fall and orientation
     are judged on the newest frame; hand-position requires the assessed
-    hand to stay beyond HAND_PROXIMITY_FACTOR * match_radius from its
-    current target across the whole window.
+    hand (``ref_stats.hand_joint``) to stay beyond HAND_PROXIMITY_FACTOR *
+    match_radius from ``hand_goal``, its position in the current target,
+    across the whole window.
     """
     if not window or window[-1][0] - window[0][0] < ANOMALY_WINDOW:
         return set(), True, None
@@ -166,17 +164,16 @@ def detect_anomalies(window: Sequence[tuple[float, SkeletonFrame]],
     if facing is not None and float(facing @ STATION_FORWARD) < 0.0:  # cos > 90 degrees
         kinds.add("orientation")
 
-    hand = ref_stats.hand_joint
-    if current_target is not None and hand in current_target:
+    if hand_goal is not None:
+        hand = ref_stats.hand_joint
         limit = HAND_PROXIMITY_FACTOR * params.match_radius
-        goal = current_target[hand]
         away = True
         seen = False
         for _, f in window:
             if not f.has(hand):
                 continue
             seen = True
-            d = f.position(hand) - goal
+            d = f.position(hand) - hand_goal
             if math.sqrt(d.dot(d)) <= limit:  # np.linalg.norm's arithmetic
                 away = False
                 break
@@ -234,9 +231,10 @@ class ActionEvaluator:
         self.abort_kind: str | None = None
         self.open_episodes: dict[str, float] = {}  # kind -> onset, oldest first
         self.anomalies: list[Anomaly] = []  # closed episodes
-        # joint -> target position, one dict per key frame
-        self._targets = [dict(zip(self.track.joint_ids, row))
-                         for row in self.track.positions]
+        # the assessed hand's position in each target, when it is tracked
+        hand = ref_stats.hand_joint
+        self._hand_goals = (list(track.positions[:, track.joint_ids.index(hand)])
+                            if hand in track.joint_ids else None)
         self.factor: float | None = None  # None until the warm-up window closes
         self._pending: list[tuple[float, SkeletonFrame]] = []
         self._window: list[tuple[float, SkeletonFrame]] = []
@@ -300,9 +298,10 @@ class ActionEvaluator:
         while len(window) >= 2 and window[1][0] <= t - ANOMALY_WINDOW:
             window.pop(0)
 
-        target = None if self.complete else self._targets[self.cursor]
+        goal = (None if self.complete or self._hand_goals is None
+                else self._hand_goals[self.cursor])
         kinds, warming, facing = detect_anomalies(window, self.params,
-                                                  self.ref_stats, target)
+                                                  self.ref_stats, goal)
         events: list[tuple] = []
         if not warming:
             if not self._facing_warned and facing is None:

@@ -38,6 +38,9 @@ def test_validate_reports_warnings_but_passes(run, demo_dir):
     code, out, _ = run("validate", collab(demo_dir, "ahtn"))
     assert code == 0
     assert "warning" in out and "weights are 0" in out
+    # a network-wide issue names no task, so no blank stands in for one
+    assert ("warning: all task weights are 0 for assessed scope 'instructor'"
+            in out.splitlines())
     assert out.strip().splitlines()[-1] == "ok"
 
 
@@ -473,6 +476,15 @@ def test_simulate_takes_one_reference(run, demo_dir):
                        "--magnitudes", "0,0.1", "--trials", "10")
     assert code == 1
     assert "exactly one" in err
+
+
+def test_simulate_refs_is_a_plain_path(run, demo_dir):
+    # simulate scores at quality 1, so a quality suffix is not read as one
+    spec = hydro(demo_dir, "rec") + "@0.5"
+    code, out, err = run("simulate", "--net", hydro(demo_dir, "ahtn"),
+                         "--refs", spec, "--magnitudes", "0", "--trials", "10")
+    assert code == 1 and out == ""
+    assert "ahtn: error:" in err and "hydrometer.rec@0.5" in err
 
 
 @pytest.mark.parametrize("magnitudes", [

@@ -2,7 +2,10 @@
 
 import functools
 import gc
+import importlib
+import importlib.util
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,9 +82,7 @@ def test_session_rejects_invalid_network(hydro_refs):
 
 
 def test_session_names_weighted_tasks_without_reference(hydro_net, hydro_refs):
-    from ahtn.telemetry import ReferenceSet
-    gutted = ReferenceSet(by_task={k: v for k, v in hydro_refs.by_task.items()
-                                   if k != "T2"})
+    gutted = {k: v for k, v in hydro_refs.items() if k != "T2"}
     with pytest.raises(ValueError, match="without a reference: T2"):
         Session(cfg(hydro_net, gutted))
 
@@ -513,3 +514,24 @@ def test_session_id_defaults_to_recording(hydro_net, hydro_rec, hydro_refs):
     named = score_recording(cfg(hydro_net, hydro_refs), hydro_rec,
                             session_id="override")
     assert named.session_id == "override"
+
+
+# -- benchmark hooks -------------------------------------------------------------
+
+def test_every_perfbench_hook_target_is_a_callable_in_ahtn():
+    # the traced benchmark skips a hook whose target is gone, so a deleted
+    # or renamed function would only show as a missing per-layer figure
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)  # defines the tables; installs nothing
+    targets = ([t for _, t, _ in spans.HOOKS]
+               + [t for _, t in spans.TRIAL_HOOKS])
+    assert targets
+    for target in targets:
+        modname, _, attrs = target.partition(":")
+        assert modname.split(".")[0] == "ahtn", target
+        obj = importlib.import_module(modname)
+        for attr in attrs.split("."):
+            obj = getattr(obj, attr, None)
+        assert callable(obj), target

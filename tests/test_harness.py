@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ahtn.harness import (METHODS, MonotonicityRow, PerturbationSpec,
-                          ScorePairSet, UndefinedCorrelationError, correlate,
+                          ScorePairSet, UndefinedCorrelationError,
                           correlate_values, format_monotonicity,
                           monotonicity_csv, monotonicity_report,
                           parse_score_pairs, perturb, spec_for_magnitude)
@@ -91,6 +91,16 @@ def test_correlate_guards():
         correlate_values([1.0], [1.0], "pearson")
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_non_finite_input_is_named_before_any_method(method):
+    # no method may turn it into a coefficient or blame another cause
+    x = [0.1, math.nan, 0.4, 0.9]
+    y = [0.2, 0.5, math.inf, 0.8]
+    with pytest.raises(ValueError, match="non-finite value nan") as err:
+        correlate_values(x, y, method)
+    assert not isinstance(err.value, UndefinedCorrelationError)
+
+
 # -- score pair parsing ----------------------------------------------------------
 
 def test_parse_score_pairs_percent_scale():
@@ -120,7 +130,8 @@ def test_score_pair_set_alignment():
     with pytest.raises(ValueError, match="align"):
         ScorePairSet(labels=("a",), system=(0.1, 0.2), grader=(0.1,))
     pairs = ScorePairSet(labels=("a", "b"), system=(0.1, 0.9), grader=(0.2, 0.8))
-    assert correlate(pairs, "pearson") == pytest.approx(1.0)
+    assert correlate_values(pairs.system, pairs.grader,
+                            "pearson") == pytest.approx(1.0)
 
 
 # -- perturbation -----------------------------------------------------------------

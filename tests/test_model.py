@@ -41,12 +41,10 @@ def test_parse_minimal_chain():
     assert set(net.nodes) == {"T1", "T2"}
     assert net.nodes["T2"].predecessors == ("T1",)
     assert net.nodes["T1"].predecessors == ()
-    assert set(net.root_ids) == {"T1", "T2"}
 
 
 def test_bundled_hydrometer_shape(hydro_net):
     assert len(hydro_net.nodes) == 5
-    assert hydro_net.root_ids == ("hydrometer",)
     root = hydro_net.nodes["hydrometer"]
     assert root.kind == "abstract"
     assert root.children == ("T1", "T2", "T3", "T4")
@@ -130,6 +128,10 @@ def test_validate_two_cycle():
     report = validate_network(parse_network(text))
     assert not report.ok
     assert any("cycle" in i.message for i in report.errors())
+    # a self-loop is a cycle too; a dangling id is no edge
+    looped = MINIMAL.replace("  pred T1\n", "  pred T2\n  pred T9\n", 1)
+    assert [i.message for i in validate_network(parse_network(looped)).errors()] \
+        == ["dangling predecessor 'T9'", "cycle in predecessor graph"]
 
 
 def test_validate_dangling_predecessor():
@@ -244,6 +246,33 @@ end
     net = parse_network(text)
     assert "T3" not in ready_tasks(net, {"T1"})
     assert "T3" in ready_tasks(net, {"T1", "T2"})
+
+
+def _child_cycle_text(r_first):
+    """A and B are each other's child; R waits on A and Q on B."""
+    prim = ("  kind primitive\n{}  user single u\n  weight 1.0\n  objects o\n"
+            "  assess task-level\n  check position subject=o\n"
+            "  feedback final\nend\n")
+    blocks = {
+        "A": "task A\n  kind abstract\n  child B\n  child P1\nend\n",
+        "B": "task B\n  kind abstract\n  child A\n  child P2\nend\n",
+        "P1": "task P1\n" + prim.format(""),
+        "P2": "task P2\n" + prim.format(""),
+        "R": "task R\n" + prim.format("  pred A\n"),
+        "Q": "task Q\n" + prim.format("  pred B\n"),
+    }
+    order = ["A", "B", "P1", "P2"] + (["R", "Q"] if r_first else ["Q", "R"])
+    return "".join(blocks[i] for i in order)
+
+
+def test_ready_does_not_depend_on_declaration_order_under_a_child_cycle():
+    # both A and B reach P1 and P2; only P2 is complete, so neither R nor
+    # Q is ready, whichever is declared first
+    for r_first in (True, False):
+        net = parse_network(_child_cycle_text(r_first))
+        assert any("cycle in child hierarchy" in i.message
+                   for i in validate_network(net).errors())
+        assert ready_tasks(net, {"P2"}) == {"P1"}, r_first
 
 
 def test_ready_matches_brute_force_on_bundled(hydro_net, collab_net):

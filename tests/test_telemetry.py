@@ -447,7 +447,7 @@ def test_slice_closed_interval():
             "t=4.0 u=a mark T end\n"
             "t=5.0 u=a collide g h\n")
     sl = TaskSlicer(parse_session(text)).cut("T")
-    assert sl.t0 == 1.0 and sl.t1 == 4.0 and sl.duration == 3.0
+    assert sl.t0 == 1.0 and sl.t1 == 4.0
     pairs = [(e.payload.object_id, e.payload.other_id) for e in sl.events]
     assert pairs == [("a", "b"), ("c", "d"), ("e", "f")]
 

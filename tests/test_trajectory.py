@@ -59,7 +59,6 @@ def test_reference_track_takes_first_frame_at_or_after_key_time():
     track = build_reference_track(skel_slice(samples), PARAMS)
     assert track.key_frames == 20
     expected = [math.ceil(k / 2) for k in range(20)]
-    assert list(track.times) == expected
     assert track.positions.shape == (20, 2, 3)
     assert list(track.positions[:, 0, 2]) == expected  # head z tracks frame time
 
@@ -74,7 +73,7 @@ def test_reference_track_requires_joints():
 
 def test_reference_tracks_compare_by_identity(hydro_net, hydro_rec):
     first, second = (build_reference_set(hydro_net, [(hydro_rec, 1.0)])
-                     .by_task["T1"][0].track for _ in range(2))
+                     ["T1"][0].track for _ in range(2))
     assert np.array_equal(first.positions, second.positions)
     assert first == first
     assert first != second  # no elementwise array comparison
@@ -260,13 +259,13 @@ def test_fall_anomaly_uses_reference_face_height():
 
 
 def test_hand_position_anomaly_needs_whole_window_away():
-    target = {"hand-right": np.zeros(3)}
+    goal = np.zeros(3)  # of hand-right, STATS' hand
     far = frame(head=(0, 1.7, 0), hand_right=(0.35, 1.1, 0))
     near = frame(head=(0, 1.7, 0), hand_right=(0.25, 0, 0))
-    kinds, _, _ = detect_anomalies(window_of(far), PARAMS, STATS, target)
+    kinds, _, _ = detect_anomalies(window_of(far), PARAMS, STATS, goal)
     assert "hand-position" in kinds
     mixed = [(0.0, far), (0.3, near), (0.6, far)]
-    kinds, _, _ = detect_anomalies(mixed, PARAMS, STATS, target)
+    kinds, _, _ = detect_anomalies(mixed, PARAMS, STATS, goal)
     assert "hand-position" not in kinds  # one close sample clears it
 
 
