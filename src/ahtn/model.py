@@ -29,14 +29,21 @@ One directive per line; block order is irrelevant. Joint ids appearing in
 ``objects`` (head, hand-left, finger-*, ...) select the skeleton joints
 tracked by action-level assessment.
 
+Each rule about one node is kept on the type that holds it (``UserScope``,
+``CheckSpec``, ``AssessmentSpec``, ``TaskNode``) and raises a ValueError
+whenever one is built, ``dataclasses.replace`` included. The parser only
+turns text into these types, adding the line of the directive, or of the
+``task`` line for a whole task; ``validate_network`` keeps the rules that
+span nodes.
+
 Every number a user sets goes through ``check_setting``: it must be finite
 and pass one of the four rules of ``RULES``. Each is declared once, as a
 ``setting`` field with its default, rule and a one-line description, on
 the type that holds it: ``TaskNode`` and ``CheckSpec`` for the file's
 numbers, ``Defaults`` and ``TrajectoryParams`` for the engine-wide ones.
-Each type checks its settings however it is built; the parser checks a
-file's number by the same rule as it reads it, with its line number. The
-CLI's flags and the report's config lines come from the engine-wide ones.
+The parser checks a file's number by the same rule as it reads it, with
+its line number. The CLI's flags and the report's config lines come from
+the engine-wide ones.
 """
 
 from __future__ import annotations
@@ -141,12 +148,26 @@ class Defaults(Settings):
     action_share: float = setting(0.5, "in [0, 1]", "trajectory share of a both-mode grade")
 
 
+def check_known(value, allowed: tuple, what: str) -> None:
+    """A ValueError naming what when value is not one of allowed."""
+    if value not in allowed:
+        raise ValueError(f"unknown {what} {value!r} ({'|'.join(allowed)})")
+
+
 @dataclass(frozen=True)
 class UserScope:
-    """Who a task assesses: one user, a whole group, or one user inside a group."""
+    """Who a task assesses: one user, a whole group (at least two users),
+    or one user inside a group."""
 
     category: str
     user_ids: tuple[str, ...]
+
+    def __post_init__(self):
+        check_known(self.category, SCOPE_CATEGORIES, "scope category")
+        if self.category == "group" and len(self.user_ids) < 2:
+            raise ValueError("group scope needs at least two user ids")
+        if self.category != "group" and len(self.user_ids) != 1:
+            raise ValueError(f"{self.category} scope needs exactly one user id")
 
     def key(self) -> str:
         """Stable report-scope key for this assessment target."""
@@ -161,7 +182,8 @@ class CheckSpec(Settings):
 
     ``tol`` is interpreted per kind (orientation: max angle in radians,
     position: max distance in meters, text-input: numeric tolerance) and
-    falls back to engine defaults when None.
+    falls back to engine defaults when None; other kinds take none. An
+    attachment check needs the ``reference_object`` held.
     """
 
     kind: str
@@ -170,6 +192,14 @@ class CheckSpec(Settings):
     penalty: float = setting(0.01, "in (0, 1]", "score lost per collision")
     tol: float | None = setting(None, "> 0", "tolerance of the check's kind")
     check_weight: float = setting(1.0, ">= 0", "weight among the task's checks")
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_known(self.kind, CHECK_KINDS, "check kind")
+        if self.kind == "attachment" and self.reference_object is None:
+            raise ValueError("attachment check requires a reference object")
+        if self.tol is not None and self.kind not in ("orientation", "position", "text-input"):
+            raise ValueError(f"{self.kind} check takes no tol")
 
 
 @dataclass(frozen=True)
@@ -186,9 +216,24 @@ class TrajectoryParams(Settings):
 
 @dataclass(frozen=True)
 class AssessmentSpec:
+    """How a primitive task is assessed. It has checks exactly when the
+    mode is task-level or both, and a trajectory tracking at least one
+    joint exactly when the mode is action-level or both."""
+
     mode: str
     checks: tuple[CheckSpec, ...] = ()
     trajectory: TrajectoryParams | None = None
+
+    def __post_init__(self):
+        check_known(self.mode, ASSESS_MODES, "assessment mode")
+        if self.has_task_level != bool(self.checks):
+            raise ValueError(f"{self.mode} mode "
+                             f"{'needs' if self.has_task_level else 'takes no'} checks")
+        if self.has_action_level != (self.trajectory is not None):
+            raise ValueError(f"{self.mode} mode "
+                             f"{'needs a' if self.has_action_level else 'takes no'} trajectory")
+        if self.trajectory is not None and not self.trajectory.joint_ids:
+            raise ValueError("trajectory tracks no joint")
 
     @property
     def has_task_level(self) -> bool:
@@ -199,8 +244,17 @@ class AssessmentSpec:
         return self.mode in ("action-level", "both")
 
 
+_PRIMITIVE_ONLY = ("inputs", "outputs", "users", "weight", "predecessors",
+                   "objects", "assessment", "feedback", "time_constraint")
+_REQUIRED = ("users", "weight", "objects", "assessment", "feedback")
+
+
 @dataclass(frozen=True)
 class TaskNode(Settings):
+    """A network node. An abstract node has children and nothing of
+    ``_PRIMITIVE_ONLY``; a primitive one has no children and sets every
+    field of ``_REQUIRED``."""
+
     id: str
     kind: str  # abstract | primitive
     name: str
@@ -215,6 +269,22 @@ class TaskNode(Settings):
     assessment: AssessmentSpec | None = None
     feedback: str | None = None
     time_constraint: float | None = setting(None, "> 0", "completion time limit in seconds")
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_known(self.kind, ("abstract", "primitive"), "task kind")
+        given = [n for n in _PRIMITIVE_ONLY if getattr(self, n) not in (None, ())]
+        if not self.is_primitive:
+            if not self.children:
+                raise ValueError("abstract task has no children")
+            if given:
+                raise ValueError(f"abstract task must not set {given[0]}")
+            return
+        if self.children:
+            raise ValueError("primitive task must not have children")
+        if missing := [n for n in _REQUIRED if n not in given]:
+            raise ValueError(f"primitive task is missing {missing[0]}")
+        check_known(self.feedback, FEEDBACK_MODES, "feedback mode")
 
     @property
     def is_primitive(self) -> bool:
@@ -253,11 +323,11 @@ class ValidationReport:
 
 _SCOPE_KEYWORDS = {"single": "single-user", "group": "group", "individual": "individual-in-group"}
 _FEEDBACK_KEYWORDS = {"realtime": "real-time", "final": "final-score"}
-# directives that may appear at most once per block
-_SINGLE = ("kind", "name", "desc", "user", "weight", "input", "output",
-           "objects", "assess", "feedback", "time")
-_AUGMENTED = ("pred", "user", "weight", "input", "output", "objects",
-              "assess", "check", "feedback", "time")
+# directive -> the TaskNode field it sets (assess: the mode), at most once a block
+_FIELDS = {"kind": "kind", "name": "name", "desc": "desc", "user": "users",
+           "weight": "weight", "input": "inputs", "output": "outputs",
+           "objects": "objects", "assess": "assess", "feedback": "feedback",
+           "time": "time_constraint"}
 
 
 def _parse_number(token: str, what: str, line: int, cls, name: str) -> float:
@@ -278,8 +348,6 @@ def _parse_check(tokens: list[str], line: int) -> CheckSpec:
     if not tokens:
         raise NetworkError("check needs a kind", line)
     kind = tokens[0]
-    if kind not in CHECK_KINDS:
-        raise NetworkError(f"unknown check kind {kind!r}", line)
     fields: dict[str, str] = {}
     for tok in tokens[1:]:
         if "=" not in tok:
@@ -288,24 +356,23 @@ def _parse_check(tokens: list[str], line: int) -> CheckSpec:
         if key in fields:
             raise NetworkError(f"duplicate check option {key!r}", line)
         fields[key] = value
-    allowed = {"subject", "ref", "cweight"}
+    allowed = {"subject", "ref", "cweight", "tol"}
     if kind == "collision":
         allowed |= {"penalty", "ref"}
-    if kind in ("orientation", "position", "text-input"):
-        allowed.add("tol")
     unknown = set(fields) - allowed
     if unknown:
         raise NetworkError(f"check option not allowed for {kind}: {sorted(unknown)[0]!r}", line)
     if "subject" not in fields:
         raise NetworkError("check requires subject=<id>", line)
-    if kind == "attachment" and "ref" not in fields:
-        raise NetworkError("attachment check requires ref=<id>", line)
     numbers = {name: _parse_number(fields[key], key, line, CheckSpec, name)
                for key, name in (("penalty", "penalty"), ("tol", "tol"),
                                  ("cweight", "check_weight"))
                if key in fields}
-    return CheckSpec(kind=kind, subject=fields["subject"],
-                     reference_object=fields.get("ref"), **numbers)
+    try:
+        return CheckSpec(kind=kind, subject=fields["subject"],
+                         reference_object=fields.get("ref"), **numbers)
+    except ValueError as e:
+        raise NetworkError(str(e), line) from None
 
 
 class _Block:
@@ -319,64 +386,27 @@ class _Block:
 
 
 def _finish_block(b: _Block) -> TaskNode:
-    kind = b.fields.get("kind")
-    if kind is None:
-        raise NetworkError(f"task {b.id!r} does not declare kind", b.line)
-    name = str(b.fields.get("name", b.id))
-    desc = str(b.fields.get("desc", ""))
-    if kind == "abstract":
-        for f in _AUGMENTED:
-            present = (f in b.fields or (f == "pred" and b.preds)
-                       or (f == "check" and b.checks))
-            if present:
-                raise NetworkError(
-                    f"abstract task {b.id!r} must not declare {f!r}", b.line)
-        return TaskNode(id=b.id, kind="abstract", name=name, desc=desc,
-                        children=tuple(b.children))
-
-    if b.children:
-        raise NetworkError(f"primitive task {b.id!r} must not declare children", b.line)
-    missing = [f for f in ("user", "weight", "objects", "assess", "feedback")
-               if f not in b.fields]
-    if missing:
-        raise NetworkError(
-            f"primitive task {b.id!r} is missing required parameter {missing[0]!r}", b.line)
-
-    mode = str(b.fields["assess"])
-    trajectory = None
-    if mode in ("task-level", "both") and not b.checks:
-        raise NetworkError(
-            f"task {b.id!r} assesses {mode} but declares no check", b.line)
-    if mode == "action-level" and b.checks:
-        raise NetworkError(
-            f"task {b.id!r} assesses action-level but declares checks", b.line)
-    if mode in ("action-level", "both"):
-        joints = tuple(o for o in b.fields["objects"] if is_joint_id(o))  # type: ignore[union-attr]
-        if not joints:
-            raise NetworkError(
-                f"task {b.id!r} assesses {mode} but lists no joint ids in objects", b.line)
-        trajectory = TrajectoryParams(joint_ids=joints)
-
-    return TaskNode(
-        id=b.id, kind="primitive", name=name, desc=desc,
-        inputs=tuple(b.fields.get("input", ())),     # type: ignore[arg-type]
-        outputs=tuple(b.fields.get("output", ())),   # type: ignore[arg-type]
-        users=b.fields["user"],                      # type: ignore[arg-type]
-        weight=b.fields["weight"],                   # type: ignore[arg-type]
-        predecessors=tuple(b.preds),
-        objects=tuple(b.fields["objects"]),          # type: ignore[arg-type]
-        assessment=AssessmentSpec(mode=mode, checks=tuple(b.checks),
-                                  trajectory=trajectory),
-        feedback=b.fields["feedback"],               # type: ignore[arg-type]
-        time_constraint=b.fields.get("time"),        # type: ignore[arg-type]
-    )
+    """The block's TaskNode; a rule it breaks is a NetworkError at the
+    block's first line."""
+    given = {_FIELDS[d]: value for d, value in b.fields.items()}
+    mode = given.pop("assess", None)
+    try:
+        if mode is not None or b.checks:
+            joints = tuple(o for o in given.get("objects", ()) if is_joint_id(o))
+            given["assessment"] = AssessmentSpec(
+                mode, tuple(b.checks),
+                TrajectoryParams(joints) if mode in ("action-level", "both") else None)
+        return TaskNode(id=b.id, kind=given.pop("kind", None), name=given.pop("name", b.id),
+                        children=tuple(b.children), predecessors=tuple(b.preds), **given)
+    except ValueError as e:
+        raise NetworkError(f"task {b.id!r}: {e}", b.line) from None
 
 
 def parse_network(text: str) -> TaskNetwork:
     """Parse a definition file into a TaskNetwork.
 
     Raises NetworkError with the offending line number for syntax errors,
-    duplicate ids, unknown directives, and missing required parameters.
+    duplicate ids, unknown directives and any rule a built type breaks.
     Cross-node consistency (dangling ids, cycles) is left to
     validate_network.
     """
@@ -410,7 +440,7 @@ def parse_network(text: str) -> TaskNetwork:
             block = None
             continue
 
-        if directive in _SINGLE and directive in block.fields:
+        if directive in _FIELDS and directive in block.fields:
             raise NetworkError(f"duplicate {directive!r} directive", lineno)
 
         if directive == "kind":
@@ -419,22 +449,17 @@ def parse_network(text: str) -> TaskNetwork:
             block.fields["kind"] = args[0]
         elif directive in ("name", "desc"):
             block.fields[directive] = line.split(None, 1)[1] if args else ""
-        elif directive == "child":
+        elif directive in ("child", "pred"):
             if len(args) != 1:
-                raise NetworkError("child takes exactly one id", lineno)
-            block.children.append(args[0])
-        elif directive == "pred":
-            if len(args) != 1:
-                raise NetworkError("pred takes exactly one id", lineno)
-            block.preds.append(args[0])
+                raise NetworkError(f"{directive} takes exactly one id", lineno)
+            (block.children if directive == "child" else block.preds).append(args[0])
         elif directive == "user":
             if not args or args[0] not in _SCOPE_KEYWORDS:
                 raise NetworkError("user needs single|group|individual and ids", lineno)
-            category = _SCOPE_KEYWORDS[args[0]]
-            ids = tuple(args[1:])
-            scope = UserScope(category=category, user_ids=ids)
-            _check_scope(scope, lineno)
-            block.fields["user"] = scope
+            try:
+                block.fields["user"] = UserScope(_SCOPE_KEYWORDS[args[0]], tuple(args[1:]))
+            except ValueError as e:
+                raise NetworkError(str(e), lineno) from None
         elif directive == "weight":
             if len(args) != 1:
                 raise NetworkError("weight takes one number", lineno)
@@ -467,25 +492,13 @@ def parse_network(text: str) -> TaskNetwork:
     return TaskNetwork(nodes=nodes)
 
 
-def _check_scope(scope: UserScope, line: int | None = None) -> None:
-    if scope.category in ("single-user", "individual-in-group"):
-        if len(scope.user_ids) != 1:
-            raise NetworkError(
-                f"{scope.category} scope needs exactly one user id", line)
-    elif scope.category == "group":
-        if len(scope.user_ids) < 2:
-            raise NetworkError("group scope needs at least two user ids", line)
-    else:
-        raise NetworkError(f"unknown scope category {scope.category!r}", line)
-
-
 # ---------------------------------------------------------------------------
 # validation
 
 def validate_network(net: TaskNetwork) -> ValidationReport:
-    """Structural validation: cycles, dangling references, childless
-    abstract nodes as errors; zero-weight scopes and unknown check subjects
-    as warnings."""
+    """The rules that span nodes: dangling ids and cycles are errors; a
+    zero-weight scope, a check subject its task does not list and an
+    input/output id no task lists are warnings."""
     issues: list[ValidationIssue] = []
 
     def err(node_id: str, msg: str) -> None:
@@ -494,6 +507,7 @@ def validate_network(net: TaskNetwork) -> ValidationReport:
     def warn(node_id: str, msg: str) -> None:
         issues.append(ValidationIssue("warning", node_id, msg))
 
+    totals: dict[str, float] = {}
     for node in net.nodes.values():
         for c in node.children:
             if c not in net.nodes:
@@ -501,42 +515,20 @@ def validate_network(net: TaskNetwork) -> ValidationReport:
         for p in node.predecessors:
             if p not in net.nodes:
                 err(node.id, f"dangling predecessor {p!r}")
-        if node.kind == "abstract" and not node.children:
-            err(node.id, "abstract node has no children")
-        if node.is_primitive and node.children:
-            err(node.id, "primitive node has children")
         if node.is_primitive:
-            if node.users is None or node.weight is None \
-                    or node.assessment is None or node.feedback is None:
-                err(node.id, "primitive node missing augmented parameters")
-                continue
-            try:
-                _check_scope(node.users)
-            except NetworkError as e:
-                err(node.id, str(e))
-            spec = node.assessment
-            if spec.has_task_level and not spec.checks:
-                err(node.id, "task-level assessment without checks")
-            if spec.has_action_level and spec.trajectory is None:
-                err(node.id, "action-level assessment without trajectory parameters")
-            declared = set(node.objects)
-            for check in spec.checks:
-                if check.subject not in declared:
+            for check in node.assessment.checks:
+                if check.subject not in node.objects:
                     warn(node.id, f"check subject {check.subject!r} not listed in objects")
             for ref in node.inputs + node.outputs:
                 if not any(ref in n.objects for n in net.nodes.values()):
                     warn(node.id, f"input/output id {ref!r} not produced by any task")
+            key = node.users.key()
+            totals[key] = totals.get(key, 0.0) + node.weight
 
     if _has_cycle(net, lambda n: n.children):
         err("", "cycle in child hierarchy")
     if _has_cycle(net, lambda n: n.predecessors):
         err("", "cycle in predecessor graph")
-
-    totals: dict[str, float] = {}
-    for node in net.nodes.values():
-        if node.is_primitive and node.users is not None and node.weight is not None:
-            key = node.users.key()
-            totals[key] = totals.get(key, 0.0) + node.weight
     for key, total in totals.items():
         if total == 0.0:
             warn("", f"all task weights are 0 for assessed scope {key!r}")

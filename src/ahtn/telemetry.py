@@ -35,9 +35,9 @@ run, both sides keep a scope member's events that one
 ``checks.TaskSamples.add`` takes (``engine.build_reference``).
 
 ``reference_stats`` measures the reference performer's skeleton over a
-task's first second and ``trajectory.ActionEvaluator`` the learner's, both
-with ``face_hand_medians``; ``scale_frame`` applies the resulting
-height-correction factor.
+task's first ``WARM_UP_SECONDS`` and ``trajectory.ActionEvaluator`` the
+learner's, both with ``face_hand_medians``; ``scale_frame`` applies the
+resulting height-correction factor.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 import numpy as np
 
 from .kernels import scale_about
-from .model import check_setting
+from .model import check_known, check_setting
 
 if TYPE_CHECKING:
     from .trajectory import ReferenceTrack
@@ -58,6 +58,7 @@ QUAT_NORM_TOL = 1e-6
 LAYOUT_CACHE_SIZE = 256  # distinct joint layouts kept by _joint_layout
 PARSE_BLOCK_LINES = 2048  # lines per bulk conversion; bounds its transient memory
 MIN_FACE_HAND_DISTANCE = 0.01  # m; below this the pose is degenerate
+WARM_UP_SECONDS = 1.0  # a task's first span, over which both sides measure the skeleton
 
 HAND_JOINTS = ("hand-right", "hand-left")
 
@@ -100,6 +101,9 @@ class TextInput:
 class TaskMark:
     task_id: str
     edge: str  # start | end
+
+    def __post_init__(self):
+        check_known(self.edge, ("start", "end"), "mark edge")
 
 
 # raw names tuple -> validated, stripped names tuple; a process-wide memo
@@ -331,10 +335,11 @@ def parse_event_line(line: str, lineno: int = 0) -> Event:
             raise RecordingError("text value must not contain quotes", lineno)
         payload = TextInput(field_id=tokens[0], value=value)
     elif kind == "mark":
-        tokens = rest.split()
-        if len(tokens) != 2 or tokens[1] not in ("start", "end"):
-            raise RecordingError("mark needs <task> start|end", lineno)
-        payload = TaskMark(task_id=tokens[0], edge=tokens[1])
+        try:
+            task_id, edge = rest.split()
+            payload = TaskMark(task_id=task_id, edge=edge)
+        except ValueError:
+            raise RecordingError("mark needs <task> start|end", lineno) from None
     else:
         raise RecordingError(f"unknown event kind {kind!r}", lineno)
 
@@ -607,15 +612,15 @@ def face_hand_medians(frames, hand: str) -> tuple[float, float]:
 
 def reference_stats(slice_: TaskSlice,
                     subject_object: str | None = None) -> ReferenceStats:
-    """Skeleton statistics over a slice's first second (``face_hand_medians``,
-    robust to first-frame noise). The measured hand is the one nearer the
+    """Skeleton statistics over a slice's first ``WARM_UP_SECONDS``
+    (``face_hand_medians``, robust to first-frame noise). The measured hand is the one nearer the
     assessed object at slice start, defaulting to the right hand."""
     frames = skeleton_frames(slice_.events)
     if not frames:
         raise ValueError(f"slice for {slice_.task_id!r} has no skeleton frames")
     first = frames[0][1]
     hand = _nearest_hand(slice_.events, first, subject_object)
-    cutoff = slice_.t0 + 1.0
+    cutoff = slice_.t0 + WARM_UP_SECONDS
     window = [f for t, f in frames if t <= cutoff] or [first]
     face_height, face_hand_distance = face_hand_medians(window, hand)
     return ReferenceStats(face_height=face_height,

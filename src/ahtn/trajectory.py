@@ -31,8 +31,8 @@ import numpy as np
 
 from .kernels import all_within
 from .model import TrajectoryParams
-from .telemetry import (MIN_FACE_HAND_DISTANCE, ReferenceStats, SkeletonFrame,
-                        TaskSlice, face_hand_medians, scale_frame,
+from .telemetry import (MIN_FACE_HAND_DISTANCE, WARM_UP_SECONDS, ReferenceStats,
+                        SkeletonFrame, TaskSlice, face_hand_medians, scale_frame,
                         skeleton_frames)
 
 ANOMALY_KINDS = ("fall", "orientation", "hand-position")
@@ -204,7 +204,7 @@ class ActionEvaluator:
     matching and anomaly watching for a single task activation, against
     a reference track; the track's params drive the matching.
 
-    Frames inside the first second are buffered so the correction factor
+    Frames inside the first ``WARM_UP_SECONDS`` are buffered so the height factor
     can be computed from the median face-hand distance of that window
     (matching how reference statistics are taken), then replayed. Once the
     factor is not 1, a frame without a head cannot be corrected: it is
@@ -276,7 +276,7 @@ class ActionEvaluator:
             return []
         if self.factor is not None:
             return self._step(t, frame)
-        if t <= self.t_start + 1.0:
+        if t <= self.t_start + WARM_UP_SECONDS:
             self._pending.append((t, frame))
             return []
         events = self._warm_up()

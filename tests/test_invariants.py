@@ -9,10 +9,14 @@ lines (``move_marks``). The invariants:
    they are in the session or in the reference;
 3. a recording replayed against itself scores 1.0 on every check that
    compares it with the reference: both sides read the same events;
-4. one more collision of a checked subject never raises a task's omega.
+4. one more collision of a checked subject never raises a task's omega;
+5. renaming the user ids in the network and in both recordings renames
+   them in the report and the feedback, and changes no other byte.
 """
 
 import functools
+import re
+from importlib import resources
 
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +24,7 @@ from ahtn import fixtures
 from ahtn.checks import FEATURE_KINDS
 from ahtn.engine import EngineConfig, Session, build_reference_set, score_recording
 from ahtn.harness import perturb, spec_for_magnitude
+from ahtn.model import parse_network
 from ahtn.report import render_report
 from ahtn.telemetry import (Collision, Event, SessionRecording, TaskMark,
                             parse_session, read_events, serialize_recording)
@@ -136,3 +141,45 @@ def test_one_more_collision_never_raises_an_omega(session, data):
     for scope in after.scopes:
         for entry in scope.entries:
             assert entry.omega <= omegas[entry.task_id], entry.task_id
+
+
+def rename_ids(text, names):
+    """text with every whole-token old id of names replaced by its new id."""
+    pattern = r"(?<![\w-])(" + "|".join(map(re.escape, names)) + r")(?![\w-])"
+    return re.sub(pattern, lambda m: names[m[1]], text)
+
+
+def rename_users(recording_text, names):
+    """A recording's text with the user of each line renamed."""
+    return re.sub(r"(?m)^(t=\S+ u=)(\S+)",
+                  lambda m: m[1] + names.get(m[2], m[2]), recording_text)
+
+
+def live_outputs(net, refs, text):
+    """The report and the feedback lines of a live session over text."""
+    session = Session(EngineConfig(net, refs))
+    feedback = [m.render() for e in read_events(text.splitlines())
+                for m in session.ingest(e)]
+    return render_report(session.finalize()), "\n".join(feedback)
+
+
+@fast
+@given(sessions(), st.lists(st.from_regex(r"[a-z][a-z0-9-]{0,9}", fullmatch=True),
+                            min_size=2, max_size=2, unique=True))
+def test_renaming_users_renames_only_them(session, new_ids):
+    name, text = session
+    net, reference, refs = demo(name)
+    old_ids = sorted({u for n in net.nodes.values() if n.is_primitive
+                      for u in n.users.user_ids})
+    names = dict(zip(old_ids, new_ids))
+    net_text = (resources.files("ahtn") / "data" / f"{name}.ahtn").read_text("utf-8")
+    renamed_net = parse_network("".join(
+        rename_ids(line, names) if line.split()[:1] == ["user"] else line
+        for line in net_text.splitlines(keepends=True)))
+    renamed_reference = SessionRecording(
+        reference.session_id, tuple(names[u] for u in reference.user_ids),
+        tuple(Event(e.t, names[e.user], e.payload) for e in reference.events))
+    renamed_refs = build_reference_set(renamed_net, [(renamed_reference, 1.0)])
+    report, feedback = live_outputs(net, refs, text)
+    assert live_outputs(renamed_net, renamed_refs, rename_users(text, names)) \
+        == (rename_ids(report, names), rename_ids(feedback, names))

@@ -3,14 +3,16 @@
 import itertools
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
 
 from ahtn.cli import main
-from ahtn.model import (Defaults, NetworkError, TrajectoryParams,
-                        parse_network, ready_tasks, validate_network,
+from ahtn.model import (CheckSpec, Defaults, NetworkError, TrajectoryParams,
+                        UserScope, parse_network, ready_tasks, validate_network,
                         with_trajectory_defaults)
+from ahtn.telemetry import TaskMark
 
 MINIMAL = """\
 task T1
@@ -141,8 +143,10 @@ def test_validate_dangling_predecessor():
 
 
 def test_validate_childless_abstract():
-    report = validate_network(parse_network("task A\n  kind abstract\nend\n"))
-    assert any("no children" in i.message for i in report.errors())
+    # a rule of one node: the parser raises it, with the block's line
+    with pytest.raises(NetworkError,
+                       match="^line 1: task 'A': abstract task has no children$"):
+        parse_network("task A\n  kind abstract\nend\n")
 
 
 def test_check_subject_not_in_objects_warns():
@@ -394,6 +398,50 @@ def test_network_number_edges_parse(demo_dir, line, old, new):
         "TaskNode.weight", "TaskNode.time_constraint"])
 def test_library_settings_are_checked(hydro_net, build, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite and "):
+        build(hydro_net)
+
+
+# each once validated ok on the hydrometer network and then scored, or
+# (the mark) was read as an end
+@pytest.mark.parametrize("build, rule", [
+    (lambda net: CheckSpec(kind="bogus", subject="hydrometer"),
+     "unknown check kind 'bogus'"),
+    (lambda net: CheckSpec(kind="attachment", subject="hydrometer"),
+     "attachment check requires a reference object"),
+    (lambda net: replace(net.nodes["T2"].assessment.checks[0], tol=3.0),
+     "attachment check takes no tol"),
+    (lambda net: replace(net.nodes["T1"].assessment, mode="bogus"),
+     "unknown assessment mode 'bogus'"),
+    (lambda net: replace(net.nodes["T1"], feedback="sometimes"),
+     "unknown feedback mode 'sometimes'"),
+    (lambda net: replace(net.nodes["T1"].assessment, mode="action-level"),
+     "action-level mode takes no checks"),
+    (lambda net: replace(net.nodes["T3"].assessment,
+                         trajectory=TrajectoryParams(joint_ids=("head",))),
+     "task-level mode takes no trajectory"),
+    (lambda net: replace(net.nodes["T1"].assessment,
+                         trajectory=TrajectoryParams(joint_ids=())),
+     "trajectory tracks no joint"),
+    (lambda net: UserScope("group", ("student",)),
+     "group scope needs at least two user ids"),
+    (lambda net: replace(net.nodes["T1"].users, user_ids=()),
+     "single-user scope needs exactly one user id"),
+    (lambda net: replace(net.nodes["hydrometer"], children=()),
+     "abstract task has no children"),
+    (lambda net: replace(net.nodes["hydrometer"], weight=1.0),
+     "abstract task must not set weight"),
+    (lambda net: replace(net.nodes["T1"], children=("T2",)),
+     "primitive task must not have children"),
+    (lambda net: replace(net.nodes["T1"], assessment=None),
+     "primitive task is missing assessment"),
+    (lambda net: TaskMark("T4", "stop"), "unknown mark edge 'stop'"),
+], ids=["CheckSpec.kind", "CheckSpec.ref", "CheckSpec.tol-kind",
+        "AssessmentSpec.mode", "TaskNode.feedback", "AssessmentSpec.checks",
+        "AssessmentSpec.trajectory", "AssessmentSpec.joints", "UserScope.group",
+        "UserScope.single", "TaskNode.abstract-children", "TaskNode.abstract-field",
+        "TaskNode.primitive-children", "TaskNode.required", "TaskMark.edge"])
+def test_library_types_hold_their_rules(hydro_net, build, rule):
+    with pytest.raises(ValueError, match=f"^{re.escape(rule)}"):
         build(hydro_net)
 
 

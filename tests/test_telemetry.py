@@ -77,6 +77,8 @@ def test_parse_skel_line():
     ("t=0 u=a pose cup 0 0 0 nan nan nan nan", "non-finite"),
     ("t=0 u=a pose cup nan 0 inf 0 0 0 1", "non-finite"),
     ("t=0 u=a mark T sideways", "mark needs"),
+    ("t=0 u=a mark T", "mark needs"),
+    ("t=0 u=a mark T start now", "mark needs"),
     ("t=0 u=a warp cup", "unknown event kind"),
 ])
 def test_bad_lines_rejected(line, fragment):
