@@ -28,8 +28,7 @@ from .harness import (MAGNITUDE_RULE, METHODS, correlate_values,
                       format_monotonicity, monotonicity_csv,
                       monotonicity_report, parse_score_pairs)
 from .model import (Defaults, TaskNetwork, TrajectoryParams, check_setting,
-                    parse_network, setting_lines, setting_text, settings,
-                    validate_network, with_trajectory_defaults)
+                    parse_network, setting_text, settings, validate_network)
 from .report import write_report
 from .telemetry import parse_session, read_events
 
@@ -51,18 +50,19 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _settings_from(args, cls) -> dict:
-    """The values of cls's settings as the command's flags hold them."""
-    return {f.name: getattr(args, f.name) for f in settings(cls)}
+def _settings_from(args, cls):
+    """A cls built from the values of its settings the command's flags hold."""
+    return cls(**{f.name: getattr(args, f.name) for f in settings(cls)})
 
 
 def _load_network(args) -> TaskNetwork:
     net = parse_network(_read(args.net))
     log.info("parsed network %s: %d tasks", args.net, len(net.nodes))
-    return with_trajectory_defaults(net, **_settings_from(args, TrajectoryParams))
+    return net
 
 
-def _load_references(net: TaskNetwork, specs: list[str]):
+def _load_references(net: TaskNetwork, specs: list[str],
+                     trajectory: TrajectoryParams):
     pairs = []
     for spec in specs:
         path, quality = spec, 1.0
@@ -75,15 +75,14 @@ def _load_references(net: TaskNetwork, specs: list[str]):
         rec = parse_session(_read(path), session_id=os.path.basename(path))
         pairs.append((rec, quality))
         log.info("reference %s: %d events, quality %g", path, len(rec.events), quality)
-    return build_reference_set(net, pairs)
+    return build_reference_set(net, pairs, trajectory)
 
 
 def _engine_config(args) -> EngineConfig:
     net = _load_network(args)
-    trajectory = TrajectoryParams(joint_ids=(), **_settings_from(args, TrajectoryParams))
-    return EngineConfig(network=net, references=_load_references(net, args.refs),
-                        defaults=Defaults(**_settings_from(args, Defaults)),
-                        echo=setting_lines(trajectory))
+    trajectory = _settings_from(args, TrajectoryParams)
+    return EngineConfig(net, _load_references(net, args.refs, trajectory),
+                        _settings_from(args, Defaults), trajectory)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +135,8 @@ def _cmd_simulate(args) -> int:
         raise ValueError("simulate takes exactly one --refs recording")
     path = specs[0]
     rec = parse_session(_read(path), session_id=os.path.basename(path))
-    rows = monotonicity_report(net, rec, args.magnitudes, args.trials, args.seed)
+    rows = monotonicity_report(net, rec, args.magnitudes, args.trials, args.seed,
+                               _settings_from(args, TrajectoryParams))
     sys.stdout.write(format_monotonicity(rows))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:

@@ -1,6 +1,8 @@
 """Session engine: routes events to active task evaluators, gates feedback
 by each task's feedback mode, and aggregates per-scope grades.
 
+An EngineConfig holds one grading run's network, references, ``Defaults``
+and ``TrajectoryParams``, checked once when built; its Sessions trust it.
 A Session consumes one time-ordered event stream (batch or live, the code
 path is identical) and produces an AssessmentReport. Task activations are
 driven by TaskMark events; each activation gives every member of the
@@ -17,8 +19,8 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .checks import TaskSamples, TaskScore, evaluate_task_level
-from .model import (Defaults, TaskNetwork, TaskNode, is_joint_id,
-                    ready_tasks, setting_lines, validate_network)
+from .model import (Defaults, TaskNetwork, TaskNode, TrajectoryParams,
+                    is_joint_id, ready_tasks, setting_lines, validate_network)
 from .report import (AssessmentReport, FeedbackMessage, MemberResult,
                      ScopeReport, TaskEntry)
 from .telemetry import (Event, Reference, ReferenceSet, SessionRecording,
@@ -28,12 +30,34 @@ from .trajectory import (FEEDBACK_TEXT, PROGRESS_KINDS, ActionEvaluator,
                          TrajectorySummary, build_reference_track)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineConfig:
+    """One grading run's settings, checked once when built: the network
+    validates, each weighted task has a reference, and each reference
+    track was built for ``trajectory`` and its task's joints."""
+
     network: TaskNetwork
     references: ReferenceSet
     defaults: Defaults = field(default_factory=Defaults)
-    echo: tuple[str, ...] = ()  # config lines after the defaults' in the header
+    trajectory: TrajectoryParams = field(default_factory=TrajectoryParams)
+
+    def __post_init__(self):
+        report = validate_network(self.network)
+        if not report.ok:
+            first = report.errors()[0]
+            raise ValueError(f"invalid network: {first.node_id}: {first.message}")
+        nodes = [self.network.nodes[i] for i in self.network.primitive_ids()]
+        missing = [n.id for n in nodes if n.weight > 0 and n.id not in self.references]
+        if missing:
+            raise ValueError(f"weighted tasks without a reference: {', '.join(missing)}")
+        # a track for other params or joints, or none although nothing failed
+        stale = [n.id for n in nodes if n.assessment.has_action_level and any(
+            r.error is None and (r.track is None or r.track.params != self.trajectory
+                                 or r.track.joint_ids != n.joints)
+            for r in self.references.get(n.id, ()))]
+        if stale:
+            raise ValueError("references built for other trajectory params: "
+                             f"{', '.join(stale)}")
 
 
 def aggregate(weights: Sequence[float], omegas: Sequence[float]) -> float:
@@ -55,33 +79,33 @@ def task_samples(node: TaskNode, t0: float) -> TaskSamples:
     task reads skeleton frames when it matches a trajectory or checks a
     joint."""
     spec = node.assessment
-    skeleton = (spec.trajectory is not None
+    skeleton = (spec.has_action_level
                 or any(is_joint_id(c.subject) for c in spec.checks))
     return TaskSamples(spec.checks, node.objects, skeleton, t0)
 
 
-def build_reference(node: TaskNode, sl: TaskSlice,
-                    quality: float = 1.0) -> Reference:
+def build_reference(node: TaskNode, sl: TaskSlice, quality: float = 1.0,
+                    params: TrajectoryParams = TrajectoryParams()) -> Reference:
     """Reduce a reference recording's slice for one task to what grading
     reads: the check features and, for a trajectory task, the skeleton
-    statistics and the key-frame track; ``error`` says why those two could
-    not be built.
+    statistics and the key-frame track of the node's joints, matched with
+    ``params``; ``error`` says why those two could not be built.
 
     The scope members' events are fed to one ``task_samples`` reducer,
     whose ``add`` a live ``Session`` also routes through, and the events
     it takes are the slice the statistics and the track read. So a
     bystander's skeleton cannot shift the reference means, and one rule
     decides what both sides of a comparison read."""
-    members, spec = node.users.user_ids, node.assessment
+    members = node.users.user_ids
     samples = task_samples(node, sl.t0)
     sl = replace(sl, events=tuple(
         e for e in sl.events if e.user in members and samples.add(e)))
     stats = track = error = None
-    if spec.trajectory is not None:
+    if node.assessment.has_action_level:
         try:
             game_objects = (o for o in node.objects if not is_joint_id(o))
             stats = reference_stats(sl, subject_object=next(game_objects, None))
-            track = build_reference_track(sl, spec.trajectory)
+            track = build_reference_track(sl, node.joints, params)
         except ValueError as e:
             error = str(e)
     return Reference(quality=quality, features=samples.features(), stats=stats,
@@ -89,11 +113,12 @@ def build_reference(node: TaskNode, sl: TaskSlice,
 
 
 def build_reference_set(net: TaskNetwork,
-                        recordings: Sequence[tuple[SessionRecording, float]]
+                        recordings: Sequence[tuple[SessionRecording, float]],
+                        params: TrajectoryParams = TrajectoryParams()
                         ) -> ReferenceSet:
     """Reduce each assessed task of each reference recording once
-    (``build_reference``), scanning each recording once for its marks.
-    Recordings lacking usable marks for a task simply do not contribute a
+    (``build_reference`` with ``params``), scanning each recording once for
+    its marks. Recordings lacking usable marks for a task simply do not contribute a
     reference for it."""
     slicers = [(TaskSlicer(rec), quality) for rec, quality in recordings]
     by_task: ReferenceSet = {}
@@ -104,7 +129,7 @@ def build_reference_set(net: TaskNetwork,
                 sl = slicer.cut(node_id)
             except ValueError:
                 continue
-            refs.append(build_reference(net.nodes[node_id], sl, quality))
+            refs.append(build_reference(net.nodes[node_id], sl, quality, params))
         if refs:
             by_task[node_id] = refs
     return by_task
@@ -132,28 +157,11 @@ class Session:
     """Single-writer event consumer producing one AssessmentReport."""
 
     def __init__(self, config: EngineConfig, session_id: str = "session"):
-        report = validate_network(config.network)
-        if not report.ok:
-            first = report.errors()[0]
-            raise ValueError(f"invalid network: {first.node_id}: {first.message}")
         self.config = config
         self.session_id = session_id
         self.defaults = config.defaults
         self.net = config.network
         self.refs = config.references
-
-        missing = [i for i in self.net.primitive_ids()
-                   if self.net.nodes[i].weight > 0
-                   and i not in self.refs]
-        if missing:
-            raise ValueError(
-                f"weighted tasks without a reference: {', '.join(missing)}")
-        stale = [i for i in self.net.primitive_ids()
-                 if _stale_tracks(self.net.nodes[i], self.refs.get(i, ()))]
-        if stale:
-            raise ValueError("references built for other trajectory params: "
-                             f"{', '.join(stale)}")
-
         self._runs = {i: _TaskRun(self.net.nodes[i])
                       for i in self.net.primitive_ids()}
         self._completed: set[str] = set()
@@ -227,8 +235,7 @@ class Session:
         return self._evaluate(run)
 
     def _attach_evaluators(self, run: _TaskRun) -> None:
-        spec = run.node.assessment
-        if spec.trajectory is None:
+        if not run.node.assessment.has_action_level:
             return
         refs = self.refs.get(run.node.id)
         if not refs:
@@ -240,8 +247,7 @@ class Session:
             return
         for member in run.members:
             run.evaluators[member] = ActionEvaluator(
-                task_id=run.node.id, track=ref.track, ref_stats=ref.stats,
-                t_start=run.t_start)
+                track=ref.track, ref_stats=ref.stats, t_start=run.t_start)
 
     # -- event routing ------------------------------------------------------
 
@@ -398,21 +404,13 @@ class Session:
                         for e in run.evaluators.values()),
             timed_out=self._timed_out,
             scopes=tuple(scopes), warnings=tuple(self._warnings),
-            config=setting_lines(self.defaults) + tuple(self.config.echo))
+            config=setting_lines(self.defaults)
+            + setting_lines(self.config.trajectory))
 
 
 def _best_reference(refs: Sequence[Reference]) -> Reference:
     """The reference of highest quality, the first of equals."""
     return max(refs, key=lambda r: r.quality)
-
-
-def _stale_tracks(node: TaskNode, refs: Sequence[Reference]) -> bool:
-    """True when a reference of a trajectory task has a track built for
-    other params than the node's, or none although nothing failed."""
-    params = node.assessment.trajectory
-    return params is not None and any(
-        r.error is None and (r.track is None or r.track.params != params)
-        for r in refs)
 
 
 def score_recording(config: EngineConfig, rec: SessionRecording,

@@ -17,7 +17,8 @@ import numpy as np
 
 from .engine import EngineConfig, build_reference_set, score_recording
 from .kernels import kendall_pair_stats, pearson, rank_average
-from .model import Settings, TaskNetwork, check_setting, setting, settings
+from .model import (Settings, TaskNetwork, TrajectoryParams, check_setting,
+                    setting, settings)
 from .telemetry import (Attach, Collision, Event, Pose, SessionRecording,
                         SkeletonFrame, TextInput)
 
@@ -325,9 +326,12 @@ class MonotonicityRow:
 
 def monotonicity_report(net: TaskNetwork, reference: SessionRecording,
                         magnitudes: Sequence[float], trials: int,
-                        seed: int = 0) -> list[MonotonicityRow]:
-    """Score `trials` perturbed copies of the reference at each magnitude
-    and tabulate the session grade."""
+                        seed: int = 0,
+                        trajectory: TrajectoryParams = TrajectoryParams()
+                        ) -> list[MonotonicityRow]:
+    """Score `trials` perturbed copies of the reference at each magnitude,
+    matching trajectories with ``trajectory``, and tabulate the session
+    grade."""
     if trials < MIN_TRIALS:
         raise ValueError("trials below minimum")
     if len(magnitudes) == 0:
@@ -335,7 +339,8 @@ def monotonicity_report(net: TaskNetwork, reference: SessionRecording,
     if any(b <= a for a, b in zip(magnitudes, magnitudes[1:])):
         raise ValueError("magnitudes must be strictly increasing")
 
-    refs = build_reference_set(net, [(reference, 1.0)])
+    refs = build_reference_set(net, [(reference, 1.0)], trajectory)
+    config = EngineConfig(net, refs, trajectory=trajectory)
     rows: list[MonotonicityRow] = []
     for mi, magnitude in enumerate(magnitudes):
         deltas = []
@@ -343,8 +348,7 @@ def monotonicity_report(net: TaskNetwork, reference: SessionRecording,
             child = np.random.SeedSequence(entropy=[seed, mi, trial])
             child_seed = int(child.generate_state(1)[0])
             rec = perturb(reference, spec_for_magnitude(magnitude, child_seed))
-            report = score_recording(EngineConfig(network=net, references=refs),
-                                     rec)
+            report = score_recording(config, rec)
             scoped = [s.delta for s in report.scopes if s.delta is not None]
             if not scoped:
                 raise ValueError("no weighted scope in report")

@@ -26,8 +26,9 @@ Definition file format (UTF-8, line oriented, ``#`` comments)::
     end
 
 One directive per line; block order is irrelevant. Joint ids appearing in
-``objects`` (head, hand-left, finger-*, ...) select the skeleton joints
-tracked by action-level assessment.
+``objects`` (head, hand-left, finger-*, ...) are the task's ``joints``, the
+skeleton joints tracked by action-level assessment; how they are matched
+is engine-wide (``TrajectoryParams``), not a task's to set.
 
 Each rule about one node is kept on the type that holds it (``UserScope``,
 ``CheckSpec``, ``AssessmentSpec``, ``TaskNode``) and raises a ValueError
@@ -50,9 +51,10 @@ from __future__ import annotations
 
 import graphlib
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 CHECK_KINDS = ("orientation", "position", "attachment", "collision", "text-input")
+_REF_KINDS = ("attachment", "collision")  # the kinds that read a reference object
 ASSESS_MODES = ("task-level", "action-level", "both")
 SCOPE_CATEGORIES = ("single-user", "group", "individual-in-group")
 FEEDBACK_MODES = ("real-time", "final-score")
@@ -183,7 +185,8 @@ class CheckSpec(Settings):
     ``tol`` is interpreted per kind (orientation: max angle in radians,
     position: max distance in meters, text-input: numeric tolerance) and
     falls back to engine defaults when None; other kinds take none. An
-    attachment check needs the ``reference_object`` held.
+    attachment check needs the ``reference_object`` held; only attachment
+    and collision checks take one.
     """
 
     kind: str
@@ -198,15 +201,16 @@ class CheckSpec(Settings):
         check_known(self.kind, CHECK_KINDS, "check kind")
         if self.kind == "attachment" and self.reference_object is None:
             raise ValueError("attachment check requires a reference object")
+        if self.reference_object is not None and self.kind not in _REF_KINDS:
+            raise ValueError(f"{self.kind} check takes no reference object")
         if self.tol is not None and self.kind not in ("orientation", "position", "text-input"):
             raise ValueError(f"{self.kind} check takes no tol")
 
 
 @dataclass(frozen=True)
 class TrajectoryParams(Settings):
-    """Action-level matching configuration for one task."""
+    """Engine-wide action-level matching settings."""
 
-    joint_ids: tuple[str, ...]
     match_radius: float = setting(0.10, "> 0", "key pose matching radius in meters")
     skip_time: float = setting(5.0, ">= 0", "seconds before an unmatched key pose is skipped")
     anomaly_wait: float = setting(10.0, ">= 0", "seconds of continuous anomaly before abort")
@@ -217,23 +221,17 @@ class TrajectoryParams(Settings):
 @dataclass(frozen=True)
 class AssessmentSpec:
     """How a primitive task is assessed. It has checks exactly when the
-    mode is task-level or both, and a trajectory tracking at least one
-    joint exactly when the mode is action-level or both."""
+    mode is task-level or both; the mode is action-level or both when the
+    task's joints are matched against a reference trajectory."""
 
     mode: str
     checks: tuple[CheckSpec, ...] = ()
-    trajectory: TrajectoryParams | None = None
 
     def __post_init__(self):
         check_known(self.mode, ASSESS_MODES, "assessment mode")
         if self.has_task_level != bool(self.checks):
             raise ValueError(f"{self.mode} mode "
                              f"{'needs' if self.has_task_level else 'takes no'} checks")
-        if self.has_action_level != (self.trajectory is not None):
-            raise ValueError(f"{self.mode} mode "
-                             f"{'needs a' if self.has_action_level else 'takes no'} trajectory")
-        if self.trajectory is not None and not self.trajectory.joint_ids:
-            raise ValueError("trajectory tracks no joint")
 
     @property
     def has_task_level(self) -> bool:
@@ -252,8 +250,9 @@ _REQUIRED = ("users", "weight", "objects", "assessment", "feedback")
 @dataclass(frozen=True)
 class TaskNode(Settings):
     """A network node. An abstract node has children and nothing of
-    ``_PRIMITIVE_ONLY``; a primitive one has no children and sets every
-    field of ``_REQUIRED``."""
+    ``_PRIMITIVE_ONLY``; a primitive one has no children, sets every
+    field of ``_REQUIRED`` and, when assessed at the action level, lists a
+    joint id in ``objects``."""
 
     id: str
     kind: str  # abstract | primitive
@@ -285,10 +284,18 @@ class TaskNode(Settings):
         if missing := [n for n in _REQUIRED if n not in given]:
             raise ValueError(f"primitive task is missing {missing[0]}")
         check_known(self.feedback, FEEDBACK_MODES, "feedback mode")
+        if self.assessment.has_action_level and not self.joints:
+            raise ValueError("trajectory tracks no joint")
 
     @property
     def is_primitive(self) -> bool:
         return self.kind == "primitive"
+
+    @property
+    def joints(self) -> tuple[str, ...]:
+        """The joint ids among objects, in objects order: the skeleton
+        joints an action-level assessment tracks."""
+        return tuple(o for o in self.objects if is_joint_id(o))
 
 
 @dataclass(frozen=True)
@@ -356,9 +363,11 @@ def _parse_check(tokens: list[str], line: int) -> CheckSpec:
         if key in fields:
             raise NetworkError(f"duplicate check option {key!r}", line)
         fields[key] = value
-    allowed = {"subject", "ref", "cweight", "tol"}
+    allowed = {"subject", "cweight", "tol"}
+    if kind in _REF_KINDS:
+        allowed.add("ref")
     if kind == "collision":
-        allowed |= {"penalty", "ref"}
+        allowed.add("penalty")
     unknown = set(fields) - allowed
     if unknown:
         raise NetworkError(f"check option not allowed for {kind}: {sorted(unknown)[0]!r}", line)
@@ -392,10 +401,7 @@ def _finish_block(b: _Block) -> TaskNode:
     mode = given.pop("assess", None)
     try:
         if mode is not None or b.checks:
-            joints = tuple(o for o in given.get("objects", ()) if is_joint_id(o))
-            given["assessment"] = AssessmentSpec(
-                mode, tuple(b.checks),
-                TrajectoryParams(joints) if mode in ("action-level", "both") else None)
+            given["assessment"] = AssessmentSpec(mode, tuple(b.checks))
         return TaskNode(id=b.id, kind=given.pop("kind", None), name=given.pop("name", b.id),
                         children=tuple(b.children), predecessors=tuple(b.preds), **given)
     except ValueError as e:
@@ -588,20 +594,3 @@ def ready_tasks(net: TaskNetwork, completed: set[str]) -> set[str]:
         if all(satisfied(p) for p in node.predecessors):
             ready.add(node.id)
     return ready
-
-
-def with_trajectory_defaults(net: TaskNetwork, **overrides) -> TaskNetwork:
-    """Copy of the network with TrajectoryParams fields overridden on every
-    action-level node (used by the CLI to apply global flag overrides).
-    The overrides are checked even when no node has a trajectory."""
-    if not overrides:
-        return net
-    TrajectoryParams(**{"joint_ids": (), **overrides})
-    nodes = {}
-    for node_id, node in net.nodes.items():
-        spec = node.assessment
-        if spec is not None and spec.trajectory is not None:
-            new_traj = replace(spec.trajectory, **overrides)
-            node = replace(node, assessment=replace(spec, trajectory=new_traj))
-        nodes[node_id] = node
-    return TaskNetwork(nodes=nodes)

@@ -3,7 +3,9 @@
 A reference performance is downsampled to key frames, ``key_rate`` a
 second, once, when the reference set is built (``build_reference_track``).
 Each key frame is one target: the reference positions of the tracked
-joints, one row of the ReferenceTrack an ActionEvaluator is given.
+joints, one row of the ReferenceTrack an ActionEvaluator is given. The
+track keeps the engine-wide TrajectoryParams it was built for, and the
+evaluator matches by them.
 
 The ActionEvaluator is the whole streaming machine, for one user and one
 task activation. Frames are height corrected first (one factor from the
@@ -63,16 +65,12 @@ class Anomaly:
 @dataclass(frozen=True, eq=False)
 class ReferenceTrack:
     """Key-framed reference trajectory: positions (K, J, 3) of the
-    tracked joints, in params.joint_ids order, with the params it was
-    built for. Compared by identity, as its array has no single truth
-    value."""
+    tracked joints, in joint_ids order, with the params it was built for.
+    Compared by identity, as its array has no single truth value."""
 
     params: TrajectoryParams
+    joint_ids: tuple[str, ...]
     positions: np.ndarray
-
-    @property
-    def joint_ids(self) -> tuple[str, ...]:
-        return self.params.joint_ids
 
     @property
     def key_frames(self) -> int:
@@ -85,9 +83,9 @@ def key_frame_count(duration: float, key_rate: float) -> int:
     return max(1, math.ceil(duration * key_rate))
 
 
-def build_reference_track(ref_slice: TaskSlice,
+def build_reference_track(ref_slice: TaskSlice, joint_ids: tuple[str, ...],
                           params: TrajectoryParams) -> ReferenceTrack:
-    """Downsample the reference skeleton stream to key frames.
+    """Downsample the reference skeleton stream of joint_ids to key frames.
 
     Key frame k targets time t0 + k/key_rate and takes the first recorded
     frame at or after it (the last frame when the stream ends early).
@@ -98,18 +96,18 @@ def build_reference_track(ref_slice: TaskSlice,
     count = key_frame_count(ref_slice.t1 - ref_slice.t0, params.key_rate)
     frame_times = np.array([t for t, _ in frames])
 
-    positions = np.empty((count, len(params.joint_ids), 3))
+    positions = np.empty((count, len(joint_ids), 3))
     for k in range(count):
         goal = ref_slice.t0 + k / params.key_rate
         i = int(np.searchsorted(frame_times, goal, side="left"))
         if i >= len(frames):
             i = len(frames) - 1
         frame = frames[i][1]
-        for j, joint in enumerate(params.joint_ids):
+        for j, joint in enumerate(joint_ids):
             if not frame.has(joint):
                 raise ValueError(f"reference missing joint {joint!r} at key frame {k}")
             positions[k, j] = frame.position(joint)
-    return ReferenceTrack(params=params, positions=positions)
+    return ReferenceTrack(params=params, joint_ids=joint_ids, positions=positions)
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +210,8 @@ class ActionEvaluator:
     is inert.
     """
 
-    def __init__(self, task_id: str, track: ReferenceTrack,
-                 ref_stats: ReferenceStats, t_start: float):
-        self.task_id = task_id
+    def __init__(self, track: ReferenceTrack, ref_stats: ReferenceStats,
+                 t_start: float):
         self.track = track
         self.params = track.params
         self.ref_stats = ref_stats

@@ -5,6 +5,10 @@ import io
 import pytest
 
 from ahtn.cli import build_parser, main
+from ahtn.engine import EngineConfig, build_reference_set, score_recording
+from ahtn.harness import format_monotonicity, monotonicity_report
+from ahtn.model import TrajectoryParams, parse_network
+from ahtn.report import render_report
 from ahtn.telemetry import (Event, SessionRecording, SkeletonFrame, TaskMark,
                             parse_session, serialize_recording)
 
@@ -144,6 +148,25 @@ def test_score_override_flags_echo_into_report(run, demo_dir, tmp_path):
     assert "config position-tol 0.25" in text
     assert "config skip-time 7.5" in text
     assert "config match-radius 0.1" in text  # untouched default still echoed
+
+
+def test_trajectory_flags_are_the_library_trajectory_params(run, demo_dir, tmp_path):
+    out_path = tmp_path / "report.txt"
+    code, _, _ = run("score", "--net", hydro(demo_dir, "ahtn"),
+                     "--refs", hydro(demo_dir, "rec"),
+                     "--session", hydro(demo_dir, "rec"),
+                     "--out", str(out_path),
+                     "--match-radius", "0.05", "--key-rate", "4")
+    assert code == 0
+    net = parse_network((demo_dir / "hydrometer.ahtn").read_text())
+    rec = parse_session((demo_dir / "hydrometer.rec").read_text())
+    p = TrajectoryParams(match_radius=0.05, key_rate=4.0)
+    config = EngineConfig(net, build_reference_set(net, [(rec, 1.0)], p),
+                          trajectory=p)
+    text = render_report(score_recording(config, rec))
+    assert out_path.read_text() == text
+    t1 = text.split("task T1 ", 1)[1].split("\ntask ", 1)[0]
+    assert " spawned 30 " in t1  # ceil(7.5 s x 4 key poses a second)
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -459,6 +482,20 @@ def test_simulate_table_and_csv(run, demo_dir, tmp_path):
     csv_lines = csv_path.read_text().splitlines()
     assert csv_lines[0] == "magnitude,mean_delta,std_delta,trials"
     assert len(csv_lines) == 3
+
+
+def test_simulate_trajectory_flags_are_the_library_trajectory_params(run, demo_dir):
+    code, out, _ = run("simulate", "--net", hydro(demo_dir, "ahtn"),
+                       "--refs", hydro(demo_dir, "rec"),
+                       "--magnitudes", "0,0.1", "--trials", "10",
+                       "--match-radius", "0.2", "--key-rate", "1")
+    assert code == 0
+    net = parse_network((demo_dir / "hydrometer.ahtn").read_text())
+    rec = parse_session((demo_dir / "hydrometer.rec").read_text())
+    p = TrajectoryParams(match_radius=0.2, key_rate=1.0)
+    assert out == format_monotonicity(monotonicity_report(net, rec, [0.0, 0.1], 10,
+                                                          trajectory=p))
+    assert out != format_monotonicity(monotonicity_report(net, rec, [0.0, 0.1], 10))
 
 
 def test_simulate_rejects_low_trials(run, demo_dir):

@@ -5,6 +5,7 @@ import gc
 import importlib
 import importlib.util
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from ahtn import fixtures
 from ahtn.engine import (Defaults, EngineConfig, Session, aggregate,
                          build_reference_set, score_recording)
 from ahtn.checks import FEATURE_KINDS, TaskSamples
-from ahtn.model import parse_network, with_trajectory_defaults
+from ahtn.model import TaskNetwork, TrajectoryParams, parse_network
 from ahtn.report import render_report
 from ahtn.telemetry import (Event, SessionRecording, SkeletonFrame, TaskMark,
                             TextInput, parse_event_line, parse_session,
@@ -25,6 +26,12 @@ from conftest import move_marks
 
 def cfg(net, refs, **kw):
     return EngineConfig(network=net, references=refs, **kw)
+
+
+def with_t1_objects(net, *objects):
+    """The network with T1 listing objects in place of its own."""
+    return TaskNetwork({**net.nodes,
+                        "T1": replace(net.nodes["T1"], objects=objects)})
 
 
 def drop_marks(rec, task_id, edges=("start", "end")):
@@ -68,6 +75,8 @@ def test_aggregate_errors():
 
 
 # -- construction guards -------------------------------------------------------
+# the EngineConfig checks its network and references once, when it is built,
+# so no Session can be made from a config that breaks them
 
 def test_session_rejects_invalid_network(hydro_refs):
     bad = parse_network(
@@ -77,14 +86,15 @@ def test_session_rejects_invalid_network(hydro_refs):
         "task B\n  kind primitive\n  pred A\n  user single u\n  weight 1.0\n"
         "  objects o\n  assess task-level\n  check position subject=o\n"
         "  feedback final\nend\n")
-    with pytest.raises(ValueError, match="invalid network"):
-        Session(cfg(bad, hydro_refs))
+    with pytest.raises(ValueError,
+                       match="^invalid network: : cycle in predecessor graph$"):
+        cfg(bad, hydro_refs)
 
 
 def test_session_names_weighted_tasks_without_reference(hydro_net, hydro_refs):
     gutted = {k: v for k, v in hydro_refs.items() if k != "T2"}
-    with pytest.raises(ValueError, match="without a reference: T2"):
-        Session(cfg(hydro_net, gutted))
+    with pytest.raises(ValueError, match="^weighted tasks without a reference: T2$"):
+        cfg(hydro_net, gutted)
 
 
 # -- self replay ---------------------------------------------------------------
@@ -340,8 +350,7 @@ def test_reference_without_skeleton_cannot_score_action_level(
 
 def test_reference_missing_tracked_joint_cannot_score_action_level(
         hydro_net, hydro_rec):
-    net = with_trajectory_defaults(hydro_net,
-                                   joint_ids=("head", "hand-right", "knee-left"))
+    net = with_t1_objects(hydro_net, *hydro_net.nodes["T1"].objects, "knee-left")
     refs = build_reference_set(net, [(hydro_rec, 1.0)])
     report = score_recording(cfg(net, refs), hydro_rec)
     assert ("task T1: action level cannot be scored: "
@@ -352,17 +361,19 @@ def test_reference_missing_tracked_joint_cannot_score_action_level(
     assert entry.omega == 1.0 - Defaults().action_share  # task level only
 
 
-@pytest.mark.parametrize("override", [{"key_rate": 4.0},
-                                      {"joint_ids": ("head",)},
-                                      {"match_radius": 0.2}],
+@pytest.mark.parametrize("params, objects", [
+    (TrajectoryParams(key_rate=4.0), None),
+    (TrajectoryParams(), ("hydrometer", "hand", "head")),  # joints ("head",)
+    (TrajectoryParams(match_radius=0.2), None)],
                          ids=["key_rate", "joint_ids", "match_radius"])
 def test_session_rejects_references_built_for_other_trajectory_params(
-        hydro_net, hydro_rec, hydro_refs, override):
-    net = with_trajectory_defaults(hydro_net, **override)
+        hydro_net, hydro_rec, hydro_refs, params, objects):
+    net = hydro_net if objects is None else with_t1_objects(hydro_net, *objects)
     with pytest.raises(ValueError,
-                       match="references built for other trajectory params: T1"):
-        Session(cfg(net, hydro_refs))
-    Session(cfg(net, build_reference_set(net, [(hydro_rec, 1.0)])))
+                       match="^references built for other trajectory params: T1$"):
+        cfg(net, hydro_refs, trajectory=params)
+    Session(cfg(net, build_reference_set(net, [(hydro_rec, 1.0)], params),
+                trajectory=params))
 
 
 def test_out_of_order_start_is_flagged():
@@ -492,14 +503,15 @@ def test_batch_and_incremental_delivery_render_identically(
 
 def test_config_echo_lines(hydro_net, hydro_rec, hydro_refs):
     custom = Defaults(collision_penalty=0.02, pass_threshold=0.9)
-    config = cfg(hydro_net, hydro_refs, defaults=custom, echo=("extra knob",))
+    config = cfg(hydro_net, hydro_refs, defaults=custom)
     report = score_recording(config, hydro_rec)
     assert report.config[0] == "collision-penalty 0.02"
     assert "pass-threshold 0.9" in report.config
-    assert report.config[-1] == "extra knob"
     default_report = score_recording(cfg(hydro_net, hydro_refs), hydro_rec)
     assert default_report.config[0] == "collision-penalty per-check"
-    assert len(default_report.config) == 7
+    assert len(default_report.config) == 12
+    assert default_report.config[7] == "match-radius 0.1"
+    assert default_report.config[-1] == "anomaly-penalty 0.05"
 
 
 def test_report_scope_lookup_raises(hydro_net, hydro_rec, hydro_refs):

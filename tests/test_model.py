@@ -10,8 +10,7 @@ import pytest
 
 from ahtn.cli import main
 from ahtn.model import (CheckSpec, Defaults, NetworkError, TrajectoryParams,
-                        UserScope, parse_network, ready_tasks, validate_network,
-                        with_trajectory_defaults)
+                        UserScope, parse_network, ready_tasks, validate_network)
 from ahtn.telemetry import TaskMark
 
 MINIMAL = """\
@@ -53,7 +52,7 @@ def test_bundled_hydrometer_shape(hydro_net):
     assert hydro_net.nodes["T2"].predecessors == ("T1",)
     assert hydro_net.nodes["T2"].time_constraint == 60.0
     assert hydro_net.nodes["T1"].assessment.mode == "both"
-    assert hydro_net.nodes["T1"].assessment.trajectory.joint_ids == ("head", "hand-right")
+    assert hydro_net.nodes["T1"].joints == ("head", "hand-right")
     weights = [hydro_net.nodes[t].weight for t in ("T1", "T2", "T3", "T4")]
     assert weights == [0.3, 0.2, 0.3, 0.2]
 
@@ -74,6 +73,8 @@ def test_missing_weight_names_node_and_parameter():
     ("  check teleport subject=x", "unknown check kind"),
     ("  check position subject=x penalty=0.5", "not allowed"),
     ("  check attachment subject=x", "ref"),
+    ("  check orientation subject=x ref=y",
+     "check option not allowed for orientation: 'ref'"),
     ("  time -3", "time"),
     ("  flavor vanilla", "unknown directive"),
 ])
@@ -380,9 +381,7 @@ def test_network_number_edges_parse(demo_dir, line, old, new):
 
 @pytest.mark.parametrize("build, name", [
     (lambda net: Defaults(orientation_tol=0), "orientation_tol"),
-    (lambda net: TrajectoryParams(joint_ids=("head",), key_rate=math.nan),
-     "key_rate"),
-    (lambda net: with_trajectory_defaults(net, skip_time=-1), "skip_time"),
+    (lambda net: TrajectoryParams(key_rate=math.nan), "key_rate"),
     # library-built checks and tasks: each once validated ok
     (lambda net: replace(net.nodes["T3"].assessment.checks[0], tol=math.nan),
      "tol"),
@@ -393,7 +392,7 @@ def test_network_number_edges_parse(demo_dir, line, old, new):
     (lambda net: replace(net.nodes["T1"], weight=-1.0), "weight"),
     (lambda net: replace(net.nodes["T4"], time_constraint=0.0),
      "time_constraint"),
-], ids=["Defaults", "TrajectoryParams", "with_trajectory_defaults",
+], ids=["Defaults", "TrajectoryParams",
         "CheckSpec.tol", "CheckSpec.penalty", "CheckSpec.check_weight",
         "TaskNode.weight", "TaskNode.time_constraint"])
 def test_library_settings_are_checked(hydro_net, build, name):
@@ -410,17 +409,15 @@ def test_library_settings_are_checked(hydro_net, build, name):
      "attachment check requires a reference object"),
     (lambda net: replace(net.nodes["T2"].assessment.checks[0], tol=3.0),
      "attachment check takes no tol"),
+    (lambda net: CheckSpec(kind="position", subject="cup", reference_object="dish"),
+     "position check takes no reference object"),
     (lambda net: replace(net.nodes["T1"].assessment, mode="bogus"),
      "unknown assessment mode 'bogus'"),
     (lambda net: replace(net.nodes["T1"], feedback="sometimes"),
      "unknown feedback mode 'sometimes'"),
     (lambda net: replace(net.nodes["T1"].assessment, mode="action-level"),
      "action-level mode takes no checks"),
-    (lambda net: replace(net.nodes["T3"].assessment,
-                         trajectory=TrajectoryParams(joint_ids=("head",))),
-     "task-level mode takes no trajectory"),
-    (lambda net: replace(net.nodes["T1"].assessment,
-                         trajectory=TrajectoryParams(joint_ids=())),
+    (lambda net: replace(net.nodes["T1"], objects=("hand",)),
      "trajectory tracks no joint"),
     (lambda net: UserScope("group", ("student",)),
      "group scope needs at least two user ids"),
@@ -436,27 +433,11 @@ def test_library_settings_are_checked(hydro_net, build, name):
      "primitive task is missing assessment"),
     (lambda net: TaskMark("T4", "stop"), "unknown mark edge 'stop'"),
 ], ids=["CheckSpec.kind", "CheckSpec.ref", "CheckSpec.tol-kind",
-        "AssessmentSpec.mode", "TaskNode.feedback", "AssessmentSpec.checks",
-        "AssessmentSpec.trajectory", "AssessmentSpec.joints", "UserScope.group",
+        "CheckSpec.ref-kind", "AssessmentSpec.mode", "TaskNode.feedback",
+        "AssessmentSpec.checks", "TaskNode.joints", "UserScope.group",
         "UserScope.single", "TaskNode.abstract-children", "TaskNode.abstract-field",
         "TaskNode.primitive-children", "TaskNode.required", "TaskMark.edge"])
 def test_library_types_hold_their_rules(hydro_net, build, rule):
     with pytest.raises(ValueError, match=f"^{re.escape(rule)}"):
         build(hydro_net)
 
-
-def test_with_trajectory_defaults_overrides():
-    net = parse_network("""\
-task T
-  kind primitive
-  user single u
-  weight 1.0
-  objects head
-  assess action-level
-  feedback final
-end
-""")
-    out = with_trajectory_defaults(net, skip_time=7.5, match_radius=0.2)
-    traj = out.nodes["T"].assessment.trajectory
-    assert traj.skip_time == 7.5 and traj.match_radius == 0.2
-    assert net.nodes["T"].assessment.trajectory.skip_time == 5.0  # original untouched

@@ -510,9 +510,8 @@ def corrected_summary(frames, face_hand):
         skel_event(0.0, "r", head=(0, 1.6, 0), **{"hand-right": (0.6, 1.6, 0)}),))
     stats = ReferenceStats(face_height=1.6, face_hand_distance=face_hand,
                            hand_joint="hand-right")
-    track = build_reference_track(
-        ref, TrajectoryParams(joint_ids=("head", "hand-right")))
-    ev = ActionEvaluator("T", track, stats, t_start=0.0)
+    track = build_reference_track(ref, ("head", "hand-right"), TrajectoryParams())
+    ev = ActionEvaluator(track, stats, t_start=0.0)
     for t, f in frames:
         ev.observe(t, f)
     return ev.finalize(frames[-1][0])

@@ -11,7 +11,8 @@ from ahtn.telemetry import Event, ReferenceStats, SkeletonFrame, TaskSlice
 from ahtn.trajectory import (ActionEvaluator, Anomaly, build_reference_track,
                              detect_anomalies, facing_direction, key_frame_count)
 
-PARAMS = TrajectoryParams(joint_ids=("head", "hand-right"))
+JOINTS = ("head", "hand-right")
+PARAMS = TrajectoryParams()
 STATS = ReferenceStats(face_height=1.7, face_hand_distance=0.45,
                        hand_joint="hand-right")
 
@@ -56,7 +57,7 @@ def test_reference_track_takes_first_frame_at_or_after_key_time():
     samples = [(float(i), frame(head=(0, 1.7, float(i)),
                                 hand_right=(0.45, 1.7, float(i))))
                for i in range(11)]
-    track = build_reference_track(skel_slice(samples), PARAMS)
+    track = build_reference_track(skel_slice(samples), JOINTS, PARAMS)
     assert track.key_frames == 20
     expected = [math.ceil(k / 2) for k in range(20)]
     assert track.positions.shape == (20, 2, 3)
@@ -66,9 +67,9 @@ def test_reference_track_takes_first_frame_at_or_after_key_time():
 def test_reference_track_requires_joints():
     samples = [(0.0, frame(head=(0, 1.7, 0)))]
     with pytest.raises(ValueError, match="missing joint 'hand-right'"):
-        build_reference_track(skel_slice(samples, t1=1.0), PARAMS)
+        build_reference_track(skel_slice(samples, t1=1.0), JOINTS, PARAMS)
     with pytest.raises(ValueError, match="no skeleton frames"):
-        build_reference_track(skel_slice([], t1=1.0), PARAMS)
+        build_reference_track(skel_slice([], t1=1.0), JOINTS, PARAMS)
 
 
 def test_reference_tracks_compare_by_identity(hydro_net, hydro_rec):
@@ -124,7 +125,7 @@ FALL = frame(head=(0, 0.3, 0.2), hand_right=(0.45, 1.7, 0.2))
 
 def track_of(duration, params=PARAMS):
     return build_reference_track(skel_slice(straight_line(duration=duration),
-                                            t1=duration), params)
+                                            t1=duration), JOINTS, params)
 
 
 def on_target(track, k):
@@ -138,7 +139,7 @@ def feed(ev, samples):
 
 
 def test_skip_is_strictly_greater_than_five_seconds():
-    ev = ActionEvaluator("T", track_of(10.0), STATS, t_start=0.0)
+    ev = ActionEvaluator(track_of(10.0), STATS, t_start=0.0)
     # warm-up frames, then one past the window that replays them
     assert feed(ev, [(t, PARKED) for t in (0.0, 0.5, 1.0, 2.0)]) == [[]] * 4
     assert ev.observe(5.0, PARKED) == [] and ev.missed == 0
@@ -149,7 +150,7 @@ def test_skip_is_strictly_greater_than_five_seconds():
 
 def test_burst_advances_cursor():
     track = track_of(10.0)
-    ev = ActionEvaluator("T", track, STATS, t_start=0.0)
+    ev = ActionEvaluator(track, STATS, t_start=0.0)
     assert ev.observe(0.0, on_target(track, 0)) == []  # warm-up
     assert ev.observe(1.1, PARKED) == [("burst", 0, 2)]
     assert (ev.burst, ev.cursor, ev.spawned_at) == (1, 1, 0.0)
@@ -157,7 +158,7 @@ def test_burst_advances_cursor():
 
 def test_completed_evaluator_ignores_later_matches():
     track = track_of(1.0)  # K = 2
-    ev = ActionEvaluator("T", track, STATS, t_start=0.0)
+    ev = ActionEvaluator(track, STATS, t_start=0.0)
     assert feed(ev, [(0.0, on_target(track, 0)), (0.5, on_target(track, 1)),
                      (1.1, on_target(track, 1))]) == [
         [], [], [("burst", 0, 2), ("burst", 1, 2), ("repetition", 1)]]
@@ -171,7 +172,7 @@ def test_completed_evaluator_ignores_later_matches():
 
 def test_score_formula():
     track = track_of(2.0)  # K = 4
-    ev = ActionEvaluator("T", track, STATS, t_start=0.0)
+    ev = ActionEvaluator(track, STATS, t_start=0.0)
     head, hand = track.positions[3]
     fallen_on_3 = frame(head=(head[0], 0.3, head[2]), hand_right=tuple(hand))
     feedback = feed(ev, [(0.0, on_target(track, 0)), (1.1, on_target(track, 1)),
@@ -187,7 +188,7 @@ def test_score_formula():
 
 
 def test_score_clamps_at_zero():
-    ev = ActionEvaluator("T", track_of(10.0), STATS, t_start=0.0)
+    ev = ActionEvaluator(track_of(10.0), STATS, t_start=0.0)
     feed(ev, [(0.0, PARKED), (1.1, PARKED), (1.6, FALL), (2.1, PARKED)])
     summary = ev.finalize(2.1)
     # burst 0/1 less one episode's penalty is below 0
@@ -197,14 +198,14 @@ def test_score_clamps_at_zero():
 
 def test_score_aborted_and_empty():
     track = track_of(10.0)
-    ev = ActionEvaluator("T", track, STATS, t_start=0.0)
+    ev = ActionEvaluator(track, STATS, t_start=0.0)
     feedback = feed(ev, [(0.0, on_target(track, 0))]
                     + [(1.1 + 0.5 * i, FALL) for i in range(23)])
     assert [e for f in feedback for e in f if e[0] == "abort"] == [("abort", "fall")]
     summary = ev.finalize(12.1)
     assert summary.aborted and summary.burst == 1 and summary.score == 0.0
 
-    idle = ActionEvaluator("T", track, STATS, t_start=0.0).finalize(3.0)
+    idle = ActionEvaluator(track, STATS, t_start=0.0).finalize(3.0)
     assert (idle.burst, idle.missed, idle.spawned) == (0, 1, 1)
     assert idle.score == 0.0 and idle.correction_factor == 1.0
 
@@ -278,7 +279,7 @@ def test_window_shorter_than_half_second_only_warms_up():
 
 
 def test_anomaly_episode_lifecycle():
-    ev = ActionEvaluator("T", track_of(10.0), STATS, t_start=0.0)
+    ev = ActionEvaluator(track_of(10.0), STATS, t_start=0.0)
     assert feed(ev, [(0.0, PARKED), (1.1, PARKED), (1.6, FALL), (2.0, FALL),
                      (3.5, PARKED)]) == [
         [], [], [("anomaly", "fall", "start")], [], [("anomaly", "fall", "end")]]
@@ -289,8 +290,8 @@ def test_anomaly_episode_lifecycle():
 
 
 def test_abort_after_wait_is_strict():
-    params = TrajectoryParams(joint_ids=PARAMS.joint_ids, skip_time=100.0)
-    ev = ActionEvaluator("T", track_of(10.0, params), STATS, t_start=0.0)
+    params = TrajectoryParams(skip_time=100.0)
+    ev = ActionEvaluator(track_of(10.0, params), STATS, t_start=0.0)
     assert feed(ev, [(0.0, PARKED), (1.5, PARKED), (2.0, FALL), (12.0, FALL)]) == [
         [], [], [("anomaly", "fall", "start")], []]
     assert not ev.aborted
@@ -306,7 +307,7 @@ def test_abort_after_wait_is_strict():
 # -- streaming evaluator ------------------------------------------------------
 
 def replay(samples, ref_slice, params=PARAMS, stats=STATS, t_start=0.0):
-    ev = ActionEvaluator("T", build_reference_track(ref_slice, params), stats,
+    ev = ActionEvaluator(build_reference_track(ref_slice, JOINTS, params), stats,
                          t_start=t_start)
     feedback = []
     for t, f in samples:
