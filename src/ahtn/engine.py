@@ -15,8 +15,9 @@ and anomalies surface as they happen.
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .checks import TaskSamples, TaskScore, evaluate_task_level
 from .model import (Defaults, TaskNetwork, TaskNode, TrajectoryParams,
@@ -24,8 +25,7 @@ from .model import (Defaults, TaskNetwork, TaskNode, TrajectoryParams,
 from .report import (AssessmentReport, FeedbackMessage, MemberResult,
                      ScopeReport, TaskEntry)
 from .telemetry import (Event, Reference, ReferenceSet, SessionRecording,
-                        SkeletonFrame, TaskMark, TaskSlice, TaskSlicer,
-                        reference_stats)
+                        SkeletonFrame, TaskMark, TaskSlice, TaskSlicer)
 from .trajectory import (FEEDBACK_TEXT, PROGRESS_KINDS, ActionEvaluator,
                          TrajectorySummary, build_reference_track)
 
@@ -34,14 +34,18 @@ from .trajectory import (FEEDBACK_TEXT, PROGRESS_KINDS, ActionEvaluator,
 class EngineConfig:
     """One grading run's settings, checked once when built: the network
     validates, each weighted task has a reference, and each reference
-    track was built for ``trajectory`` and its task's joints."""
+    track was built for ``trajectory`` and its task's joints. The
+    references are held as a read-only copy, so what was checked is what
+    every Session grades against."""
 
     network: TaskNetwork
-    references: ReferenceSet
+    references: Mapping[str, Sequence[Reference]]
     defaults: Defaults = field(default_factory=Defaults)
     trajectory: TrajectoryParams = field(default_factory=TrajectoryParams)
 
     def __post_init__(self):
+        object.__setattr__(self, "references", types.MappingProxyType(
+            {task: tuple(refs) for task, refs in self.references.items()}))
         report = validate_network(self.network)
         if not report.ok:
             first = report.errors()[0]
@@ -87,28 +91,29 @@ def task_samples(node: TaskNode, t0: float) -> TaskSamples:
 def build_reference(node: TaskNode, sl: TaskSlice, quality: float = 1.0,
                     params: TrajectoryParams = TrajectoryParams()) -> Reference:
     """Reduce a reference recording's slice for one task to what grading
-    reads: the check features and, for a trajectory task, the skeleton
-    statistics and the key-frame track of the node's joints, matched with
-    ``params``; ``error`` says why those two could not be built.
+    reads: the check features and, for a trajectory task, the track of
+    the node's joints, matched with ``params`` (``build_reference_track``,
+    which also measures the performer); ``error`` says why the track
+    could not be built.
 
     The scope members' events are fed to one ``task_samples`` reducer,
     whose ``add`` a live ``Session`` also routes through, and the events
-    it takes are the slice the statistics and the track read. So a
-    bystander's skeleton cannot shift the reference means, and one rule
-    decides what both sides of a comparison read."""
+    it takes are the slice the track reads. So a bystander's skeleton
+    cannot shift the reference means, and one rule decides what both
+    sides of a comparison read."""
     members = node.users.user_ids
     samples = task_samples(node, sl.t0)
     sl = replace(sl, events=tuple(
         e for e in sl.events if e.user in members and samples.add(e)))
-    stats = track = error = None
+    track = error = None
     if node.assessment.has_action_level:
+        game_objects = (o for o in node.objects if not is_joint_id(o))
         try:
-            game_objects = (o for o in node.objects if not is_joint_id(o))
-            stats = reference_stats(sl, subject_object=next(game_objects, None))
-            track = build_reference_track(sl, node.joints, params)
+            track = build_reference_track(sl, node.joints, params,
+                                          next(game_objects, None))
         except ValueError as e:
             error = str(e)
-    return Reference(quality=quality, features=samples.features(), stats=stats,
+    return Reference(quality=quality, features=samples.features(),
                      track=track, error=error)
 
 
@@ -246,8 +251,7 @@ class Session:
             run.warnings.append(f"action level cannot be scored: {ref.error}")
             return
         for member in run.members:
-            run.evaluators[member] = ActionEvaluator(
-                track=ref.track, ref_stats=ref.stats, t_start=run.t_start)
+            run.evaluators[member] = ActionEvaluator(ref.track, run.t_start)
 
     # -- event routing ------------------------------------------------------
 

@@ -99,10 +99,10 @@ class _Recorder:
 
     def recording(self, session_id: str) -> SessionRecording:
         self._rows.sort(key=lambda r: (r[0], r[1], r[2]))
-        rec = SessionRecording(session_id=session_id, user_ids=(),
+        rec = SessionRecording(session_id=session_id,
                                events=tuple(r[3] for r in self._rows))
         # round-trip through the wire format so fixtures carry exactly what
-        # a parsed file would, user ids too, and get its validation free
+        # a parsed file would, and get its validation free
         return parse_session(serialize_recording(rec), session_id)
 
 

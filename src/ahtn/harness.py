@@ -205,8 +205,7 @@ def perturb(rec: SessionRecording, spec: PerturbationSpec) -> SessionRecording:
     if dropped:
         events = [e for i, e in enumerate(events) if i not in dropped]
     events = _inject_collisions(rec, events, spec, rng)
-    return SessionRecording(session_id=rec.session_id, user_ids=rec.user_ids,
-                            events=tuple(events))
+    return SessionRecording(session_id=rec.session_id, events=tuple(events))
 
 
 def _noisy_poses(poses: list[Pose], spec: PerturbationSpec, rng) -> list[Pose]:
@@ -299,7 +298,7 @@ def _inject_collisions(rec: SessionRecording, events: list[Event],
         return events
     first = ranked[0]
     second = ranked[1] if len(ranked) > 1 else "noise"
-    user = rec.user_ids[0] if rec.user_ids else "user"
+    user = rec.events[0].user
 
     t0, t1 = events[0].t, events[-1].t
     times = np.sort(rng.uniform(t0, t1, size=spec.inject_collisions)).tolist()

@@ -1,4 +1,4 @@
-"""Session recordings: event model, line parser, task slicing, skeleton scaling.
+"""Session recordings: event model, line parser, task slicing, references.
 
 Recording format (UTF-8, one event per line, space separated)::
 
@@ -33,11 +33,6 @@ recording by the marks' event indices, so events that share a mark's
 timestamp fall on the side of the mark where they were written. Of that
 run, both sides keep a scope member's events that one
 ``checks.TaskSamples.add`` takes (``engine.build_reference``).
-
-``reference_stats`` measures the reference performer's skeleton over a
-task's first ``WARM_UP_SECONDS`` and ``trajectory.ActionEvaluator`` the
-learner's, both with ``face_hand_medians``; ``scale_frame`` applies the
-resulting height-correction factor.
 """
 
 from __future__ import annotations
@@ -48,7 +43,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
-from .kernels import scale_about
 from .model import check_known, check_setting
 
 if TYPE_CHECKING:
@@ -57,10 +51,6 @@ if TYPE_CHECKING:
 QUAT_NORM_TOL = 1e-6
 LAYOUT_CACHE_SIZE = 256  # distinct joint layouts kept by _joint_layout
 PARSE_BLOCK_LINES = 2048  # lines per bulk conversion; bounds its transient memory
-MIN_FACE_HAND_DISTANCE = 0.01  # m; below this the pose is degenerate
-WARM_UP_SECONDS = 1.0  # a task's first span, over which both sides measure the skeleton
-
-HAND_JOINTS = ("hand-right", "hand-left")
 
 
 class RecordingError(ValueError):
@@ -185,7 +175,6 @@ class Event:
 @dataclass(frozen=True)
 class SessionRecording:
     session_id: str
-    user_ids: tuple[str, ...]
     events: tuple[Event, ...]
 
 
@@ -197,27 +186,17 @@ class TaskSlice:
     events: tuple[Event, ...]
 
 
-@dataclass(frozen=True)
-class ReferenceStats:
-    """Skeleton statistics of the reference performer for one task."""
-
-    face_height: float
-    face_hand_distance: float
-    hand_joint: str = "hand-right"
-
-
 @dataclass(frozen=True, eq=False)
 class Reference:
     """One reference performance of one task, held as what grading reads:
     its SME quality rating, the check ``features`` keyed by (check kind,
-    subject) and, for trajectory tasks, the performer's skeleton ``stats``
-    and the key-frame ``track``. ``error`` says why the stats or the track
-    could not be built. ``engine.build_reference`` makes one.
+    subject) and, for trajectory tasks, the ``track``: key frames and the
+    performer's skeleton statistics. ``error`` says why the track could
+    not be built. ``engine.build_reference`` makes one.
     """
 
     quality: float
     features: dict
-    stats: ReferenceStats | None = None
     track: ReferenceTrack | None = None
     error: str | None = None
 
@@ -374,9 +353,7 @@ def parse_session(text: str, session_id: str = "session") -> SessionRecording:
         task_id, lineno = next(iter(open_marks.items()))
         raise RecordingError(f"unmatched start mark for task {task_id!r}", lineno)
 
-    users = tuple(dict.fromkeys([e.user for e in events]))
-    return SessionRecording(session_id=session_id, user_ids=users,
-                            events=tuple(events))
+    return SessionRecording(session_id=session_id, events=tuple(events))
 
 
 def _track_mark(mark: TaskMark, lineno: int, open_marks: dict[str, int]) -> None:
@@ -575,70 +552,3 @@ class TaskSlicer:
             raise ValueError(f"task {task_id!r} marks are not a positive interval")
         return TaskSlice(task_id=task_id, t0=t0, t1=t1,
                          events=self.events[start + 1:end])
-
-
-def skeleton_frames(events) -> list[tuple[float, SkeletonFrame]]:
-    """The (t, frame) pairs among events."""
-    return [(e.t, e.payload) for e in events
-            if isinstance(e.payload, SkeletonFrame)]
-
-
-# ---------------------------------------------------------------------------
-# skeleton statistics and scaling
-
-def scale_frame(frame: SkeletonFrame, factor: float) -> SkeletonFrame:
-    """Scale all joints about the head position. factor 1 returns the
-    input frame unchanged."""
-    if factor == 1.0:
-        return frame
-    center = np.array(frame.position("head"), dtype=np.float64)
-    scaled = scale_about(frame.positions, center, float(factor))
-    return SkeletonFrame(names=frame.names, positions=scaled)
-
-
-def face_hand_medians(frames, hand: str) -> tuple[float, float]:
-    """Median head height and median head-to-hand distance over the frames
-    that hold both ``head`` and ``hand``; ValueError when none does. The
-    one measurement behind both the reference statistics and the
-    learner's height-correction factor."""
-    usable = [f for f in frames if f.has("head") and f.has(hand)]
-    if not usable:
-        raise ValueError(f"no skeleton frame holds both head and {hand}")
-    heads = np.array([f.position("head") for f in usable])
-    hands = np.array([f.position(hand) for f in usable])
-    return (float(np.median(heads[:, 1])),
-            float(np.median(np.linalg.norm(heads - hands, axis=1))))
-
-
-def reference_stats(slice_: TaskSlice,
-                    subject_object: str | None = None) -> ReferenceStats:
-    """Skeleton statistics over a slice's first ``WARM_UP_SECONDS``
-    (``face_hand_medians``, robust to first-frame noise). The measured hand is the one nearer the
-    assessed object at slice start, defaulting to the right hand."""
-    frames = skeleton_frames(slice_.events)
-    if not frames:
-        raise ValueError(f"slice for {slice_.task_id!r} has no skeleton frames")
-    first = frames[0][1]
-    hand = _nearest_hand(slice_.events, first, subject_object)
-    cutoff = slice_.t0 + WARM_UP_SECONDS
-    window = [f for t, f in frames if t <= cutoff] or [first]
-    face_height, face_hand_distance = face_hand_medians(window, hand)
-    return ReferenceStats(face_height=face_height,
-                          face_hand_distance=face_hand_distance,
-                          hand_joint=hand)
-
-
-def _nearest_hand(events, frame: SkeletonFrame, subject_object: str | None) -> str:
-    present = [h for h in HAND_JOINTS if frame.has(h)]
-    if not present:
-        raise ValueError("frame has no hand joint")
-    if len(present) == 1 or subject_object is None:
-        return present[0]
-    target = None
-    for e in events:
-        if isinstance(e.payload, Pose) and e.payload.object_id == subject_object:
-            target = np.asarray(e.payload.position)
-            break
-    if target is None:
-        return present[0]
-    return min(present, key=lambda h: float(np.linalg.norm(frame.position(h) - target)))

@@ -1,15 +1,19 @@
-"""Action-level assessment: trajectory target matching and anomaly watching.
+"""Action-level assessment: the reference track, height correction,
+trajectory target matching and anomaly watching.
 
-A reference performance is downsampled to key frames, ``key_rate`` a
-second, once, when the reference set is built (``build_reference_track``).
-Each key frame is one target: the reference positions of the tracked
-joints, one row of the ReferenceTrack an ActionEvaluator is given. The
-track keeps the engine-wide TrajectoryParams it was built for, and the
-evaluator matches by them.
+A reference performance is reduced once, when the reference set is built
+(``build_reference_track``), to a ReferenceTrack: the performer's face
+height, face-hand distance and assessed hand, measured over the task's
+first ``WARM_UP_SECONDS`` with ``face_hand_medians``, and key frames
+downsampled ``key_rate`` a second. Each key frame is one target: the
+reference positions of the tracked joints, one row of the track an
+ActionEvaluator is given. The track keeps the engine-wide
+TrajectoryParams it was built for, and the evaluator matches by them.
 
 The ActionEvaluator is the whole streaming machine, for one user and one
-task activation. Frames are height corrected first (one factor from the
-median face-hand distance of the first second). Targets spawn one at a
+task activation. Frames are height corrected first: ``scale_frame``
+applies one factor, the track's face-hand distance over the learner's
+``face_hand_medians`` in the same warm-up window. Targets spawn one at a
 time, in order. The user bursts the target in flight by bringing every
 tracked joint within the match radius (closed ball); a frame missing a
 tracked joint never bursts. A target with no match for longer than the
@@ -31,11 +35,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import all_within
+from .kernels import all_within, scale_about
 from .model import TrajectoryParams
-from .telemetry import (MIN_FACE_HAND_DISTANCE, WARM_UP_SECONDS, ReferenceStats,
-                        SkeletonFrame, TaskSlice, face_hand_medians, scale_frame,
-                        skeleton_frames)
+from .telemetry import Pose, SkeletonFrame, TaskSlice
 
 ANOMALY_KINDS = ("fall", "orientation", "hand-position")
 ANOMALY_WINDOW = 0.5  # s of corrected frames an anomaly is judged over
@@ -54,6 +56,10 @@ FEEDBACK_TEXT = {
 }
 PROGRESS_KINDS = frozenset(("burst", "missed", "repetition"))  # real-time tasks only
 
+MIN_FACE_HAND_DISTANCE = 0.01  # m; below this the pose is degenerate
+WARM_UP_SECONDS = 1.0  # a task's first span, over which both sides measure the skeleton
+HAND_JOINTS = ("hand-right", "hand-left")
+
 
 @dataclass(frozen=True)
 class Anomaly:
@@ -64,13 +70,18 @@ class Anomaly:
 
 @dataclass(frozen=True, eq=False)
 class ReferenceTrack:
-    """Key-framed reference trajectory: positions (K, J, 3) of the
-    tracked joints, in joint_ids order, with the params it was built for.
+    """One reference performance of a trajectory task: positions (K, J, 3)
+    of the tracked joints at its key frames, in joint_ids order, the
+    params it was built for, and the performer's median face height,
+    median face-hand distance and assessed hand over the warm-up window.
     Compared by identity, as its array has no single truth value."""
 
     params: TrajectoryParams
     joint_ids: tuple[str, ...]
     positions: np.ndarray
+    face_height: float
+    face_hand_distance: float
+    hand_joint: str
 
     @property
     def key_frames(self) -> int:
@@ -84,18 +95,29 @@ def key_frame_count(duration: float, key_rate: float) -> int:
 
 
 def build_reference_track(ref_slice: TaskSlice, joint_ids: tuple[str, ...],
-                          params: TrajectoryParams) -> ReferenceTrack:
-    """Downsample the reference skeleton stream of joint_ids to key frames.
+                          params: TrajectoryParams,
+                          subject_object: str | None = None) -> ReferenceTrack:
+    """Reduce a reference slice's skeleton stream to the performer's
+    statistics and the key frames of joint_ids.
 
+    The statistics are medians over the slice's first ``WARM_UP_SECONDS``
+    (``face_hand_medians``, robust to first-frame noise) of the hand
+    nearer ``subject_object`` at slice start, by default the right hand.
     Key frame k targets time t0 + k/key_rate and takes the first recorded
     frame at or after it (the last frame when the stream ends early).
     """
-    frames = skeleton_frames(ref_slice.events)
+    frames = [(e.t, e.payload) for e in ref_slice.events
+              if isinstance(e.payload, SkeletonFrame)]
     if not frames:
-        raise ValueError(f"reference slice for {ref_slice.task_id!r} has no skeleton frames")
+        raise ValueError(f"slice for {ref_slice.task_id!r} has no skeleton frames")
+    first = frames[0][1]
+    hand = _nearest_hand(ref_slice.events, first, subject_object)
+    cutoff = ref_slice.t0 + WARM_UP_SECONDS
+    warm_up = [f for t, f in frames if t <= cutoff] or [first]
+    face_height, face_hand_distance = face_hand_medians(warm_up, hand)
+
     count = key_frame_count(ref_slice.t1 - ref_slice.t0, params.key_rate)
     frame_times = np.array([t for t, _ in frames])
-
     positions = np.empty((count, len(joint_ids), 3))
     for k in range(count):
         goal = ref_slice.t0 + k / params.key_rate
@@ -107,7 +129,52 @@ def build_reference_track(ref_slice: TaskSlice, joint_ids: tuple[str, ...],
             if not frame.has(joint):
                 raise ValueError(f"reference missing joint {joint!r} at key frame {k}")
             positions[k, j] = frame.position(joint)
-    return ReferenceTrack(params=params, joint_ids=joint_ids, positions=positions)
+    return ReferenceTrack(params=params, joint_ids=joint_ids, positions=positions,
+                          face_height=face_height,
+                          face_hand_distance=face_hand_distance, hand_joint=hand)
+
+
+def _nearest_hand(events, frame: SkeletonFrame, subject_object: str | None) -> str:
+    present = [h for h in HAND_JOINTS if frame.has(h)]
+    if not present:
+        raise ValueError("frame has no hand joint")
+    if len(present) == 1 or subject_object is None:
+        return present[0]
+    target = None
+    for e in events:
+        if isinstance(e.payload, Pose) and e.payload.object_id == subject_object:
+            target = np.asarray(e.payload.position)
+            break
+    if target is None:
+        return present[0]
+    return min(present, key=lambda h: float(np.linalg.norm(frame.position(h) - target)))
+
+
+# ---------------------------------------------------------------------------
+# height correction
+
+def face_hand_medians(frames, hand: str) -> tuple[float, float]:
+    """Median head height and median head-to-hand distance over the frames
+    that hold both ``head`` and ``hand``; ValueError when none does. The
+    one measurement behind both the track's performer statistics and the
+    learner's height-correction factor."""
+    usable = [f for f in frames if f.has("head") and f.has(hand)]
+    if not usable:
+        raise ValueError(f"no skeleton frame holds both head and {hand}")
+    heads = np.array([f.position("head") for f in usable])
+    hands = np.array([f.position(hand) for f in usable])
+    return (float(np.median(heads[:, 1])),
+            float(np.median(np.linalg.norm(heads - hands, axis=1))))
+
+
+def scale_frame(frame: SkeletonFrame, factor: float) -> SkeletonFrame:
+    """Scale all joints about the head position. factor 1 returns the
+    input frame unchanged."""
+    if factor == 1.0:
+        return frame
+    center = np.array(frame.position("head"), dtype=np.float64)
+    scaled = scale_about(frame.positions, center, float(factor))
+    return SkeletonFrame(names=frame.names, positions=scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +202,7 @@ def facing_direction(frame: SkeletonFrame) -> np.ndarray | None:
 
 
 def detect_anomalies(window: Sequence[tuple[float, SkeletonFrame]],
-                     params: TrajectoryParams,
-                     ref_stats: ReferenceStats,
+                     track: ReferenceTrack,
                      hand_goal: np.ndarray | None = None):
     """Currently active anomaly kinds over a sliding window of
     (t, height-corrected frame) samples.
@@ -144,10 +210,10 @@ def detect_anomalies(window: Sequence[tuple[float, SkeletonFrame]],
     Returns (kinds, warming_up, facing), where facing is the newest
     frame's facing_direction (None while warming up). A window spanning
     less than ANOMALY_WINDOW seconds only warms up. Fall and orientation
-    are judged on the newest frame; hand-position requires the assessed
-    hand (``ref_stats.hand_joint``) to stay beyond HAND_PROXIMITY_FACTOR *
-    match_radius from ``hand_goal``, its position in the current target,
-    across the whole window.
+    are judged on the newest frame, against the track's face height;
+    hand-position requires the assessed hand (``track.hand_joint``) to stay
+    beyond HAND_PROXIMITY_FACTOR * match_radius from ``hand_goal``, its
+    position in the current target, across the whole window.
     """
     if not window or window[-1][0] - window[0][0] < ANOMALY_WINDOW:
         return set(), True, None
@@ -155,7 +221,7 @@ def detect_anomalies(window: Sequence[tuple[float, SkeletonFrame]],
     latest = window[-1][1]
 
     if latest.has("head"):
-        if latest.position("head")[1] < FALL_HEIGHT_FRACTION * ref_stats.face_height:
+        if latest.position("head")[1] < FALL_HEIGHT_FRACTION * track.face_height:
             kinds.add("fall")
 
     facing = facing_direction(latest)
@@ -163,8 +229,8 @@ def detect_anomalies(window: Sequence[tuple[float, SkeletonFrame]],
         kinds.add("orientation")
 
     if hand_goal is not None:
-        hand = ref_stats.hand_joint
-        limit = HAND_PROXIMITY_FACTOR * params.match_radius
+        hand = track.hand_joint
+        limit = HAND_PROXIMITY_FACTOR * track.params.match_radius
         away = True
         seen = False
         for _, f in window:
@@ -204,17 +270,15 @@ class ActionEvaluator:
 
     Frames inside the first ``WARM_UP_SECONDS`` are buffered so the height factor
     can be computed from the median face-hand distance of that window
-    (matching how reference statistics are taken), then replayed. Once the
+    (as the track's statistics were taken), then replayed. Once the
     factor is not 1, a frame without a head cannot be corrected: it is
     skipped, with one warning per evaluator. After an abort the evaluator
     is inert.
     """
 
-    def __init__(self, track: ReferenceTrack, ref_stats: ReferenceStats,
-                 t_start: float):
+    def __init__(self, track: ReferenceTrack, t_start: float):
         self.track = track
         self.params = track.params
-        self.ref_stats = ref_stats
         self.t_start = t_start
         # targets 0..cursor have spawned; the cursor's one is in flight
         # until it is retired, burst or missed, and the last one retired
@@ -229,7 +293,7 @@ class ActionEvaluator:
         self.open_episodes: dict[str, float] = {}  # kind -> onset, oldest first
         self.anomalies: list[Anomaly] = []  # closed episodes
         # the assessed hand's position in each target, when it is tracked
-        hand = ref_stats.hand_joint
+        hand = track.hand_joint
         self._hand_goals = (list(track.positions[:, track.joint_ids.index(hand)])
                             if hand in track.joint_ids else None)
         self.factor: float | None = None  # None until the warm-up window closes
@@ -245,14 +309,14 @@ class ActionEvaluator:
     def _compute_factor(self) -> float:
         try:
             _, d = face_hand_medians((f for _, f in self._pending),
-                                     self.ref_stats.hand_joint)
+                                     self.track.hand_joint)
         except ValueError:
             self._warnings.append("height correction skipped: no usable frames")
             return 1.0
         if d < MIN_FACE_HAND_DISTANCE:
             self._warnings.append("height correction refused: degenerate pose")
             return 1.0
-        return self.ref_stats.face_hand_distance / d
+        return self.track.face_hand_distance / d
 
     def _warm_up(self) -> list[tuple]:
         """Close the warm-up window: fix the factor from the buffered
@@ -297,8 +361,7 @@ class ActionEvaluator:
 
         goal = (None if self.complete or self._hand_goals is None
                 else self._hand_goals[self.cursor])
-        kinds, warming, facing = detect_anomalies(window, self.params,
-                                                  self.ref_stats, goal)
+        kinds, warming, facing = detect_anomalies(window, self.track, goal)
         events: list[tuple] = []
         if not warming:
             if not self._facing_warned and facing is None:

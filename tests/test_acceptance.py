@@ -42,7 +42,6 @@ from ahtn.telemetry import (
     Collision,
     Event,
     Pose,
-    ReferenceStats,
     SkeletonFrame,
     TaskSlice,
 )
@@ -198,7 +197,6 @@ def _skel(head, hand, shoulders=True):
 def test_05_skip_time_behavior(criterion):
     with criterion(5, "skip-time retirement"):
         params = TrajectoryParams()
-        stats = ReferenceStats(1.7, 0.45, "hand-right")
         ref_events = tuple(
             Event(k / 10.0, "ref", _skel((0.02 * k, 1.7, 0.0),
                                          (0.02 * k + 0.45, 1.7, 0.0)))
@@ -206,7 +204,7 @@ def test_05_skip_time_behavior(criterion):
         ref_slice = TaskSlice("T", 0.0, 10.0, ref_events)  # K = 20 targets
         track = build_reference_track(ref_slice, ("head",), params)
 
-        ev = ActionEvaluator(track, stats, t_start=0.0)
+        ev = ActionEvaluator(track, t_start=0.0)
         missed_times = []
         last_t = 0.0
         for k in range(1041):  # 104 s at 10 Hz, user parked far away
@@ -248,7 +246,6 @@ def _fall_stream(total, low_from, low_until):
 def test_06_anomaly_abort(criterion):
     with criterion(6, "fall-anomaly abort"):
         params = TrajectoryParams()
-        stats = ReferenceStats(1.7, 0.45, "hand-right")
         ref_events = tuple(
             Event(k / 10.0, "ref", _skel((0.02 * k, 1.7, 0.0),
                                          (0.02 * k + 0.45, 1.7, 0.0)))
@@ -257,7 +254,7 @@ def test_06_anomaly_abort(criterion):
         track = build_reference_track(ref_slice, ("head",), params)
 
         # held low for 13 s: must abort exactly once and zero the score
-        ev = ActionEvaluator(track, stats, t_start=0.0)
+        ev = ActionEvaluator(track, t_start=0.0)
         feedback = []
         for t, frame in _fall_stream(14.0, 1.0, 14.0):
             feedback.extend(ev.observe(t, frame))
@@ -268,7 +265,7 @@ def test_06_anomaly_abort(criterion):
         assert summary.score == 0.0
 
         # held low for 9 s: episode logged, no abort
-        ev = ActionEvaluator(track, stats, t_start=0.0)
+        ev = ActionEvaluator(track, t_start=0.0)
         feedback = []
         for t, frame in _fall_stream(12.0, 1.0, 10.0):
             feedback.extend(ev.observe(t, frame))

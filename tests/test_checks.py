@@ -237,7 +237,7 @@ def test_attachment_backdating_is_strictly_before_the_first_pose(case):
         "  check attachment subject=cup ref=hand\n  feedback final\nend\n")
     marks = [Event(0.0, "u", TaskMark("T", "start")),
              Event(10.0, "u", TaskMark("T", "end"))]
-    rec = SessionRecording("s", ("u",), (marks[0], *events, marks[1]))
+    rec = SessionRecording("s", (marks[0], *events, marks[1]))
     refs = engine.build_reference_set(net, [(rec, 1.0)])
     report = engine.score_recording(engine.EngineConfig(net, refs), rec)
     member = report.scope("u").entries[0].members[0]

@@ -94,7 +94,7 @@ def test_score_survives_headless_frame_after_correction(run, demo_dir, tmp_path)
                for e in events) > 0
     session = tmp_path / "headless.rec"
     session.write_text(serialize_recording(
-        SessionRecording(rec.session_id, rec.user_ids, tuple(events))))
+        SessionRecording(rec.session_id, tuple(events))))
     out_path = tmp_path / "report.txt"
     code, _, _ = run("score", "--net", hydro(demo_dir, "ahtn"),
                      "--refs", hydro(demo_dir, "rec"),
@@ -275,7 +275,7 @@ def test_warm_up_replayed_at_the_end_mark_sends_its_feedback(
     at = next(i for i, e in enumerate(events) if e.t > 1.4)
     events.insert(at, Event(1.4, "student", TaskMark("T1", "end")))
     session = serialize_recording(
-        SessionRecording(rec.session_id, rec.user_ids, tuple(events)))
+        SessionRecording(rec.session_id, tuple(events)))
     session_path = tmp_path / "fall.rec"
     session_path.write_text(session)
     batch_out = tmp_path / "batch.txt"
@@ -375,7 +375,7 @@ def test_reference_frames_without_head_are_the_same_in_score_and_stream(
         events.append(Event(e.t, e.user, p))
     refs = tmp_path / "headless.rec"
     refs.write_text(serialize_recording(
-        SessionRecording(rec.session_id, rec.user_ids, tuple(events))))
+        SessionRecording(rec.session_id, tuple(events))))
     batch_out = tmp_path / "batch.txt"
     code, _, err = run("score", "--net", hydro(demo_dir, "ahtn"),
                        "--refs", str(refs),

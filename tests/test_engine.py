@@ -5,6 +5,7 @@ import gc
 import importlib
 import importlib.util
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -39,8 +40,7 @@ def drop_marks(rec, task_id, edges=("start", "end")):
                    if not (isinstance(e.payload, TaskMark)
                            and e.payload.task_id == task_id
                            and e.payload.edge in edges))
-    return SessionRecording(session_id=rec.session_id, user_ids=rec.user_ids,
-                            events=events)
+    return SessionRecording(session_id=rec.session_id, events=events)
 
 
 # -- aggregation --------------------------------------------------------------
@@ -95,6 +95,22 @@ def test_session_names_weighted_tasks_without_reference(hydro_net, hydro_refs):
     gutted = {k: v for k, v in hydro_refs.items() if k != "T2"}
     with pytest.raises(ValueError, match="^weighted tasks without a reference: T2$"):
         cfg(hydro_net, gutted)
+
+
+def test_config_references_cannot_be_changed_after_the_checks(hydro_net, hydro_refs):
+    config = cfg(hydro_net, dict(hydro_refs))
+    with pytest.raises(TypeError):
+        del config.references["T2"]
+    assert "T2" in config.references
+
+
+def test_config_holds_its_own_copy_of_each_reference_list(
+        hydro_net, hydro_rec, hydro_refs):
+    refs = {task: list(task_refs) for task, task_refs in hydro_refs.items()}
+    config = cfg(hydro_net, refs)
+    before = render_report(score_recording(config, hydro_rec))
+    refs["T1"].clear()
+    assert render_report(score_recording(config, hydro_rec)) == before
 
 
 # -- self replay ---------------------------------------------------------------
@@ -281,7 +297,7 @@ def test_unfinished_task_scores_zero(hydro_net, hydro_rec, hydro_refs):
 
 def drop_text_input(rec):
     return SessionRecording(
-        session_id=rec.session_id, user_ids=rec.user_ids,
+        session_id=rec.session_id,
         events=tuple(e for e in rec.events
                      if not isinstance(e.payload, TextInput)))
 
@@ -339,7 +355,7 @@ def test_reference_set_holds_no_events(demo, request):
 def test_reference_without_skeleton_cannot_score_action_level(
         hydro_net, hydro_rec):
     no_skeleton = SessionRecording(
-        session_id="no-skeleton", user_ids=hydro_rec.user_ids,
+        session_id="no-skeleton",
         events=tuple(e for e in hydro_rec.events
                      if not isinstance(e.payload, SkeletonFrame)))
     refs = build_reference_set(hydro_net, [(no_skeleton, 1.0)])
@@ -547,3 +563,19 @@ def test_every_perfbench_hook_target_is_a_callable_in_ahtn():
         for attr in attrs.split("."):
             obj = getattr(obj, attr, None)
         assert callable(obj), target
+
+
+def test_every_module_name_in_the_readme_exists_in_ahtn():
+    # a `module.name` in the README whose module no longer holds the name
+    # sends its reader to the wrong file
+    root = Path(__file__).resolve().parents[1]
+    modules = {p.stem for p in (root / "src" / "ahtn").glob("*.py")}
+    readme = (root / "README.md").read_text("utf-8")
+    names = [(m, attrs) for m, attrs in re.findall(r"`(\w+)\.([\w.]+)`", readme)
+             if m in modules]
+    assert names
+    for modname, attrs in names:
+        obj = importlib.import_module(f"ahtn.{modname}")
+        for attr in attrs.split("."):
+            assert hasattr(obj, attr), f"{modname}.{attrs}"
+            obj = getattr(obj, attr)

@@ -8,7 +8,10 @@ lines (``move_marks``). The invariants:
 2. lines of a user outside every scope change no report byte, whether
    they are in the session or in the reference;
 3. a recording replayed against itself scores 1.0 on every check that
-   compares it with the reference: both sides read the same events;
+   compares it with the reference: both sides read the same events. Its
+   height-correction factor is exactly 1 and, unless an anomaly aborts
+   it, it bursts every target it spawns; its anomalies are judged against
+   fixed thresholds, so its trajectory score need not be 1;
 4. one more collision of a checked subject never raises a task's omega;
 5. renaming the user ids in the network and in both recordings renames
    them in the report and the feedback, and changes no other byte.
@@ -63,7 +66,7 @@ def with_bystander(rec, step, offset):
         events.append(e)
         if i % step == offset and type(e.payload) is not TaskMark:
             events.append(Event(e.t, BYSTANDER, e.payload))
-    return SessionRecording(rec.session_id, rec.user_ids, tuple(events))
+    return SessionRecording(rec.session_id, tuple(events))
 
 
 fast = settings(max_examples=12, deadline=None, derandomize=True)
@@ -116,6 +119,12 @@ def test_self_replay_agrees_on_every_compared_check(session):
                 for check, result in zip(checks, results):
                     if check.kind in FEATURE_KINDS:
                         assert result.score == 1.0, (entry.task_id, result)
+                traj = member.trajectory
+                if traj is not None:
+                    assert traj.correction_factor == 1.0, (entry.task_id, traj)
+                    if not traj.aborted:
+                        assert traj.missed == 0, (entry.task_id, traj)
+                        assert traj.burst == traj.spawned, (entry.task_id, traj)
 
 
 @fast
@@ -133,7 +142,7 @@ def test_one_more_collision_never_raises_an_omega(session, data):
     at = data.draw(st.integers(0, len(rec.events) - 1))
     # inserted right after an event, at its time, so the stream stays ordered
     hit = Event(rec.events[at].t, user, Collision(subject, other))
-    hit_rec = SessionRecording(rec.session_id, rec.user_ids,
+    hit_rec = SessionRecording(rec.session_id,
                                rec.events[:at + 1] + (hit,) + rec.events[at + 1:])
     before = score_recording(EngineConfig(net, refs), rec)
     after = score_recording(EngineConfig(net, refs), hit_rec)
@@ -177,7 +186,7 @@ def test_renaming_users_renames_only_them(session, new_ids):
         rename_ids(line, names) if line.split()[:1] == ["user"] else line
         for line in net_text.splitlines(keepends=True)))
     renamed_reference = SessionRecording(
-        reference.session_id, tuple(names[u] for u in reference.user_ids),
+        reference.session_id,
         tuple(Event(e.t, names[e.user], e.payload) for e in reference.events))
     renamed_refs = build_reference_set(renamed_net, [(renamed_reference, 1.0)])
     report, feedback = live_outputs(net, refs, text)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,11 +11,10 @@ from hypothesis import given, settings, strategies as st
 from ahtn import telemetry
 from ahtn.model import TrajectoryParams
 from ahtn.telemetry import (Attach, Collision, Event, Pose, RecordingError,
-                            ReferenceStats, SkeletonFrame, TaskMark,
-                            TaskSlice, TaskSlicer, TextInput,
-                            parse_event_line, parse_session, reference_stats,
-                            scale_frame, serialize_event, serialize_recording)
-from ahtn.trajectory import ActionEvaluator, build_reference_track
+                            SkeletonFrame, TaskMark, TaskSlice, TaskSlicer,
+                            TextInput, parse_event_line, parse_session,
+                            serialize_event, serialize_recording)
+from ahtn.trajectory import ActionEvaluator, build_reference_track, scale_frame
 from conftest import reduce_reference
 
 
@@ -120,7 +120,6 @@ def test_parse_session_user_order_and_hint():
             "t=0.1 u=ann pose cup 0 0 0 0 0 0 1\n"
             "t=0.2 u=bob skel head=0,1.7,0\n")
     rec = parse_session(text, session_id="s1")
-    assert rec.user_ids == ("bob", "ann")
     assert rec.session_id == "s1"
 
 
@@ -152,15 +151,14 @@ def test_equal_timestamps_allowed():
 
 def outcome(text):
     """What parse_session makes of a text: its events as wire lines (so
-    -0.0 and 0.0 differ), the names tuples, the users, or its error."""
+    -0.0 and 0.0 differ), the names tuples, or its error."""
     try:
         rec = parse_session(text)
     except RecordingError as err:
         return "error", str(err), err.line
     frames = [e.payload.names for e in rec.events
               if isinstance(e.payload, SkeletonFrame)]
-    return ("ok", [serialize_event(e) for e in rec.events], frames,
-            rec.user_ids, rec.events)
+    return ("ok", [serialize_event(e) for e in rec.events], frames, rec.events)
 
 
 def per_line_outcome(text, monkeypatch):
@@ -368,7 +366,6 @@ def test_bulk_parse_matches_per_line_on_bundled_recordings(
 def test_bundled_recording_round_trip(hydro_rec):
     text = serialize_recording(hydro_rec)
     again = parse_session(text, session_id=hydro_rec.session_id)
-    assert again.user_ids == hydro_rec.user_ids
     assert again.events == hydro_rec.events
     assert serialize_recording(again) == text
 
@@ -508,10 +505,8 @@ def corrected_summary(frames, face_hand):
     a reference whose face-hand distance is ``face_hand``."""
     ref = TaskSlice(task_id="T", t0=0.0, t1=1.0, events=(
         skel_event(0.0, "r", head=(0, 1.6, 0), **{"hand-right": (0.6, 1.6, 0)}),))
-    stats = ReferenceStats(face_height=1.6, face_hand_distance=face_hand,
-                           hand_joint="hand-right")
     track = build_reference_track(ref, ("head", "hand-right"), TrajectoryParams())
-    ev = ActionEvaluator(track, stats, t_start=0.0)
+    ev = ActionEvaluator(replace(track, face_hand_distance=face_hand), t_start=0.0)
     for t, f in frames:
         ev.observe(t, f)
     return ev.finalize(frames[-1][0])
@@ -582,7 +577,7 @@ def test_reference_stats_median_over_first_second():
         skel_event(2.0, "a", head=(0, 9.0, 0), **{"hand-right": (9, 9, 9)}),
     ]
     sl = TaskSlice(task_id="T", t0=0.0, t1=3.0, events=tuple(events))
-    st_ = reference_stats(sl)
+    st_ = build_reference_track(sl, ("head",), TrajectoryParams())
     assert st_.face_height == pytest.approx(1.6)
     assert st_.face_hand_distance == pytest.approx(math.sqrt(0.34))
     assert st_.hand_joint == "hand-right"
@@ -598,14 +593,18 @@ def test_reference_stats_picks_hand_nearest_subject():
         skel_event(0.0, "a", **f),
     ]
     sl = TaskSlice(task_id="T", t0=0.0, t1=1.0, events=tuple(events))
-    assert reference_stats(sl, subject_object="cup").hand_joint == "hand-left"
-    assert reference_stats(sl).hand_joint == "hand-right"
+    def hand(subject_object=None):
+        return build_reference_track(sl, ("head",), TrajectoryParams(),
+                                     subject_object).hand_joint
+
+    assert hand("cup") == "hand-left"
+    assert hand() == "hand-right"
 
 
 def test_reference_stats_requires_frames():
     sl = TaskSlice(task_id="T", t0=0.0, t1=1.0, events=())
     with pytest.raises(ValueError, match="no skeleton frames"):
-        reference_stats(sl)
+        build_reference_track(sl, ("head",), TrajectoryParams())
 
 
 def test_reference_quality_range():

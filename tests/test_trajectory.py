@@ -1,20 +1,19 @@
 """Key-frame matching, anomaly detection, and the streaming evaluator."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ahtn.engine import build_reference_set
 from ahtn.model import TrajectoryParams
-from ahtn.telemetry import Event, ReferenceStats, SkeletonFrame, TaskSlice
+from ahtn.telemetry import Event, SkeletonFrame, TaskSlice
 from ahtn.trajectory import (ActionEvaluator, Anomaly, build_reference_track,
                              detect_anomalies, facing_direction, key_frame_count)
 
 JOINTS = ("head", "hand-right")
 PARAMS = TrajectoryParams()
-STATS = ReferenceStats(face_height=1.7, face_hand_distance=0.45,
-                       hand_joint="hand-right")
 
 
 def frame(**joints):
@@ -43,6 +42,10 @@ def straight_line(t0=0.0, duration=10.0, rate=10.0, arm=0.45):
     return out
 
 
+# its performer measures face height 1.7 m, face-hand 0.45 m and hand-right
+TRACK = build_reference_track(skel_slice(straight_line()), JOINTS, PARAMS)
+
+
 # -- key frames ---------------------------------------------------------------
 
 def test_key_frame_count():
@@ -65,7 +68,7 @@ def test_reference_track_takes_first_frame_at_or_after_key_time():
 
 
 def test_reference_track_requires_joints():
-    samples = [(0.0, frame(head=(0, 1.7, 0)))]
+    samples = [(0.0, frame(head=(0, 1.7, 0), hand_left=(-0.45, 1.7, 0)))]
     with pytest.raises(ValueError, match="missing joint 'hand-right'"):
         build_reference_track(skel_slice(samples, t1=1.0), JOINTS, PARAMS)
     with pytest.raises(ValueError, match="no skeleton frames"):
@@ -94,10 +97,8 @@ def test_match_ball_is_closed():
         f = frame(head=(head_x, 1.7, 0), hand_right=(1, 1.7, 0))
         # reference face-hand distance equal to the frame's: factor exactly 1
         exact = float(np.linalg.norm(f.position("head") - f.position("hand-right")))
-        stats = ReferenceStats(face_height=1.7, face_hand_distance=exact,
-                               hand_joint="hand-right")
         summary, _ = replay([(0.0, f), (0.1, f)], one_frame_reference(),
-                            stats=stats)
+                            face_hand_distance=exact)
         assert summary.correction_factor == 1.0
         return summary.burst
 
@@ -139,7 +140,7 @@ def feed(ev, samples):
 
 
 def test_skip_is_strictly_greater_than_five_seconds():
-    ev = ActionEvaluator(track_of(10.0), STATS, t_start=0.0)
+    ev = ActionEvaluator(track_of(10.0), t_start=0.0)
     # warm-up frames, then one past the window that replays them
     assert feed(ev, [(t, PARKED) for t in (0.0, 0.5, 1.0, 2.0)]) == [[]] * 4
     assert ev.observe(5.0, PARKED) == [] and ev.missed == 0
@@ -150,7 +151,7 @@ def test_skip_is_strictly_greater_than_five_seconds():
 
 def test_burst_advances_cursor():
     track = track_of(10.0)
-    ev = ActionEvaluator(track, STATS, t_start=0.0)
+    ev = ActionEvaluator(track, t_start=0.0)
     assert ev.observe(0.0, on_target(track, 0)) == []  # warm-up
     assert ev.observe(1.1, PARKED) == [("burst", 0, 2)]
     assert (ev.burst, ev.cursor, ev.spawned_at) == (1, 1, 0.0)
@@ -158,7 +159,7 @@ def test_burst_advances_cursor():
 
 def test_completed_evaluator_ignores_later_matches():
     track = track_of(1.0)  # K = 2
-    ev = ActionEvaluator(track, STATS, t_start=0.0)
+    ev = ActionEvaluator(track, t_start=0.0)
     assert feed(ev, [(0.0, on_target(track, 0)), (0.5, on_target(track, 1)),
                      (1.1, on_target(track, 1))]) == [
         [], [], [("burst", 0, 2), ("burst", 1, 2), ("repetition", 1)]]
@@ -172,7 +173,7 @@ def test_completed_evaluator_ignores_later_matches():
 
 def test_score_formula():
     track = track_of(2.0)  # K = 4
-    ev = ActionEvaluator(track, STATS, t_start=0.0)
+    ev = ActionEvaluator(track, t_start=0.0)
     head, hand = track.positions[3]
     fallen_on_3 = frame(head=(head[0], 0.3, head[2]), hand_right=tuple(hand))
     feedback = feed(ev, [(0.0, on_target(track, 0)), (1.1, on_target(track, 1)),
@@ -188,7 +189,7 @@ def test_score_formula():
 
 
 def test_score_clamps_at_zero():
-    ev = ActionEvaluator(track_of(10.0), STATS, t_start=0.0)
+    ev = ActionEvaluator(track_of(10.0), t_start=0.0)
     feed(ev, [(0.0, PARKED), (1.1, PARKED), (1.6, FALL), (2.1, PARKED)])
     summary = ev.finalize(2.1)
     # burst 0/1 less one episode's penalty is below 0
@@ -198,14 +199,14 @@ def test_score_clamps_at_zero():
 
 def test_score_aborted_and_empty():
     track = track_of(10.0)
-    ev = ActionEvaluator(track, STATS, t_start=0.0)
+    ev = ActionEvaluator(track, t_start=0.0)
     feedback = feed(ev, [(0.0, on_target(track, 0))]
                     + [(1.1 + 0.5 * i, FALL) for i in range(23)])
     assert [e for f in feedback for e in f if e[0] == "abort"] == [("abort", "fall")]
     summary = ev.finalize(12.1)
     assert summary.aborted and summary.burst == 1 and summary.score == 0.0
 
-    idle = ActionEvaluator(track, STATS, t_start=0.0).finalize(3.0)
+    idle = ActionEvaluator(track, t_start=0.0).finalize(3.0)
     assert (idle.burst, idle.missed, idle.spawned) == (0, 1, 1)
     assert idle.score == 0.0 and idle.correction_factor == 1.0
 
@@ -244,8 +245,7 @@ def test_orientation_anomaly_threshold_is_ninety_degrees():
         f = rotated_shoulders(math.radians(deg))
         facing = facing_direction(f)
         assert facing is not None
-        kinds, warming, latest_facing = detect_anomalies(window_of(f), PARAMS,
-                                                         STATS)
+        kinds, warming, latest_facing = detect_anomalies(window_of(f), TRACK)
         assert not warming
         assert np.array_equal(latest_facing, facing)
         assert ("orientation" in kinds) is expect, deg
@@ -255,31 +255,31 @@ def test_fall_anomaly_uses_reference_face_height():
     # threshold: half of 1.7 m
     low = frame(head=(0, 0.84, 0))
     ok = frame(head=(0, 0.86, 0))
-    assert "fall" in detect_anomalies(window_of(low), PARAMS, STATS)[0]
-    assert "fall" not in detect_anomalies(window_of(ok), PARAMS, STATS)[0]
+    assert "fall" in detect_anomalies(window_of(low), TRACK)[0]
+    assert "fall" not in detect_anomalies(window_of(ok), TRACK)[0]
 
 
 def test_hand_position_anomaly_needs_whole_window_away():
-    goal = np.zeros(3)  # of hand-right, STATS' hand
+    goal = np.zeros(3)  # of hand-right, TRACK's hand
     far = frame(head=(0, 1.7, 0), hand_right=(0.35, 1.1, 0))
     near = frame(head=(0, 1.7, 0), hand_right=(0.25, 0, 0))
-    kinds, _, _ = detect_anomalies(window_of(far), PARAMS, STATS, goal)
+    kinds, _, _ = detect_anomalies(window_of(far), TRACK, goal)
     assert "hand-position" in kinds
     mixed = [(0.0, far), (0.3, near), (0.6, far)]
-    kinds, _, _ = detect_anomalies(mixed, PARAMS, STATS, goal)
+    kinds, _, _ = detect_anomalies(mixed, TRACK, goal)
     assert "hand-position" not in kinds  # one close sample clears it
 
 
 def test_window_shorter_than_half_second_only_warms_up():
     f = frame(head=(0, 0.1, 0))  # would be a fall
-    kinds, warming, facing = detect_anomalies([(0.0, f)], PARAMS, STATS)
+    kinds, warming, facing = detect_anomalies([(0.0, f)], TRACK)
     assert warming and kinds == set() and facing is None
-    kinds, warming, _ = detect_anomalies([(0.0, f), (0.4, f)], PARAMS, STATS)
+    kinds, warming, _ = detect_anomalies([(0.0, f), (0.4, f)], TRACK)
     assert warming
 
 
 def test_anomaly_episode_lifecycle():
-    ev = ActionEvaluator(track_of(10.0), STATS, t_start=0.0)
+    ev = ActionEvaluator(track_of(10.0), t_start=0.0)
     assert feed(ev, [(0.0, PARKED), (1.1, PARKED), (1.6, FALL), (2.0, FALL),
                      (3.5, PARKED)]) == [
         [], [], [("anomaly", "fall", "start")], [], [("anomaly", "fall", "end")]]
@@ -291,7 +291,7 @@ def test_anomaly_episode_lifecycle():
 
 def test_abort_after_wait_is_strict():
     params = TrajectoryParams(skip_time=100.0)
-    ev = ActionEvaluator(track_of(10.0, params), STATS, t_start=0.0)
+    ev = ActionEvaluator(track_of(10.0, params), t_start=0.0)
     assert feed(ev, [(0.0, PARKED), (1.5, PARKED), (2.0, FALL), (12.0, FALL)]) == [
         [], [], [("anomaly", "fall", "start")], []]
     assert not ev.aborted
@@ -306,9 +306,11 @@ def test_abort_after_wait_is_strict():
 
 # -- streaming evaluator ------------------------------------------------------
 
-def replay(samples, ref_slice, params=PARAMS, stats=STATS, t_start=0.0):
-    ev = ActionEvaluator(build_reference_track(ref_slice, JOINTS, params), stats,
-                         t_start=t_start)
+def replay(samples, ref_slice, params=PARAMS, t_start=0.0, **fields):
+    """Stream samples against the track of ref_slice, with ``fields`` of
+    the track replaced."""
+    track = replace(build_reference_track(ref_slice, JOINTS, params), **fields)
+    ev = ActionEvaluator(track, t_start=t_start)
     feedback = []
     for t, f in samples:
         feedback.extend(ev.observe(t, f))
@@ -429,20 +431,18 @@ def test_orientation_disabled_warning_appears_once():
 
 
 def test_headless_frame_after_correction_is_skipped():
-    stats = ReferenceStats(face_height=1.7, face_hand_distance=0.6,
-                           hand_joint="hand-right")
     ref = skel_slice([(0.0, frame(head=(0, 1.7, 0), hand_right=(0.6, 1.7, 0)))],
                      t1=2.0)
     warm = [(0.1 * i, frame(head=(0, 1.7, 0), hand_right=(0.4, 1.7, 0)))
             for i in range(12)]
     headless = [(1.2, frame(hand_right=(0.4, 1.7, 0))),
                 (1.3, frame(hand_right=(0.4, 1.7, 0)))]
-    summary, feedback = replay(warm + headless, ref, stats=stats)
+    summary, feedback = replay(warm + headless, ref)
     assert summary.correction_factor == pytest.approx(1.5)
     assert summary.warnings.count(
         "frames without head skipped: cannot height-correct") == 1
     # skipped outright: the same outcome as never seeing those frames
-    plain, plain_feedback = replay(warm, ref, stats=stats)
+    plain, plain_feedback = replay(warm, ref)
     assert feedback == plain_feedback
     assert (summary.burst, summary.missed, summary.anomalies) == (
         plain.burst, plain.missed, plain.anomalies)
