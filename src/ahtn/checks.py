@@ -1,10 +1,10 @@
 """Task-level object-manipulation checks and their weighted combination.
 
-Five check kinds score how closely a user's slice matches reference
-behaviour: mean orientation, mean position, attachment duration ratio,
-collision count penalty, and text-input comparison. Scores are linear
-ramps clamped to [0, 1]; per-check tolerances come from the CheckSpec and
-fall back to the engine's ``Defaults``.
+Five check kinds score how closely a user's events in a task match
+reference behaviour: mean orientation, mean position, attachment duration
+ratio, collision count penalty, and text-input comparison. Scores are
+linear ramps clamped to [0, 1]; per-check tolerances come from the
+CheckSpec and fall back to the engine's ``Defaults``.
 
 A task's events are reduced as they arrive, by one ``TaskSamples`` per
 (task, member): its ``add`` decides which events the task reads and keeps
@@ -26,7 +26,7 @@ import numpy as np
 
 from .model import CheckSpec, Defaults, TaskNode, is_joint_id
 from .telemetry import (Attach, Collision, Event, Pose, Reference,
-                        SkeletonFrame, TaskSlice, TextInput)
+                        SkeletonFrame, TextInput)
 
 
 DEFAULTS = Defaults()
@@ -90,7 +90,7 @@ FEATURE_KINDS = frozenset({"orientation", "position", "text-input"})
 
 @dataclass(frozen=True, slots=True)
 class Feature:
-    """What one check kind needs of one subject in one slice: a reduction
+    """What one check kind needs of one subject in one task: a reduction
     of its samples, never the samples themselves.
 
     ``samples`` is the number of samples reduced; 0 means no data.
@@ -161,18 +161,6 @@ class TaskSamples:
                 self.transitions[c.subject, c.reference_object] = []
             else:
                 self.partners[c.subject] = []
-
-    @classmethod
-    def of(cls, slice_: TaskSlice, checks: Sequence[CheckSpec]) -> TaskSamples:
-        """A whole slice reduced for checks, reading every event about a
-        check's subject."""
-        subjects = [c.subject for c in checks]
-        samples = cls(checks, subjects, any(map(is_joint_id, subjects)),
-                      slice_.t0)
-        for e in slice_.events:
-            samples.add(e)
-        samples.t1 = slice_.t1
-        return samples
 
     def add(self, event: Event) -> bool:
         """Take the event's rows if the task reads it; whether it did."""
@@ -257,7 +245,7 @@ def _ramp(value: float, limit: float) -> float:
 
 def orientation_score(user: Feature, ref: Feature, spec: CheckSpec,
                       defaults: Defaults = DEFAULTS) -> CheckResult:
-    """Angle between the mean orientation of the subject in the user slice
+    """Angle between the mean orientation of the subject in the user's task
     and in the reference, mapped linearly to [0, 1]."""
     tol = spec.tol if spec.tol is not None else defaults.orientation_tol
     user_mean, ref_mean = _reductions(
@@ -283,13 +271,7 @@ def position_score(user: Feature, ref: Feature, spec: CheckSpec,
                        samples_used=user.samples)
 
 
-def _samples(user: TaskSamples | TaskSlice, spec: CheckSpec) -> TaskSamples:
-    """The reducer a check reads: user itself, or a slice reduced for spec."""
-    return user if isinstance(user, TaskSamples) else TaskSamples.of(user, (spec,))
-
-
-def attachment_score(user: TaskSamples | TaskSlice,
-                     spec: CheckSpec) -> CheckResult:
+def attachment_score(samples: TaskSamples, spec: CheckSpec) -> CheckResult:
     """Fraction of the task during which subject was attached to the
     reference object.
 
@@ -298,7 +280,6 @@ def attachment_score(user: TaskSamples | TaskSlice,
     object had not moved, so it was held from the beginning). Transitions
     must alternate; anything else is a state mismatch error.
     """
-    samples = _samples(user, spec)
     t0, t1 = samples.t0, samples.t1
     if t1 - t0 <= 0:
         raise ValueError("zero-duration slice")
@@ -325,13 +306,13 @@ def attachment_score(user: TaskSamples | TaskSlice,
                        samples_used=len(transitions))
 
 
-def collision_score(user: TaskSamples | TaskSlice, spec: CheckSpec,
+def collision_score(samples: TaskSamples, spec: CheckSpec,
                     defaults: Defaults = DEFAULTS) -> CheckResult:
     """1 minus a fixed penalty per collision of the subject (optionally
     restricted to one other object), clamped at 0."""
     penalty = (defaults.collision_penalty
                if defaults.collision_penalty is not None else spec.penalty)
-    partners = _samples(user, spec).partners[spec.subject]
+    partners = samples.partners[spec.subject]
     k = (len(partners) if spec.reference_object is None
          else partners.count(spec.reference_object))
     return CheckResult(kind="collision", score=max(0.0, 1.0 - penalty * k),

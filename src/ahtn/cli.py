@@ -9,8 +9,8 @@ columns. Exit status: 0 on success, 1 on validation or scoring failures,
 
 The override flags are made from the settings of ``model.Defaults`` and
 ``model.TrajectoryParams``, one per setting, and checked by its rule
-(``model.check_setting``), as is each ``--magnitudes`` entry: a bad value
-is a usage error naming the flag.
+(``model.check_setting``), as is each ``--magnitudes`` entry and
+``--seed``: a bad value is a usage error naming the flag.
 
 Diagnostics go to standard error; set AHTN_LOG=info or AHTN_LOG=debug for
 more of them.
@@ -164,6 +164,13 @@ def _number(rule: str):
     return parse
 
 
+def _seed(text: str) -> int:
+    """An argparse type: a non-negative integer, as numpy seeds are."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer: {text}")
+    return int(text)
+
+
 def _magnitudes(text: str) -> list[float]:
     return [_number(MAGNITUDE_RULE)(tok) for tok in text.split(",") if tok]
 
@@ -220,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
                         + MAGNITUDE_RULE)
     p.add_argument("--trials", type=int, default=20,
                    help="perturbed copies per magnitude (minimum 10)")
-    p.add_argument("--seed", type=int, default=0, help="base random seed")
+    p.add_argument("--seed", type=_seed, default=0,
+                   help="base random seed, a non-negative integer")
     p.add_argument("--csv", default=None, help="also write the table as CSV")
     _add_setting_flags(p, _OVERRIDES[1:])
     p.set_defaults(fn=_cmd_simulate)

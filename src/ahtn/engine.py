@@ -9,14 +9,15 @@ driven by TaskMark events; each activation gives every member of the
 task's scope a ``checks.TaskSamples``, which takes the events the task
 reads and keeps only what its checks need until the end mark scores them.
 For action-level tasks it also steps a per-user ActionEvaluator so bursts
-and anomalies surface as they happen.
+and anomalies surface as they happen. ``build_reference_set`` routes each
+reference recording by the same marks through the same reducer.
 """
 
 from __future__ import annotations
 
 import math
 import types
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .checks import TaskSamples, TaskScore, evaluate_task_level
@@ -25,7 +26,7 @@ from .model import (Defaults, TaskNetwork, TaskNode, TrajectoryParams,
 from .report import (AssessmentReport, FeedbackMessage, MemberResult,
                      ScopeReport, TaskEntry)
 from .telemetry import (Event, Reference, ReferenceSet, SessionRecording,
-                        SkeletonFrame, TaskMark, TaskSlice, TaskSlicer)
+                        SkeletonFrame, TaskMark)
 from .trajectory import (FEEDBACK_TEXT, PROGRESS_KINDS, ActionEvaluator,
                          TrajectorySummary, build_reference_track)
 
@@ -88,56 +89,69 @@ def task_samples(node: TaskNode, t0: float) -> TaskSamples:
     return TaskSamples(spec.checks, node.objects, skeleton, t0)
 
 
-def build_reference(node: TaskNode, sl: TaskSlice, quality: float = 1.0,
-                    params: TrajectoryParams = TrajectoryParams()) -> Reference:
-    """Reduce a reference recording's slice for one task to what grading
-    reads: the check features and, for a trajectory task, the track of
-    the node's joints, matched with ``params`` (``build_reference_track``,
-    which also measures the performer); ``error`` says why the track
-    could not be built.
-
-    The scope members' events are fed to one ``task_samples`` reducer,
-    whose ``add`` a live ``Session`` also routes through, and the events
-    it takes are the slice the track reads. So a bystander's skeleton
-    cannot shift the reference means, and one rule decides what both
-    sides of a comparison read."""
-    members = node.users.user_ids
-    samples = task_samples(node, sl.t0)
-    sl = replace(sl, events=tuple(
-        e for e in sl.events if e.user in members and samples.add(e)))
-    track = error = None
-    if node.assessment.has_action_level:
-        game_objects = (o for o in node.objects if not is_joint_id(o))
-        try:
-            track = build_reference_track(sl, node.joints, params,
-                                          next(game_objects, None))
-        except ValueError as e:
-            error = str(e)
-    return Reference(quality=quality, features=samples.features(),
-                     track=track, error=error)
-
-
 def build_reference_set(net: TaskNetwork,
                         recordings: Sequence[tuple[SessionRecording, float]],
                         params: TrajectoryParams = TrajectoryParams()
                         ) -> ReferenceSet:
-    """Reduce each assessed task of each reference recording once
-    (``build_reference`` with ``params``), scanning each recording once for
-    its marks. Recordings lacking usable marks for a task simply do not contribute a
-    reference for it."""
-    slicers = [(TaskSlicer(rec), quality) for rec, quality in recordings]
-    by_task: ReferenceSet = {}
-    for node_id in net.primitive_ids():
-        refs = []
-        for slicer, quality in slicers:
-            try:
-                sl = slicer.cut(node_id)
-            except ValueError:
+    """Reduce each primitive task of each reference recording to what
+    grading reads: the check features and, for a trajectory task, the
+    track of the node's joints, matched with ``params``
+    (``build_reference_track``, which also measures the performer);
+    ``error`` says why the track could not be built.
+
+    One pass over a recording routes its events as a live ``Session``
+    does: a start mark opens a ``task_samples`` reducer, each later event
+    goes to the open tasks whose scope holds its user and is kept where
+    ``add`` takes it, and the end mark closes the task. The events kept
+    are those the track reads. So a bystander's skeleton cannot shift the
+    reference, and one rule decides what both sides of a comparison read.
+    A task whose marks in a recording are not one start and, at a later
+    time, one end takes no reference from it."""
+    nodes = {i: net.nodes[i] for i in net.primitive_ids()}
+    by_task: ReferenceSet = {i: [] for i in nodes}
+    for rec, quality in recordings:
+        runs: dict[str, tuple[TaskSamples, list[Event]]] = {}  # open tasks
+        closed: dict[str, tuple | None] = {}  # None: the marks are unusable
+        routes: dict[str, list] = {}  # user -> the open runs of their scopes
+        for e in rec.events:
+            mark = e.payload
+            if type(mark) is not TaskMark:
+                for samples, taken in routes.get(e.user, ()):
+                    if samples.add(e):
+                        taken.append(e)
                 continue
-            refs.append(build_reference(net.nodes[node_id], sl, quality, params))
-        if refs:
-            by_task[node_id] = refs
-    return by_task
+            node = nodes.get(mark.task_id)
+            if node is None:
+                continue
+            run = runs.pop(node.id, None)
+            if mark.edge == "start" and run is None and node.id not in closed:
+                runs[node.id] = (task_samples(node, e.t), [])
+            elif mark.edge == "end" and run is not None and e.t > run[0].t0:
+                run[0].t1 = e.t
+                closed[node.id] = run
+            else:
+                closed[node.id] = None
+            routes = {}
+            for task_id, run in runs.items():
+                for user in nodes[task_id].users.user_ids:
+                    routes.setdefault(user, []).append(run)
+        for task_id, run in closed.items():
+            if run is None:
+                continue
+            node, (samples, taken) = nodes[task_id], run
+            track = error = None
+            if node.assessment.has_action_level:
+                game_objects = (o for o in node.objects if not is_joint_id(o))
+                try:
+                    track = build_reference_track(
+                        task_id, taken, samples.t0, samples.t1, node.joints,
+                        params, next(game_objects, None))
+                except ValueError as err:
+                    error = str(err)
+            by_task[task_id].append(Reference(
+                quality=quality, features=samples.features(), track=track,
+                error=error))
+    return {i: refs for i, refs in by_task.items() if refs}
 
 
 class _TaskRun:

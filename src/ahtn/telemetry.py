@@ -1,4 +1,4 @@
-"""Session recordings: event model, line parser, task slicing, references.
+"""Session recordings: event model, line parser, serializer, references.
 
 Recording format (UTF-8, one event per line, space separated)::
 
@@ -27,12 +27,12 @@ loop from the stream state at its start, so errors keep their message and
 first bad line.
 
 Which events belong to a task is one rule, in stream order: those after
-its start mark and before its end mark. ``engine.Session`` applies it as
-the stream arrives; ``TaskSlicer`` cuts the same run out of a whole
-recording by the marks' event indices, so events that share a mark's
-timestamp fall on the side of the mark where they were written. Of that
-run, both sides keep a scope member's events that one
-``checks.TaskSamples.add`` takes (``engine.build_reference``).
+its start mark and before its end mark, so events that share a mark's
+timestamp fall on the side of the mark where they were written. Of
+those, a task keeps a scope member's events that one
+``checks.TaskSamples.add`` takes. ``engine.Session`` applies the rule as
+a live stream arrives, and ``engine.build_reference_set`` routes each
+reference recording's events the same way.
 """
 
 from __future__ import annotations
@@ -178,21 +178,13 @@ class SessionRecording:
     events: tuple[Event, ...]
 
 
-@dataclass(frozen=True)
-class TaskSlice:
-    task_id: str
-    t0: float
-    t1: float
-    events: tuple[Event, ...]
-
-
 @dataclass(frozen=True, eq=False)
 class Reference:
     """One reference performance of one task, held as what grading reads:
     its SME quality rating, the check ``features`` keyed by (check kind,
     subject) and, for trajectory tasks, the ``track``: key frames and the
     performer's skeleton statistics. ``error`` says why the track could
-    not be built. ``engine.build_reference`` makes one.
+    not be built. ``engine.build_reference_set`` makes them.
     """
 
     quality: float
@@ -520,35 +512,3 @@ def serialize_event(event: Event) -> str:
 def serialize_recording(rec: SessionRecording) -> str:
     return "\n".join(serialize_event(e) for e in rec.events) + "\n"
 
-
-# ---------------------------------------------------------------------------
-# slicing
-
-class TaskSlicer:
-    """Cuts task slices out of one recording. One scan records the event
-    index of every task's marks; a task's slice is then the events that
-    lie strictly between its start and end mark in stream order, the
-    events a live ``engine.Session`` sees while the task is active.
-    Events that share a mark's timestamp but sit on its far side stay
-    outside. t0 and t1 are the two marks' times."""
-
-    def __init__(self, rec: SessionRecording):
-        self.events = rec.events
-        self.marks: dict[str, tuple[list[int], list[int]]] = {}
-        for i, e in enumerate(rec.events):
-            if type(e.payload) is TaskMark:
-                starts, ends = self.marks.setdefault(e.payload.task_id, ([], []))
-                (starts if e.payload.edge == "start" else ends).append(i)
-
-    def cut(self, task_id: str) -> TaskSlice:
-        starts, ends = self.marks.get(task_id, ((), ()))
-        if not starts or not ends:
-            raise ValueError(f"no marks for task {task_id!r}")
-        if len(starts) > 1 or len(ends) > 1:
-            raise ValueError(f"multiple mark pairs for task {task_id!r}")
-        start, end = starts[0], ends[0]
-        t0, t1 = self.events[start].t, self.events[end].t
-        if t1 <= t0:
-            raise ValueError(f"task {task_id!r} marks are not a positive interval")
-        return TaskSlice(task_id=task_id, t0=t0, t1=t1,
-                         events=self.events[start + 1:end])

@@ -1,10 +1,11 @@
 """Action-level assessment: the reference track, height correction,
 trajectory target matching and anomaly watching.
 
-A reference performance is reduced once, when the reference set is built
-(``build_reference_track``), to a ReferenceTrack: the performer's face
-height, face-hand distance and assessed hand, measured over the task's
-first ``WARM_UP_SECONDS`` with ``face_hand_medians``, and key frames
+A reference performance is reduced once, when the reference set is built,
+from the events its task took (``build_reference_track``), to a
+ReferenceTrack: the performer's face height, face-hand distance and
+assessed hand, measured over the task's first ``WARM_UP_SECONDS`` with
+``face_hand_medians``, and key frames
 downsampled ``key_rate`` a second. Each key frame is one target: the
 reference positions of the tracked joints, one row of the track an
 ActionEvaluator is given. The track keeps the engine-wide
@@ -37,7 +38,7 @@ import numpy as np
 
 from .kernels import all_within, scale_about
 from .model import TrajectoryParams
-from .telemetry import Pose, SkeletonFrame, TaskSlice
+from .telemetry import Event, Pose, SkeletonFrame
 
 ANOMALY_KINDS = ("fall", "orientation", "hand-position")
 ANOMALY_WINDOW = 0.5  # s of corrected frames an anomaly is judged over
@@ -94,33 +95,35 @@ def key_frame_count(duration: float, key_rate: float) -> int:
     return max(1, math.ceil(duration * key_rate))
 
 
-def build_reference_track(ref_slice: TaskSlice, joint_ids: tuple[str, ...],
+def build_reference_track(task_id: str, events: Sequence[Event], t0: float,
+                          t1: float, joint_ids: tuple[str, ...],
                           params: TrajectoryParams,
                           subject_object: str | None = None) -> ReferenceTrack:
-    """Reduce a reference slice's skeleton stream to the performer's
-    statistics and the key frames of joint_ids.
+    """Reduce the skeleton stream of a reference task's events, marked
+    from t0 to t1, to the performer's statistics and the key frames of
+    joint_ids.
 
-    The statistics are medians over the slice's first ``WARM_UP_SECONDS``
+    The statistics are medians over the task's first ``WARM_UP_SECONDS``
     (``face_hand_medians``, robust to first-frame noise) of the hand
-    nearer ``subject_object`` at slice start, by default the right hand.
+    nearer ``subject_object`` at task start, by default the right hand.
     Key frame k targets time t0 + k/key_rate and takes the first recorded
     frame at or after it (the last frame when the stream ends early).
     """
-    frames = [(e.t, e.payload) for e in ref_slice.events
+    frames = [(e.t, e.payload) for e in events
               if isinstance(e.payload, SkeletonFrame)]
     if not frames:
-        raise ValueError(f"slice for {ref_slice.task_id!r} has no skeleton frames")
+        raise ValueError(f"slice for {task_id!r} has no skeleton frames")
     first = frames[0][1]
-    hand = _nearest_hand(ref_slice.events, first, subject_object)
-    cutoff = ref_slice.t0 + WARM_UP_SECONDS
+    hand = _nearest_hand(events, first, subject_object)
+    cutoff = t0 + WARM_UP_SECONDS
     warm_up = [f for t, f in frames if t <= cutoff] or [first]
     face_height, face_hand_distance = face_hand_medians(warm_up, hand)
 
-    count = key_frame_count(ref_slice.t1 - ref_slice.t0, params.key_rate)
+    count = key_frame_count(t1 - t0, params.key_rate)
     frame_times = np.array([t for t, _ in frames])
     positions = np.empty((count, len(joint_ids), 3))
     for k in range(count):
-        goal = ref_slice.t0 + k / params.key_rate
+        goal = t0 + k / params.key_rate
         i = int(np.searchsorted(frame_times, goal, side="left"))
         if i >= len(frames):
             i = len(frames) - 1

@@ -2,12 +2,12 @@ import itertools
 
 import pytest
 
-from ahtn.engine import build_reference, build_reference_set
+from ahtn.engine import build_reference_set
 from ahtn.fixtures import (collaborative_network, collaborative_reference,
                            hydrometer_network, hydrometer_reference,
                            write_demo_files)
 from ahtn.model import parse_network
-from ahtn.telemetry import TaskSlice
+from ahtn.telemetry import Event, SessionRecording, TaskMark
 
 # every (kind, subject) feature the check tests compare against
 REFERENCE_CHECKS = ("orientation subject=cup", "position subject=cup",
@@ -16,16 +16,18 @@ REFERENCE_CHECKS = ("orientation subject=cup", "position subject=cup",
 
 def reduce_reference(events, quality=1.0, t0=0.0, t1=10.0,
                      checks=REFERENCE_CHECKS):
-    """The Reference that engine.build_reference makes of user u's events
-    performing task T between marks at t0 and t1, for the check lines."""
+    """The Reference that engine.build_reference_set makes of user u's
+    events performing task T between marks at t0 and t1, for the check
+    lines."""
     lines = ["task T", "  kind primitive", "  user single u", "  weight 1.0",
              "  objects cup dish field head", "  assess task-level"]
     lines += [f"  check {c}" for c in checks]
     lines += ["  feedback final", "end"]
-    node = parse_network("\n".join(lines) + "\n").nodes["T"]
-    window = tuple(e for e in sorted(events, key=lambda e: e.t)
-                   if t0 <= e.t <= t1)
-    return build_reference(node, TaskSlice("T", t0, t1, window), quality)
+    net = parse_network("\n".join(lines) + "\n")
+    window = [e for e in sorted(events, key=lambda e: e.t) if t0 <= e.t <= t1]
+    rec = SessionRecording("ref", (Event(t0, "u", TaskMark("T", "start")),
+                                   *window, Event(t1, "u", TaskMark("T", "end"))))
+    return build_reference_set(net, [(rec, quality)])["T"][0]
 
 
 def move_marks(text, fractions):

@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ahtn.checks import CheckResult, attachment_score, collision_score
+from ahtn.checks import (CheckResult, TaskSamples, attachment_score,
+                         collision_score)
 from ahtn.cli import main
 from ahtn.engine import EngineConfig, aggregate, build_reference_set, score_recording
 from ahtn.fixtures import (
@@ -43,7 +44,6 @@ from ahtn.telemetry import (
     Event,
     Pose,
     SkeletonFrame,
-    TaskSlice,
 )
 from ahtn.trajectory import ActionEvaluator, build_reference_track
 
@@ -128,8 +128,11 @@ def test_03_collision_constant(criterion):
         for k in range(151):
             events = tuple(Event(0.5, "u", Collision("cup", "table"))
                            for _ in range(k))
-            sl = TaskSlice("T", 0.0, 1.0, events)
-            result = collision_score(sl, spec)
+            samples = TaskSamples([spec], ["cup"], False, 0.0)
+            for e in events:
+                samples.add(e)
+            samples.t1 = 1.0
+            result = collision_score(samples, spec)
             assert isinstance(result, CheckResult)
             assert result.score == max(0.0, 1.0 - 0.01 * k)
 
@@ -170,12 +173,15 @@ def test_04_attachment_oracle(criterion):
                 events.append(Event(pose_t, "u",
                                     Pose("cup", (0, 0, 0), (0, 0, 0, 1))))
             events.sort(key=lambda e: e.t)
-            sl = TaskSlice("T", 0.0, duration, tuple(events))
+            samples = TaskSamples([spec], ["cup"], False, 0.0)
+            for e in events:
+                samples.add(e)
+            samples.t1 = duration
             backdated = bool(transitions) and (pose_t is None
                                                or transitions[0][0] < pose_t)
             expected = _sampled_attach_fraction(0.0, duration, transitions,
                                                 backdated)
-            got = attachment_score(sl, spec).score
+            got = attachment_score(samples, spec).score
             assert abs(got - expected) <= 1e-3
 
 
@@ -201,8 +207,9 @@ def test_05_skip_time_behavior(criterion):
             Event(k / 10.0, "ref", _skel((0.02 * k, 1.7, 0.0),
                                          (0.02 * k + 0.45, 1.7, 0.0)))
             for k in range(101))
-        ref_slice = TaskSlice("T", 0.0, 10.0, ref_events)  # K = 20 targets
-        track = build_reference_track(ref_slice, ("head",), params)
+        # K = 20 targets
+        track = build_reference_track("T", ref_events, 0.0, 10.0, ("head",),
+                                      params)
 
         ev = ActionEvaluator(track, t_start=0.0)
         missed_times = []
@@ -250,8 +257,8 @@ def test_06_anomaly_abort(criterion):
             Event(k / 10.0, "ref", _skel((0.02 * k, 1.7, 0.0),
                                          (0.02 * k + 0.45, 1.7, 0.0)))
             for k in range(101))
-        ref_slice = TaskSlice("T", 0.0, 10.0, ref_events)
-        track = build_reference_track(ref_slice, ("head",), params)
+        track = build_reference_track("T", ref_events, 0.0, 10.0, ("head",),
+                                      params)
 
         # held low for 13 s: must abort exactly once and zero the score
         ev = ActionEvaluator(track, t_start=0.0)

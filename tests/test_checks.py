@@ -11,14 +11,25 @@ from ahtn.checks import (TaskSamples, attachment_score, collision_score,
                          evaluate_task_level, feature_key,
                          mean_quaternion, orientation_score, position_score,
                          quaternion_angle, run_check, text_input_score)
-from ahtn.model import CheckSpec, Defaults, parse_network
+from ahtn.model import CheckSpec, Defaults, is_joint_id, parse_network
 from ahtn.telemetry import (Attach, Collision, Event, Pose, SessionRecording,
-                            SkeletonFrame, TaskMark, TaskSlice, TextInput)
+                            SkeletonFrame, TaskMark, TextInput)
 from conftest import reduce_reference
 
 
-def mkslice(events, t0=0.0, t1=10.0):
-    return TaskSlice(task_id="T", t0=t0, t1=t1, events=tuple(sorted(events, key=lambda e: e.t)))
+def reduced(events, checks, t0=0.0, t1=10.0):
+    """A TaskSamples for checks that reads every event about a check's
+    subject, fed the events in time order and ended at t1."""
+    subjects = [c.subject for c in checks]
+    samples = TaskSamples(checks, subjects, any(map(is_joint_id, subjects)), t0)
+    for e in sorted(events, key=lambda e: e.t):
+        samples.add(e)
+    samples.t1 = t1
+    return samples
+
+
+CUP_IN_HAND = CheckSpec(kind="attachment", subject="cup", reference_object="hand")
+CUP_HITS = CheckSpec(kind="collision", subject="cup")
 
 
 def pose(t, obj, pos, quat=(0.0, 0.0, 0.0, 1.0)):
@@ -41,18 +52,18 @@ def ref(events, quality=1.0, t0=0.0, t1=10.0):
     return reduce_reference(events, quality, t0, t1)
 
 
-def against(check, user_slice, reference, spec, *defaults):
-    """Run a reference-comparing check on spec's features of a user slice
-    and of a reference, as evaluate_task_level does."""
+def against(check, user_events, reference, spec, *defaults):
+    """Run a reference-comparing check on spec's features of a user's
+    events and of a reference, as evaluate_task_level does."""
     key = feature_key(spec)
-    return check(TaskSamples.of(user_slice, [spec]).features()[key],
+    return check(reduced(user_events, [spec]).features()[key],
                  reference.features[key], spec, *defaults)
 
 
-def evaluate(node, user_slice, refs):
-    """evaluate_task_level on a user slice reduced for node's checks."""
+def evaluate(node, user_events, refs):
+    """evaluate_task_level on a user's events reduced for node's checks."""
     return evaluate_task_level(
-        node, TaskSamples.of(user_slice, node.assessment.checks), refs)
+        node, reduced(user_events, node.assessment.checks), refs)
 
 
 def zrot(angle):
@@ -105,7 +116,7 @@ def test_mean_quaternion_is_unit_and_centered():
 # -- orientation -------------------------------------------------------------
 
 def test_orientation_halfway_at_45_degrees():
-    user = mkslice([pose(1.0, "cup", (0, 0, 0), zrot(math.pi / 4))])
+    user = [pose(1.0, "cup", (0, 0, 0), zrot(math.pi / 4))]
     r = ref([pose(1.0, "cup", (0, 0, 0))])
     spec = CheckSpec(kind="orientation", subject="cup")
     out = against(orientation_score, user, r, spec)
@@ -113,7 +124,7 @@ def test_orientation_halfway_at_45_degrees():
 
 
 def test_orientation_custom_tol():
-    user = mkslice([pose(1.0, "cup", (0, 0, 0), zrot(math.pi / 4))])
+    user = [pose(1.0, "cup", (0, 0, 0), zrot(math.pi / 4))]
     r = ref([pose(1.0, "cup", (0, 0, 0))])
     spec = CheckSpec(kind="orientation", subject="cup", tol=math.pi / 4)
     assert against(orientation_score, user, r, spec).score == pytest.approx(
@@ -123,7 +134,7 @@ def test_orientation_custom_tol():
 def test_orientation_identical_is_exactly_one():
     quats = [zrot(0.3), zrot(0.35), zrot(0.32)]
     evs = [pose(i * 0.1, "cup", (0, 0, 0), q) for i, q in enumerate(quats)]
-    out = against(orientation_score, mkslice(evs), ref(evs),
+    out = against(orientation_score, evs, ref(evs),
                   CheckSpec(kind="orientation", subject="cup"))
     assert out.score == 1.0
 
@@ -131,17 +142,17 @@ def test_orientation_identical_is_exactly_one():
 def test_orientation_no_data():
     spec = CheckSpec(kind="orientation", subject="cup")
     with pytest.raises(ValueError, match="no data"):
-        against(orientation_score, mkslice([]),
+        against(orientation_score, [],
                 ref([pose(0, "cup", (0, 0, 0))]), spec)
     with pytest.raises(ValueError, match="no data"):
-        against(orientation_score, mkslice([pose(0, "cup", (0, 0, 0))]),
+        against(orientation_score, [pose(0, "cup", (0, 0, 0))],
                 ref([]), spec)
 
 
 # -- position ----------------------------------------------------------------
 
 def test_position_halfway_at_quarter_meter():
-    user = mkslice([pose(1.0, "cup", (0.25, 0, 0))])
+    user = [pose(1.0, "cup", (0.25, 0, 0))]
     r = ref([pose(1.0, "cup", (0, 0, 0))])
     out = against(position_score, user, r,
                   CheckSpec(kind="position", subject="cup"))
@@ -149,7 +160,7 @@ def test_position_halfway_at_quarter_meter():
 
 
 def test_position_uses_means():
-    user = mkslice([pose(0.0, "cup", (1.0, 0, 0)), pose(1.0, "cup", (-1.0, 0, 0))])
+    user = [pose(0.0, "cup", (1.0, 0, 0)), pose(1.0, "cup", (-1.0, 0, 0))]
     r = ref([pose(0.0, "cup", (0, 0, 0))])
     out = against(position_score, user, r,
                   CheckSpec(kind="position", subject="cup"))
@@ -163,9 +174,9 @@ def test_position_shared_translation_cancels():
         u = [rng.uniform(-1, 1) for _ in range(3)]
         shift = np.array([rng.uniform(-9, 9) for _ in range(3)])
         spec = CheckSpec(kind="position", subject="cup")
-        a = against(position_score, mkslice([pose(0, "cup", u)]),
+        a = against(position_score, [pose(0, "cup", u)],
                     ref([pose(0, "cup", (0, 0, 0))]), spec)
-        b = against(position_score, mkslice([pose(0, "cup", np.add(u, shift))]),
+        b = against(position_score, [pose(0, "cup", np.add(u, shift))],
                     ref([pose(0, "cup", shift)]), spec)
         assert a.score == pytest.approx(b.score, abs=1e-9)
 
@@ -175,7 +186,7 @@ def test_position_joint_subject_reads_skeleton():
         f = SkeletonFrame(names=("head",), positions=np.array([where], float))
         return Event(t=t, user="u", payload=f)
 
-    user = mkslice([sk(0.0, (0.25, 1.7, 0))])
+    user = [sk(0.0, (0.25, 1.7, 0))]
     r = ref([sk(0.0, (0.0, 1.7, 0))])
     out = against(position_score, user, r,
                   CheckSpec(kind="position", subject="head"))
@@ -183,7 +194,7 @@ def test_position_joint_subject_reads_skeleton():
 
 
 def test_position_beyond_tolerance_clamps_to_zero():
-    user = mkslice([pose(0, "cup", (3.0, 0, 0))])
+    user = [pose(0, "cup", (3.0, 0, 0))]
     r = ref([pose(0, "cup", (0, 0, 0))])
     spec = CheckSpec(kind="position", subject="cup")
     assert against(position_score, user, r, spec).score == 0.0
@@ -195,8 +206,7 @@ def test_attachment_eight_of_ten_seconds():
     evs = [pose(0.5, "cup", (0, 0, 0)),
            attach(1.0, "cup", "hand", True),
            attach(9.0, "cup", "hand", False)]
-    out = attachment_score(mkslice(evs), CheckSpec(kind="attachment", subject="cup",
-                                                   reference_object="hand"))
+    out = attachment_score(reduced(evs, [CUP_IN_HAND]), CUP_IN_HAND)
     assert out.score == 0.8
     assert out.samples_used == 2
 
@@ -206,8 +216,7 @@ def test_attachment_backdates_hold_that_precedes_first_pose():
     evs = [attach(2.0, "cup", "hand", True),
            pose(3.0, "cup", (0, 0, 0)),
            attach(5.0, "cup", "hand", False)]
-    out = attachment_score(mkslice(evs), CheckSpec(kind="attachment", subject="cup",
-                                                   reference_object="hand"))
+    out = attachment_score(reduced(evs, [CUP_IN_HAND]), CUP_IN_HAND)
     assert out.score == 0.5  # 5 s, not 3 s
 
 
@@ -229,7 +238,7 @@ def test_attachment_backdating_is_strictly_before_the_first_pose(case):
               else attach(t, "cup", "hand", True) for t, what in steps]
     spec = CheckSpec(kind="attachment", subject="cup", reference_object="hand")
     detail = f"attached {held:.6f} s of 10.000000 s"
-    assert attachment_score(mkslice(events), spec).detail == detail
+    assert attachment_score(reduced(events, [spec]), spec).detail == detail
     # the same events in the same order, routed live by a Session
     net = parse_network(
         "task T\n  kind primitive\n  user single u\n  weight 1.0\n"
@@ -246,8 +255,7 @@ def test_attachment_backdating_is_strictly_before_the_first_pose(case):
 
 def test_attachment_open_hold_runs_to_slice_end():
     evs = [pose(0.1, "cup", (0, 0, 0)), attach(4.0, "cup", "hand", True)]
-    out = attachment_score(mkslice(evs), CheckSpec(kind="attachment", subject="cup",
-                                                   reference_object="hand"))
+    out = attachment_score(reduced(evs, [CUP_IN_HAND]), CUP_IN_HAND)
     assert out.score == pytest.approx(0.6)
 
 
@@ -255,8 +263,7 @@ def test_attachment_ignores_other_pairs():
     evs = [pose(0.1, "cup", (0, 0, 0)),
            attach(1.0, "cup", "table", True),
            attach(2.0, "dish", "hand", True)]
-    out = attachment_score(mkslice(evs), CheckSpec(kind="attachment", subject="cup",
-                                                   reference_object="hand"))
+    out = attachment_score(reduced(evs, [CUP_IN_HAND]), CUP_IN_HAND)
     assert out.score == 0.0
 
 
@@ -268,14 +275,12 @@ def test_attachment_alternation_enforced(states, msg):
     evs = [pose(0.1, "cup", (0, 0, 0))]
     evs += [attach(1.0 + i, "cup", "hand", s) for i, s in enumerate(states)]
     with pytest.raises(ValueError, match=msg):
-        attachment_score(mkslice(evs), CheckSpec(kind="attachment", subject="cup",
-                                                 reference_object="hand"))
+        attachment_score(reduced(evs, [CUP_IN_HAND]), CUP_IN_HAND)
 
 
 def test_attachment_full_duration_saturates_at_one():
     evs = [attach(0.0, "cup", "hand", True)]
-    out = attachment_score(mkslice(evs), CheckSpec(kind="attachment", subject="cup",
-                                                   reference_object="hand"))
+    out = attachment_score(reduced(evs, [CUP_IN_HAND]), CUP_IN_HAND)
     assert out.score == 1.0
 
 
@@ -283,14 +288,14 @@ def test_attachment_full_duration_saturates_at_one():
 
 def test_collision_three_hits():
     evs = [collide(float(i), "cup", "table") for i in range(3)]
-    out = collision_score(mkslice(evs), CheckSpec(kind="collision", subject="cup"))
+    out = collision_score(reduced(evs, [CUP_HITS]), CUP_HITS)
     assert out.score == pytest.approx(0.97)
     assert out.samples_used == 3
 
 
 def test_collision_many_hits_clamp_to_zero():
     evs = [collide(i * 0.01, "cup", "table") for i in range(200)]
-    out = collision_score(mkslice(evs), CheckSpec(kind="collision", subject="cup"))
+    out = collision_score(reduced(evs, [CUP_HITS]), CUP_HITS)
     assert out.score == 0.0
 
 
@@ -298,28 +303,28 @@ def test_collision_filters_by_other_object():
     evs = [collide(0, "cup", "table"), collide(1, "cup", "wall"),
            collide(2, "dish", "table")]
     spec = CheckSpec(kind="collision", subject="cup", reference_object="table")
-    assert collision_score(mkslice(evs), spec).samples_used == 1
+    assert collision_score(reduced(evs, [spec]), spec).samples_used == 1
 
 
 def test_collision_penalty_sources():
     evs = [collide(float(i), "cup", "t") for i in range(5)]
     spec = CheckSpec(kind="collision", subject="cup", penalty=0.1)
-    assert collision_score(mkslice(evs), spec).score == pytest.approx(0.5)
+    assert collision_score(reduced(evs, [spec]), spec).score == pytest.approx(0.5)
     # engine-level override beats the per-check penalty
-    overridden = collision_score(mkslice(evs), spec,
+    overridden = collision_score(reduced(evs, [spec]), spec,
                                  Defaults(collision_penalty=0.02))
     assert overridden.score == pytest.approx(0.9)
 
 
 def test_collision_no_events_is_perfect():
-    out = collision_score(mkslice([]), CheckSpec(kind="collision", subject="cup"))
+    out = collision_score(reduced([], [CUP_HITS]), CUP_HITS)
     assert out.score == 1.0
 
 
 # -- text input --------------------------------------------------------------
 
 def test_text_numeric_within_tol():
-    user = mkslice([text(1.0, "field", "1.255")])
+    user = [text(1.0, "field", "1.255")]
     r = ref([text(1.0, "field", "1.25")])
     out = against(text_input_score, user, r,
                   CheckSpec(kind="text-input", subject="field"))
@@ -327,7 +332,7 @@ def test_text_numeric_within_tol():
 
 
 def test_text_numeric_ramp_past_tol():
-    user = mkslice([text(1.0, "field", "1.265")])
+    user = [text(1.0, "field", "1.265")]
     r = ref([text(1.0, "field", "1.25")])
     out = against(text_input_score, user, r,
                   CheckSpec(kind="text-input", subject="field"))
@@ -335,7 +340,7 @@ def test_text_numeric_ramp_past_tol():
 
 
 def test_text_numeric_zero_past_double_tol():
-    user = mkslice([text(1.0, "field", "1.30")])
+    user = [text(1.0, "field", "1.30")]
     r = ref([text(1.0, "field", "1.25")])
     out = against(text_input_score, user, r,
                   CheckSpec(kind="text-input", subject="field"))
@@ -343,7 +348,7 @@ def test_text_numeric_zero_past_double_tol():
 
 
 def test_text_last_value_wins():
-    user = mkslice([text(1.0, "field", "9.9"), text(2.0, "field", "1.25")])
+    user = [text(1.0, "field", "9.9"), text(2.0, "field", "1.25")]
     r = ref([text(1.0, "field", "1.25")])
     out = against(text_input_score, user, r,
                   CheckSpec(kind="text-input", subject="field"))
@@ -354,14 +359,14 @@ def test_text_last_value_wins():
 def test_text_string_reference_needs_exact_match():
     r = ref([text(1.0, "field", "blue litmus")])
     spec = CheckSpec(kind="text-input", subject="field")
-    assert against(text_input_score, mkslice([text(0, "field", "blue litmus")]),
+    assert against(text_input_score, [text(0, "field", "blue litmus")],
                    r, spec).score == 1.0
-    assert against(text_input_score, mkslice([text(0, "field", "Blue litmus")]),
+    assert against(text_input_score, [text(0, "field", "Blue litmus")],
                    r, spec).score == 0.0
 
 
 def test_text_unparsable_numeric_input_scores_zero():
-    user = mkslice([text(1.0, "field", "dunno")])
+    user = [text(1.0, "field", "dunno")]
     r = ref([text(1.0, "field", "1.25")])
     out = against(text_input_score, user, r,
                   CheckSpec(kind="text-input", subject="field"))
@@ -372,7 +377,7 @@ def test_text_unparsable_numeric_input_scores_zero():
 def test_text_no_data():
     spec = CheckSpec(kind="text-input", subject="field")
     with pytest.raises(ValueError, match="no data"):
-        against(text_input_score, mkslice([]), ref([text(0, "field", "1")]), spec)
+        against(text_input_score, [], ref([text(0, "field", "1")]), spec)
 
 
 # -- run_check wrapper -------------------------------------------------------
@@ -380,7 +385,7 @@ def test_text_no_data():
 def test_run_check_turns_errors_into_zero():
     spec = CheckSpec(kind="orientation", subject="cup")
     key = feature_key(spec)
-    out = run_check(spec, TaskSamples.of(mkslice([]), [spec]).features()[key],
+    out = run_check(spec, reduced([], [spec]).features()[key],
                     ref([]).features[key])
     assert out.score == 0.0
     assert out.detail.startswith("error: no data")
@@ -398,7 +403,7 @@ def test_run_check_dispatches_every_kind():
         "collision": CheckSpec(kind="collision", subject="cup"),
         "text-input": CheckSpec(kind="text-input", subject="field"),
     }
-    samples = TaskSamples.of(mkslice(evs), list(kinds.values()))
+    samples = reduced(evs, list(kinds.values()))
     user = samples.features()
     for kind, spec in kinds.items():
         if kind in ("attachment", "collision"):
@@ -415,20 +420,20 @@ def test_check_weights_combine():
     node = node_with(["collision subject=cup cweight=1.0",
                       "collision subject=dish cweight=3.0"])
     evs = [collide(float(i) * 0.1, "dish", "t") for i in range(40)]
-    out = evaluate(node, mkslice(evs), [ref([])])
+    out = evaluate(node, evs, [ref([])])
     assert out.omega == pytest.approx(0.7)  # (1*1.0 + 3*0.6) / 4
 
 
 def test_quality_scales_omega():
     node = node_with(["collision subject=cup"])
-    out = evaluate(node, mkslice([]), [ref([], quality=0.9)])
+    out = evaluate(node, [], [ref([], quality=0.9)])
     assert out.omega == pytest.approx(0.9)
     assert out.reference_quality == 0.9
 
 
 def test_best_reference_wins():
     node = node_with(["position subject=cup"])
-    user = mkslice([pose(0, "cup", (2.0, 0, 0))])
+    user = [pose(0, "cup", (2.0, 0, 0))]
     far = ref([pose(0, "cup", (0, 0, 0))], quality=1.0)
     near = ref([pose(0, "cup", (2.0, 0, 0))], quality=0.8)
     out = evaluate(node, user, [far, near])
@@ -438,7 +443,7 @@ def test_best_reference_wins():
 
 def test_reference_tie_keeps_first():
     node = node_with(["position subject=cup"])
-    user = mkslice([pose(0, "cup", (0, 0, 0))])
+    user = [pose(0, "cup", (0, 0, 0))]
     same = [ref([pose(0, "cup", (0, 0, 0))]), ref([pose(0, "cup", (0, 0, 0))])]
     assert evaluate(node, user, same).reference_index == 0
 
@@ -446,7 +451,7 @@ def test_reference_tie_keeps_first():
 def test_evaluate_requires_reference():
     node = node_with(["position subject=cup"])
     with pytest.raises(ValueError, match="no reference"):
-        evaluate(node, mkslice([]), [])
+        evaluate(node, [], [])
 
 
 def test_scores_stay_in_unit_interval_on_random_streams():
@@ -478,7 +483,7 @@ def test_scores_stay_in_unit_interval_on_random_streams():
         return evs
 
     for _ in range(30):
-        user, r = mkslice(rand_events()), ref(rand_events())
+        user, r = rand_events(), ref(rand_events())
         out = evaluate(node, user, [r])
         assert 0.0 <= out.omega <= 1.0
         for c in out.checks:
@@ -499,12 +504,12 @@ def test_many_references_give_the_best_single_reference_result():
         "attachment subject=cup ref=hand", "collision subject=cup",
         "text-input subject=field",
     ])
-    user = mkslice([pose(0.5, "cup", (0.1, 0, 0), zrot(0.2)),
+    user = [pose(0.5, "cup", (0.1, 0, 0), zrot(0.2)),
                     attach(1.0, "cup", "hand", True),
                     pose(2.0, "cup", (0.3, 0, 0), zrot(0.3)),
                     attach(6.0, "cup", "hand", False),
                     collide(7.0, "cup", "table"),
-                    text(8.0, "field", "1.26")])
+                    text(8.0, "field", "1.26")]
     refs = [
         ref([pose(0.5, "cup", (0.2, 0, 0), zrot(0.25)),
              text(3.0, "field", "1.25")], quality=0.9),
@@ -541,7 +546,7 @@ def test_many_references_give_the_best_single_reference_result():
 
 def test_degenerate_learner_orientation_is_an_error_for_every_reference():
     node = node_with(["orientation subject=cup"])
-    user = mkslice(_degenerate_orientation_events())
+    user = _degenerate_orientation_events()
     out = evaluate(node, user, [ref([pose(0, "cup", (0, 0, 0))]),
                                            ref([])])
     assert out.reference_index == 0 and out.omega == 0.0
@@ -552,7 +557,7 @@ def test_degenerate_learner_orientation_is_an_error_for_every_reference():
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "infinity", "1e999"])
 def test_non_finite_text_reference_scores_one_against_itself(value):
     node = node_with(["text-input subject=field"])
-    out = evaluate(node, mkslice([text(1.0, "field", value)]),
+    out = evaluate(node, [text(1.0, "field", value)],
                               [ref([text(1.0, "field", value)])])
     assert out.omega == 1.0
     assert out.checks[0].detail == f"string match {value!r} vs {value!r}"
@@ -561,7 +566,7 @@ def test_non_finite_text_reference_scores_one_against_itself(value):
 @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
 def test_non_finite_learner_text_against_a_number_is_unparsable(value):
     node = node_with(["text-input subject=field"])
-    out = evaluate(node, mkslice([text(1.0, "field", value)]),
+    out = evaluate(node, [text(1.0, "field", value)],
                               [ref([text(1.0, "field", "1.25")])])
     assert out.omega == 0.0
     assert out.checks[0].detail == f"unparsable numeric input {value!r}"
@@ -584,10 +589,9 @@ def test_each_reference_is_read_once_across_sessions(monkeypatch):
     refs = [ref([pose(0.5, "cup", (0.1 * i, 0, 0), zrot(0.1 * i)),
                  text(1.0, "field", "1.25")]) for i in range(4)]
     ref_reducers = list(reads)  # the reducer each reference was built from
-    sessions = [TaskSamples.of(
-        mkslice([pose(0.5, "cup", (0.2, 0, 0), zrot(x)),
-                 text(1.0, "field", "1.26")]), node.assessment.checks)
-        for x in (0.1, 0.2, 0.3)]
+    sessions = [reduced([pose(0.5, "cup", (0.2, 0, 0), zrot(x)),
+                         text(1.0, "field", "1.26")], node.assessment.checks)
+                for x in (0.1, 0.2, 0.3)]
     for user in sessions:
         evaluate_task_level(node, user, refs)
     assert [reads.count(i) for i in ref_reducers] == [1, 1, 1, 1]

@@ -537,6 +537,16 @@ def test_simulate_non_finite_magnitude_is_usage_error(run, demo_dir, magnitudes)
     assert "argument --magnitudes: must be finite and in [0, 1]" in err
 
 
+@pytest.mark.parametrize("seed", ["-3", "1.5", "x"])
+def test_simulate_bad_seed_is_usage_error(run, demo_dir, seed):
+    # a negative seed once failed in numpy, exit 1, naming no flag
+    code, out, err = run("simulate", "--net", hydro(demo_dir, "ahtn"),
+                         "--refs", hydro(demo_dir, "rec"), "--magnitudes", "0",
+                         "--trials", "10", "--seed", seed)
+    assert code == 2 and out == ""
+    assert f"argument --seed: must be a non-negative integer: {seed}" in err
+
+
 def test_simulate_magnitude_above_one_is_usage_error(capsys):
     # the flag is parsed only: simulate at 1e8 once asked perturb for
     # 5,000,000,000 collisions

@@ -1,4 +1,5 @@
-"""Event wire format, recording parse rules, slicing, height correction."""
+"""Event wire format, recording parse rules, the events a reference task
+reads, height correction."""
 
 import math
 import random
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ahtn import telemetry
-from ahtn.model import TrajectoryParams
+from ahtn.engine import build_reference_set, task_samples
+from ahtn.model import TrajectoryParams, parse_network
 from ahtn.telemetry import (Attach, Collision, Event, Pose, RecordingError,
-                            SkeletonFrame, TaskMark, TaskSlice, TaskSlicer,
+                            SessionRecording, SkeletonFrame, TaskMark,
                             TextInput, parse_event_line, parse_session,
                             serialize_event, serialize_recording)
 from ahtn.trajectory import ActionEvaluator, build_reference_track, scale_frame
@@ -435,65 +437,130 @@ def test_text_round_trip_property(value):
     assert parse_event_line(serialize_event(e)) == e
 
 
-# -- slicing -----------------------------------------------------------------
+# -- which events a reference task reads --------------------------------------
+# build_reference_set routes a recording as a live Session does: a task
+# reads the events written after its start mark and before its end mark.
+# Each task below reads the poses of x, so the count and mean x of its
+# reference's position feature tell which poses it read.
+
+MARKED_NET = parse_network("".join(
+    f"task {task}\n  kind primitive\n  user single a\n  weight 1.0\n"
+    "  objects x head hand-right\n  assess both\n  check position subject=x\n"
+    "  feedback final\nend\n" for task in ("T", "U", "outer", "inner")))
+
+
+def pose_line(t, x):
+    return f"t={t} u=a pose x {x} 0 0 0 0 0 1\n"
+
+
+def taken(rec, task="T"):
+    """How many poses of x the task's reference read from rec and their
+    mean x; None when rec gives the task no reference."""
+    refs = build_reference_set(MARKED_NET, [(rec, 1.0)])
+    if task not in refs:
+        return None
+    feature = refs[task][0].features["position", "x"]
+    return feature.samples, float(feature.value[0])
+
 
 def test_slice_closed_interval():
-    text = ("t=0.5 u=a collide x y\n"
-            "t=1.0 u=a mark T start\n"
-            "t=1.0 u=a collide a b\n"
-            "t=2.0 u=a collide c d\n"
-            "t=4.0 u=a collide e f\n"
-            "t=4.0 u=a mark T end\n"
-            "t=5.0 u=a collide g h\n")
-    sl = TaskSlicer(parse_session(text)).cut("T")
-    assert sl.t0 == 1.0 and sl.t1 == 4.0
-    pairs = [(e.payload.object_id, e.payload.other_id) for e in sl.events]
-    assert pairs == [("a", "b"), ("c", "d"), ("e", "f")]
+    skel = "t={} u=a skel head={},1.7,0;hand-right=0.4,1.7,0\n".format
+    text = (pose_line(0.5, 1) + skel(0.5, -9)
+            + "t=1.0 u=a mark T start\n"
+            + pose_line(1.0, 2) + skel(1.0, 0) + pose_line(2.0, 4)
+            + skel(2.5, 1.5) + pose_line(4.0, 8) + skel(4.0, 3)
+            + "t=4.0 u=a mark T end\n"
+            + pose_line(5.0, 16) + skel(5.0, 9))
+    rec = parse_session(text)
+    assert taken(rec) == (3, pytest.approx(14 / 3))
+    # key frames at 2/s from t0 = 1.0 up to t1 = 4.0, each the first
+    # frame read at or after its time
+    (ref,) = build_reference_set(MARKED_NET, [(rec, 1.0)])["T"]
+    assert ref.track.positions[:, 0, 0].tolist() == [0, 1.5, 1.5, 1.5, 3, 3]
 
 
 def test_slice_cuts_at_the_marks_not_at_their_times():
     # same-time events on the far side of a mark stay outside, as they do
     # for a live Session, which sees them before the start or after the end
-    text = ("t=1.0 u=a collide before start\n"
-            "t=1.0 u=a mark T start\n"
-            "t=1.0 u=a collide a b\n"
-            "t=4.0 u=a collide e f\n"
-            "t=4.0 u=a mark T end\n"
-            "t=4.0 u=a collide after end\n")
-    sl = TaskSlicer(parse_session(text)).cut("T")
-    assert sl.t0 == 1.0 and sl.t1 == 4.0
-    pairs = [(e.payload.object_id, e.payload.other_id) for e in sl.events]
-    assert pairs == [("a", "b"), ("e", "f")]
+    text = (pose_line(1.0, 1) + "t=1.0 u=a mark T start\n"
+            + pose_line(1.0, 2) + pose_line(4.0, 4)
+            + "t=4.0 u=a mark T end\n" + pose_line(4.0, 8))
+    assert taken(parse_session(text)) == (2, pytest.approx(3.0))
 
 
 def test_slice_excludes_only_own_marks():
-    text = ("t=1.0 u=a mark outer start\n"
-            "t=2.0 u=a mark inner start\n"
-            "t=3.0 u=a mark inner end\n"
-            "t=4.0 u=a mark outer end\n")
-    sl = TaskSlicer(parse_session(text)).cut("outer")
-    kinds = [(e.payload.task_id, e.payload.edge) for e in sl.events]
-    assert kinds == [("inner", "start"), ("inner", "end")]
+    # another task's marks neither start nor end this one
+    text = ("t=1.0 u=a mark outer start\n" + pose_line(1.5, 1)
+            + "t=2.0 u=a mark inner start\n" + pose_line(2.5, 2)
+            + "t=3.0 u=a mark inner end\n" + pose_line(3.5, 4)
+            + "t=4.0 u=a mark outer end\n")
+    rec = parse_session(text)
+    assert taken(rec, "outer") == (3, pytest.approx(7 / 3))
+    assert taken(rec, "inner") == (1, pytest.approx(2.0))
 
 
 def test_slice_errors():
-    rec = parse_session("t=0 u=a collide x y\n")
-    with pytest.raises(ValueError, match="no marks"):
-        TaskSlicer(rec).cut("T")
+    # no marks, or more than one pair: the task gets no reference
+    assert taken(parse_session(pose_line(0, 1))) is None
     two = parse_session("t=0 u=a mark T start\nt=1 u=a mark T end\n"
-                        "t=2 u=a mark T start\nt=3 u=a mark T end\n")
-    with pytest.raises(ValueError, match="multiple mark pairs"):
-        TaskSlicer(two).cut("T")
+                        "t=2 u=a mark T start\nt=3 u=a mark T end\n"
+                        "t=3 u=a mark U start\n" + pose_line(3.5, 1)
+                        + "t=4 u=a mark U end\n")
+    assert taken(two) is None
+    assert taken(two, "U") == (1, pytest.approx(1.0))
 
 
-def test_slice_bundled_matches_brute_scan(hydro_rec):
-    sl = TaskSlicer(hydro_rec).cut("T2")
-    brute = tuple(
-        e for e in hydro_rec.events
-        if sl.t0 <= e.t <= sl.t1
-        and not (isinstance(e.payload, TaskMark) and e.payload.task_id == "T2"))
-    assert sl.events == brute
-    assert len(sl.events) > 100
+# marks that parse_session rejects but a library-built recording can hold,
+# as (time, edge) of T's marks; each gives T no reference, while U, marked
+# around them, still gets one
+LIBRARY_MARK_SHAPES = {
+    "end without start": [(2, "end")],
+    "start without end": [(2, "start")],
+    "zero-length pair": [(2, "start"), (2, "end")],
+    "second pair never ends": [(2, "start"), (3, "end"), (4, "start")],
+    "nested start": [(2, "start"), (3, "start"), (4, "end")],
+}
+
+
+@pytest.mark.parametrize("shape", LIBRARY_MARK_SHAPES)
+def test_unusable_marks_give_their_task_no_reference(shape):
+    steps = [(0, TaskMark("U", "start"))]
+    steps += [(t, TaskMark("T", edge)) for t, edge in LIBRARY_MARK_SHAPES[shape]]
+    steps += [(k + 0.5, Pose("x", (k + 0.5, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)))
+              for k in range(6)]
+    steps += [(6, TaskMark("U", "end"))]
+    rec = SessionRecording("library", tuple(
+        Event(float(t), "a", payload)
+        for t, payload in sorted(steps, key=lambda step: step[0])))
+    assert taken(rec) is None
+    assert taken(rec, "U") == (6, pytest.approx(3.0))
+
+
+def test_slice_bundled_matches_brute_scan(hydro_net, hydro_rec, hydro_refs):
+    # each task's reference reads what a reducer fed every event of its
+    # member from its start mark's time to its end mark's time reads
+    for task_id in hydro_net.primitive_ids():
+        node = hydro_net.nodes[task_id]
+        t0, t1 = (e.t for e in hydro_rec.events
+                  if e.payload == TaskMark(task_id, "start")
+                  or e.payload == TaskMark(task_id, "end"))
+        samples = task_samples(node, t0)
+        brute = [e for e in hydro_rec.events
+                 if t0 <= e.t <= t1 and e.user in node.users.user_ids
+                 and samples.add(e)]
+        (ref,) = hydro_refs[task_id]
+        want = samples.features()
+        assert ref.features.keys() == want.keys()
+        for key, feature in want.items():
+            assert ref.features[key].samples == feature.samples > 0
+            assert np.array_equal(ref.features[key].value, feature.value)
+        if ref.track is not None:
+            track = build_reference_track(task_id, brute, t0, t1, node.joints,
+                                          TrajectoryParams(), "hydrometer")
+            assert np.array_equal(ref.track.positions, track.positions)
+            assert ref.track.hand_joint == track.hand_joint
+        if task_id == "T2":
+            assert len(brute) > 100
 
 
 # -- height correction -------------------------------------------------------
@@ -503,9 +570,9 @@ def test_slice_bundled_matches_brute_scan(hydro_rec):
 def corrected_summary(frames, face_hand):
     """Summary after feeding (t, frame) pairs through ActionEvaluator against
     a reference whose face-hand distance is ``face_hand``."""
-    ref = TaskSlice(task_id="T", t0=0.0, t1=1.0, events=(
-        skel_event(0.0, "r", head=(0, 1.6, 0), **{"hand-right": (0.6, 1.6, 0)}),))
-    track = build_reference_track(ref, ("head", "hand-right"), TrajectoryParams())
+    ref = [skel_event(0.0, "r", head=(0, 1.6, 0), **{"hand-right": (0.6, 1.6, 0)})]
+    track = build_reference_track("T", ref, 0.0, 1.0, ("head", "hand-right"),
+                                  TrajectoryParams())
     ev = ActionEvaluator(replace(track, face_hand_distance=face_hand), t_start=0.0)
     for t, f in frames:
         ev.observe(t, f)
@@ -576,8 +643,8 @@ def test_reference_stats_median_over_first_second():
         # past the 1 s window: must not shift the medians
         skel_event(2.0, "a", head=(0, 9.0, 0), **{"hand-right": (9, 9, 9)}),
     ]
-    sl = TaskSlice(task_id="T", t0=0.0, t1=3.0, events=tuple(events))
-    st_ = build_reference_track(sl, ("head",), TrajectoryParams())
+    st_ = build_reference_track("T", events, 0.0, 3.0, ("head",),
+                                TrajectoryParams())
     assert st_.face_height == pytest.approx(1.6)
     assert st_.face_hand_distance == pytest.approx(math.sqrt(0.34))
     assert st_.hand_joint == "hand-right"
@@ -592,19 +659,17 @@ def test_reference_stats_picks_hand_nearest_subject():
               payload=Pose("cup", (-0.45, 1.2, 0.0), (0, 0, 0, 1))),
         skel_event(0.0, "a", **f),
     ]
-    sl = TaskSlice(task_id="T", t0=0.0, t1=1.0, events=tuple(events))
     def hand(subject_object=None):
-        return build_reference_track(sl, ("head",), TrajectoryParams(),
-                                     subject_object).hand_joint
+        return build_reference_track("T", events, 0.0, 1.0, ("head",),
+                                     TrajectoryParams(), subject_object).hand_joint
 
     assert hand("cup") == "hand-left"
     assert hand() == "hand-right"
 
 
 def test_reference_stats_requires_frames():
-    sl = TaskSlice(task_id="T", t0=0.0, t1=1.0, events=())
     with pytest.raises(ValueError, match="no skeleton frames"):
-        build_reference_track(sl, ("head",), TrajectoryParams())
+        build_reference_track("T", (), 0.0, 1.0, ("head",), TrajectoryParams())
 
 
 def test_reference_quality_range():

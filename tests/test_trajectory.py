@@ -8,7 +8,7 @@ import pytest
 
 from ahtn.engine import build_reference_set
 from ahtn.model import TrajectoryParams
-from ahtn.telemetry import Event, SkeletonFrame, TaskSlice
+from ahtn.telemetry import Event, SkeletonFrame
 from ahtn.trajectory import (ActionEvaluator, Anomaly, build_reference_track,
                              detect_anomalies, facing_direction, key_frame_count)
 
@@ -23,9 +23,11 @@ def frame(**joints):
                          positions=np.array([fixed[n] for n in names], float))
 
 
-def skel_slice(samples, t0=0.0, t1=10.0, user="u"):
-    events = tuple(Event(t=t, user=user, payload=f) for t, f in samples)
-    return TaskSlice(task_id="T", t0=t0, t1=t1, events=events)
+def skel_task(samples, t0=0.0, t1=10.0, user="u"):
+    """Task T's id, events, and marks at t0 and t1: the first arguments
+    of build_reference_track."""
+    events = [Event(t=t, user=user, payload=f) for t, f in samples]
+    return "T", events, t0, t1
 
 
 def straight_line(t0=0.0, duration=10.0, rate=10.0, arm=0.45):
@@ -43,7 +45,7 @@ def straight_line(t0=0.0, duration=10.0, rate=10.0, arm=0.45):
 
 
 # its performer measures face height 1.7 m, face-hand 0.45 m and hand-right
-TRACK = build_reference_track(skel_slice(straight_line()), JOINTS, PARAMS)
+TRACK = build_reference_track(*skel_task(straight_line()), JOINTS, PARAMS)
 
 
 # -- key frames ---------------------------------------------------------------
@@ -60,7 +62,7 @@ def test_reference_track_takes_first_frame_at_or_after_key_time():
     samples = [(float(i), frame(head=(0, 1.7, float(i)),
                                 hand_right=(0.45, 1.7, float(i))))
                for i in range(11)]
-    track = build_reference_track(skel_slice(samples), JOINTS, PARAMS)
+    track = build_reference_track(*skel_task(samples), JOINTS, PARAMS)
     assert track.key_frames == 20
     expected = [math.ceil(k / 2) for k in range(20)]
     assert track.positions.shape == (20, 2, 3)
@@ -70,9 +72,9 @@ def test_reference_track_takes_first_frame_at_or_after_key_time():
 def test_reference_track_requires_joints():
     samples = [(0.0, frame(head=(0, 1.7, 0), hand_left=(-0.45, 1.7, 0)))]
     with pytest.raises(ValueError, match="missing joint 'hand-right'"):
-        build_reference_track(skel_slice(samples, t1=1.0), JOINTS, PARAMS)
+        build_reference_track(*skel_task(samples, t1=1.0), JOINTS, PARAMS)
     with pytest.raises(ValueError, match="no skeleton frames"):
-        build_reference_track(skel_slice([], t1=1.0), JOINTS, PARAMS)
+        build_reference_track(*skel_task([], t1=1.0), JOINTS, PARAMS)
 
 
 def test_reference_tracks_compare_by_identity(hydro_net, hydro_rec):
@@ -84,11 +86,11 @@ def test_reference_tracks_compare_by_identity(hydro_net, hydro_rec):
 
 
 # -- matching -----------------------------------------------------------------
-# through ActionEvaluator, the one matching path; the 1 s reference slice has
+# through ActionEvaluator, the one matching path; the 1 s reference task has
 # two key frames, both targeting head (0, 1.7, 0) and hand-right (1, 1.7, 0)
 
 def one_frame_reference():
-    return skel_slice([(0.0, frame(head=(0, 1.7, 0), hand_right=(1, 1.7, 0)))],
+    return skel_task([(0.0, frame(head=(0, 1.7, 0), hand_right=(1, 1.7, 0)))],
                       t1=1.0)
 
 
@@ -125,8 +127,8 @@ FALL = frame(head=(0, 0.3, 0.2), hand_right=(0.45, 1.7, 0.2))
 
 
 def track_of(duration, params=PARAMS):
-    return build_reference_track(skel_slice(straight_line(duration=duration),
-                                            t1=duration), JOINTS, params)
+    return build_reference_track(*skel_task(straight_line(duration=duration),
+                                             t1=duration), JOINTS, params)
 
 
 def on_target(track, k):
@@ -306,10 +308,10 @@ def test_abort_after_wait_is_strict():
 
 # -- streaming evaluator ------------------------------------------------------
 
-def replay(samples, ref_slice, params=PARAMS, t_start=0.0, **fields):
-    """Stream samples against the track of ref_slice, with ``fields`` of
-    the track replaced."""
-    track = replace(build_reference_track(ref_slice, JOINTS, params), **fields)
+def replay(samples, ref_task, params=PARAMS, t_start=0.0, **fields):
+    """Stream samples against the track of ref_task (``skel_task``), with
+    ``fields`` of the track replaced."""
+    track = replace(build_reference_track(*ref_task, JOINTS, params), **fields)
     ev = ActionEvaluator(track, t_start=t_start)
     feedback = []
     for t, f in samples:
@@ -319,8 +321,8 @@ def replay(samples, ref_slice, params=PARAMS, t_start=0.0, **fields):
 
 def test_self_replay_bursts_every_target():
     samples = straight_line()
-    sl = skel_slice(samples)
-    summary, feedback = replay(samples, sl)
+    task = skel_task(samples)
+    summary, feedback = replay(samples, task)
     assert summary.score == 1.0
     assert summary.burst == 20 and summary.missed == 0
     assert summary.correction_factor == 1.0
@@ -331,26 +333,26 @@ def test_self_replay_bursts_every_target():
 
 def test_evaluator_is_deterministic():
     samples = straight_line()
-    sl = skel_slice(samples)
-    a, fa = replay(samples, sl)
-    b, fb = replay(samples, sl)
+    task = skel_task(samples)
+    a, fa = replay(samples, task)
+    b, fb = replay(samples, task)
     assert a == b and fa == fb
 
 
 def test_evaluator_correction_lets_smaller_user_burst():
     ref = straight_line(arm=0.45)
     short = straight_line(arm=0.30)  # same head path, shorter reach
-    summary, _ = replay(short, skel_slice(ref))
+    summary, _ = replay(short, skel_task(ref))
     assert summary.correction_factor == pytest.approx(1.5)
     assert summary.burst == 20 and summary.score == 1.0
 
 
 def test_idle_user_misses_targets():
-    sl = skel_slice(straight_line())
+    task = skel_task(straight_line())
     away = [(t, frame(head=(5, 1.7, 0), hand_right=(5.45, 1.7, 0),
                       shoulder_left=(5.2, 1.5, 0), shoulder_right=(4.8, 1.5, 0)))
             for t in np.arange(0.0, 12.0, 0.1)]
-    summary, feedback = replay(away, sl)
+    summary, feedback = replay(away, task)
     assert summary.burst == 0
     assert summary.missed >= 2  # 12 s of idling retires at least two targets
     assert summary.score == 0.0
@@ -358,21 +360,21 @@ def test_idle_user_misses_targets():
 
 
 def test_finalize_counts_inflight_target_as_missed():
-    sl = skel_slice(straight_line())
+    task = skel_task(straight_line())
     away = [(t, frame(head=(5, 1.7, 0), hand_right=(5.45, 1.7, 0)))
             for t in np.arange(0.0, 3.0, 0.1)]
-    summary, _ = replay(away, sl)
+    summary, _ = replay(away, task)
     # nothing retired naturally (3 s < skip time) but the open target counts
     assert summary.missed == 1 and summary.burst == 0
     assert summary.spawned == 1
 
 
 def test_fall_anomaly_aborts_evaluator():
-    sl = skel_slice(straight_line())
+    task = skel_task(straight_line())
     floor = [(t, frame(head=(0.0, 0.2, 0.0), hand_right=(0.45, 0.2, 0.0),
                        shoulder_left=(0.2, 0.1, 0), shoulder_right=(-0.2, 0.1, 0)))
              for t in np.arange(0.0, 14.0, 0.1)]
-    summary, feedback = replay(floor, sl)
+    summary, feedback = replay(floor, task)
     assert summary.aborted and summary.abort_kind == "fall"
     assert summary.score == 0.0
     assert feedback.count(("abort", "fall")) == 1
@@ -390,7 +392,7 @@ def test_anomaly_episode_penalty_applies():
             pos[list(f.names).index("head"), 1] = 0.3
             f = SkeletonFrame(names=f.names, positions=pos)
         dipped.append((t, f))
-    summary, feedback = replay(dipped, skel_slice(samples))
+    summary, feedback = replay(dipped, skel_task(samples))
     assert not summary.aborted
     assert len(summary.anomalies) == 1
     assert summary.anomalies[0].kind == "fall"
@@ -401,10 +403,10 @@ def test_anomaly_episode_penalty_applies():
 
 
 def test_missing_tracked_joint_warns_once():
-    sl = skel_slice(straight_line())
+    task = skel_task(straight_line())
     headless = [(t, frame(hand_right=(0.45, 1.7, 0)))
                 for t in np.arange(0.0, 2.0, 0.1)]
-    summary, _ = replay(headless, sl)
+    summary, _ = replay(headless, task)
     assert summary.burst == 0
     assert sum("cannot burst" in w for w in summary.warnings) == 1
 
@@ -412,7 +414,7 @@ def test_missing_tracked_joint_warns_once():
 def test_orientation_watch_disabled_without_shoulders_warns():
     samples = [(t, frame(head=(x, 1.7, 0), hand_right=(x + 0.45, 1.7, 0)))
                for t, (x,) in ((t, (0.3 * t / 10.0,)) for t in np.arange(0, 10.5, 0.1))]
-    summary, _ = replay(samples, skel_slice(samples))
+    summary, _ = replay(samples, skel_task(samples))
     assert any("orientation anomaly disabled" in w for w in summary.warnings)
     assert summary.score == 1.0  # still matches fine
 
@@ -422,7 +424,7 @@ def test_orientation_disabled_warning_appears_once():
         samples = [(t, frame(head=(0.03 * t, 1.7, 0),
                              hand_right=(0.03 * t + 0.45, 1.7, 0), **extra))
                    for t in np.arange(0, 10.5, 0.1)]
-        summary, _ = replay(samples, skel_slice(samples))
+        summary, _ = replay(samples, skel_task(samples))
         return [w for w in summary.warnings if w.startswith("orientation")]
 
     assert warnings() == [
@@ -431,7 +433,7 @@ def test_orientation_disabled_warning_appears_once():
 
 
 def test_headless_frame_after_correction_is_skipped():
-    ref = skel_slice([(0.0, frame(head=(0, 1.7, 0), hand_right=(0.6, 1.7, 0)))],
+    ref = skel_task([(0.0, frame(head=(0, 1.7, 0), hand_right=(0.6, 1.7, 0)))],
                      t1=2.0)
     warm = [(0.1 * i, frame(head=(0, 1.7, 0), hand_right=(0.4, 1.7, 0)))
             for i in range(12)]
