@@ -9,8 +9,8 @@ columns. Exit status: 0 on success, 1 on validation or scoring failures,
 
 The override flags are made from the settings of ``model.Defaults`` and
 ``model.TrajectoryParams``, one per setting, and checked by its rule
-(``model.check_setting``), as is each ``--magnitudes`` entry and
-``--seed``: a bad value is a usage error naming the flag.
+(``model.check_setting``), as is each ``--magnitudes`` entry, ``--trials``
+and ``--seed``: a bad value is a usage error naming the flag.
 
 Diagnostics go to standard error; set AHTN_LOG=info or AHTN_LOG=debug for
 more of them.
@@ -24,7 +24,7 @@ import os
 import sys
 
 from .engine import EngineConfig, Session, build_reference_set, score_recording
-from .harness import (MAGNITUDE_RULE, METHODS, correlate_values,
+from .harness import (MAGNITUDE_RULE, METHODS, MIN_TRIALS, correlate_values,
                       format_monotonicity, monotonicity_csv,
                       monotonicity_report, parse_score_pairs)
 from .model import (Defaults, TaskNetwork, TrajectoryParams, check_setting,
@@ -171,6 +171,14 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _trials(text: str) -> int:
+    """An argparse type: an integer of at least ``harness.MIN_TRIALS``."""
+    if not text.isdecimal() or int(text) < MIN_TRIALS:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least {MIN_TRIALS}: {text}")
+    return int(text)
+
+
 def _magnitudes(text: str) -> list[float]:
     return [_number(MAGNITUDE_RULE)(tok) for tok in text.split(",") if tok]
 
@@ -225,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--magnitudes", required=True, type=_magnitudes,
                    help="comma separated perturbation magnitudes, increasing, "
                         + MAGNITUDE_RULE)
-    p.add_argument("--trials", type=int, default=20,
-                   help="perturbed copies per magnitude (minimum 10)")
+    p.add_argument("--trials", type=_trials, default=20,
+                   help=f"perturbed copies per magnitude (minimum {MIN_TRIALS})")
     p.add_argument("--seed", type=_seed, default=0,
                    help="base random seed, a non-negative integer")
     p.add_argument("--csv", default=None, help="also write the table as CSV")

@@ -9,8 +9,11 @@ driven by TaskMark events; each activation gives every member of the
 task's scope a ``checks.TaskSamples``, which takes the events the task
 reads and keeps only what its checks need until the end mark scores them.
 For action-level tasks it also steps a per-user ActionEvaluator so bursts
-and anomalies surface as they happen. ``build_reference_set`` routes each
-reference recording by the same marks through the same reducer.
+and anomalies surface as they happen. Events are routed by user: each
+accepted start or end mark rebuilds the map from a user to their active
+runs, so an event reaches only the runs that can take it.
+``build_reference_set`` routes each reference recording by the same marks,
+through a map built the same way, into the same reducer.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 import types
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 from .checks import TaskSamples, TaskScore, evaluate_task_level
 from .model import (Defaults, TaskNetwork, TaskNode, TrajectoryParams,
@@ -29,6 +32,8 @@ from .telemetry import (Event, Reference, ReferenceSet, SessionRecording,
                         SkeletonFrame, TaskMark)
 from .trajectory import (FEEDBACK_TEXT, PROGRESS_KINDS, ActionEvaluator,
                          TrajectorySummary, build_reference_track)
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,16 @@ def task_samples(node: TaskNode, t0: float) -> TaskSamples:
     return TaskSamples(spec.checks, node.objects, skeleton, t0)
 
 
+def _routes(entries: Iterable[tuple[str, T]]) -> dict[str, list[T]]:
+    """Each user's entries, in the order given: what a stream's events are
+    routed by. Both sides rebuild it from their open tasks at every mark
+    they accept, so an event reaches only the tasks that can take it."""
+    by_user: dict[str, list[T]] = {}
+    for user, entry in entries:
+        by_user.setdefault(user, []).append(entry)
+    return by_user
+
+
 def build_reference_set(net: TaskNetwork,
                         recordings: Sequence[tuple[SessionRecording, float]],
                         params: TrajectoryParams = TrajectoryParams()
@@ -131,10 +146,8 @@ def build_reference_set(net: TaskNetwork,
                 closed[node.id] = run
             else:
                 closed[node.id] = None
-            routes = {}
-            for task_id, run in runs.items():
-                for user in nodes[task_id].users.user_ids:
-                    routes.setdefault(user, []).append(run)
+            routes = _routes((user, run) for task_id, run in runs.items()
+                             for user in nodes[task_id].users.user_ids)
         for task_id, run in closed.items():
             if run is None:
                 continue
@@ -184,6 +197,8 @@ class Session:
         self._runs = {i: _TaskRun(self.net.nodes[i])
                       for i in self.net.primitive_ids()}
         self._completed: set[str] = set()
+        # user -> (samples, evaluator, run) of each active run they are in
+        self._routes: dict[str, list[tuple]] = {}
         self._finalized = False
         self._t0: float | None = None  # the first event's time
         self._last_t = -math.inf
@@ -195,29 +210,41 @@ class Session:
     def ingest(self, event: Event) -> list[FeedbackMessage]:
         if self._finalized:
             raise ValueError("session already finalized")
+        t = event.t
         if self._t0 is None:
-            self._t0 = self._last_t = event.t
-        if event.t < self._last_t:
-            raise ValueError(
-                f"timestamp regression: {event.t} after {self._last_t}")
-        self._last_t = event.t
+            self._t0 = self._last_t = t
+        elif t < self._last_t:
+            raise ValueError(f"timestamp regression: {t} after {self._last_t}")
+        self._last_t = t
         if self._timed_out:
             return []
-        if event.t - self._t0 > self.defaults.timeout:
+        if t - self._t0 > self.defaults.timeout:
             self._timed_out = True
             self._warnings.append(
                 f"session timeout after {self.defaults.timeout} s; "
                 "later events ignored")
             return []
 
-        if isinstance(event.payload, TaskMark):
+        payload = event.payload
+        if isinstance(payload, TaskMark):
             return self._handle_mark(event)
-        return self._route(event)
+        # to the runs that can take it: the active runs of its user
+        messages: list[FeedbackMessage] = []
+        for samples, evaluator, run in self._routes.get(event.user, ()):
+            if (samples.add(event) and evaluator is not None
+                    and isinstance(payload, SkeletonFrame)):
+                primitives = evaluator.observe(t, payload)
+                if primitives:
+                    messages += self._wrap(run, t, primitives)
+        return messages
 
     def consume(self, rec: SessionRecording) -> list[FeedbackMessage]:
         out: list[FeedbackMessage] = []
+        ingest = self.ingest
         for event in rec.events:
-            out.extend(self.ingest(event))
+            messages = ingest(event)
+            if messages:
+                out += messages
         return out
 
     # -- marks --------------------------------------------------------------
@@ -242,6 +269,7 @@ class Session:
                 run.out_of_order = True
                 run.warnings.append("started before predecessors completed")
             self._attach_evaluators(run)
+            self._reroute()
             return []
 
         if run.status != "active":
@@ -250,6 +278,7 @@ class Session:
             return []
         run.t_end = event.t
         run.status = "done"
+        self._reroute()
         self._completed.add(mark.task_id)
         return self._evaluate(run)
 
@@ -269,18 +298,12 @@ class Session:
 
     # -- event routing ------------------------------------------------------
 
-    def _route(self, event: Event) -> list[FeedbackMessage]:
-        messages: list[FeedbackMessage] = []
-        for run in self._runs.values():
-            samples = run.samples.get(event.user)
-            if samples is None or not samples.add(event):
-                continue
-            evaluator = run.evaluators.get(event.user)
-            if evaluator is not None and isinstance(event.payload, SkeletonFrame):
-                primitives = evaluator.observe(event.t, event.payload)
-                if primitives:
-                    messages += self._wrap(run, event.t, primitives)
-        return messages
+    def _reroute(self) -> None:
+        """Route each member's events to the active runs, in network order."""
+        self._routes = _routes(
+            (member, (samples, run.evaluators.get(member), run))
+            for run in self._runs.values() if run.status == "active"
+            for member, samples in run.samples.items())
 
     @staticmethod
     def _wrap(run: _TaskRun, t: float,

@@ -4,7 +4,8 @@ Two tools for judging the scorer itself: correlate_values() compares system
 scores with human grades (Pearson, Spearman with average ranks, Kendall
 tau-b), and perturb()/monotonicity_report() synthesize degraded sessions
 from a reference recording to confirm that the grade falls as corruption
-grows.
+grows. A study takes the reference's arrays once and draws every trial's
+noise onto them, and it scores the unperturbed reference once.
 """
 
 from __future__ import annotations
@@ -166,58 +167,123 @@ def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ), axis=1)
 
 
-def perturb(rec: SessionRecording, spec: PerturbationSpec) -> SessionRecording:
+class _Prepared:
+    """What perturb reads of one recording, taken once: the indices of the
+    events it redraws, by kind; pose positions and orientations and every
+    frame's joints as arrays; the attach intervals; every event's time;
+    and the objects an injected collision names. A study prepares its
+    reference once and perturbs it every trial."""
+
+    def __init__(self, rec: SessionRecording):
+        self.rec = rec
+        events = rec.events
+        at: dict[type, list[int]] = {Pose: [], SkeletonFrame: [], TextInput: []}
+        for i, e in enumerate(events):
+            slot = at.get(type(e.payload))
+            if slot is not None:
+                slot.append(i)
+        self.times = np.array([e.t for e in events], dtype=np.float64)
+
+        self.pose_at = at[Pose]
+        poses = [events[i] for i in self.pose_at]
+        self.pose_t = [e.t for e in poses]
+        self.pose_user = [e.user for e in poses]
+        self.pose_object = [e.payload.object_id for e in poses]
+        n = len(poses)
+        self.position = np.array([e.payload.position for e in poses],
+                                 dtype=np.float64).reshape(n, 3)
+        self.orientation = np.array([e.payload.orientation for e in poses],
+                                    dtype=np.float64).reshape(n, 4)
+
+        self.frame_at = at[SkeletonFrame]
+        frames = [events[i] for i in self.frame_at]
+        self.frame_t = [e.t for e in frames]
+        self.frame_user = [e.user for e in frames]
+        self.frame_names = [e.payload.names for e in frames]
+        ends = np.cumsum([len(names) for names in self.frame_names], dtype=np.int64)
+        # each frame's rows of the joint array
+        self.frame_rows = list(map(slice, [0, *ends[:-1].tolist()], ends.tolist()))
+        self.joints = (np.concatenate([e.payload.positions for e in frames])
+                       if frames else np.empty((0, 3)))
+
+        self.text_at = at[TextInput]
+        self.texts = [events[i] for i in self.text_at]
+
+        open_on: dict[tuple[str, str], int] = {}
+        self.attach_pairs: list[tuple[int, int | None]] = []
+        for i, e in enumerate(events):
+            p = e.payload
+            if not isinstance(p, Attach):
+                continue
+            key = (p.object_id, p.target_id)
+            if p.attached:
+                open_on[key] = i
+            elif key in open_on:
+                self.attach_pairs.append((open_on.pop(key), i))
+        self.attach_pairs.extend((i, None) for i in open_on.values())
+
+        # the two most posed objects collide, the first event's user reports it
+        counts: dict[str, int] = {}
+        for obj in self.pose_object:
+            counts[obj] = counts.get(obj, 0) + 1
+        ranked = sorted(counts, key=lambda o: (-counts[o], o))
+        self.colliding = ((ranked[0], ranked[1] if len(ranked) > 1 else "noise")
+                          if ranked else None)
+
+
+def perturb(rec: SessionRecording, spec: PerturbationSpec,
+            prepared: _Prepared | None = None) -> SessionRecording:
     """Deterministically corrupted copy of a recording.
 
     Gaussian position noise on poses and skeleton joints, axis-angle
     orientation noise on poses, random removal of whole attach intervals,
     spurious collision events, and offsets on numeric text inputs. A
-    zero-magnitude spec returns the input unchanged.
+    zero-magnitude spec returns the input itself, so a study scores it
+    once.
 
     Noise is drawn in blocks, each whether or not its magnitude is 0, in
     this order: attach drops, pose positions (N, 3), pose rotation axes
     (N, 3), pose rotation angles (N,), skeleton joints (all joints of all
     frames, 3), text offsets (T,), then collision times. The draw order is
     part of the result: changing it changes every seeded study.
+
+    The noise lands on arrays taken from the recording once
+    (``prepared``); perturb takes them itself when it is given none.
     """
     if spec.is_identity:
         return rec
+    if prepared is None:
+        prepared = _Prepared(rec)
+    elif prepared.rec is not rec:
+        raise ValueError("prepared arrays belong to another recording")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.seed)))
 
-    dropped = _pick_dropped_attach_events(rec, spec, rng)
+    dropped = _dropped_attach_events(prepared, spec, rng)
     events = list(rec.events)
-    at: dict[type, list[int]] = {Pose: [], SkeletonFrame: [], TextInput: []}
-    for i, e in enumerate(events):
-        slot = at.get(type(e.payload))
-        if slot is not None:
-            slot.append(i)
-
     # in draw order
-    for kind, noisy in ((Pose, _noisy_poses), (SkeletonFrame, _noisy_frames),
-                        (TextInput, _noisy_text)):
-        indices = at[kind]
-        fresh = noisy([events[i].payload for i in indices], spec, rng)
-        for i, payload in zip(indices, fresh):
-            e = events[i]
-            if payload is not e.payload:
-                events[i] = Event(e.t, e.user, payload)
+    for indices, fresh in ((prepared.pose_at, _noisy_poses(prepared, spec, rng)),
+                           (prepared.frame_at, _noisy_frames(prepared, spec, rng)),
+                           (prepared.text_at, _noisy_text(prepared, spec, rng))):
+        for i, e in zip(indices, fresh):
+            events[i] = e
 
+    times = prepared.times
     if dropped:
-        events = [e for i, e in enumerate(events) if i not in dropped]
-    events = _inject_collisions(rec, events, spec, rng)
+        for i in reversed(dropped):
+            del events[i]
+        times = np.delete(times, dropped)
+    events = _inject_collisions(prepared, events, times, spec, rng)
     return SessionRecording(session_id=rec.session_id, events=tuple(events))
 
 
-def _noisy_poses(poses: list[Pose], spec: PerturbationSpec, rng) -> list[Pose]:
+def _noisy_poses(prepared: _Prepared, spec: PerturbationSpec, rng) -> list[Event]:
     """Position noise, then a rotation by angle ~ N(0, orientation_sigma)
-    about a uniformly random axis, for a block of poses."""
-    n = len(poses)
-    position = np.array([p.position for p in poses], dtype=np.float64).reshape(n, 3)
-    position += spec.position_sigma * rng.standard_normal((n, 3))
+    about a uniformly random axis, for every pose."""
+    n = len(prepared.pose_at)
+    position = prepared.position + spec.position_sigma * rng.standard_normal((n, 3))
     axis = rng.standard_normal((n, 3))
     angle = rng.standard_normal(n) * spec.orientation_sigma
-    orientation = np.array([p.orientation for p in poses],
-                           dtype=np.float64).reshape(n, 4)
+    orientation = prepared.orientation.copy()
     norm = np.sqrt((axis * axis).sum(axis=1))
     turn = (norm > 0) & (angle != 0.0)
     half = angle[turn] / 2.0
@@ -226,87 +292,74 @@ def _noisy_poses(poses: list[Pose], spec: PerturbationSpec, rng) -> list[Pose]:
     q = _quat_mul(q_noise, orientation[turn])
     orientation[turn] = q / np.sqrt((q * q).sum(axis=1))[:, None]
     # zip over columns builds each tuple directly, with no per-row list
-    return [Pose(p.object_id, xyz, quat) for p, xyz, quat in
-            zip(poses, zip(*position.T.tolist()), zip(*orientation.T.tolist()))]
+    return list(map(Event, prepared.pose_t, prepared.pose_user,
+                    map(Pose, prepared.pose_object, zip(*position.T.tolist()),
+                        zip(*orientation.T.tolist()))))
 
 
-def _noisy_frames(frames: list[SkeletonFrame], spec: PerturbationSpec,
-                  rng) -> list[SkeletonFrame]:
-    """Position noise on every joint; frames keep their layout's names."""
-    sizes = [len(f.names) for f in frames]
-    noise = rng.standard_normal((sum(sizes), 3))
-    if not frames or spec.position_sigma == 0:
-        return frames
+def _noisy_frames(prepared: _Prepared, spec: PerturbationSpec,
+                  rng) -> list[Event]:
+    """Position noise on every joint; frames keep their layout's names.
+    Nothing is replaced when the noise is 0."""
+    noise = rng.standard_normal(prepared.joints.shape)
+    if spec.position_sigma == 0:
+        return []
     noise *= spec.position_sigma
-    noise += np.concatenate([f.positions for f in frames])
-    ends = np.cumsum(sizes).tolist()
-    return [SkeletonFrame(names=f.names, positions=noise[end - size:end])
-            for f, size, end in zip(frames, sizes, ends)]
+    noise += prepared.joints
+    return list(map(Event, prepared.frame_t, prepared.frame_user,
+                    map(SkeletonFrame, prepared.frame_names,
+                        [noise[rows] for rows in prepared.frame_rows])))
 
 
-def _noisy_text(inputs: list[TextInput], spec: PerturbationSpec,
-                rng) -> list[TextInput]:
+def _noisy_text(prepared: _Prepared, spec: PerturbationSpec,
+                rng) -> list[Event]:
     """Offsets on numeric text inputs; other values pass through."""
-    offsets = rng.standard_normal(len(inputs))
+    offsets = rng.standard_normal(len(prepared.text_at))
     if spec.text_error == 0:
-        return inputs
+        return []
     out = []
-    for p, z in zip(inputs, offsets.tolist()):
+    for e, z in zip(prepared.texts, offsets.tolist()):
+        p = e.payload
         try:
-            p = TextInput(p.field_id, repr(float(p.value) + spec.text_error * z))
+            e = Event(e.t, e.user,
+                      TextInput(p.field_id, repr(float(p.value) + spec.text_error * z)))
         except ValueError:
             pass
-        out.append(p)
+        out.append(e)
     return out
 
 
-def _pick_dropped_attach_events(rec: SessionRecording, spec: PerturbationSpec,
-                                rng) -> set[int]:
-    """Indices of attach on/off events whose whole interval is dropped."""
-    open_on: dict[tuple[str, str], int] = {}
-    pairs: list[tuple[int, int | None]] = []
-    for i, e in enumerate(rec.events):
-        p = e.payload
-        if not isinstance(p, Attach):
-            continue
-        key = (p.object_id, p.target_id)
-        if p.attached:
-            open_on[key] = i
-        elif key in open_on:
-            pairs.append((open_on.pop(key), i))
-    pairs.extend((i, None) for i in open_on.values())
-
-    dropped: set[int] = set()
-    for on_i, off_i in pairs:
-        if float(rng.random()) < spec.drop_attach_prob:
-            dropped.add(on_i)
-            if off_i is not None:
-                dropped.add(off_i)
-    return dropped
+def _dropped_attach_events(prepared: _Prepared, spec: PerturbationSpec,
+                           rng) -> list[int]:
+    """Indices, ascending, of the attach on/off events whose whole
+    interval is dropped: one draw per interval, in the order they close."""
+    draws = rng.random(len(prepared.attach_pairs)).tolist()
+    return sorted(i for pair, u in zip(prepared.attach_pairs, draws)
+                  if u < spec.drop_attach_prob for i in pair if i is not None)
 
 
-def _inject_collisions(rec: SessionRecording, events: list[Event],
-                       spec: PerturbationSpec, rng) -> list[Event]:
-    if spec.inject_collisions == 0 or not events:
+def _inject_collisions(prepared: _Prepared, events: list[Event],
+                       times: np.ndarray, spec: PerturbationSpec,
+                       rng) -> list[Event]:
+    """The events, in time order as a recording's are, with spurious
+    collisions merged in; ``times`` are the events' times. A collision
+    lands after the events that share its time."""
+    if spec.inject_collisions == 0 or not events or prepared.colliding is None:
         return events
-    counts: dict[str, int] = {}
-    for e in rec.events:
-        if isinstance(e.payload, Pose):
-            counts[e.payload.object_id] = counts.get(e.payload.object_id, 0) + 1
-    ranked = sorted(counts, key=lambda o: (-counts[o], o))
-    if not ranked:
-        return events
-    first = ranked[0]
-    second = ranked[1] if len(ranked) > 1 else "noise"
-    user = rec.events[0].user
-
+    first, second = prepared.colliding
+    user = prepared.rec.events[0].user
     t0, t1 = events[0].t, events[-1].t
-    times = np.sort(rng.uniform(t0, t1, size=spec.inject_collisions)).tolist()
+    at = np.sort(rng.uniform(t0, t1, size=spec.inject_collisions))
+    slots = np.searchsorted(times, at, side="right").tolist()
     pairs = ((first, second), (second, first))
-    injected = [Event(t, user, Collision(*pairs[j % 2]))
-                for j, t in enumerate(times)]
-    # stable: a collision lands after the events that share its time
-    return sorted(events + injected, key=lambda e: e.t)
+    merged: list[Event] = []
+    start = 0
+    for j, (t, slot) in enumerate(zip(at.tolist(), slots)):
+        merged += events[start:slot]
+        merged.append(Event(t, user, Collision(*pairs[j % 2])))
+        start = slot
+    merged += events[start:]
+    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +383,9 @@ def monotonicity_report(net: TaskNetwork, reference: SessionRecording,
                         ) -> list[MonotonicityRow]:
     """Score `trials` perturbed copies of the reference at each magnitude,
     matching trajectories with ``trajectory``, and tabulate the session
-    grade."""
+    grade. The reference is prepared for ``perturb`` once. An identity
+    spec (magnitude 0) gives the reference itself, so it is scored once
+    and its grade serves every such trial."""
     if trials < MIN_TRIALS:
         raise ValueError("trials below minimum")
     if len(magnitudes) == 0:
@@ -340,24 +395,37 @@ def monotonicity_report(net: TaskNetwork, reference: SessionRecording,
 
     refs = build_reference_set(net, [(reference, 1.0)], trajectory)
     config = EngineConfig(net, refs, trajectory=trajectory)
+    prepared = _Prepared(reference)
+    unperturbed: float | None = None
     rows: list[MonotonicityRow] = []
     for mi, magnitude in enumerate(magnitudes):
         deltas = []
         for trial in range(trials):
             child = np.random.SeedSequence(entropy=[seed, mi, trial])
             child_seed = int(child.generate_state(1)[0])
-            rec = perturb(reference, spec_for_magnitude(magnitude, child_seed))
-            report = score_recording(config, rec)
-            scoped = [s.delta for s in report.scopes if s.delta is not None]
-            if not scoped:
-                raise ValueError("no weighted scope in report")
-            deltas.append(sum(scoped) / len(scoped))
+            rec = perturb(reference, spec_for_magnitude(magnitude, child_seed),
+                          prepared)
+            if rec is not reference:
+                deltas.append(_session_delta(config, rec))
+                continue
+            if unperturbed is None:
+                unperturbed = _session_delta(config, rec)
+            deltas.append(unperturbed)
         arr = np.asarray(deltas)
         rows.append(MonotonicityRow(magnitude=float(magnitude),
                                     mean_delta=float(arr.mean()),
                                     std_delta=float(arr.std()),
                                     trials=trials))
     return rows
+
+
+def _session_delta(config: EngineConfig, rec: SessionRecording) -> float:
+    """The mean delta over the weighted scopes of rec's report."""
+    report = score_recording(config, rec)
+    scoped = [s.delta for s in report.scopes if s.delta is not None]
+    if not scoped:
+        raise ValueError("no weighted scope in report")
+    return sum(scoped) / len(scoped)
 
 
 def format_monotonicity(rows: Sequence[MonotonicityRow]) -> str:

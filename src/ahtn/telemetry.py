@@ -128,19 +128,26 @@ class SkeletonFrame:
 
     Positions are float64 meters.
     ``names`` is replaced by the validated tuple that every frame with the
-    same joint layout shares.
+    same joint layout shares; a frame built with that tuple skips the
+    validation, not the dtype and shape checks.
     """
 
     names: tuple[str, ...]
     positions: np.ndarray
 
     def __post_init__(self):
-        names = _joint_layout(self.names)
+        # a layout seen before is looked up once, and the shared tuple
+        # itself is its own entry
+        names = _layouts.get(self.names) if type(self.names) is tuple else None
+        if names is None:
+            names = _joint_layout(self.names)
+        if names is not self.names:
+            object.__setattr__(self, "names", names)
         pos = np.ascontiguousarray(self.positions, dtype=np.float64)
         if pos.shape != (len(names), 3):
             raise ValueError("positions must be shaped (len(names), 3)")
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "positions", pos)
+        if pos is not self.positions:
+            object.__setattr__(self, "positions", pos)
 
     def __eq__(self, other):
         if not isinstance(other, SkeletonFrame):

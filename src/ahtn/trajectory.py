@@ -12,18 +12,25 @@ ActionEvaluator is given. The track keeps the engine-wide
 TrajectoryParams it was built for, and the evaluator matches by them.
 
 The ActionEvaluator is the whole streaming machine, for one user and one
-task activation. Frames are height corrected first: ``scale_frame``
-applies one factor, the track's face-hand distance over the learner's
-``face_hand_medians`` in the same warm-up window. Targets spawn one at a
-time, in order. The user bursts the target in flight by bringing every
-tracked joint within the match radius (closed ball); a frame missing a
-tracked joint never bursts. A target with no match for longer than the
-skip time is retired as missed and the next one spawns; retiring the last
-target completes the evaluator. Meanwhile a short sliding window of
-corrected frames feeds anomaly detection (fall, facing away from the
-station, hand far from its target); an anomaly continuously active beyond
-the wait time aborts the evaluation. ``flush`` replays a warm-up window
-the task ended inside, and ``finalize`` scores the evaluation.
+task activation. It looks joints up by row, never by name: the first
+frame of each joint layout gets a ``LayoutPlan`` (``plan_layout``), the
+rows of the head, the assessed hand, the facing pair and the tracked
+joints, which every later frame of that layout reuses. Frames are height
+corrected first, once each: ``scale_frame`` applies one factor, the
+track's face-hand distance over the learner's ``face_hand_medians`` in
+the same warm-up window. Targets spawn one at a time, in order. The user
+bursts the target in flight by bringing every tracked joint within the
+match radius (closed ball); a frame missing a tracked joint never bursts.
+A target with no match for longer than the skip time is retired as
+missed and the next one spawns; retiring the last target completes the
+evaluator. Meanwhile a short sliding window of corrected frames feeds
+anomaly detection (fall, facing away from the station, hand far from its
+target); an anomaly continuously active beyond the wait time aborts the
+evaluation. A ``WindowEntry`` keeps a frame's corrected positions and
+plan, from which the newest entry's head height and facing are read, and
+the hand's distance to the current goal, measured once per goal: again
+only when the cursor moves. ``flush`` replays a warm-up window the task
+ended inside, and ``finalize`` scores the evaluation.
 
 The evaluator reports what happens as feedback primitives, tuples led by
 their kind; ``FEEDBACK_TEXT`` holds each kind's message text.
@@ -31,6 +38,7 @@ their kind; ``FEEDBACK_TEXT`` holds each kind's message text.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -170,45 +178,96 @@ def face_hand_medians(frames, hand: str) -> tuple[float, float]:
             float(np.median(np.linalg.norm(heads - hands, axis=1))))
 
 
-def scale_frame(frame: SkeletonFrame, factor: float) -> SkeletonFrame:
-    """Scale all joints about the head position. factor 1 returns the
-    input frame unchanged."""
+def scale_frame(frame: SkeletonFrame, head: int | None,
+                factor: float) -> np.ndarray:
+    """The frame's joint positions scaled about its head, row ``head``, by
+    factor. Factor 1 returns the frame's own positions, and needs no
+    head."""
     if factor == 1.0:
-        return frame
-    center = np.array(frame.position("head"), dtype=np.float64)
-    scaled = scale_about(frame.positions, center, float(factor))
-    return SkeletonFrame(names=frame.names, positions=scaled)
+        return frame.positions
+    return scale_about(frame.positions, frame.positions[head], float(factor))
 
 
 # ---------------------------------------------------------------------------
-# anomalies
+# the per-layout plan and anomalies
 
-def facing_direction(frame: SkeletonFrame) -> np.ndarray | None:
-    """User facing direction projected to the ground plane (y-up).
+@dataclass(frozen=True, eq=False)
+class LayoutPlan:
+    """The rows of one joint layout that an evaluator reads, found once
+    per layout: the head, the track's assessed hand, the facing pair (a
+    row minus b row, the right minus the left shoulder when both are
+    tracked, else head-forward minus head), and the tracked joints in the
+    track's order, None when one is missing. Compared by identity."""
+
+    head: int | None
+    hand: int | None
+    facing: tuple[int, int, bool] | None  # a, b, whether they are shoulders
+    tracked: np.ndarray | None
+
+
+def plan_layout(names: tuple[str, ...], track: ReferenceTrack) -> LayoutPlan:
+    """The plan of the joint layout ``names`` for an evaluator of track."""
+    rows = {name: i for i, name in enumerate(names)}
+    head = rows.get("head")
+    if "shoulder-left" in rows and "shoulder-right" in rows:
+        facing = (rows["shoulder-right"], rows["shoulder-left"], True)
+    elif "head-forward" in rows and head is not None:
+        facing = (rows["head-forward"], head, False)
+    else:
+        facing = None
+    tracked = (np.array([rows[j] for j in track.joint_ids], dtype=np.int64)
+               if all(j in rows for j in track.joint_ids) else None)
+    return LayoutPlan(head, rows.get(track.hand_joint), facing, tracked)
+
+
+def facing_direction(positions: np.ndarray, plan: LayoutPlan) -> np.ndarray | None:
+    """User facing direction projected to the ground plane (y-up), from
+    the positions of a frame laid out as ``plan`` says.
 
     Uses the shoulder line when both shoulders are tracked; falls back to
     the head-forward marker joint; None when neither is available or the
     geometry is degenerate.
     """
-    if frame.has("shoulder-left") and frame.has("shoulder-right"):
-        v = frame.position("shoulder-right") - frame.position("shoulder-left")
-        out = np.array([v[2], 0.0, -v[0]])
-    elif frame.has("head-forward") and frame.has("head"):
-        v = frame.position("head-forward") - frame.position("head")
-        out = np.array([v[0], 0.0, v[2]])
-    else:
+    if plan.facing is None:
         return None
+    a, b, shoulders = plan.facing
+    x, _, z = (positions[a] - positions[b]).tolist()
+    out = np.array((z, 0.0, -x) if shoulders else (x, 0.0, z))
     norm = math.sqrt(out.dot(out))  # np.linalg.norm's arithmetic
     if norm < 1e-9:
         return None
     return out / norm
 
 
-def detect_anomalies(window: Sequence[tuple[float, SkeletonFrame]],
-                     track: ReferenceTrack,
+@dataclass(slots=True, eq=False)
+class WindowEntry:
+    """One corrected frame in the anomaly window: its time, its positions
+    and the plan of their layout, which give the head height and the
+    facing, and the assessed hand's distance to ``goal``, the goal it was
+    last measured against (None without a hand). A new goal, when the
+    cursor moves, measures it again."""
+
+    t: float
+    positions: np.ndarray
+    plan: LayoutPlan
+    goal: np.ndarray | None = None
+    distance: float | None = None
+
+    def distance_to(self, goal: np.ndarray) -> float | None:
+        """The hand's distance to goal, measured once per goal."""
+        if goal is not self.goal:
+            self.goal = goal
+            hand = self.plan.hand
+            if hand is not None:
+                d = self.positions[hand] - goal
+                self.distance = math.sqrt(d.dot(d))  # np.linalg.norm's arithmetic
+        return self.distance
+
+
+def detect_anomalies(window: Sequence[WindowEntry], track: ReferenceTrack,
                      hand_goal: np.ndarray | None = None):
-    """Currently active anomaly kinds over a sliding window of
-    (t, height-corrected frame) samples.
+    """Currently active anomaly kinds over a sliding window of corrected
+    frames, oldest first.
 
     Returns (kinds, warming_up, facing), where facing is the newest
     frame's facing_direction (None while warming up). A window spanning
@@ -218,30 +277,30 @@ def detect_anomalies(window: Sequence[tuple[float, SkeletonFrame]],
     beyond HAND_PROXIMITY_FACTOR * match_radius from ``hand_goal``, its
     position in the current target, across the whole window.
     """
-    if not window or window[-1][0] - window[0][0] < ANOMALY_WINDOW:
+    if not window or window[-1].t - window[0].t < ANOMALY_WINDOW:
         return set(), True, None
     kinds: set[str] = set()
-    latest = window[-1][1]
+    latest = window[-1]
+    positions, plan = latest.positions, latest.plan
 
-    if latest.has("head"):
-        if latest.position("head")[1] < FALL_HEIGHT_FRACTION * track.face_height:
+    if plan.head is not None:
+        if positions[plan.head, 1] < FALL_HEIGHT_FRACTION * track.face_height:
             kinds.add("fall")
 
-    facing = facing_direction(latest)
+    facing = facing_direction(positions, plan)
     if facing is not None and float(facing @ STATION_FORWARD) < 0.0:  # cos > 90 degrees
         kinds.add("orientation")
 
     if hand_goal is not None:
-        hand = track.hand_joint
         limit = HAND_PROXIMITY_FACTOR * track.params.match_radius
         away = True
         seen = False
-        for _, f in window:
-            if not f.has(hand):
+        for entry in window:
+            d = entry.distance_to(hand_goal)
+            if d is None:
                 continue
             seen = True
-            d = f.position(hand) - hand_goal
-            if math.sqrt(d.dot(d)) <= limit:  # np.linalg.norm's arithmetic
+            if d <= limit:
                 away = False
                 break
         if seen and away:
@@ -301,8 +360,9 @@ class ActionEvaluator:
                             if hand in track.joint_ids else None)
         self.factor: float | None = None  # None until the warm-up window closes
         self._pending: list[tuple[float, SkeletonFrame]] = []
-        self._window: list[tuple[float, SkeletonFrame]] = []
-        self._index_cache: dict[tuple[str, ...], object] = {}
+        self._window: deque[WindowEntry] = deque()
+        self._plans: dict[tuple[str, ...], LayoutPlan] = {}  # by joint layout
+        self._unmatchable: set[LayoutPlan] = set()  # warned: a tracked joint is missing
         self._warnings: list[str] = []
         self._facing_warned = False
         self._headless_warned = False
@@ -349,18 +409,21 @@ class ActionEvaluator:
         return events
 
     def _step(self, t: float, frame: SkeletonFrame) -> list[tuple]:
-        if self.factor != 1.0 and not frame.has("head"):
+        plan = self._plans.get(frame.names)
+        if plan is None:
+            plan = self._plans[frame.names] = plan_layout(frame.names, self.track)
+        if self.factor != 1.0 and plan.head is None:
             # correction scales about the head; without one the frame is unusable
             if not self._headless_warned:
                 self._headless_warned = True
                 self._warnings.append(
                     "frames without head skipped: cannot height-correct")
             return []
-        corrected = scale_frame(frame, self.factor)
+        positions = scale_frame(frame, plan.head, self.factor)
         window = self._window
-        window.append((t, corrected))
-        while len(window) >= 2 and window[1][0] <= t - ANOMALY_WINDOW:
-            window.pop(0)
+        window.append(WindowEntry(t, positions, plan))
+        while len(window) >= 2 and window[1].t <= t - ANOMALY_WINDOW:
+            window.popleft()
 
         goal = (None if self.complete or self._hand_goals is None
                 else self._hand_goals[self.cursor])
@@ -375,7 +438,7 @@ class ActionEvaluator:
             if self.aborted:
                 return events
         if not self.complete:
-            events += self._advance(t, self._matches(corrected))
+            events += self._advance(t, self._matches(positions, plan))
         return events
 
     def _advance(self, t: float, matched: bool) -> list[tuple]:
@@ -402,8 +465,10 @@ class ActionEvaluator:
         """Open an episode for each newly active anomaly kind and close
         each that cleared; abort when one has been open strictly longer
         than anomaly_wait."""
-        events: list[tuple] = []
         episodes = self.open_episodes
+        if not kinds and not episodes:
+            return []
+        events: list[tuple] = []
         for kind in ANOMALY_KINDS:
             if kind in kinds:
                 if kind not in episodes:
@@ -426,22 +491,16 @@ class ActionEvaluator:
                               for kind, onset in self.open_episodes.items())
         self.open_episodes.clear()
 
-    def _matches(self, frame: SkeletonFrame) -> bool:
-        idx = self._index_cache.get(frame.names)
-        if idx is None:
-            try:
-                idx = np.array([frame.index(j) for j in self.track.joint_ids],
-                               dtype=np.int64)
-            except KeyError:
-                idx = "missing"
+    def _matches(self, positions: np.ndarray, plan: LayoutPlan) -> bool:
+        if plan.tracked is None:
+            if plan not in self._unmatchable:  # once per layout
+                self._unmatchable.add(plan)
                 self._warnings.append(
                     "frames missing tracked joints; targets cannot burst")
-            self._index_cache[frame.names] = idx
-        if isinstance(idx, str):
             return False
-        return bool(all_within(frame.positions[idx],
-                               self.track.positions[self.cursor],
-                               self.params.match_radius))
+        return all_within(positions.take(plan.tracked, axis=0),
+                          self.track.positions[self.cursor],
+                          self.params.match_radius)
 
     # -- finalize -----------------------------------------------------------
 

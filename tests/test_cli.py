@@ -499,11 +499,14 @@ def test_simulate_trajectory_flags_are_the_library_trajectory_params(run, demo_d
 
 
 def test_simulate_rejects_low_trials(run, demo_dir):
-    code, _, err = run("simulate", "--net", hydro(demo_dir, "ahtn"),
-                       "--refs", hydro(demo_dir, "rec"),
-                       "--magnitudes", "0,0.1", "--trials", "3")
-    assert code == 1
-    assert "below minimum" in err
+    # 3 and -1 once failed in the study, exit 1, naming no flag
+    for trials in ("3", "-1", "x"):
+        code, out, err = run("simulate", "--net", hydro(demo_dir, "ahtn"),
+                             "--refs", hydro(demo_dir, "rec"),
+                             "--magnitudes", "0,0.1", "--trials", trials)
+        assert code == 2 and out == "", trials
+        assert ("argument --trials: must be an integer of at least 10: "
+                f"{trials}") in err
 
 
 def test_simulate_takes_one_reference(run, demo_dir):

@@ -13,14 +13,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ahtn import fixtures
+from ahtn import engine, fixtures
 from ahtn.engine import (Defaults, EngineConfig, Session, aggregate,
-                         build_reference_set, score_recording)
+                         build_reference_set, score_recording, task_samples)
 from ahtn.checks import FEATURE_KINDS, TaskSamples
-from ahtn.model import TaskNetwork, TrajectoryParams, parse_network
+from ahtn.model import (AssessmentSpec, CheckSpec, TaskNetwork, TaskNode,
+                        TrajectoryParams, UserScope, parse_network)
 from ahtn.report import render_report
-from ahtn.telemetry import (Event, SessionRecording, SkeletonFrame, TaskMark,
-                            TextInput, parse_event_line, parse_session,
+from ahtn.telemetry import (Collision, Event, Pose, SessionRecording,
+                            SkeletonFrame, TaskMark, TextInput,
+                            parse_event_line, parse_session,
                             serialize_recording)
 from conftest import move_marks
 
@@ -242,6 +244,95 @@ def test_reference_reads_the_events_a_session_routes(monkeypatch):
     score_recording(cfg(net, refs), rec)
     reference, learner = taken.values()
     assert reference == learner == [rec.events[i] for i in (4, 7, 9, 11, 12)]
+
+
+def overlapping_tasks():
+    """A of user u from 0 s to 3 s, B of u from 1 s to 5 s, C of the group
+    v and w from 0.5 s to 4 s, in one network built in code; and a stream
+    in which every user, bystander x too, sends a pose of cup and of plate
+    every 0.25 s, u a skeleton frame and v a collision of cup. Each mark is
+    written after the events that share its time. Two marks are stray: a
+    second A start at 2 s and a C end at 0.2 s. The events are returned
+    with the indices of the stray marks."""
+    def task(task_id, scope, objects, *checks):
+        return TaskNode(id=task_id, kind="primitive", name=task_id,
+                        users=scope, weight=1.0, objects=objects,
+                        assessment=AssessmentSpec("task-level", checks),
+                        feedback="final-score")
+
+    u = UserScope("single-user", ("u",))
+    net = TaskNetwork({n.id: n for n in (
+        task("A", u, ("cup",), CheckSpec("position", "cup"),
+             CheckSpec("collision", "cup")),
+        task("B", u, ("cup", "head"), CheckSpec("orientation", "cup"),
+             CheckSpec("position", "head")),
+        task("C", UserScope("group", ("v", "w")), ("cup",),
+             CheckSpec("position", "cup")))})
+    marks = {0.0: [("u", "A", "start")], 0.25: [("v", "C", "end")],
+             0.5: [("v", "C", "start")], 1.0: [("u", "B", "start")],
+             2.0: [("u", "A", "start")], 3.0: [("u", "A", "end")],
+             4.0: [("w", "C", "end")], 5.0: [("u", "B", "end")]}
+    skeleton = ("head", "hand-right")
+    events, stray = [], []
+    for i in range(25):
+        t = i / 4
+        for user in ("u", "v", "w", "x"):
+            for obj in ("cup", "plate"):
+                events.append(Event(t, user, Pose(obj, (0.1 * i, 1.0, 0.0),
+                                                  (0.0, 0.0, 0.0, 1.0))))
+        events.append(Event(t, "u", SkeletonFrame(
+            skeleton, np.array([[0.0, 1.7, 0.1 * i], [0.4, 1.7, 0.1 * i]]))))
+        events.append(Event(t, "v", Collision("cup", "plate")))
+        for user, task_id, edge in marks.get(t, ()):
+            if (t, task_id) in ((2.0, "A"), (0.25, "C")):
+                stray.append(len(events))
+            events.append(Event(t, user, TaskMark(task_id, edge)))
+    return net, events, stray
+
+
+def test_each_task_takes_its_members_events_between_its_marks(monkeypatch):
+    net, events, stray = overlapping_tasks()
+    clean = [e for i, e in enumerate(events) if i not in stray]
+    config = cfg(net, build_reference_set(net, [(SessionRecording("r", tuple(clean)),
+                                                 1.0)]))
+    made = {}  # task id -> its reducers, in member order
+    asked = {}  # reducer -> indices of the events its add was asked about
+
+    def recording_task_samples(node, t0):
+        samples = task_samples(node, t0)
+        made.setdefault(node.id, []).append(samples)
+        return samples
+
+    def recording_add(samples, event):
+        asked.setdefault(samples, []).append(index[id(event)])
+        return add(samples, event)
+
+    add = TaskSamples.add
+    index = {id(e): i for i, e in enumerate(events)}
+    monkeypatch.setattr(engine, "task_samples", recording_task_samples)
+    monkeypatch.setattr(TaskSamples, "add", recording_add)
+    session = Session(config)
+    for e in events:
+        session.ingest(e)
+    report = session.finalize()
+    assert "duplicate start mark for task 'A' ignored" in report.warnings
+    assert "end mark without active task 'C' ignored" in report.warnings
+
+    monkeypatch.undo()
+    for task_id in ("A", "B", "C"):
+        node = net.nodes[task_id]
+        start, end = (i for i, e in enumerate(events) if i not in stray
+                      and type(e.payload) is TaskMark
+                      and e.payload.task_id == task_id)
+        assert len(made[task_id]) == len(node.users.user_ids)
+        for member, samples in zip(node.users.user_ids, made[task_id]):
+            fresh = task_samples(node, events[start].t)
+            brute = sum(fresh.add(e) for e in events[start + 1:end]
+                        if e.user == member)
+            assert samples.count == brute > 0, (task_id, member)
+            # nothing reaches a task after its end mark, though u, v and w
+            # send events to the end of the stream
+            assert max(asked[samples]) < end, (task_id, member)
 
 
 # -- feedback gating ------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Correlation statistics, deterministic perturbation, monotonicity study."""
 
+import hashlib
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ahtn import harness
 from ahtn.harness import (METHODS, MonotonicityRow, PerturbationSpec,
                           ScorePairSet, UndefinedCorrelationError,
                           correlate_values, format_monotonicity,
@@ -282,6 +285,32 @@ def test_perturb_injects_time_ordered_collisions(hydro_rec):
     assert times == sorted(times)
 
 
+# sha256 of serialize_recording(perturb(hydro_rec, spec_for_magnitude(m, seed)))
+# for (m, seed): every channel at once; 0.6 drops attach intervals and 1.0
+# drops every one and injects 50 collisions
+PERTURBED_DIGESTS = {
+    (0.05, 11): "9ad1b0f4e2e9876408860303121d5c9bf713691a8ec5b268e45a118df8f6498e",
+    (0.6, 12): "5a1abdcf1f7cf282af6ecc39a81c68f31cab7c2e533733c90c8f88708e0a2a16",
+    (1.0, 13): "79f72330addc4d78d92ecd9ab15f5b77666950885582ed484cde303492db07d6",
+}
+
+
+@pytest.mark.parametrize("magnitude, seed", sorted(PERTURBED_DIGESTS))
+def test_perturb_output_is_pinned(hydro_rec, magnitude, seed):
+    text = serialize_recording(perturb(hydro_rec, spec_for_magnitude(magnitude, seed)))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == PERTURBED_DIGESTS[magnitude, seed]
+
+
+def test_perturb_refuses_arrays_of_another_recording(hydro_rec, collab_rec):
+    arrays = harness._Prepared(hydro_rec)
+    spec = spec_for_magnitude(0.1, 1)
+    assert serialize_recording(perturb(hydro_rec, spec, arrays)) == \
+        serialize_recording(perturb(hydro_rec, spec))
+    with pytest.raises(ValueError, match="another recording"):
+        perturb(collab_rec, spec, arrays)
+
+
 def test_perturb_offsets_numeric_text(hydro_rec):
     out = perturb(hydro_rec, PerturbationSpec(text_error=0.5, seed=2))
     before = [e.payload.value for e in hydro_rec.events
@@ -309,6 +338,27 @@ def test_monotonicity_zero_magnitude_is_exact(hydro_net, hydro_rec):
     assert rows[1].mean_delta < rows[0].mean_delta
     again = monotonicity_report(hydro_net, hydro_rec, [0.0, 0.08], trials=10, seed=1)
     assert rows == again  # counter-based seeding reproduces exactly
+
+
+def test_seeded_study_is_pinned(hydro_net, hydro_rec):
+    # the same table as `ahtn simulate` on the hydrometer demo with
+    # --magnitudes 0,0.02,0.05,0.1,0.2 --trials 10 --seed 3 --csv
+    rows = monotonicity_report(hydro_net, hydro_rec, [0, 0.02, 0.05, 0.1, 0.2],
+                               trials=10, seed=3)
+    pinned = Path(__file__).parent / "data" / "simulate-hydrometer.csv"
+    assert monotonicity_csv(rows) == pinned.read_text(encoding="utf-8")
+
+
+def test_identity_trials_are_scored_once(hydro_net, hydro_rec, monkeypatch):
+    scored = []
+    score = harness.score_recording
+    monkeypatch.setattr(harness, "score_recording",
+                        lambda config, rec: scored.append(rec) or score(config, rec))
+    rows = monotonicity_report(hydro_net, hydro_rec, [0.0, 0.05], trials=10, seed=2)
+    assert rows[0].trials == 10 and rows[0].mean_delta == 1.0
+    # the reference itself once, then each perturbed copy
+    assert len(scored) == 11 and scored[0] is hydro_rec
+    assert all(rec is not hydro_rec for rec in scored[1:])
 
 
 def test_monotonicity_formatting():

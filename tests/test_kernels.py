@@ -1,6 +1,7 @@
 """Values of the numpy kernels on hand-checked inputs."""
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from ahtn.kernels import all_within, pearson, rank_average
 
@@ -11,6 +12,24 @@ def test_all_within_ball_is_closed():
     assert all_within(a, on_boundary, 0.1)
     outside = np.array([[0.1, 0.0, 0.0], [0.0, 0.1000001, 0.0]])
     assert not all_within(a, outside, 0.1)
+
+
+coordinate = st.floats(-1e3, 1e3) | st.sampled_from([0.0, 0.1, -0.1, 1e-5])
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(coordinate, coordinate, coordinate), max_size=6),
+       shift=st.tuples(coordinate, coordinate, coordinate),
+       radius=st.floats(1e-3, 10.0) | st.sampled_from([0.1, 1.0]))
+def test_all_within_is_numpys_row_sum_ball(rows, shift, radius):
+    # the squared distance sums x, y and z in the order numpy's row sum
+    # does, so the decision is the same on every input, boundaries too
+    points = np.array(rows, dtype=np.float64).reshape(-1, 3)
+    targets = points + np.array(shift) * 1e-3
+    for p, q in ((points, targets), (points, points * 0.999), (targets, points)):
+        d = p - q
+        assert all_within(p, q, radius) == bool(
+            ((d * d).sum(axis=1) <= radius * radius).all())
 
 
 def test_rank_average_values():

@@ -583,16 +583,16 @@ def test_correction_identity_when_same_proportions():
     f = frame(head=(0, 1.7, 0), **{"hand-right": (0.4, 1.7, 0)})
     summary = corrected_summary([(0.0, f), (0.5, f)], 0.4)
     assert summary.correction_factor == 1.0  # exact, so scale_frame passes f through
-    assert scale_frame(f, summary.correction_factor) is f
+    assert scale_frame(f, f.index("head"), summary.correction_factor) is f.positions
 
 
 def test_correction_scales_about_head():
     f = frame(head=(0.0, 1.6, 0.0), **{"hand-right": (0.4, 1.6, 0.0)})
     summary = corrected_summary([(0.0, f), (0.5, f)], 0.6)
     assert summary.correction_factor == pytest.approx(1.5)
-    out = scale_frame(f, 1.5)
-    assert np.allclose(out.position("head"), [0.0, 1.6, 0.0])
-    assert np.allclose(out.position("hand-right"), [0.6, 1.6, 0.0])
+    out = scale_frame(f, f.index("head"), 1.5)
+    assert np.allclose(out[f.index("head")], [0.0, 1.6, 0.0])
+    assert np.allclose(out[f.index("hand-right")], [0.6, 1.6, 0.0])
 
 
 def test_correction_refuses_degenerate_pose():
@@ -614,10 +614,10 @@ def test_correction_translation_invariant():
         f1 = frame(head=tuple(np.add(h, shift)),
                    **{"hand-right": tuple(np.add(h, d) + shift)})
         factor = 0.55 / float(np.linalg.norm(d))
-        a = scale_frame(f0, factor)
-        b = scale_frame(f1, factor)
-        rel = a.positions - a.position("head")
-        rel2 = b.positions - b.position("head")
+        a = scale_frame(f0, 0, factor)
+        b = scale_frame(f1, 0, factor)
+        rel = a - a[0]  # head is row 0
+        rel2 = b - b[0]
         assert np.allclose(rel, rel2, atol=1e-9)
 
 
@@ -630,7 +630,9 @@ def test_correction_requires_head():
 
 def test_scale_frame_factor_one_is_identity():
     f = frame(head=(0, 1.7, 0), **{"hand-right": (0.4, 1.2, 0.1)})
-    assert scale_frame(f, 1.0) is f
+    assert scale_frame(f, 0, 1.0) is f.positions
+    headless = frame(**{"hand-right": (0.4, 1.2, 0.1)})
+    assert scale_frame(headless, None, 1.0) is headless.positions  # needs no head
 
 
 # -- reference stats ---------------------------------------------------------

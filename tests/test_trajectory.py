@@ -5,12 +5,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ahtn.engine import build_reference_set
+from ahtn.kernels import all_within, scale_about
 from ahtn.model import TrajectoryParams
 from ahtn.telemetry import Event, SkeletonFrame
-from ahtn.trajectory import (ActionEvaluator, Anomaly, build_reference_track,
-                             detect_anomalies, facing_direction, key_frame_count)
+from ahtn.trajectory import (HAND_PROXIMITY_FACTOR, ActionEvaluator, Anomaly,
+                             TrajectorySummary, WindowEntry,
+                             build_reference_track, detect_anomalies,
+                             facing_direction, key_frame_count, plan_layout)
 
 JOINTS = ("head", "hand-right")
 PARAMS = TrajectoryParams()
@@ -214,20 +218,39 @@ def test_score_aborted_and_empty():
 
 
 # -- anomalies ----------------------------------------------------------------
+# on window entries, the form in which the evaluator keeps its corrected
+# frames, each with the plan of its layout
+
+def facing_of(f):
+    return facing_direction(f.positions, plan_layout(f.names, TRACK))
+
+
+def entries(samples):
+    """Window entries of (t, frame) pairs."""
+    return [WindowEntry(t, f.positions, plan_layout(f.names, TRACK))
+            for t, f in samples]
+
 
 def test_facing_from_shoulders():
     f = frame(shoulder_left=(0.2, 1.5, 0), shoulder_right=(-0.2, 1.5, 0))
-    assert np.allclose(facing_direction(f), [0, 0, 1])
+    assert np.allclose(facing_of(f), [0, 0, 1])
     g = frame(shoulder_left=(-0.2, 1.5, 0), shoulder_right=(0.2, 1.5, 0))
-    assert np.allclose(facing_direction(g), [0, 0, -1])
+    assert np.allclose(facing_of(g), [0, 0, -1])
 
 
 def test_facing_fallback_and_degenerate():
     f = frame(head=(0, 1.7, 0), head_forward=(0.6, 1.7, 0.8))
-    assert np.allclose(facing_direction(f), [0.6, 0, 0.8])
-    assert facing_direction(frame(head=(0, 1.7, 0))) is None
+    assert np.allclose(facing_of(f), [0.6, 0, 0.8])
+    assert facing_of(frame(head=(0, 1.7, 0))) is None
     collapsed = frame(shoulder_left=(0, 1.5, 0), shoulder_right=(0, 1.5, 0))
-    assert facing_direction(collapsed) is None
+    assert facing_of(collapsed) is None
+    # both shoulders win over head-forward; one shoulder alone does not
+    both = frame(head=(0, 1.7, 0), head_forward=(0, 1.7, -1),
+                 shoulder_left=(0.2, 1.5, 0), shoulder_right=(-0.2, 1.5, 0))
+    assert np.allclose(facing_of(both), [0, 0, 1])
+    one = frame(head=(0, 1.7, 0), head_forward=(0, 1.7, -1),
+                shoulder_left=(0.2, 1.5, 0))
+    assert np.allclose(facing_of(one), [0, 0, -1])
 
 
 def rotated_shoulders(angle):
@@ -239,13 +262,13 @@ def rotated_shoulders(angle):
 
 
 def window_of(f, span=0.6):
-    return [(0.0, f), (span, f)]
+    return entries([(0.0, f), (span, f)])
 
 
 def test_orientation_anomaly_threshold_is_ninety_degrees():
     for deg, expect in ((60, False), (90, False), (120, True), (180, True)):
         f = rotated_shoulders(math.radians(deg))
-        facing = facing_direction(f)
+        facing = facing_of(f)
         assert facing is not None
         kinds, warming, latest_facing = detect_anomalies(window_of(f), TRACK)
         assert not warming
@@ -267,16 +290,23 @@ def test_hand_position_anomaly_needs_whole_window_away():
     near = frame(head=(0, 1.7, 0), hand_right=(0.25, 0, 0))
     kinds, _, _ = detect_anomalies(window_of(far), TRACK, goal)
     assert "hand-position" in kinds
-    mixed = [(0.0, far), (0.3, near), (0.6, far)]
+    mixed = entries([(0.0, far), (0.3, near), (0.6, far)])
     kinds, _, _ = detect_anomalies(mixed, TRACK, goal)
     assert "hand-position" not in kinds  # one close sample clears it
+    # measured again for a new goal: the near sample is far from this one
+    kinds, _, _ = detect_anomalies(mixed, TRACK, np.array([0.3, 1.7, 0.0]))
+    assert "hand-position" in kinds
+    # no goal, or no hand in the whole window: nothing is measured
+    assert "hand-position" not in detect_anomalies(window_of(far), TRACK)[0]
+    handless = frame(head=(0, 1.7, 0))
+    assert "hand-position" not in detect_anomalies(window_of(handless), TRACK, goal)[0]
 
 
 def test_window_shorter_than_half_second_only_warms_up():
     f = frame(head=(0, 0.1, 0))  # would be a fall
-    kinds, warming, facing = detect_anomalies([(0.0, f)], TRACK)
+    kinds, warming, facing = detect_anomalies(entries([(0.0, f)]), TRACK)
     assert warming and kinds == set() and facing is None
-    kinds, warming, _ = detect_anomalies([(0.0, f), (0.4, f)], TRACK)
+    kinds, warming, _ = detect_anomalies(entries([(0.0, f), (0.4, f)]), TRACK)
     assert warming
 
 
@@ -448,3 +478,129 @@ def test_headless_frame_after_correction_is_skipped():
     assert feedback == plain_feedback
     assert (summary.burst, summary.missed, summary.anomalies) == (
         plain.burst, plain.missed, plain.anomalies)
+
+
+# -- per-frame decisions, pinned --------------------------------------------------
+# One learner 0.4 m from head to hand (factor 1.125 against TRACK), with a
+# little seeded jitter. Frames alternate between two layouts of the same
+# joints, in different orders; some drop the hand; from 4 s to 7 s the
+# shoulders are lost and head-forward gives the facing. The learner turns
+# away at 2 s (shoulders) and at 5 s (head-forward), holds the hand far
+# from its goal at 8 s, falls at 11 s, and sends one frame without a head
+# at 12.05 s, after the factor is fixed.
+
+ORDER_A = ("head", "hand-right", "shoulder-left", "shoulder-right", "head-forward")
+ORDER_B = ("shoulder-right", "head-forward", "hand-right", "shoulder-left", "head")
+
+
+def mixed_stream():
+    rng = np.random.default_rng(5)
+    samples = []
+    for i in range(141):
+        t = i / 10
+        x = 0.3 * min(t, 10.0) / 10.0
+        jitter = rng.normal(0.0, 0.02, size=(5, 3))
+        head = np.array([x, 0.5 if 11.0 <= t < 11.6 else 1.7,
+                         0.25 if 3.0 <= t < 9.5 else 0.0])
+        hand = head + [0.4, 0.0, 0.6 if 8.0 <= t < 9.5 else 0.0]
+        turn = -1.0 if 2.0 <= t < 2.8 else 1.0
+        joints = {"head": head, "hand-right": hand,
+                  "shoulder-left": head + [0.2 * turn, -0.2, 0.0],
+                  "shoulder-right": head + [-0.2 * turn, -0.2, 0.0],
+                  "head-forward": head + [0.0, 0.0, -0.1 if 5.0 <= t < 6.0 else 0.1]}
+        for k, name in enumerate(ORDER_A):
+            joints[name] = joints[name] + jitter[k]
+        order = ORDER_A if i % 3 else ORDER_B
+        drop = set()
+        if i % 7 == 3:
+            drop.add("hand-right")
+        if 4.0 <= t < 7.0:
+            drop |= {"shoulder-left", "shoulder-right"}
+        names = tuple(n for n in order if n not in drop)
+        samples.append((t, SkeletonFrame(names, np.array([joints[n] for n in names]))))
+    samples.insert(121, (12.05, frame(hand_right=(0.7, 1.7, 0.0),
+                                      shoulder_left=(0.5, 1.5, 0.0),
+                                      shoulder_right=(0.1, 1.5, 0.0))))
+    return samples
+
+
+# (frame index, primitive) and the summary, as the evaluator gave them
+# before its per-layout plan
+MIXED_PRIMITIVES = [
+    *((11, ("burst", k, 2)) for k in range(9)),
+    (14, ("burst", 9, 2)),
+    (20, ("anomaly", "orientation", "start")),
+    (22, ("burst", 10, 2)),
+    (26, ("burst", 11, 2)),
+    (28, ("anomaly", "orientation", "end")),
+    (50, ("anomaly", "orientation", "start")),
+    (60, ("anomaly", "orientation", "end")),
+    (77, ("missed", 12)),
+    (85, ("anomaly", "hand-position", "start")),
+    (95, ("anomaly", "hand-position", "end")),
+    (95, ("burst", 13, 2)),
+    (97, ("burst", 14, 2)),
+    (98, ("burst", 15, 2)),
+    (99, ("burst", 16, 2)),
+    (100, ("burst", 17, 2)),
+    (102, ("burst", 18, 2)),
+    (103, ("burst", 19, 2)),
+    (103, ("repetition", 1)),
+    (110, ("anomaly", "fall", "start")),
+    (116, ("anomaly", "fall", "end")),
+]
+MIXED_SUMMARY = TrajectorySummary(
+    score=0.75, burst=19, missed=1, spawned=20, repetitions_done=1,
+    anomalies=(Anomaly("orientation", 2.0, 2.8), Anomaly("orientation", 5.0, 6.0),
+               Anomaly("hand-position", 8.5, 9.5), Anomaly("fall", 11.0, 11.6)),
+    aborted=False, abort_kind=None, correction_factor=1.133905138891748,
+    # one warning per layout that lacks a tracked joint: four of them
+    warnings=(*["frames missing tracked joints; targets cannot burst"] * 4,
+              "frames without head skipped: cannot height-correct"))
+
+
+def test_per_frame_decisions_are_pinned():
+    ev = ActionEvaluator(TRACK, t_start=0.0)
+    primitives = [(i, p) for i, (t, f) in enumerate(mixed_stream())
+                  for p in ev.observe(t, f)]
+    summary = ev.finalize(14.0)
+    assert primitives == MIXED_PRIMITIVES
+    assert summary == MIXED_SUMMARY
+
+
+# A learner who holds one pose shifted by reach * match_radius from the
+# reference pose, in direction ``shift``, with their own arm length: after
+# correction the tracked joints sit on the match ball (reach 1) or the
+# hand on the hand-position limit (reach HAND_PROXIMITY_FACTOR), up to
+# rounding. Either way, the evaluator decides as the kernels do on the
+# same corrected rows.
+unit = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(radius=st.floats(0.01, 0.2), arm=st.floats(0.2, 0.9), reach_dir=unit,
+       shift=unit, at_hand_limit=st.booleans())
+def test_burst_and_hand_decisions_match_the_kernels(radius, arm, reach_dir,
+                                                    shift, at_hand_limit):
+    params = TrajectoryParams(match_radius=radius)
+    reach = np.array(reach_dir) / math.hypot(*reach_dir)
+    head = np.array([0.0, 1.7, 0.0])
+    track = build_reference_track(
+        *skel_task([(0.0, frame(head=tuple(head), hand_right=tuple(head + 0.5 * reach)))],
+                   t1=1.0), JOINTS, params)
+    k = HAND_PROXIMITY_FACTOR if at_hand_limit else 1.0
+    moved = head + k * radius * np.array(shift) / math.hypot(*shift)
+    pose = frame(head=tuple(moved), hand_right=tuple(moved + arm * reach))
+    ev = ActionEvaluator(track, t_start=0.0)
+    feedback = [p for i in range(17) for p in ev.observe(i / 8, pose)]
+    summary = ev.finalize(2.0)
+
+    factor = summary.correction_factor
+    rows = (pose.positions if factor == 1.0
+            else scale_about(pose.positions, pose.positions[0], factor))
+    bursts = all_within(rows, track.positions[0], radius)
+    assert summary.burst == (2 if bursts else 0)
+    d = rows[1] - track.positions[0][1]
+    near = math.sqrt(d.dot(d)) <= HAND_PROXIMITY_FACTOR * radius
+    away = ("anomaly", "hand-position", "start") in feedback
+    assert away == (not near and not bursts)
