@@ -1,6 +1,7 @@
 """Event wire format, recording parse rules, the events a reference task
 reads, height correction."""
 
+import io
 import math
 import random
 from dataclasses import replace
@@ -15,7 +16,7 @@ from ahtn.model import TrajectoryParams, parse_network
 from ahtn.telemetry import (Attach, Collision, Event, Pose, RecordingError,
                             SessionRecording, SkeletonFrame, TaskMark,
                             TextInput, parse_event_line, parse_session,
-                            serialize_event, serialize_recording)
+                            read_events, serialize_event, serialize_recording)
 from ahtn.trajectory import ActionEvaluator, build_reference_track, scale_frame
 from conftest import reduce_reference
 
@@ -146,21 +147,33 @@ def test_equal_timestamps_allowed():
     assert len(rec.events) == 2
 
 
-# -- bulk conversion against the per-line loop -------------------------------
+# -- every reader against the per-line loop ----------------------------------
 # parse_session converts skel and pose numbers a block at a time and re-runs
 # a block line by line when the bulk pass meets anything it does not accept;
-# the per-line loop is the reference grammar
+# the per-line loop is the reference grammar, and read_events, the live
+# reader, runs it over a file's lines
 
-def outcome(text):
-    """What parse_session makes of a text: its events as wire lines (so
-    -0.0 and 0.0 differ), the names tuples, or its error."""
+def _file(text):
+    """text as a file, read with each line ending at \\n alone."""
+    return io.StringIO(text, newline="\n")
+
+
+READERS = {
+    "parse_session": lambda text: parse_session(text).events,
+    "read_events": lambda text: read_events(_file(text)),
+}
+
+
+def outcome(text, reader="parse_session"):
+    """What a reader makes of a text: its events as wire lines (so -0.0
+    and 0.0 differ), the names tuples, or its error."""
     try:
-        rec = parse_session(text)
+        events = tuple(READERS[reader](text))
     except RecordingError as err:
         return "error", str(err), err.line
-    frames = [e.payload.names for e in rec.events
+    frames = [e.payload.names for e in events
               if isinstance(e.payload, SkeletonFrame)]
-    return ("ok", [serialize_event(e) for e in rec.events], frames, rec.events)
+    return ("ok", [serialize_event(e) for e in events], frames, events)
 
 
 def per_line_outcome(text, monkeypatch):
@@ -168,6 +181,22 @@ def per_line_outcome(text, monkeypatch):
         raise ValueError("bulk conversion disabled")
     monkeypatch.setattr(telemetry, "_convert_block", refuse)
     return outcome(text)
+
+
+def assert_readers_agree(text):
+    """Every reader gives parse_session's events, or its error at its
+    line. The one documented difference: only a batch reader rejects a
+    start mark still open at the end."""
+    batch = outcome(text)
+    open_at_end = batch[0] == "error" and "unmatched start mark" in batch[1]
+    for reader in READERS:
+        got = outcome(text, reader)
+        if reader == "read_events" and open_at_end:
+            assert got[0] == "ok"
+        else:
+            assert got == batch, reader
+    with pytest.MonkeyPatch.context() as mp:
+        assert per_line_outcome(text, mp) == batch
 
 
 _good_numbers = st.one_of(
@@ -298,9 +327,7 @@ def _recording(draw):
 def test_bulk_parse_matches_per_line_loop(text, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(telemetry, "PARSE_BLOCK_LINES", block)
-        bulk = outcome(text)
-        reference = per_line_outcome(text, mp)
-    assert bulk == reference
+        assert_readers_agree(text)
 
 
 @pytest.mark.parametrize("text", [
@@ -320,7 +347,7 @@ def test_bulk_parse_matches_per_line_loop(text, block):
 ])
 def test_bulk_parse_matches_per_line_loop_on_edge_cases(text, monkeypatch):
     monkeypatch.setattr(telemetry, "PARSE_BLOCK_LINES", 3)
-    assert outcome(text) == per_line_outcome(text, monkeypatch)
+    assert_readers_agree(text)
 
 
 @pytest.mark.parametrize("number,value", [("1_0", 10.0), ("１２", 12.0),
@@ -357,9 +384,8 @@ def test_bulk_parse_matches_per_line_on_bundled_recordings(
     for rec in (hydro_rec, collab_rec):
         text = serialize_recording(rec)
         monkeypatch.setattr(telemetry, "PARSE_BLOCK_LINES", 97)
-        bulk = outcome(text)
-        assert bulk == per_line_outcome(text, monkeypatch)
-        assert bulk[1] == text.splitlines()
+        assert_readers_agree(text)
+        assert outcome(text)[1] == text.splitlines()
         monkeypatch.undo()
 
 
