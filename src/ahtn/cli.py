@@ -19,18 +19,20 @@ more of them.
 from __future__ import annotations
 
 import argparse
+import codecs
 import logging
 import os
 import sys
+from typing import Iterator
 
-from .engine import EngineConfig, Session, build_reference_set, score_recording
+from .engine import EngineConfig, Session, build_reference_set
 from .harness import (MAGNITUDE_RULE, METHODS, MIN_TRIALS, correlate_values,
                       format_monotonicity, monotonicity_csv,
                       monotonicity_report, parse_score_pairs)
 from .model import (Defaults, TaskNetwork, TrajectoryParams, check_setting,
                     parse_network, setting_text, settings, validate_network)
 from .report import write_report
-from .telemetry import parse_session, read_events
+from .telemetry import Event, SessionRecording, iter_events, read_events
 
 log = logging.getLogger("ahtn")
 
@@ -48,6 +50,15 @@ def _setup_logging() -> None:
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def _recording(path: str) -> Iterator[Event]:
+    """A recording file's events, read block by block, never held whole.
+    Recording files and standard input are read as bytes split at \\n
+    alone and decoded as UTF-8, whatever the locale or the platform's
+    line ends, so ``score`` and ``stream`` read the same lines."""
+    with open(path, "rb") as fh:
+        yield from iter_events(codecs.iterdecode(fh, "utf-8"))
 
 
 def _settings_from(args, cls):
@@ -72,9 +83,8 @@ def _load_references(net: TaskNetwork, specs: list[str],
                 quality = float(qtext)
             except ValueError:
                 raise ValueError(f"bad reference quality {qtext!r} in {spec!r}") from None
-        rec = parse_session(_read(path), session_id=os.path.basename(path))
-        pairs.append((rec, quality))
-        log.info("reference %s: %d events, quality %g", path, len(rec.events), quality)
+        pairs.append((_recording(path), quality))
+        log.info("reference %s: quality %g", path, quality)
     return build_reference_set(net, pairs, trajectory)
 
 
@@ -101,19 +111,17 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    config = _engine_config(args)
-    rec = parse_session(_read(args.session))
-    report = score_recording(config, rec)
-    write_report(report, args.out)
+    session = Session(_engine_config(args))
+    session.consume(_recording(args.session))
+    write_report(session.finalize(), args.out)
     log.info("wrote report to %s", args.out)
     return 0
 
 
 def _cmd_stream(args) -> int:
-    config = _engine_config(args)
-    session = Session(config)
+    session = Session(_engine_config(args))
     count = 0
-    for event in read_events(sys.stdin):
+    for event in read_events(codecs.iterdecode(sys.stdin.buffer, "utf-8")):
         count += 1
         for message in session.ingest(event):
             sys.stdout.write(message.render() + "\n")
@@ -130,11 +138,10 @@ def _cmd_stream(args) -> int:
 
 def _cmd_simulate(args) -> int:
     net = _load_network(args)
-    specs = args.refs
-    if len(specs) != 1:
+    if len(args.refs) != 1:
         raise ValueError("simulate takes exactly one --refs recording")
-    path = specs[0]
-    rec = parse_session(_read(path), session_id=os.path.basename(path))
+    path = args.refs[0]
+    rec = SessionRecording(os.path.basename(path), tuple(_recording(path)))
     rows = monotonicity_report(net, rec, args.magnitudes, args.trials, args.seed,
                                _settings_from(args, TrajectoryParams))
     sys.stdout.write(format_monotonicity(rows))

@@ -105,30 +105,32 @@ def _routes(entries: Iterable[tuple[str, T]]) -> dict[str, list[T]]:
 
 
 def build_reference_set(net: TaskNetwork,
-                        recordings: Sequence[tuple[SessionRecording, float]],
+                        recordings: Iterable[tuple[Iterable[Event], float]],
                         params: TrajectoryParams = TrajectoryParams()
                         ) -> ReferenceSet:
-    """Reduce each primitive task of each reference recording to what
-    grading reads: the check features and, for a trajectory task, the
-    track of the node's joints, matched with ``params``
-    (``build_reference_track``, which also measures the performer);
-    ``error`` says why the track could not be built.
+    """Reduce each primitive task of each reference recording, given as
+    its events and its quality, to what grading reads: the check features
+    and, for a trajectory task, the track of the node's joints, matched
+    with ``params`` (``build_reference_track``, which also measures the
+    performer); ``error`` says why the track could not be built.
 
-    One pass over a recording routes its events as a live ``Session``
-    does: a start mark opens a ``task_samples`` reducer, each later event
-    goes to the open tasks whose scope holds its user and is kept where
-    ``add`` takes it, and the end mark closes the task. The events kept
+    A recording's events may be a ``SessionRecording`` or a reader such as
+    ``telemetry.iter_events`` that never holds them whole. One pass routes
+    them as a live ``Session`` does: a start mark opens a ``task_samples``
+    reducer, each later event goes to the open tasks whose scope holds its
+    user and is kept where ``add`` takes it, and the end mark closes the
+    task. The events kept
     are those the track reads. So a bystander's skeleton cannot shift the
     reference, and one rule decides what both sides of a comparison read.
     A task whose marks in a recording are not one start and, at a later
     time, one end takes no reference from it."""
     nodes = {i: net.nodes[i] for i in net.primitive_ids()}
     by_task: ReferenceSet = {i: [] for i in nodes}
-    for rec, quality in recordings:
+    for events, quality in recordings:
         runs: dict[str, tuple[TaskSamples, list[Event]]] = {}  # open tasks
         closed: dict[str, tuple | None] = {}  # None: the marks are unusable
         routes: dict[str, list] = {}  # user -> the open runs of their scopes
-        for e in rec.events:
+        for e in events:
             mark = e.payload
             if type(mark) is not TaskMark:
                 for samples, taken in routes.get(e.user, ()):
@@ -238,10 +240,13 @@ class Session:
                     messages += self._wrap(run, t, primitives)
         return messages
 
-    def consume(self, rec: SessionRecording) -> list[FeedbackMessage]:
+    def consume(self, events: Iterable[Event]) -> list[FeedbackMessage]:
+        """Ingest each of a stream of events, a ``SessionRecording`` or a
+        reader such as ``telemetry.iter_events``, and return their
+        feedback."""
         out: list[FeedbackMessage] = []
         ingest = self.ingest
-        for event in rec.events:
+        for event in events:
             messages = ingest(event)
             if messages:
                 out += messages

@@ -158,8 +158,8 @@ def check_known(value, allowed: tuple, what: str) -> None:
 
 @dataclass(frozen=True)
 class UserScope:
-    """Who a task assesses: one user, a whole group (at least two users),
-    or one user inside a group."""
+    """Who a task assesses: one user, a whole group (at least two users,
+    none listed twice), or one user inside a group."""
 
     category: str
     user_ids: tuple[str, ...]
@@ -170,6 +170,9 @@ class UserScope:
             raise ValueError("group scope needs at least two user ids")
         if self.category != "group" and len(self.user_ids) != 1:
             raise ValueError(f"{self.category} scope needs exactly one user id")
+        repeated = [u for u in self.user_ids if self.user_ids.count(u) > 1]
+        if repeated:
+            raise ValueError(f"scope repeats user id {repeated[0]!r}")
 
     def key(self) -> str:
         """Stable report-scope key for this assessment target."""

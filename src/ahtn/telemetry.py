@@ -9,22 +9,33 @@ Recording format (UTF-8, one event per line, space separated)::
     t=<sec> u=<user> skel <joint>=x,y,z[;<joint>=x,y,z...]
     t=<sec> u=<user> mark <task> start|end
 
-Timestamps must be non-decreasing; quaternions are written normalized
-(scalar-last, checked to 1e-6 here). Every number must be finite: ``nan``
-and ``inf`` are rejected with the line number. Joint names are stripped of
+A line ends at ``\\n`` alone. A ``\\r`` before it is stripped with the
+other surrounding whitespace; other line breaks of ``str.splitlines``
+(``\\r``, ``\\x1c``, ``\\x85``, ``\\u2028``, ...) inside a line are part of
+it. The CLI reads recording files and standard input as UTF-8, whatever
+the locale says. Timestamps must be non-decreasing; quaternions are
+written normalized (scalar-last, checked to 1e-6 here). Every number must
+be finite: ``nan`` and ``inf`` are rejected with the line number. Joint names are stripped of
 surrounding whitespace, must be non-empty, hold no ``,`` ``=`` or ``;``
 and appear once per frame. A frame's joint layout is validated once and
 then shared: every frame with the same names holds the same names tuple.
 Blank lines and ``#`` comments are skipped.
 
-``parse_event_line`` is the reference grammar; live grading runs it line by
-line. ``parse_session`` gives the same events and errors but converts
-numbers in bulk, a block of ``PARSE_BLOCK_LINES`` lines at a time: the
-numbers of all skel and pose lines of a block, per kind and joint count,
-go through one ``np.loadtxt`` call, and the frames of a block are rows of
-one array. A block that fails anywhere is parsed again by the per-line
-loop from the stream state at its start, so errors keep their message and
-first bad line.
+Readers. ``parse_event_line`` is the reference grammar of one line. Two
+readers turn lines into events, and both apply the stream checks (time
+order, mark pairs) in one loop, ``_checked``:
+
+- ``iter_events(lines)``, the batch reader, takes ``PARSE_BLOCK_LINES``
+  lines at a time from any iterable of lines, an open file included, so a
+  recording is never held whole. The numbers of all skel and pose lines
+  of a block, per kind and joint count, go through one ``np.loadtxt``
+  call, and the frames of a block are rows of one array. A block that
+  fails anywhere is parsed again line by line, so errors keep their
+  message and first bad line. A start mark still open at the end raises.
+  ``parse_session(text)`` is ``iter_events`` over a whole text.
+- ``read_events(lines)``, the live reader, parses line by line, so each
+  event is yielded as soon as its line is read. A stream may end with a
+  task open; the engine reports that task as unfinished.
 
 Which events belong to a task is one rule, in stream order: those after
 its start mark and before its end mark, so events that share a mark's
@@ -39,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
@@ -181,8 +193,14 @@ class Event:
 
 @dataclass(frozen=True)
 class SessionRecording:
+    """A recording held whole; it iterates its events, so it goes where
+    the engine takes a stream of events."""
+
     session_id: str
     events: tuple[Event, ...]
+
+    def __iter__(self) -> Iterator[Event]:
+        return iter(self.events)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,9 +230,10 @@ ReferenceSet = dict[str, list[Reference]]  # references per task id
 # every byte except the skeleton separators; deleting them leaves a frame's
 # separator sequence, b"=,,;" per joint less the final ";"
 _NOT_SKEL_SEPARATOR = bytes(b for b in range(256) if b not in b",;=")
-# the same for the bulk path, which also keeps \x1f so that a line holding
-# it never matches a separator pattern (see _convert_block)
-_NOT_BULK_SKEL_SEPARATOR = bytes(b for b in range(256) if b not in b",;=\x1f")
+# the same for the bulk path, which also keeps \x1c to \x1f so that a line
+# holding one never matches a separator pattern (see _convert_block)
+_NOT_BULK_SKEL_SEPARATOR = bytes(b for b in range(256)
+                                 if b not in b",;=\x1c\x1d\x1e\x1f")
 
 
 def _parse_prefixed(token: str, prefix: str, lineno: int) -> str:
@@ -325,34 +344,69 @@ def parse_event_line(line: str, lineno: int = 0) -> Event:
 
 
 def parse_session(text: str, session_id: str = "session") -> SessionRecording:
-    """Parse a full recording. Rejects (never sorts) timestamp regressions
-    and unmatched or nested TaskMarks, reporting the offending line.
+    """Parse a whole recording with ``iter_events``; its lines end at
+    ``\\n`` alone."""
+    return SessionRecording(session_id, tuple(iter_events(text.split("\n"))))
 
-    The text is taken ``PARSE_BLOCK_LINES`` lines at a time. A block is
-    first converted in bulk (``_convert_block``); if that meets anything it
-    does not accept, the block is parsed again from the same stream state
-    by the per-line loop (``read_events``), whose events and errors are
-    the result."""
-    lines = text.splitlines()
-    events: list[Event] = []
+
+def iter_events(lines: Iterable[str]) -> Iterator[Event]:
+    """The batch reader: a recording's events from any iterable of lines,
+    converted ``PARSE_BLOCK_LINES`` lines at a time. A block is first
+    converted in bulk (``_convert_block``); if that meets anything it does
+    not accept, the block is parsed again line by line, whose events and
+    errors are the result. The stream checks of ``_checked`` follow, and a
+    start mark still open at the end raises with its line."""
     open_marks: dict[str, int] = {}
-    last_t = -math.inf
-    for first in range(0, len(lines), PARSE_BLOCK_LINES):
-        block = lines[first:first + PARSE_BLOCK_LINES]
-        kept, block_marks = len(events), dict(open_marks)
-        try:
-            last_t = _convert_block(block, first + 1, last_t, open_marks, events)
-        except ValueError:
-            del events[kept:]
-            open_marks = block_marks
-            events.extend(read_events(block, first + 1, last_t, open_marks))
-            last_t = events[-1].t if events else last_t
-
+    yield from _checked(_blocks(iter(lines)), open_marks)
     if open_marks:
         task_id, lineno = next(iter(open_marks.items()))
         raise RecordingError(f"unmatched start mark for task {task_id!r}", lineno)
 
-    return SessionRecording(session_id=session_id, events=tuple(events))
+
+def read_events(lines: Iterable[str]) -> Iterator[Event]:
+    """The live reader: ``parse_event_line`` and the stream checks of
+    ``_checked``, line by line, so each event is yielded as soon as its
+    line is read."""
+    return _checked(_parse_lines(lines, 1), {})
+
+
+def _blocks(lines: Iterator[str]) -> Iterator[tuple[int, Event]]:
+    """(line number, event) pairs of each block of lines: all of a block's
+    from ``_convert_block``, or, when it refuses the block, those of the
+    per-line parse."""
+    lineno = 1
+    while block := list(islice(lines, PARSE_BLOCK_LINES)):
+        try:
+            yield from _convert_block(block, lineno)
+        except ValueError:
+            yield from _parse_lines(block, lineno)
+        lineno += len(block)
+
+
+def _parse_lines(lines: Iterable[str], lineno: int) -> Iterator[tuple[int, Event]]:
+    """The per-line reference parse: (line number, event) pairs, numbered
+    from ``lineno``; blank lines and ``#`` comments are skipped."""
+    for lineno, raw in enumerate(lines, lineno):
+        line = raw.strip()
+        if line and line[0] != "#":
+            yield lineno, parse_event_line(line, lineno)
+
+
+def _checked(pairs: Iterable[tuple[int, Event]],
+             open_marks: dict[str, int]) -> Iterator[Event]:
+    """The stream checks every reader applies, in line order: a timestamp
+    regression and a nested or unopened mark raise with their line;
+    ``open_marks`` (task id -> line of its open start mark) is updated in
+    place."""
+    last_t = -math.inf
+    for lineno, event in pairs:
+        if event.t < last_t:
+            raise RecordingError(
+                f"timestamp regression: {event.t} after {last_t}", lineno)
+        last_t = event.t
+        if type(event.payload) is TaskMark:
+            _track_mark(event.payload, lineno, open_marks)
+        yield event
 
 
 def _track_mark(mark: TaskMark, lineno: int, open_marks: dict[str, int]) -> None:
@@ -369,49 +423,27 @@ def _track_mark(mark: TaskMark, lineno: int, open_marks: dict[str, int]) -> None
         del open_marks[task_id]
 
 
-def read_events(lines: Iterable[str], lineno: int = 1,
-                last_t: float = -math.inf,
-                open_marks: dict[str, int] | None = None) -> Iterator[Event]:
-    """The per-line reference loop: ``parse_event_line`` and the stream
-    checks, line by line from ``lineno``, yielding each event. A timestamp
-    regression and a nested or unopened mark raise with their line
-    number; ``open_marks`` (task id -> line of its open start mark) is
-    updated in place."""
-    if open_marks is None:
-        open_marks = {}
-    for lineno, raw in enumerate(lines, lineno):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        event = parse_event_line(line, lineno)
-        if event.t < last_t:
-            raise RecordingError(
-                f"timestamp regression: {event.t} after {last_t}", lineno)
-        last_t = event.t
-        if type(event.payload) is TaskMark:
-            _track_mark(event.payload, lineno, open_marks)
-        yield event
+def _convert_block(lines: list[str], lineno: int) -> list[tuple[int, Event]]:
+    """Bulk form of the per-line parse, numbering lines from ``lineno``,
+    with the same (line number, event) pairs for every block it accepts;
+    it raises ValueError on anything else, and the caller then parses the
+    block line by line. It holds no stream state: the stream checks follow
+    in ``_checked``.
 
-
-def _convert_block(lines: list[str], lineno: int, last_t: float,
-                   open_marks: dict[str, int], events: list[Event]) -> float:
-    """Bulk form of ``read_events`` with the same result for every block
-    it accepts; it raises ValueError on anything else, and the caller then
-    runs ``read_events`` on the block.
-
-    Pass 1 splits each line into its t=, u= and kind fields and does the
-    stream checks. Mark, attach, collide and text lines go through
-    ``parse_event_line``; skel and pose lines are held back, with their
-    separator pattern and joint names checked against the last layout
-    seen. Then the numbers of all held-back lines of one kind and joint
-    count go through one ``np.loadtxt`` call. ``loadtxt`` reads numbers as
-    ``float()`` does, but rejects some that ``float()`` takes (``1_0``,
-    non-ASCII digits), so those lines fall back; \\x1f, which ``loadtxt``
-    strips around a number and ``float()`` does not, never reaches it.
+    Pass 1 splits each line into its t=, u= and kind fields. Mark, attach,
+    collide and text lines go through ``parse_event_line``; skel and pose
+    lines are held back, with their separator pattern and joint names
+    checked against the last layout seen. Then the numbers of all
+    held-back lines of one kind and joint count go through one
+    ``np.loadtxt`` call. ``loadtxt`` reads numbers as ``float()`` does, but
+    rejects some that ``float()`` takes (``1_0``, non-ASCII digits, a
+    ``\\r``), so those lines fall back; \\x1c to \\x1f, which ``loadtxt``
+    strips around a number and ``float()`` does not, never reach it.
     Finiteness and the quaternion norm are checked on the whole array, with
     the IEEE operations of the per-line check. Each frame's positions are
     its (J, 3) rows of the block array."""
-    held_poses: list[tuple] = []  # (event slot, t, user, object id)
+    pairs: list = []
+    held_poses: list[tuple] = []  # (pair slot, line, t, user, object id)
     pose_numbers: list[str] = []
     held_frames: dict[int, tuple[list[tuple], list[str]]] = {}  # J -> frames, rows
     prefixes: tuple[str, ...] = ()
@@ -423,23 +455,16 @@ def _convert_block(lines: list[str], lineno: int, last_t: float,
         parts = line.split(None, 3)
         kind = parts[2] if len(parts) == 4 else None
         if kind != "skel" and kind != "pose":
-            event = parse_event_line(line, lineno)
-            if event.t < last_t:
-                raise ValueError("timestamp regression")
-            last_t = event.t
-            if type(event.payload) is TaskMark:
-                _track_mark(event.payload, lineno, open_marks)
-            events.append(event)
+            pairs.append((lineno, parse_event_line(line, lineno)))
             continue
         t_text, user, _, rest = parts
         if t_text[:2] != "t=" or user[:2] != "u=" or len(user) == 2:
             raise ValueError("bad t= or u= field")
         t = float(t_text[2:])
-        if t < last_t or not 0.0 <= t < math.inf:
-            raise ValueError("timestamp out of range or order")
-        last_t = t
-        held = (len(events), t, user[2:])
-        events.append(None)  # filled once the block's numbers are converted
+        if not 0.0 <= t < math.inf:
+            raise ValueError("timestamp out of range")
+        held = (len(pairs), lineno, t, user[2:])
+        pairs.append(None)  # filled once the block's numbers are converted
         if kind == "pose":
             obj, numbers = rest.split(None, 1)
             held_poses.append((*held, obj))
@@ -468,9 +493,9 @@ def _convert_block(lines: list[str], lineno: int, last_t: float,
             raise ValueError("quaternion norm")
         positions = zip(*numbers[:, :3].T.tolist())
         orientations = zip(*numbers[:, 3:].T.tolist())
-        for (slot, t, user, obj), position, orientation in zip(
+        for (slot, lineno, t, user, obj), position, orientation in zip(
                 held_poses, positions, orientations):
-            events[slot] = Event(t, user, Pose(obj, position, orientation))
+            pairs[slot] = lineno, Event(t, user, Pose(obj, position, orientation))
     for joints, (frames, rows) in held_frames.items():
         # with "=" and ";" read as ",", a row is name,x,y,z per joint
         numbers = np.loadtxt(
@@ -480,10 +505,10 @@ def _convert_block(lines: list[str], lineno: int, last_t: float,
             comments=None, ndmin=2)
         if not np.isfinite(numbers).all():
             raise ValueError("skel numbers")
-        for (slot, t, user, layout), positions in zip(
+        for (slot, lineno, t, user, layout), positions in zip(
                 frames, numbers.reshape(-1, joints, 3)):
-            events[slot] = Event(t, user, SkeletonFrame(layout, positions))
-    return last_t
+            pairs[slot] = lineno, Event(t, user, SkeletonFrame(layout, positions))
+    return pairs
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,13 @@ def run(capsys):
     return _run
 
 
+def stdin(text, encoding="utf-8"):
+    """A standard input holding text as UTF-8 bytes, decoded with
+    ``encoding`` and lines ending at \\n, as on POSIX."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")),
+                            encoding=encoding, newline="\n")
+
+
 def hydro(demo_dir, name):
     return str(demo_dir / f"hydrometer.{name}")
 
@@ -225,7 +232,7 @@ def test_stream_report_matches_batch_score(run, demo_dir, tmp_path, monkeypatch)
 
     stream_out = tmp_path / "stream.txt"
     monkeypatch.setattr("sys.stdin",
-                        io.StringIO((demo_dir / "hydrometer.rec").read_text()))
+                        stdin((demo_dir / "hydrometer.rec").read_text()))
     code, out, _ = run("stream", "--net", hydro(demo_dir, "ahtn"),
                        "--refs", hydro(demo_dir, "rec"),
                        "--out", str(stream_out))
@@ -247,7 +254,7 @@ def test_check_error_warning_is_the_same_in_score_and_stream(
                      "--session", str(session_path), "--out", str(batch_out))
     assert code == 0
     stream_out = tmp_path / "stream.txt"
-    monkeypatch.setattr("sys.stdin", io.StringIO(session))
+    monkeypatch.setattr("sys.stdin", stdin(session))
     code, _, _ = run("stream", "--net", hydro(demo_dir, "ahtn"),
                      "--refs", hydro(demo_dir, "rec"), "--out", str(stream_out))
     assert code == 0
@@ -284,7 +291,7 @@ def test_warm_up_replayed_at_the_end_mark_sends_its_feedback(
                      "--session", str(session_path), "--out", str(batch_out))
     assert code == 0
     stream_out = tmp_path / "stream.txt"
-    monkeypatch.setattr("sys.stdin", io.StringIO(session))
+    monkeypatch.setattr("sys.stdin", stdin(session))
     code, out, _ = run("stream", "--net", hydro(demo_dir, "ahtn"),
                        "--refs", hydro(demo_dir, "rec"), "--anomaly-wait", "0",
                        "--out", str(stream_out))
@@ -313,7 +320,7 @@ def test_misspelled_user_warns_of_empty_tasks_in_score_and_stream(
                      "--session", str(session_path), "--out", str(batch_out))
     assert code == 0
     stream_out = tmp_path / "stream.txt"
-    monkeypatch.setattr("sys.stdin", io.StringIO(session))
+    monkeypatch.setattr("sys.stdin", stdin(session))
     code, _, _ = run("stream", "--net", hydro(demo_dir, "ahtn"),
                      "--refs", hydro(demo_dir, "rec"), "--out", str(stream_out))
     assert code == 0
@@ -348,7 +355,7 @@ def test_reference_missing_tracked_joint_is_the_same_warning_in_score_and_stream
     assert code == 0
     stream_out = tmp_path / "stream.txt"
     monkeypatch.setattr("sys.stdin",
-                        io.StringIO((demo_dir / "hydrometer.rec").read_text()))
+                        stdin((demo_dir / "hydrometer.rec").read_text()))
     code, _, _ = run("stream", "--net", str(net_path),
                      "--refs", hydro(demo_dir, "rec"), "--out", str(stream_out))
     assert code == 0
@@ -383,7 +390,7 @@ def test_reference_frames_without_head_are_the_same_in_score_and_stream(
     assert code == 0, err
     stream_out = tmp_path / "stream.txt"
     monkeypatch.setattr("sys.stdin",
-                        io.StringIO((demo_dir / "hydrometer.rec").read_text()))
+                        stdin((demo_dir / "hydrometer.rec").read_text()))
     code, _, err = run("stream", "--net", hydro(demo_dir, "ahtn"),
                        "--refs", str(refs), "--out", str(stream_out))
     assert code == 0, err
@@ -397,7 +404,7 @@ def test_reference_frames_without_head_are_the_same_in_score_and_stream(
 
 def test_stream_emits_realtime_feedback(run, demo_dir, tmp_path, monkeypatch):
     monkeypatch.setattr("sys.stdin",
-                        io.StringIO((demo_dir / "collaborative.rec").read_text()))
+                        stdin((demo_dir / "collaborative.rec").read_text()))
     code, out, _ = run("stream", "--net", collab(demo_dir, "ahtn"),
                        "--refs", collab(demo_dir, "rec"))
     assert code == 0
@@ -409,7 +416,7 @@ def test_stream_emits_realtime_feedback(run, demo_dir, tmp_path, monkeypatch):
 
 
 def test_stream_requires_events(run, demo_dir, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("# nothing here\n"))
+    monkeypatch.setattr("sys.stdin", stdin("# nothing here\n"))
     code, _, err = run("stream", "--net", hydro(demo_dir, "ahtn"),
                        "--refs", hydro(demo_dir, "rec"))
     assert code == 1
@@ -419,7 +426,7 @@ def test_stream_requires_events(run, demo_dir, monkeypatch):
 def test_stream_fails_fast_on_malformed_line(run, demo_dir, tmp_path, monkeypatch):
     lines = (demo_dir / "hydrometer.rec").read_text().splitlines(keepends=True)
     bad = lines[:2] + ["t=0.0 u=student pose cup 0 0 0 nan nan nan nan\n"] + lines[2:]
-    monkeypatch.setattr("sys.stdin", io.StringIO("".join(bad)))
+    monkeypatch.setattr("sys.stdin", stdin("".join(bad)))
     out_path = tmp_path / "report.txt"
     code, _, err = run("stream", "--net", hydro(demo_dir, "ahtn"),
                        "--refs", hydro(demo_dir, "rec"), "--out", str(out_path))
@@ -432,7 +439,7 @@ def _stream_and_score(run, demo_dir, tmp_path, monkeypatch, text):
     """Exit codes and errors of stream and score over the same text."""
     session = tmp_path / "session.rec"
     session.write_text(text)
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", stdin(text))
     stream_out = tmp_path / "stream.txt"
     streamed = run("stream", "--net", hydro(demo_dir, "ahtn"),
                    "--refs", hydro(demo_dir, "rec"), "--out", str(stream_out))
@@ -461,6 +468,36 @@ def test_stream_names_the_line_of_a_timestamp_regression(
                                             monkeypatch, text)
     assert code == 1 and "ahtn: error: line 101: timestamp regression: 0.0 after" in err
     assert scored == (code, err)
+
+
+@pytest.mark.parametrize("old, new, encoding", [
+    ('"1.257"', '"1.2\u20287"', "utf-8"),
+    ('"1.257"', '"1.2\x1c57"', "utf-8"),
+    ('"1.257"', '"1.2\r57"', "utf-8"),
+    ("student", "zo\u00eb", "latin-1"),
+], ids=["u2028", "x1c", "cr", "utf-8-under-latin-1"])
+def test_score_and_stream_read_the_same_lines_and_characters(
+        run, demo_dir, tmp_path, monkeypatch, old, new, encoding):
+    # a line ends at \n alone and a recording is UTF-8, whatever the
+    # locale says standard input holds; a renamed user is renamed in the
+    # network and the reference too
+    net = (demo_dir / "hydrometer.ahtn").read_text(encoding="utf-8")
+    ref = (demo_dir / "hydrometer.rec").read_text(encoding="utf-8")
+    assert old in ref
+    session = ref.replace(old, new)
+    if old == "student":
+        net, ref = net.replace(old, new), session
+    for name, text in (("net.ahtn", net), ("ref.rec", ref), ("session.rec", session)):
+        (tmp_path / name).write_bytes(text.encode("utf-8"))
+    files = ("--net", str(tmp_path / "net.ahtn"), "--refs", str(tmp_path / "ref.rec"))
+    batch_out = tmp_path / "batch.txt"
+    scored, _, err = run("score", *files, "--session", str(tmp_path / "session.rec"),
+                         "--out", str(batch_out))
+    stream_out = tmp_path / "stream.txt"
+    monkeypatch.setattr("sys.stdin", stdin(session, encoding))
+    streamed, _, _ = run("stream", *files, "--out", str(stream_out))
+    assert (scored, streamed) == (0, 0), err
+    assert stream_out.read_bytes() == batch_out.read_bytes()
 
 
 # -- simulate -----------------------------------------------------------------------

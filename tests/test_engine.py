@@ -1,9 +1,11 @@
 """Session routing, feedback gating, aggregation, and report assembly."""
 
+import dataclasses
 import functools
 import gc
 import importlib
 import importlib.util
+import io
 import random
 import re
 from dataclasses import replace
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ahtn import engine, fixtures
+from ahtn.cli import main
 from ahtn.engine import (Defaults, EngineConfig, Session, aggregate,
                          build_reference_set, score_recording, task_samples)
 from ahtn.checks import FEATURE_KINDS, TaskSamples
@@ -21,8 +24,8 @@ from ahtn.model import (AssessmentSpec, CheckSpec, TaskNetwork, TaskNode,
                         TrajectoryParams, UserScope, parse_network)
 from ahtn.report import render_report
 from ahtn.telemetry import (Collision, Event, Pose, SessionRecording,
-                            SkeletonFrame, TaskMark, TextInput,
-                            parse_event_line, parse_session,
+                            SkeletonFrame, TaskMark, TextInput, iter_events,
+                            parse_event_line, parse_session, read_events,
                             serialize_recording)
 from conftest import move_marks
 
@@ -604,6 +607,80 @@ def test_batch_and_incremental_delivery_render_identically(
         session.ingest(event)
     incremental = render_report(session.finalize())
     assert incremental == batch
+
+
+# -- streamed equals whole ---------------------------------------------------------
+# the CLI feeds references and sessions to the engine from telemetry.iter_events
+# as it reads a file, never holding the recording
+
+def one_shot(rec):
+    """rec's events, read once from its file by iter_events."""
+    return iter_events(io.StringIO(serialize_recording(rec), newline="\n"))
+
+
+def assert_same(a, b):
+    """a == b, through dataclasses, mappings, sequences and numpy arrays."""
+    if isinstance(a, np.ndarray):
+        assert np.array_equal(a, b)
+    elif dataclasses.is_dataclass(a):
+        assert type(a) is type(b)
+        for f in dataclasses.fields(a):
+            assert_same(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, (dict, list, tuple)):
+        assert type(a) is type(b) and len(a) == len(b)
+        if isinstance(a, dict):
+            assert a.keys() == b.keys()
+            a, b = list(a.values()), [b[k] for k in a]
+        for x, y in zip(a, b):
+            assert_same(x, y)
+    else:
+        assert a == b
+
+
+@pytest.mark.parametrize("demo", ["hydro", "collab"])
+def test_streamed_events_build_the_references_of_the_recording(demo, request):
+    net = request.getfixturevalue(f"{demo}_net")
+    rec = request.getfixturevalue(f"{demo}_rec")
+    whole = build_reference_set(net, [(rec, 0.9)])
+    assert any(r.track is not None for refs in whole.values() for r in refs)
+    assert_same(build_reference_set(net, [(one_shot(rec), 0.9)]), whole)
+
+
+@pytest.mark.parametrize("demo", ["hydro", "collab"])
+def test_streamed_session_renders_the_report_of_the_recording(demo, request):
+    net, rec, refs = (request.getfixturevalue(f"{demo}_{name}")
+                      for name in ("net", "rec", "refs"))
+    config = cfg(net, refs)
+    batch = Session(config, session_id=rec.session_id)
+    batch_feedback = batch.consume(rec)
+    streamed = Session(config, session_id=rec.session_id)
+    assert streamed.consume(one_shot(rec)) == batch_feedback
+    assert render_report(streamed.finalize()) == render_report(
+        score_recording(config, rec))
+
+
+def test_score_meets_a_bad_line_after_ingesting_the_events_before_it(
+        demo_dir, tmp_path, capsys, monkeypatch):
+    lines = (demo_dir / "hydrometer.rec").read_text().splitlines(keepends=True)
+    lines[499] = "t=16.0 u=student warp cup\n"
+    session, out = tmp_path / "bad.rec", tmp_path / "report.txt"
+    session.write_text("".join(lines))
+    ingested = []
+    ingest = Session.ingest
+
+    def counting(self, event):
+        ingested.append(event)
+        return ingest(self, event)
+
+    monkeypatch.setattr(Session, "ingest", counting)
+    code = main(["score", "--net", str(demo_dir / "hydrometer.ahtn"),
+                 "--refs", str(demo_dir / "hydrometer.rec"),
+                 "--session", str(session), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "ahtn: error: line 500: unknown event kind 'warp'\n")
+    assert not out.exists()
+    assert len(ingested) == len(list(read_events(lines[:499])))
 
 
 # -- report details ----------------------------------------------------------------

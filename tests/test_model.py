@@ -77,6 +77,7 @@ def test_missing_weight_names_node_and_parameter():
      "check option not allowed for orientation: 'ref'"),
     ("  time -3", "time"),
     ("  flavor vanilla", "unknown directive"),
+    ("  user group a a", "scope repeats user id 'a'"),
 ])
 def test_bad_directives_report_line_numbers(line, fragment):
     text = "task T\n  kind primitive\n" + line + "\nend\n"
@@ -423,6 +424,8 @@ def test_library_settings_are_checked(hydro_net, build, name):
      "group scope needs at least two user ids"),
     (lambda net: replace(net.nodes["T1"].users, user_ids=()),
      "single-user scope needs exactly one user id"),
+    (lambda net: UserScope("group", ("student", "tutor", "student")),
+     "scope repeats user id 'student'"),
     (lambda net: replace(net.nodes["hydrometer"], children=()),
      "abstract task has no children"),
     (lambda net: replace(net.nodes["hydrometer"], weight=1.0),
@@ -435,8 +438,9 @@ def test_library_settings_are_checked(hydro_net, build, name):
 ], ids=["CheckSpec.kind", "CheckSpec.ref", "CheckSpec.tol-kind",
         "CheckSpec.ref-kind", "AssessmentSpec.mode", "TaskNode.feedback",
         "AssessmentSpec.checks", "TaskNode.joints", "UserScope.group",
-        "UserScope.single", "TaskNode.abstract-children", "TaskNode.abstract-field",
-        "TaskNode.primitive-children", "TaskNode.required", "TaskMark.edge"])
+        "UserScope.single", "UserScope.repeat", "TaskNode.abstract-children",
+        "TaskNode.abstract-field", "TaskNode.primitive-children",
+        "TaskNode.required", "TaskMark.edge"])
 def test_library_types_hold_their_rules(hydro_net, build, rule):
     with pytest.raises(ValueError, match=f"^{re.escape(rule)}"):
         build(hydro_net)

@@ -15,8 +15,9 @@ from ahtn.engine import build_reference_set, task_samples
 from ahtn.model import TrajectoryParams, parse_network
 from ahtn.telemetry import (Attach, Collision, Event, Pose, RecordingError,
                             SessionRecording, SkeletonFrame, TaskMark,
-                            TextInput, parse_event_line, parse_session,
-                            read_events, serialize_event, serialize_recording)
+                            TextInput, iter_events, parse_event_line,
+                            parse_session, read_events, serialize_event,
+                            serialize_recording)
 from ahtn.trajectory import ActionEvaluator, build_reference_track, scale_frame
 from conftest import reduce_reference
 
@@ -150,8 +151,9 @@ def test_equal_timestamps_allowed():
 # -- every reader against the per-line loop ----------------------------------
 # parse_session converts skel and pose numbers a block at a time and re-runs
 # a block line by line when the bulk pass meets anything it does not accept;
-# the per-line loop is the reference grammar, and read_events, the live
-# reader, runs it over a file's lines
+# the per-line loop is the reference grammar; iter_events does the same
+# over a file's lines, and read_events, the live reader, runs the per-line
+# loop over them
 
 def _file(text):
     """text as a file, read with each line ending at \\n alone."""
@@ -160,6 +162,7 @@ def _file(text):
 
 READERS = {
     "parse_session": lambda text: parse_session(text).events,
+    "iter_events": lambda text: iter_events(_file(text)),
     "read_events": lambda text: read_events(_file(text)),
 }
 
@@ -212,6 +215,11 @@ _bad_numbers = st.sampled_from(["nan", "inf", "-inf", "1e400", "", "x", "0x10",
                                 "1\x00", "1 2", "1\x1f\xa0"])
 # loadtxt strips \x1f around a number as whitespace, float() does not
 _x1f_numbers = st.sampled_from(["\x1f1", "1\x1f", "\x1f2\x1f"])
+# characters that some line splitters end a line at: inside a line they
+# are whitespace to str.split(), and all but \x1c to float()
+_eol_chars = st.sampled_from(["\r", "\x1c", "\x85", "\u2028"])
+_eol_numbers = st.builds(lambda c, i: (f"1{c}5", f"{c}1", f"2{c}")[i],
+                         _eol_chars, st.integers(0, 2))
 _layouts = st.sampled_from([
     ("head",), ("head", "hand-right"), ("hand-right", "head"), ("a", "b", "c"),
     (" head", "hand-right "), ("head", " hand-right"), ("x y", "z"),
@@ -246,7 +254,8 @@ def _pose(draw, quat, odd=None):
 
 
 # one way to spoil a line each; "odd" and "pose-gap" lines stay valid
-_FLAWS = ("odd", "odd", "bad-number", "bad-number", "x1f", "x1f", "bad-layout",
+_FLAWS = ("odd", "odd", "bad-number", "bad-number", "x1f", "x1f", "eol",
+          "eol-text", "bad-layout",
           "bad-quat", "drop", "tail", "semi", "extra", "eq", "pose-count",
           "pose-gap", "regression", "stamp", "user", "mark", "kind")
 
@@ -289,7 +298,7 @@ def _recording(draw):
         i = draw(st.integers(0, len(lines) - 1))
         head, rest = f"t={stamps[i]!r} u=a ", rests[i]
         odd = {"odd": _odd_numbers, "bad-number": _bad_numbers,
-               "x1f": _x1f_numbers}.get(flaw)
+               "x1f": _x1f_numbers, "eol": _eol_numbers}.get(flaw)
         if odd is not None and (flaw == "x1f" or draw(st.booleans())):
             rest = _skel(draw, draw(_layouts), odd)
         elif odd is not None:
@@ -306,6 +315,8 @@ def _recording(draw):
                 rest = draw(st.sampled_from([rest + " 0", rest.rsplit(None, 1)[0]]))
             elif flaw == "pose-gap":
                 rest = "\x1f".join(rest.rsplit(None, 1))
+        elif flaw == "eol-text":
+            rest = f'text f "1{draw(_eol_chars)}5"'
         elif flaw == "mark":
             rest = draw(st.sampled_from(["mark C end", "mark C start"]))
         elif flaw == "kind":
@@ -344,6 +355,12 @@ def test_bulk_parse_matches_per_line_loop(text, block):
     "t=0 u=a pose cup nan 0 0 0 0 0 1",
     "t=0 u=a pose cup 0 0 0 0 0 0 1\x1f\nt=0 u=a pose cup 1_0 0 0 0 0 0 1",
     "t=0 u=a mark A start\nt=0 u=a skel h=1,2,3\nt=1 u=b skel h=1,2,3\nt=0.5 u=a skel h=1,2,3",
+    "t=0 u=a skel head=1,2,3\r\nt=1 u=a pose cup 0 0 0 0 0 0 1\r\n",
+    't=0 u=a text f "1\r5"\nt=1 u=a skel head=1,2\r,3',
+    "t=0 u=a skel head=1,2,3\nt=1 u=a skel head=\x1c1,2,3",
+    "t=0 u=a skel head=1\x85,2,3\nt=1 u=a skel head=1,\u20282,3",
+    "t=0 u=a pose cup 0 0 0\r0 0 0 1\nt=1 u=a pose cup 0\x85 0 0 0 0\u2028 0 1",
+    't=0 u=a text f "1\u20285"\nt=0 u=a text f "\x1c"\nt=1 u=a text f "1\x855"',
 ])
 def test_bulk_parse_matches_per_line_loop_on_edge_cases(text, monkeypatch):
     monkeypatch.setattr(telemetry, "PARSE_BLOCK_LINES", 3)
