@@ -19,7 +19,6 @@ more of them.
 from __future__ import annotations
 
 import argparse
-import codecs
 import logging
 import os
 import sys
@@ -32,7 +31,8 @@ from .harness import (MAGNITUDE_RULE, METHODS, MIN_TRIALS, correlate_values,
 from .model import (Defaults, TaskNetwork, TrajectoryParams, check_setting,
                     parse_network, setting_text, settings, validate_network)
 from .report import write_report
-from .telemetry import Event, SessionRecording, iter_events, read_events
+from .telemetry import (Event, SessionRecording, iter_events, read_events,
+                        recording_lines)
 
 log = logging.getLogger("ahtn")
 
@@ -53,12 +53,9 @@ def _read(path: str) -> str:
 
 
 def _recording(path: str) -> Iterator[Event]:
-    """A recording file's events, read block by block, never held whole.
-    Recording files and standard input are read as bytes split at \\n
-    alone and decoded as UTF-8, whatever the locale or the platform's
-    line ends, so ``score`` and ``stream`` read the same lines."""
+    """A recording file's events, read block by block, never held whole."""
     with open(path, "rb") as fh:
-        yield from iter_events(codecs.iterdecode(fh, "utf-8"))
+        yield from iter_events(recording_lines(fh))
 
 
 def _settings_from(args, cls):
@@ -121,7 +118,7 @@ def _cmd_score(args) -> int:
 def _cmd_stream(args) -> int:
     session = Session(_engine_config(args))
     count = 0
-    for event in read_events(codecs.iterdecode(sys.stdin.buffer, "utf-8")):
+    for event in read_events(recording_lines(sys.stdin.buffer)):
         count += 1
         for message in session.ingest(event):
             sys.stdout.write(message.render() + "\n")

@@ -170,9 +170,8 @@ class UserScope:
             raise ValueError("group scope needs at least two user ids")
         if self.category != "group" and len(self.user_ids) != 1:
             raise ValueError(f"{self.category} scope needs exactly one user id")
-        repeated = [u for u in self.user_ids if self.user_ids.count(u) > 1]
-        if repeated:
-            raise ValueError(f"scope repeats user id {repeated[0]!r}")
+        if len(set(self.user_ids)) != len(self.user_ids):
+            raise ValueError(f"scope repeats a user id: {' '.join(self.user_ids)}")
 
     def key(self) -> str:
         """Stable report-scope key for this assessment target."""

@@ -48,10 +48,11 @@ reference recording's events the same way.
 
 from __future__ import annotations
 
+import codecs
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -349,6 +350,13 @@ def parse_session(text: str, session_id: str = "session") -> SessionRecording:
     return SessionRecording(session_id, tuple(iter_events(text.split("\n"))))
 
 
+def recording_lines(fh: BinaryIO) -> Iterator[str]:
+    """A binary file's lines as the format defines them: split at ``\\n``
+    alone and decoded as UTF-8, whatever the locale or the platform's line
+    ends, so files and standard input give the same lines."""
+    return codecs.iterdecode(fh, "utf-8")
+
+
 def iter_events(lines: Iterable[str]) -> Iterator[Event]:
     """The batch reader: a recording's events from any iterable of lines,
     converted ``PARSE_BLOCK_LINES`` lines at a time. A block is first
@@ -356,30 +364,26 @@ def iter_events(lines: Iterable[str]) -> Iterator[Event]:
     not accept, the block is parsed again line by line, whose events and
     errors are the result. The stream checks of ``_checked`` follow, and a
     start mark still open at the end raises with its line."""
-    open_marks: dict[str, int] = {}
-    yield from _checked(_blocks(iter(lines)), open_marks)
-    if open_marks:
-        task_id, lineno = next(iter(open_marks.items()))
-        raise RecordingError(f"unmatched start mark for task {task_id!r}", lineno)
+    return _checked(_blocks(iter(lines)), closed_at_end=True)
 
 
 def read_events(lines: Iterable[str]) -> Iterator[Event]:
     """The live reader: ``parse_event_line`` and the stream checks of
     ``_checked``, line by line, so each event is yielded as soon as its
-    line is read."""
-    return _checked(_parse_lines(lines, 1), {})
+    line is read. A task may still be open at the end."""
+    return _checked([_parse_lines(lines, 1)], closed_at_end=False)
 
 
-def _blocks(lines: Iterator[str]) -> Iterator[tuple[int, Event]]:
-    """(line number, event) pairs of each block of lines: all of a block's
-    from ``_convert_block``, or, when it refuses the block, those of the
-    per-line parse."""
+def _blocks(lines: Iterator[str]) -> Iterator[Iterable[tuple[int, Event]]]:
+    """The (line number, event) pairs of each block of lines: all of them
+    from ``_convert_block``, or, when it refuses the block, the per-line
+    parse's."""
     lineno = 1
     while block := list(islice(lines, PARSE_BLOCK_LINES)):
         try:
-            yield from _convert_block(block, lineno)
+            yield _convert_block(block, lineno)
         except ValueError:
-            yield from _parse_lines(block, lineno)
+            yield _parse_lines(block, lineno)
         lineno += len(block)
 
 
@@ -392,21 +396,26 @@ def _parse_lines(lines: Iterable[str], lineno: int) -> Iterator[tuple[int, Event
             yield lineno, parse_event_line(line, lineno)
 
 
-def _checked(pairs: Iterable[tuple[int, Event]],
-             open_marks: dict[str, int]) -> Iterator[Event]:
-    """The stream checks every reader applies, in line order: a timestamp
-    regression and a nested or unopened mark raise with their line;
-    ``open_marks`` (task id -> line of its open start mark) is updated in
-    place."""
+def _checked(blocks: Iterable[Iterable[tuple[int, Event]]],
+             closed_at_end: bool) -> Iterator[Event]:
+    """The stream checks every reader applies, in line order, to blocks of
+    (line number, event) pairs: a timestamp regression and a nested or
+    unopened mark raise with their line, and so, when ``closed_at_end``,
+    does a start mark still open at the end."""
     last_t = -math.inf
-    for lineno, event in pairs:
-        if event.t < last_t:
-            raise RecordingError(
-                f"timestamp regression: {event.t} after {last_t}", lineno)
-        last_t = event.t
-        if type(event.payload) is TaskMark:
-            _track_mark(event.payload, lineno, open_marks)
-        yield event
+    open_marks: dict[str, int] = {}  # task id -> line of its open start mark
+    for pairs in blocks:
+        for lineno, event in pairs:
+            if event.t < last_t:
+                raise RecordingError(
+                    f"timestamp regression: {event.t} after {last_t}", lineno)
+            last_t = event.t
+            if type(event.payload) is TaskMark:
+                _track_mark(event.payload, lineno, open_marks)
+            yield event
+    if closed_at_end and open_marks:
+        task_id, lineno = next(iter(open_marks.items()))
+        raise RecordingError(f"unmatched start mark for task {task_id!r}", lineno)
 
 
 def _track_mark(mark: TaskMark, lineno: int, open_marks: dict[str, int]) -> None:
@@ -416,14 +425,11 @@ def _track_mark(mark: TaskMark, lineno: int, open_marks: dict[str, int]) -> None
         if task_id in open_marks:
             raise RecordingError(f"nested start mark for task {task_id!r}", lineno)
         open_marks[task_id] = lineno
-    else:
-        if task_id not in open_marks:
-            raise RecordingError(
-                f"end mark without start for task {task_id!r}", lineno)
-        del open_marks[task_id]
+    elif open_marks.pop(task_id, None) is None:
+        raise RecordingError(f"end mark without start for task {task_id!r}", lineno)
 
 
-def _convert_block(lines: list[str], lineno: int) -> list[tuple[int, Event]]:
+def _convert_block(lines: list[str], lineno: int) -> Iterable[tuple[int, Event]]:
     """Bulk form of the per-line parse, numbering lines from ``lineno``,
     with the same (line number, event) pairs for every block it accepts;
     it raises ValueError on anything else, and the caller then parses the
@@ -442,8 +448,9 @@ def _convert_block(lines: list[str], lineno: int) -> list[tuple[int, Event]]:
     Finiteness and the quaternion norm are checked on the whole array, with
     the IEEE operations of the per-line check. Each frame's positions are
     its (J, 3) rows of the block array."""
-    pairs: list = []
-    held_poses: list[tuple] = []  # (pair slot, line, t, user, object id)
+    linenos: list[int] = []
+    events: list = []
+    held_poses: list[tuple] = []  # (event slot, t, user, object id)
     pose_numbers: list[str] = []
     held_frames: dict[int, tuple[list[tuple], list[str]]] = {}  # J -> frames, rows
     prefixes: tuple[str, ...] = ()
@@ -454,8 +461,9 @@ def _convert_block(lines: list[str], lineno: int) -> list[tuple[int, Event]]:
             continue
         parts = line.split(None, 3)
         kind = parts[2] if len(parts) == 4 else None
+        linenos.append(lineno)
         if kind != "skel" and kind != "pose":
-            pairs.append((lineno, parse_event_line(line, lineno)))
+            events.append(parse_event_line(line, lineno))
             continue
         t_text, user, _, rest = parts
         if t_text[:2] != "t=" or user[:2] != "u=" or len(user) == 2:
@@ -463,8 +471,8 @@ def _convert_block(lines: list[str], lineno: int) -> list[tuple[int, Event]]:
         t = float(t_text[2:])
         if not 0.0 <= t < math.inf:
             raise ValueError("timestamp out of range")
-        held = (len(pairs), lineno, t, user[2:])
-        pairs.append(None)  # filled once the block's numbers are converted
+        held = (len(events), t, user[2:])
+        events.append(None)  # filled once the block's numbers are converted
         if kind == "pose":
             obj, numbers = rest.split(None, 1)
             held_poses.append((*held, obj))
@@ -493,9 +501,9 @@ def _convert_block(lines: list[str], lineno: int) -> list[tuple[int, Event]]:
             raise ValueError("quaternion norm")
         positions = zip(*numbers[:, :3].T.tolist())
         orientations = zip(*numbers[:, 3:].T.tolist())
-        for (slot, lineno, t, user, obj), position, orientation in zip(
+        for (slot, t, user, obj), position, orientation in zip(
                 held_poses, positions, orientations):
-            pairs[slot] = lineno, Event(t, user, Pose(obj, position, orientation))
+            events[slot] = Event(t, user, Pose(obj, position, orientation))
     for joints, (frames, rows) in held_frames.items():
         # with "=" and ";" read as ",", a row is name,x,y,z per joint
         numbers = np.loadtxt(
@@ -505,10 +513,10 @@ def _convert_block(lines: list[str], lineno: int) -> list[tuple[int, Event]]:
             comments=None, ndmin=2)
         if not np.isfinite(numbers).all():
             raise ValueError("skel numbers")
-        for (slot, lineno, t, user, layout), positions in zip(
+        for (slot, t, user, layout), positions in zip(
                 frames, numbers.reshape(-1, joints, 3)):
-            pairs[slot] = lineno, Event(t, user, SkeletonFrame(layout, positions))
-    return pairs
+            events[slot] = Event(t, user, SkeletonFrame(layout, positions))
+    return zip(linenos, events)
 
 
 # ---------------------------------------------------------------------------

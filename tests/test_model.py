@@ -77,7 +77,7 @@ def test_missing_weight_names_node_and_parameter():
      "check option not allowed for orientation: 'ref'"),
     ("  time -3", "time"),
     ("  flavor vanilla", "unknown directive"),
-    ("  user group a a", "scope repeats user id 'a'"),
+    ("  user group a a", "scope repeats a user id: a a"),
 ])
 def test_bad_directives_report_line_numbers(line, fragment):
     text = "task T\n  kind primitive\n" + line + "\nend\n"
@@ -425,7 +425,7 @@ def test_library_settings_are_checked(hydro_net, build, name):
     (lambda net: replace(net.nodes["T1"].users, user_ids=()),
      "single-user scope needs exactly one user id"),
     (lambda net: UserScope("group", ("student", "tutor", "student")),
-     "scope repeats user id 'student'"),
+     "scope repeats a user id: student tutor student"),
     (lambda net: replace(net.nodes["hydrometer"], children=()),
      "abstract task has no children"),
     (lambda net: replace(net.nodes["hydrometer"], weight=1.0),
