@@ -10,24 +10,24 @@ Recording format (UTF-8, one event per line, space separated)::
     t=<sec> u=<user> mark <task> start|end
 
 A line ends at ``\\n`` alone. A ``\\r`` before it is stripped with the
-other surrounding whitespace; other line breaks of ``str.splitlines``
-(``\\r``, ``\\x1c``, ``\\x85``, ``\\u2028``, ...) inside a line are part of
-it. The CLI reads recording files and standard input as UTF-8, whatever
-the locale says. Timestamps must be non-decreasing; quaternions are
-written normalized (scalar-last, checked to 1e-6 here). Every number must
-be finite: ``nan`` and ``inf`` are rejected with the line number. Joint names are stripped of
-surrounding whitespace, must be non-empty, hold no ``,`` ``=`` or ``;``
-and appear once per frame. A frame's joint layout is validated once and
-then shared: every frame with the same names holds the same names tuple.
-Blank lines and ``#`` comments are skipped.
+other surrounding whitespace; the other line breaks of ``str.splitlines``
+(a ``\\r`` elsewhere, ``\\x1c``, ``\\x85``, ``\\u2028``, ...) are part of
+the line. The CLI reads recording files and standard input as UTF-8,
+whatever the locale says. Timestamps must be non-decreasing; quaternions
+are written normalized (scalar-last, checked to 1e-6 here). Every number
+must be finite: ``nan`` and ``inf`` are rejected with the line number.
+Joint names are stripped of surrounding whitespace, must be non-empty,
+hold no ``,`` ``=`` or ``;`` and appear once per frame. A frame's joint
+layout is validated once and then shared: every frame with the same names
+holds the same names tuple. Blank lines and ``#`` comments are skipped.
 
 Readers. ``parse_event_line`` is the reference grammar of one line. Two
 readers turn lines into events, and both apply the stream checks (time
 order, mark pairs) in one loop, ``_checked``:
 
 - ``iter_events(lines)``, the batch reader, takes ``PARSE_BLOCK_LINES``
-  lines at a time from any iterable of lines, an open file included, so a
-  recording is never held whole. The numbers of all skel and pose lines
+  lines at a time from any iterable of lines, such as ``recording_lines``
+  of an open binary file, so a recording is never held whole. The numbers of all skel and pose lines
   of a block, per kind and joint count, go through one ``np.loadtxt``
   call, and the frames of a block are rows of one array. A block that
   fails anywhere is parsed again line by line, so errors keep their
@@ -233,8 +233,7 @@ ReferenceSet = dict[str, list[Reference]]  # references per task id
 _NOT_SKEL_SEPARATOR = bytes(b for b in range(256) if b not in b",;=")
 # the same for the bulk path, which also keeps \x1c to \x1f so that a line
 # holding one never matches a separator pattern (see _convert_block)
-_NOT_BULK_SKEL_SEPARATOR = bytes(b for b in range(256)
-                                 if b not in b",;=\x1c\x1d\x1e\x1f")
+_NOT_BULK_SKEL_SEPARATOR = _NOT_SKEL_SEPARATOR.translate(None, b"\x1c\x1d\x1e\x1f")
 
 
 def _parse_prefixed(token: str, prefix: str, lineno: int) -> str:
@@ -448,8 +447,7 @@ def _convert_block(lines: list[str], lineno: int) -> Iterable[tuple[int, Event]]
     Finiteness and the quaternion norm are checked on the whole array, with
     the IEEE operations of the per-line check. Each frame's positions are
     its (J, 3) rows of the block array."""
-    linenos: list[int] = []
-    events: list = []
+    linenos, events = [], []  # each content line's number and event
     held_poses: list[tuple] = []  # (event slot, t, user, object id)
     pose_numbers: list[str] = []
     held_frames: dict[int, tuple[list[tuple], list[str]]] = {}  # J -> frames, rows

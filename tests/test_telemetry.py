@@ -253,11 +253,12 @@ def _pose(draw, quat, odd=None):
     return "pose cup " + gap.join(_numbers_with(draw, 3, odd) + list(quat))
 
 
-# one way to spoil a line each; "odd" and "pose-gap" lines stay valid
+# one way to spoil a line each; "odd", "pose-gap", "eol-text" and most
+# "eol" lines stay valid
 _FLAWS = ("odd", "odd", "bad-number", "bad-number", "x1f", "x1f", "eol",
-          "eol-text", "bad-layout",
-          "bad-quat", "drop", "tail", "semi", "extra", "eq", "pose-count",
-          "pose-gap", "regression", "stamp", "user", "mark", "kind")
+          "eol-text", "bad-layout", "bad-quat", "drop", "tail", "semi", "extra",
+          "eq", "pose-count", "pose-gap", "regression", "stamp", "user", "mark",
+          "kind")
 
 
 @st.composite
