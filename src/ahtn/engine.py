@@ -119,11 +119,10 @@ def build_reference_set(net: TaskNetwork,
     them as a live ``Session`` does: a start mark opens a ``task_samples``
     reducer, each later event goes to the open tasks whose scope holds its
     user and is kept where ``add`` takes it, and the end mark closes the
-    task. The events kept
-    are those the track reads. So a bystander's skeleton cannot shift the
-    reference, and one rule decides what both sides of a comparison read.
-    A task whose marks in a recording are not one start and, at a later
-    time, one end takes no reference from it."""
+    task. The events kept are those the track reads. So a bystander's
+    skeleton cannot shift the reference, and one rule decides what both
+    sides of a comparison read. A task whose marks in a recording are not
+    one start and, at a later time, one end takes no reference from it."""
     nodes = {i: net.nodes[i] for i in net.primitive_ids()}
     by_task: ReferenceSet = {i: [] for i in nodes}
     for events, quality in recordings:
