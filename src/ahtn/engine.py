@@ -31,7 +31,7 @@ from .report import (AssessmentReport, FeedbackMessage, MemberResult,
 from .telemetry import (Event, Reference, ReferenceSet, SessionRecording,
                         SkeletonFrame, TaskMark)
 from .trajectory import (FEEDBACK_TEXT, PROGRESS_KINDS, ActionEvaluator,
-                         TrajectorySummary, build_reference_track)
+                         TrackBuilder, TrajectorySummary)
 
 T = TypeVar("T")
 
@@ -111,37 +111,40 @@ def build_reference_set(net: TaskNetwork,
     """Reduce each primitive task of each reference recording, given as
     its events and its quality, to what grading reads: the check features
     and, for a trajectory task, the track of the node's joints, matched
-    with ``params`` (``build_reference_track``, which also measures the
+    with ``params`` (a ``trajectory.TrackBuilder``, which also measures the
     performer); ``error`` says why the track could not be built.
 
     A recording's events may be a ``SessionRecording`` or a reader such as
     ``telemetry.iter_events`` that never holds them whole. One pass routes
     them as a live ``Session`` does: a start mark opens a ``task_samples``
-    reducer, each later event goes to the open tasks whose scope holds its
-    user and is kept where ``add`` takes it, and the end mark closes the
-    task. The events kept are those the track reads. So a bystander's
-    skeleton cannot shift the reference, and one rule decides what both
-    sides of a comparison read. A task whose marks in a recording are not
-    one start and, at a later time, one end takes no reference from it."""
+    reducer, and a track builder for a trajectory task; each later event
+    goes to the open tasks whose scope holds its user, and the builder is
+    fed what the reducer's ``add`` takes; the end mark closes the task.
+    Both reduce each event as it arrives, and no event list is kept. So a
+    bystander's skeleton cannot shift the reference, and one rule decides
+    what both sides of a comparison read. A task whose marks in a
+    recording are not one start and, at a later time, one end takes no
+    reference from it."""
     nodes = {i: net.nodes[i] for i in net.primitive_ids()}
     by_task: ReferenceSet = {i: [] for i in nodes}
     for events, quality in recordings:
-        runs: dict[str, tuple[TaskSamples, list[Event]]] = {}  # open tasks
+        runs: dict[str, tuple[TaskSamples, TrackBuilder | None]] = {}  # open tasks
         closed: dict[str, tuple | None] = {}  # None: the marks are unusable
         routes: dict[str, list] = {}  # user -> the open runs of their scopes
         for e in events:
             mark = e.payload
             if type(mark) is not TaskMark:
-                for samples, taken in routes.get(e.user, ()):
-                    if samples.add(e):
-                        taken.append(e)
+                for samples, builder in routes.get(e.user, ()):
+                    if samples.add(e) and builder is not None:
+                        builder.add(e)
                 continue
             node = nodes.get(mark.task_id)
             if node is None:
                 continue
             run = runs.pop(node.id, None)
             if mark.edge == "start" and run is None and node.id not in closed:
-                runs[node.id] = (task_samples(node, e.t), [])
+                runs[node.id] = (task_samples(node, e.t), TrackBuilder(node, e.t, params)
+                                 if node.assessment.has_action_level else None)
             elif mark.edge == "end" and run is not None and e.t > run[0].t0:
                 run[0].t1 = e.t
                 closed[node.id] = run
@@ -152,14 +155,11 @@ def build_reference_set(net: TaskNetwork,
         for task_id, run in closed.items():
             if run is None:
                 continue
-            node, (samples, taken) = nodes[task_id], run
+            samples, builder = run
             track = error = None
-            if node.assessment.has_action_level:
-                game_objects = (o for o in node.objects if not is_joint_id(o))
+            if builder is not None:
                 try:
-                    track = build_reference_track(
-                        task_id, taken, samples.t0, samples.t1, node.joints,
-                        params, next(game_objects, None))
+                    track = builder.track(samples.t1)
                 except ValueError as err:
                     error = str(err)
             by_task[task_id].append(Reference(
@@ -458,9 +458,8 @@ def _best_reference(refs: Sequence[Reference]) -> Reference:
     return max(refs, key=lambda r: r.quality)
 
 
-def score_recording(config: EngineConfig, rec: SessionRecording,
-                    session_id: str | None = None) -> AssessmentReport:
+def score_recording(config: EngineConfig, rec: SessionRecording) -> AssessmentReport:
     """Batch entry point: ingest a parsed recording and finalize."""
-    session = Session(config, session_id=session_id or rec.session_id)
+    session = Session(config, session_id=rec.session_id)
     session.consume(rec)
     return session.finalize()

@@ -48,7 +48,6 @@ reference recording's events the same way.
 
 from __future__ import annotations
 
-import codecs
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -352,8 +351,14 @@ def parse_session(text: str, session_id: str = "session") -> SessionRecording:
 def recording_lines(fh: BinaryIO) -> Iterator[str]:
     """A binary file's lines as the format defines them: split at ``\\n``
     alone and decoded as UTF-8, whatever the locale or the platform's line
-    ends, so files and standard input give the same lines."""
-    return codecs.iterdecode(fh, "utf-8")
+    ends, so files and standard input give the same lines. A ``\\n`` byte
+    never occurs inside a UTF-8 sequence, so each line decodes on its own,
+    and one that is not UTF-8 raises with its line number."""
+    for lineno, raw in enumerate(fh, 1):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise RecordingError(str(err), lineno) from None
 
 
 def iter_events(lines: Iterable[str]) -> Iterator[Event]:

@@ -2,14 +2,15 @@
 trajectory target matching and anomaly watching.
 
 A reference performance is reduced once, when the reference set is built,
-from the events its task took (``build_reference_track``), to a
-ReferenceTrack: the performer's face height, face-hand distance and
-assessed hand, measured over the task's first ``WARM_UP_SECONDS`` with
-``face_hand_medians``, and key frames
-downsampled ``key_rate`` a second. Each key frame is one target: the
-reference positions of the tracked joints, one row of the track an
-ActionEvaluator is given. The track keeps the engine-wide
-TrajectoryParams it was built for, and the evaluator matches by them.
+as its task's events arrive (``TrackBuilder``), to a ReferenceTrack: the
+performer's face height, face-hand distance and assessed hand, measured
+over the task's first ``WARM_UP_SECONDS`` with ``face_hand_medians``, and
+key frames downsampled ``key_rate`` a second. No event list is kept: only
+the frames the track reads and the subject object's first position. Each
+key frame is one target: the reference positions of the tracked joints,
+one row of the track an ActionEvaluator is given. The track keeps the
+engine-wide TrajectoryParams it was built for, and the evaluator matches
+by them.
 
 The ActionEvaluator is the whole streaming machine, for one user and one
 task activation. It looks joints up by row, never by name: the first
@@ -45,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import all_within, scale_about
-from .model import TrajectoryParams
+from .model import TaskNode, TrajectoryParams, is_joint_id
 from .telemetry import Event, Pose, SkeletonFrame
 
 ANOMALY_KINDS = ("fall", "orientation", "hand-position")
@@ -103,60 +104,67 @@ def key_frame_count(duration: float, key_rate: float) -> int:
     return max(1, math.ceil(duration * key_rate))
 
 
-def build_reference_track(task_id: str, events: Sequence[Event], t0: float,
-                          t1: float, joint_ids: tuple[str, ...],
-                          params: TrajectoryParams,
-                          subject_object: str | None = None) -> ReferenceTrack:
-    """Reduce the skeleton stream of a reference task's events, marked
-    from t0 to t1, to the performer's statistics and the key frames of
-    joint_ids.
+class TrackBuilder:
+    """The reference track of one trajectory task, ``node``, marked from
+    t0, reduced from the events it takes as they arrive (``add``) and built
+    when the task ends (``track``).
 
-    The statistics are medians over the task's first ``WARM_UP_SECONDS``
-    (``face_hand_medians``, robust to first-frame noise) of the hand
-    nearer ``subject_object`` at task start, by default the right hand.
-    Key frame k targets time t0 + k/key_rate and takes the first recorded
-    frame at or after it (the last frame when the stream ends early).
-    """
-    frames = [(e.t, e.payload) for e in events
-              if isinstance(e.payload, SkeletonFrame)]
-    if not frames:
-        raise ValueError(f"slice for {task_id!r} has no skeleton frames")
-    first = frames[0][1]
-    hand = _nearest_hand(events, first, subject_object)
-    cutoff = t0 + WARM_UP_SECONDS
-    warm_up = [f for t, f in frames if t <= cutoff] or [first]
-    face_height, face_hand_distance = face_hand_medians(warm_up, hand)
+    Of the skeleton frames it keeps the first, every frame of the warm-up
+    window (``t <= t0 + WARM_UP_SECONDS``), for each key goal t0 +
+    k/key_rate the first frame at or after it, and the last; of the poses,
+    the first position of the node's subject object, its first game
+    object."""
 
-    count = key_frame_count(t1 - t0, params.key_rate)
-    frame_times = np.array([t for t, _ in frames])
-    positions = np.empty((count, len(joint_ids), 3))
-    for k in range(count):
-        goal = t0 + k / params.key_rate
-        i = int(np.searchsorted(frame_times, goal, side="left"))
-        if i >= len(frames):
-            i = len(frames) - 1
-        frame = frames[i][1]
-        for j, joint in enumerate(joint_ids):
-            if not frame.has(joint):
-                raise ValueError(f"reference missing joint {joint!r} at key frame {k}")
-            positions[k, j] = frame.position(joint)
-    return ReferenceTrack(params=params, joint_ids=joint_ids, positions=positions,
-                          face_height=face_height,
-                          face_hand_distance=face_hand_distance, hand_joint=hand)
+    def __init__(self, node: TaskNode, t0: float, params: TrajectoryParams):
+        self.node = node
+        self.t0 = t0
+        self.params = params
+        self.subject = next((o for o in node.objects if not is_joint_id(o)), None)
+        self.warm_up: list[SkeletonFrame] = []
+        self.keys: list[SkeletonFrame] = []  # key k's frame, while it has one
+        self.last: SkeletonFrame | None = None
+        self.target: np.ndarray | None = None  # the subject's first position
+
+    def add(self, event: Event) -> None:
+        p = event.payload
+        if type(p) is SkeletonFrame:
+            if self.last is None or event.t <= self.t0 + WARM_UP_SECONDS:
+                self.warm_up.append(p)
+            keys = self.keys
+            while self.t0 + len(keys) / self.params.key_rate <= event.t:
+                keys.append(p)
+            self.last = p
+        elif type(p) is Pose and self.target is None and p.object_id == self.subject:
+            self.target = np.asarray(p.position)
+
+    def track(self, t1: float) -> ReferenceTrack:
+        """The track of the task ended at t1: the performer's statistics,
+        medians over the warm-up frames (``face_hand_medians``, robust to
+        first-frame noise) of the hand nearer the subject's first position,
+        by default the right hand, and the key frames of the node's joints;
+        a key goal past the last frame takes the last frame."""
+        if self.last is None:
+            raise ValueError(f"slice for {self.node.id!r} has no skeleton frames")
+        hand = _nearest_hand(self.warm_up[0], self.target)
+        face_height, face_hand_distance = face_hand_medians(self.warm_up, hand)
+
+        count = key_frame_count(t1 - self.t0, self.params.key_rate)
+        keys = (self.keys + [self.last] * count)[:count]
+        joint_ids = self.node.joints
+        for k, frame in enumerate(keys):
+            if missing := [j for j in joint_ids if not frame.has(j)]:
+                raise ValueError(f"reference missing joint {missing[0]!r} at key frame {k}")
+        positions = np.array([[f.position(j) for j in joint_ids] for f in keys])
+        return ReferenceTrack(params=self.params, joint_ids=joint_ids,
+                              positions=positions, face_height=face_height,
+                              face_hand_distance=face_hand_distance, hand_joint=hand)
 
 
-def _nearest_hand(events, frame: SkeletonFrame, subject_object: str | None) -> str:
+def _nearest_hand(frame: SkeletonFrame, target: np.ndarray | None) -> str:
     present = [h for h in HAND_JOINTS if frame.has(h)]
     if not present:
         raise ValueError("frame has no hand joint")
-    if len(present) == 1 or subject_object is None:
-        return present[0]
-    target = None
-    for e in events:
-        if isinstance(e.payload, Pose) and e.payload.object_id == subject_object:
-            target = np.asarray(e.payload.position)
-            break
-    if target is None:
+    if len(present) == 1 or target is None:
         return present[0]
     return min(present, key=lambda h: float(np.linalg.norm(frame.position(h) - target)))
 

@@ -6,8 +6,9 @@ from ahtn.engine import build_reference_set
 from ahtn.fixtures import (collaborative_network, collaborative_reference,
                            hydrometer_network, hydrometer_reference,
                            write_demo_files)
-from ahtn.model import parse_network
+from ahtn.model import AssessmentSpec, TaskNode, UserScope, parse_network
 from ahtn.telemetry import Event, SessionRecording, TaskMark
+from ahtn.trajectory import TrackBuilder
 
 # every (kind, subject) feature the check tests compare against
 REFERENCE_CHECKS = ("orientation subject=cup", "position subject=cup",
@@ -28,6 +29,21 @@ def reduce_reference(events, quality=1.0, t0=0.0, t1=10.0,
     rec = SessionRecording("ref", (Event(t0, "u", TaskMark("T", "start")),
                                    *window, Event(t1, "u", TaskMark("T", "end"))))
     return build_reference_set(net, [(rec, quality)])["T"][0]
+
+
+def reference_track(events, t0, t1, joints, params, subject=None):
+    """The ReferenceTrack a trajectory.TrackBuilder reduces events to, for
+    a task T marked from t0 to t1 that tracks joints and whose first game
+    object is subject; each event is fed as one the task took."""
+    objects = (subject,) if subject is not None else ()
+    node = TaskNode(id="T", kind="primitive", name="T",
+                    users=UserScope("single-user", ("u",)), weight=1.0,
+                    objects=objects + tuple(joints),
+                    assessment=AssessmentSpec("action-level"), feedback="final-score")
+    builder = TrackBuilder(node, t0, params)
+    for event in events:
+        builder.add(event)
+    return builder.track(t1)
 
 
 def move_marks(text, fractions):

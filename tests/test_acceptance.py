@@ -45,7 +45,8 @@ from ahtn.telemetry import (
     Pose,
     SkeletonFrame,
 )
-from ahtn.trajectory import ActionEvaluator, build_reference_track
+from ahtn.trajectory import ActionEvaluator
+from conftest import reference_track
 
 
 @pytest.fixture
@@ -208,8 +209,7 @@ def test_05_skip_time_behavior(criterion):
                                          (0.02 * k + 0.45, 1.7, 0.0)))
             for k in range(101))
         # K = 20 targets
-        track = build_reference_track("T", ref_events, 0.0, 10.0, ("head",),
-                                      params)
+        track = reference_track(ref_events, 0.0, 10.0, ("head",), params)
 
         ev = ActionEvaluator(track, t_start=0.0)
         missed_times = []
@@ -257,8 +257,7 @@ def test_06_anomaly_abort(criterion):
             Event(k / 10.0, "ref", _skel((0.02 * k, 1.7, 0.0),
                                          (0.02 * k + 0.45, 1.7, 0.0)))
             for k in range(101))
-        track = build_reference_track("T", ref_events, 0.0, 10.0, ("head",),
-                                      params)
+        track = reference_track(ref_events, 0.0, 10.0, ("head",), params)
 
         # held low for 13 s: must abort exactly once and zero the score
         ev = ActionEvaluator(track, t_start=0.0)

@@ -470,6 +470,24 @@ def test_stream_names_the_line_of_a_timestamp_regression(
     assert scored == (code, err)
 
 
+def test_a_byte_that_is_not_utf8_names_its_line(run, demo_dir, tmp_path, monkeypatch):
+    lines = (demo_dir / "hydrometer.rec").read_bytes().split(b"\n")
+    lines[1999] = lines[1999][:27] + b"\xff" + lines[1999][28:]
+    data = b"\n".join(lines)
+    session = tmp_path / "session.rec"
+    session.write_bytes(data)
+    files = ("--net", hydro(demo_dir, "ahtn"), "--refs", hydro(demo_dir, "rec"))
+    score_out, stream_out = tmp_path / "score.txt", tmp_path / "stream.txt"
+    scored = run("score", *files, "--session", str(session), "--out", str(score_out))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data),
+                                                      encoding="utf-8", newline="\n"))
+    streamed = run("stream", *files, "--out", str(stream_out))
+    for code, _, err in (scored, streamed):
+        assert code == 1
+        assert err.startswith("ahtn: error: line 2000: 'utf-8' codec can't decode byte 0xff")
+    assert not score_out.exists() and not stream_out.exists()
+
+
 @pytest.mark.parametrize("old, new, encoding", [
     ('"1.257"', '"1.2\u20287"', "utf-8"),
     ('"1.257"', '"1.2\x1c57"', "utf-8"),

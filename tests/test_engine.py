@@ -707,9 +707,10 @@ def test_report_scope_lookup_raises(hydro_net, hydro_rec, hydro_refs):
 def test_session_id_defaults_to_recording(hydro_net, hydro_rec, hydro_refs):
     report = score_recording(cfg(hydro_net, hydro_refs), hydro_rec)
     assert report.session_id == hydro_rec.session_id
-    named = score_recording(cfg(hydro_net, hydro_refs), hydro_rec,
-                            session_id="override")
-    assert named.session_id == "override"
+    # another name is the Session's to give
+    named = Session(cfg(hydro_net, hydro_refs), session_id="override")
+    named.consume(hydro_rec)
+    assert named.finalize().session_id == "override"
 
 
 # -- benchmark hooks -------------------------------------------------------------

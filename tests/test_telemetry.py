@@ -18,8 +18,8 @@ from ahtn.telemetry import (Attach, Collision, Event, Pose, RecordingError,
                             TextInput, iter_events, parse_event_line,
                             parse_session, read_events, serialize_event,
                             serialize_recording)
-from ahtn.trajectory import ActionEvaluator, build_reference_track, scale_frame
-from conftest import reduce_reference
+from ahtn.trajectory import ActionEvaluator, scale_frame
+from conftest import reduce_reference, reference_track
 
 
 def frame(**joints):
@@ -599,8 +599,8 @@ def test_slice_bundled_matches_brute_scan(hydro_net, hydro_rec, hydro_refs):
             assert ref.features[key].samples == feature.samples > 0
             assert np.array_equal(ref.features[key].value, feature.value)
         if ref.track is not None:
-            track = build_reference_track(task_id, brute, t0, t1, node.joints,
-                                          TrajectoryParams(), "hydrometer")
+            track = reference_track(brute, t0, t1, node.joints,
+                                    TrajectoryParams(), "hydrometer")
             assert np.array_equal(ref.track.positions, track.positions)
             assert ref.track.hand_joint == track.hand_joint
         if task_id == "T2":
@@ -615,8 +615,8 @@ def corrected_summary(frames, face_hand):
     """Summary after feeding (t, frame) pairs through ActionEvaluator against
     a reference whose face-hand distance is ``face_hand``."""
     ref = [skel_event(0.0, "r", head=(0, 1.6, 0), **{"hand-right": (0.6, 1.6, 0)})]
-    track = build_reference_track("T", ref, 0.0, 1.0, ("head", "hand-right"),
-                                  TrajectoryParams())
+    track = reference_track(ref, 0.0, 1.0, ("head", "hand-right"),
+                            TrajectoryParams())
     ev = ActionEvaluator(replace(track, face_hand_distance=face_hand), t_start=0.0)
     for t, f in frames:
         ev.observe(t, f)
@@ -689,8 +689,7 @@ def test_reference_stats_median_over_first_second():
         # past the 1 s window: must not shift the medians
         skel_event(2.0, "a", head=(0, 9.0, 0), **{"hand-right": (9, 9, 9)}),
     ]
-    st_ = build_reference_track("T", events, 0.0, 3.0, ("head",),
-                                TrajectoryParams())
+    st_ = reference_track(events, 0.0, 3.0, ("head",), TrajectoryParams())
     assert st_.face_height == pytest.approx(1.6)
     assert st_.face_hand_distance == pytest.approx(math.sqrt(0.34))
     assert st_.hand_joint == "hand-right"
@@ -700,22 +699,21 @@ def test_reference_stats_picks_hand_nearest_subject():
     f = dict(head=(0, 1.7, 0))
     f["hand-left"] = (-0.4, 1.2, 0)
     f["hand-right"] = (0.4, 1.2, 0)
-    events = [
-        Event(t=0.0, user="a",
-              payload=Pose("cup", (-0.45, 1.2, 0.0), (0, 0, 0, 1))),
-        skel_event(0.0, "a", **f),
-    ]
-    def hand(subject_object=None):
-        return build_reference_track("T", events, 0.0, 1.0, ("head",),
-                                     TrajectoryParams(), subject_object).hand_joint
+    cup = Pose("cup", (-0.45, 1.2, 0.0), (0, 0, 0, 1))
+    # the subject's first pose decides, at the start or after the warm-up
+    for events in ([Event(t=0.0, user="a", payload=cup), skel_event(0.0, "a", **f)],
+                   [skel_event(0.0, "a", **f), Event(t=2.0, user="a", payload=cup)]):
+        def hand(subject_object=None):
+            return reference_track(events, 0.0, 3.0, ("head",),
+                                   TrajectoryParams(), subject_object).hand_joint
 
-    assert hand("cup") == "hand-left"
-    assert hand() == "hand-right"
+        assert hand("cup") == "hand-left"
+        assert hand() == "hand-right"
 
 
 def test_reference_stats_requires_frames():
     with pytest.raises(ValueError, match="no skeleton frames"):
-        build_reference_track("T", (), 0.0, 1.0, ("head",), TrajectoryParams())
+        reference_track((), 0.0, 1.0, ("head",), TrajectoryParams())
 
 
 def test_reference_quality_range():

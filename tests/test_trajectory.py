@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from ahtn.engine import build_reference_set
 from ahtn.kernels import all_within, scale_about
-from ahtn.model import TrajectoryParams
-from ahtn.telemetry import Event, SkeletonFrame
+from ahtn.model import TrajectoryParams, parse_network
+from ahtn.telemetry import Event, Pose, SessionRecording, SkeletonFrame, TaskMark
 from ahtn.trajectory import (HAND_PROXIMITY_FACTOR, ActionEvaluator, Anomaly,
-                             TrajectorySummary, WindowEntry,
-                             build_reference_track, detect_anomalies,
+                             TrajectorySummary, WindowEntry, detect_anomalies,
                              facing_direction, key_frame_count, plan_layout)
+from conftest import reference_track
 
 JOINTS = ("head", "hand-right")
 PARAMS = TrajectoryParams()
@@ -28,10 +28,10 @@ def frame(**joints):
 
 
 def skel_task(samples, t0=0.0, t1=10.0, user="u"):
-    """Task T's id, events, and marks at t0 and t1: the first arguments
-    of build_reference_track."""
+    """Task T's events and marks at t0 and t1: the first arguments of
+    reference_track."""
     events = [Event(t=t, user=user, payload=f) for t, f in samples]
-    return "T", events, t0, t1
+    return events, t0, t1
 
 
 def straight_line(t0=0.0, duration=10.0, rate=10.0, arm=0.45):
@@ -49,7 +49,7 @@ def straight_line(t0=0.0, duration=10.0, rate=10.0, arm=0.45):
 
 
 # its performer measures face height 1.7 m, face-hand 0.45 m and hand-right
-TRACK = build_reference_track(*skel_task(straight_line()), JOINTS, PARAMS)
+TRACK = reference_track(*skel_task(straight_line()), JOINTS, PARAMS)
 
 
 # -- key frames ---------------------------------------------------------------
@@ -66,7 +66,7 @@ def test_reference_track_takes_first_frame_at_or_after_key_time():
     samples = [(float(i), frame(head=(0, 1.7, float(i)),
                                 hand_right=(0.45, 1.7, float(i))))
                for i in range(11)]
-    track = build_reference_track(*skel_task(samples), JOINTS, PARAMS)
+    track = reference_track(*skel_task(samples), JOINTS, PARAMS)
     assert track.key_frames == 20
     expected = [math.ceil(k / 2) for k in range(20)]
     assert track.positions.shape == (20, 2, 3)
@@ -76,9 +76,82 @@ def test_reference_track_takes_first_frame_at_or_after_key_time():
 def test_reference_track_requires_joints():
     samples = [(0.0, frame(head=(0, 1.7, 0), hand_left=(-0.45, 1.7, 0)))]
     with pytest.raises(ValueError, match="missing joint 'hand-right'"):
-        build_reference_track(*skel_task(samples, t1=1.0), JOINTS, PARAMS)
+        reference_track(*skel_task(samples, t1=1.0), JOINTS, PARAMS)
     with pytest.raises(ValueError, match="no skeleton frames"):
-        build_reference_track(*skel_task([], t1=1.0), JOINTS, PARAMS)
+        reference_track(*skel_task([], t1=1.0), JOINTS, PARAMS)
+
+
+# Through build_reference_set: task T tracks head and hand-right, and its
+# subject is cup, the first of its game objects. A frame at time t holds
+# the head at height 1.6 + t/10 and depth t, the right hand 0.4 m and the
+# left hand 0.5 m from it, so the key frames name the frames they took and
+# the face height names the warm-up frames.
+
+TRACKED_NET = parse_network(
+    "task T\n  kind primitive\n  user single u\n  weight 1.0\n"
+    "  objects cup dish head hand-right\n  assess action-level\n"
+    "  feedback final\nend\n")
+STILL = (0.0, 0.0, 0.0, 1.0)
+
+
+def timed_frame(t, right=True):
+    y = 1.6 + t / 10
+    joints = dict(head=(0.0, y, t), hand_right=(0.4, y, t), hand_left=(-0.5, y, t))
+    if not right:
+        del joints["hand_right"]
+    return frame(**joints)
+
+
+def timed_frames(*times):
+    return [(t, timed_frame(t)) for t in times]
+
+
+# name: t0, t1, (t, payload) steps, and the key frames' times, hand, face
+# height, face-hand distance and error the reference gets
+TRACK_CASES = {
+    # the dish pose near the right hand is not the subject's
+    "subject pose after the warm-up picks the left hand": (
+        0.0, 2.0, timed_frames(0.0, 0.5, 1.0, 1.5)
+        + [(0.2, Pose("dish", (0.4, 1.62, 0.2), STILL)),
+           (1.5, Pose("cup", (-0.5, 1.75, 1.5), STILL))],
+        ([0.0, 0.5, 1.0, 1.5], "hand-left", 1.65, 0.5, None)),
+    "first frame after several goals": (
+        0.0, 3.0, timed_frames(1.6, 2.0, 2.5),
+        ([1.6, 1.6, 1.6, 1.6, 2.0, 2.5], "hand-right", 1.76, 0.4, None)),
+    "stream ends before the last goal": (
+        0.0, 3.0, timed_frames(0.0, 0.5, 1.0),
+        ([0.0, 0.5, 1.0, 1.0, 1.0, 1.0], "hand-right", 1.65, 0.4, None)),
+    "frame time equals a goal": (
+        0.0, 1.5, timed_frames(0.0, 0.4, 0.5, 0.6, 1.2),
+        ([0.0, 0.5, 1.2], "hand-right", 1.645, 0.4, None)),
+    "frame at t1 with a whole number of key frames": (
+        0.5, 2.5, timed_frames(0.5, 1.0, 1.5, 2.0, 2.5),
+        ([0.5, 1.0, 1.5, 2.0], "hand-right", 1.7, 0.4, None)),
+    "key frame lacks a tracked joint": (
+        0.0, 1.5, timed_frames(0.0, 0.5) + [(1.0, timed_frame(1.0, right=False))],
+        (None, None, None, None,
+         "reference missing joint 'hand-right' at key frame 2")),
+}
+
+
+@pytest.mark.parametrize("case", TRACK_CASES)
+def test_reference_track_cases(case):
+    t0, t1, steps, (times, hand, face_height, face_hand, error) = TRACK_CASES[case]
+    rec = SessionRecording("ref", (
+        Event(t0, "u", TaskMark("T", "start")),
+        *(Event(t, "u", p) for t, p in sorted(steps, key=lambda step: step[0])),
+        Event(t1, "u", TaskMark("T", "end"))))
+    (ref,) = build_reference_set(TRACKED_NET, [(rec, 1.0)], PARAMS)["T"]
+    assert ref.error == error
+    if error is not None:
+        assert ref.track is None
+        return
+    track = ref.track
+    assert np.array_equal(track.positions, np.array(
+        [[timed_frame(t).position(j) for j in JOINTS] for t in times]))
+    assert track.hand_joint == hand
+    assert track.face_height == pytest.approx(face_height)
+    assert track.face_hand_distance == pytest.approx(face_hand)
 
 
 def test_reference_tracks_compare_by_identity(hydro_net, hydro_rec):
@@ -131,7 +204,7 @@ FALL = frame(head=(0, 0.3, 0.2), hand_right=(0.45, 1.7, 0.2))
 
 
 def track_of(duration, params=PARAMS):
-    return build_reference_track(*skel_task(straight_line(duration=duration),
+    return reference_track(*skel_task(straight_line(duration=duration),
                                              t1=duration), JOINTS, params)
 
 
@@ -341,7 +414,7 @@ def test_abort_after_wait_is_strict():
 def replay(samples, ref_task, params=PARAMS, t_start=0.0, **fields):
     """Stream samples against the track of ref_task (``skel_task``), with
     ``fields`` of the track replaced."""
-    track = replace(build_reference_track(*ref_task, JOINTS, params), **fields)
+    track = replace(reference_track(*ref_task, JOINTS, params), **fields)
     ev = ActionEvaluator(track, t_start=t_start)
     feedback = []
     for t, f in samples:
@@ -585,7 +658,7 @@ def test_burst_and_hand_decisions_match_the_kernels(radius, arm, reach_dir,
     params = TrajectoryParams(match_radius=radius)
     reach = np.array(reach_dir) / math.hypot(*reach_dir)
     head = np.array([0.0, 1.7, 0.0])
-    track = build_reference_track(
+    track = reference_track(
         *skel_task([(0.0, frame(head=tuple(head), hand_right=tuple(head + 0.5 * reach)))],
                    t1=1.0), JOINTS, params)
     k = HAND_PROXIMITY_FACTOR if at_hand_limit else 1.0
