@@ -21,6 +21,13 @@ hold no ``,`` ``=`` or ``;`` and appear once per frame. A frame's joint
 layout is validated once and then shared: every frame with the same names
 holds the same names tuple. Blank lines and ``#`` comments are skipped.
 
+Records. Every payload and ``Event`` is a frozen slotted dataclass, so a
+record that recordings, references and perturbed trials share cannot
+change under any of them; the three a recording is mostly made of,
+``Event``, ``Pose`` and ``SkeletonFrame``, write their own ``__init__``,
+which stores each field once through its slot descriptor instead of
+through ``object.__setattr__``.
+
 Readers. ``parse_event_line`` is the reference grammar of one line. Two
 readers turn lines into events, and both apply the stream checks (time
 order, mark pairs) in one loop, ``_checked``:
@@ -73,11 +80,27 @@ class RecordingError(ValueError):
         super().__init__(f"line {line}: {message}" if line else message)
 
 
+# Event, Pose and SkeletonFrame are made by the thousand per recording and
+# per perturbed trial: their __init__ stores each field once through the
+# slot descriptor bound below the class (the decorator makes the slotted
+# class), where a frozen dataclass's generated one calls
+# object.__setattr__.
 @dataclass(frozen=True, slots=True)
 class Pose:
     object_id: str
     position: tuple[float, float, float]
     orientation: tuple[float, float, float, float]  # qx, qy, qz, qw
+
+    def __init__(self, object_id: str, position: tuple[float, float, float],
+                 orientation: tuple[float, float, float, float]):
+        _pose_object_id(self, object_id)
+        _pose_position(self, position)
+        _pose_orientation(self, orientation)
+
+
+_pose_object_id = Pose.object_id.__set__
+_pose_position = Pose.position.__set__
+_pose_orientation = Pose.orientation.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,19 +170,17 @@ class SkeletonFrame:
     names: tuple[str, ...]
     positions: np.ndarray
 
-    def __post_init__(self):
+    def __init__(self, names: tuple[str, ...], positions: np.ndarray):
         # a layout seen before is looked up once, and the shared tuple
         # itself is its own entry
-        names = _layouts.get(self.names) if type(self.names) is tuple else None
-        if names is None:
-            names = _joint_layout(self.names)
-        if names is not self.names:
-            object.__setattr__(self, "names", names)
-        pos = np.ascontiguousarray(self.positions, dtype=np.float64)
-        if pos.shape != (len(names), 3):
+        layout = _layouts.get(names) if type(names) is tuple else None
+        if layout is None:
+            layout = _joint_layout(names)
+        pos = np.ascontiguousarray(positions, dtype=np.float64)
+        if pos.shape != (len(layout), 3):
             raise ValueError("positions must be shaped (len(names), 3)")
-        if pos is not self.positions:
-            object.__setattr__(self, "positions", pos)
+        _frame_names(self, layout)
+        _frame_positions(self, pos)
 
     def __eq__(self, other):
         if not isinstance(other, SkeletonFrame):
@@ -181,6 +202,10 @@ class SkeletonFrame:
         return self.positions[self.index(joint)]
 
 
+_frame_names = SkeletonFrame.names.__set__
+_frame_positions = SkeletonFrame.positions.__set__
+
+
 Payload = Pose | Attach | Collision | TextInput | SkeletonFrame | TaskMark
 
 
@@ -189,6 +214,16 @@ class Event:
     t: float
     user: str
     payload: Payload
+
+    def __init__(self, t: float, user: str, payload: Payload):
+        _event_t(self, t)
+        _event_user(self, user)
+        _event_payload(self, payload)
+
+
+_event_t = Event.t.__set__
+_event_user = Event.user.__set__
+_event_payload = Event.payload.__set__
 
 
 @dataclass(frozen=True)

@@ -113,7 +113,8 @@ class TrackBuilder:
     window (``t <= t0 + WARM_UP_SECONDS``), for each key goal t0 +
     k/key_rate the first frame at or after it, and the last; of the poses,
     the first position of the node's subject object, its first game
-    object."""
+    object. A kept warm-up or key frame is a copy that owns its rows, so
+    it keeps no block array of the bulk parse alive."""
 
     def __init__(self, node: TaskNode, t0: float, params: TrajectoryParams):
         self.node = node
@@ -128,12 +129,16 @@ class TrackBuilder:
     def add(self, event: Event) -> None:
         p = event.payload
         if type(p) is SkeletonFrame:
-            if self.last is None or event.t <= self.t0 + WARM_UP_SECONDS:
-                self.warm_up.append(p)
+            warm = self.last is None or event.t <= self.t0 + WARM_UP_SECONDS
+            self.last = p
             keys = self.keys
+            if not (warm or self.t0 + len(keys) / self.params.key_rate <= event.t):
+                return
+            p = SkeletonFrame(p.names, p.positions.copy())
+            if warm:
+                self.warm_up.append(p)
             while self.t0 + len(keys) / self.params.key_rate <= event.t:
                 keys.append(p)
-            self.last = p
         elif type(p) is Pose and self.target is None and p.object_id == self.subject:
             self.target = np.asarray(p.position)
 

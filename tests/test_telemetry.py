@@ -4,7 +4,7 @@ reads, height correction."""
 import io
 import math
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -467,6 +467,8 @@ def test_layout_cache_shares_names_and_stays_bounded():
     assert a.names is b.names
     c = SkeletonFrame(names=("head", "hand-right"), positions=np.zeros((2, 3)))
     assert c.names is a.names
+    d = SkeletonFrame(["head", " hand-right "], np.zeros((2, 3)))
+    assert d.names is a.names
     for i in range(telemetry.LAYOUT_CACHE_SIZE + 10):
         parse_event_line(f"t=0 u=a skel joint-{i}=0,0,0")
         assert len(telemetry._layouts) <= telemetry.LAYOUT_CACHE_SIZE
@@ -479,6 +481,86 @@ def test_layout_cache_shares_names_and_stays_bounded():
 def test_text_round_trip_property(value):
     e = Event(t=0.0, user="u", payload=TextInput("field", value))
     assert parse_event_line(serialize_event(e)) == e
+
+
+# -- the records -------------------------------------------------------------
+# Event, Pose and SkeletonFrame write their own __init__; they must keep
+# the dataclass contract of the other records.
+
+POSE = Pose("cup", (0.1, 0.2, 0.3), (0.0, 0.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("record,field", [
+    (Event(1.0, "u", POSE), "t"),
+    (POSE, "object_id"),
+    (frame(head=(0, 1, 0)), "names"),
+])
+def test_records_are_frozen(record, field):
+    before = getattr(record, field)
+    with pytest.raises(FrozenInstanceError):
+        setattr(record, field, before)
+    with pytest.raises(FrozenInstanceError):
+        delattr(record, field)
+    assert getattr(record, field) is before
+
+
+def test_event_and_pose_compare_by_value_and_hash():
+    pose = Pose(object_id="cup", position=(0.1, 0.2, 0.3),
+                orientation=(0.0, 0.0, 0.0, 1.0))
+    event = Event(t=1.0, user="u", payload=pose)
+    assert pose == POSE and pose is not POSE and hash(pose) == hash(POSE)
+    assert event == Event(1.0, "u", POSE) and hash(event) == hash(Event(1.0, "u", POSE))
+    assert len({event, Event(1.0, "u", POSE), Event(2.0, "u", POSE)}) == 2
+    assert event != Event(1.0, "v", POSE)
+    assert POSE != Pose("dish", POSE.position, POSE.orientation)
+    # equality is per class: records of two kinds with equal fields differ
+    assert Collision("a", "b") != TextInput("a", "b")
+    assert repr(event) == ("Event(t=1.0, user='u', payload=Pose(object_id='cup', "
+                           "position=(0.1, 0.2, 0.3), orientation=(0.0, 0.0, 0.0, 1.0)))")
+
+
+def test_records_take_positional_keyword_and_replace():
+    assert [f.name for f in fields(Event)] == ["t", "user", "payload"]
+    assert [f.name for f in fields(Pose)] == ["object_id", "position", "orientation"]
+    assert [f.name for f in fields(SkeletonFrame)] == ["names", "positions"]
+    event = Event(1.0, "u", POSE)
+    moved = replace(event, t=2.5)
+    assert (moved.t, moved.user, moved.payload) == (2.5, "u", POSE)
+    assert replace(POSE, object_id="dish") == Pose("dish", POSE.position, POSE.orientation)
+    f = SkeletonFrame(("head", "hand-right"), np.zeros((2, 3)))
+    g = replace(f, positions=np.ones((2, 3), dtype=int))
+    assert g.names is f.names and g.positions.dtype == np.float64
+    assert g == SkeletonFrame(names=["head", "hand-right"], positions=np.ones((2, 3)))
+    with pytest.raises(ValueError, match=r"^positions must be shaped \(len\(names\), 3\)$"):
+        replace(f, positions=np.ones((3, 3)))
+
+
+@pytest.mark.parametrize("positions", [
+    np.arange(6).reshape(2, 3),  # integers
+    np.arange(12.0).reshape(2, 6)[:, ::2],  # strided rows
+    np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+    [[0, 1, 2], [3, 4, 5]],
+])
+def test_frame_positions_become_c_ordered_float64(positions):
+    f = SkeletonFrame(("head", "hand-right"), positions)
+    assert f.positions.dtype == np.float64
+    assert f.positions.flags.c_contiguous
+    assert np.array_equal(f.positions, np.asarray(positions, dtype=np.float64))
+
+
+@pytest.mark.parametrize("names,positions,message", [
+    (("head",), np.zeros((2, 3)), r"^positions must be shaped \(len\(names\), 3\)$"),
+    (("head", "hand-right"), np.zeros((2, 2)),
+     r"^positions must be shaped \(len\(names\), 3\)$"),
+    (("head", "hand-right"), np.zeros(6), r"^positions must be shaped \(len\(names\), 3\)$"),
+    (("head", ""), np.zeros((2, 3)), r"^bad joint name '': must be non-empty "
+     r"and hold no ',', '=' or ';'$"),
+    (("head", "a;b"), np.zeros((2, 3)), r"^bad joint name 'a;b'"),
+    (["head", "head "], np.zeros((2, 3)), r"^duplicate joint name in frame$"),
+])
+def test_frame_rejects_bad_shape_and_bad_names(names, positions, message):
+    with pytest.raises(ValueError, match=message):
+        SkeletonFrame(names, positions)
 
 
 # -- which events a reference task reads --------------------------------------

@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 from ahtn.engine import build_reference_set
 from ahtn.kernels import all_within, scale_about
 from ahtn.model import TrajectoryParams, parse_network
-from ahtn.telemetry import Event, Pose, SessionRecording, SkeletonFrame, TaskMark
+from ahtn.telemetry import (Event, Pose, SessionRecording, SkeletonFrame,
+                            TaskMark, parse_session)
 from ahtn.trajectory import (HAND_PROXIMITY_FACTOR, ActionEvaluator, Anomaly,
-                             TrajectorySummary, WindowEntry, detect_anomalies,
-                             facing_direction, key_frame_count, plan_layout)
+                             TrackBuilder, TrajectorySummary, WindowEntry,
+                             detect_anomalies, facing_direction,
+                             key_frame_count, plan_layout)
 from conftest import reference_track
 
 JOINTS = ("head", "hand-right")
@@ -152,6 +154,23 @@ def test_reference_track_cases(case):
     assert track.hand_joint == hand
     assert track.face_height == pytest.approx(face_height)
     assert track.face_hand_distance == pytest.approx(face_hand)
+
+
+def test_kept_frames_own_their_rows():
+    # the bulk parse makes each frame's positions rows of its block's array;
+    # a frame the builder keeps must not keep that array alive
+    text = "".join(f"t={i / 10} u=u skel head=0,1.7,{i};hand-right=0.4,1.2,{i}\n"
+                   for i in range(31))
+    events = parse_session(text).events
+    assert all(e.payload.positions.base is not None for e in events)
+    builder = TrackBuilder(TRACKED_NET.nodes["T"], 0.0, PARAMS)
+    for e in events:
+        builder.add(e)
+    assert len(builder.warm_up) == 11 and len(builder.keys) == 7
+    assert all(f.positions.base is None for f in builder.warm_up + builder.keys)
+    assert builder.keys[2] is builder.warm_up[10]  # copied once per frame
+    track = builder.track(3.0)
+    assert list(track.positions[:, 0, 2]) == [0, 5, 10, 15, 20, 25]
 
 
 def test_reference_tracks_compare_by_identity(hydro_net, hydro_rec):
