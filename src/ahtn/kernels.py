@@ -1,5 +1,11 @@
-"""Numpy kernels for the per-frame matching and correction and for rank
-correlation."""
+"""Kernels: the per-frame matching and correction, on rows of Python
+floats, and rank correlation, on numpy arrays.
+
+A row is one joint's (x, y, z). The per-frame kernels take the few rows
+of a frame that the evaluator reads, and a frame's rows cost a fraction
+of numpy's per-call overhead in Python floats. Their arithmetic is
+numpy's, operation for operation, so their results are bit-identical to
+the array expressions they replace."""
 
 from __future__ import annotations
 
@@ -11,22 +17,31 @@ import numpy as np
 # ---------------------------------------------------------------------------
 # radius matching (hot: called once per skeleton frame)
 
-def all_within(points: np.ndarray, targets: np.ndarray, radius: float) -> bool:
-    """True iff every point lies within radius of its target (closed ball).
+def all_within(points, targets, radius: float) -> bool:
+    """True iff every point row lies within radius of its target row
+    (closed ball); the rows pair up in order, and their counts must agree.
 
     Each squared distance is x*x + y*y + z*z, summed in that order as
-    numpy's row sum does, in Python floats: for a frame's few rows that
-    costs a fraction of numpy's reductions."""
+    numpy's row sum does."""
     limit = radius * radius
-    return all(x * x + y * y + z * z <= limit
-               for x, y, z in (points - targets).tolist())
+    for (px, py, pz), (tx, ty, tz) in zip(points, targets, strict=True):
+        x = px - tx
+        y = py - ty
+        z = pz - tz
+        if not x * x + y * y + z * z <= limit:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
 # isotropic scaling about a center (height correction, per frame)
 
-def scale_about(points: np.ndarray, center: np.ndarray, factor: float) -> np.ndarray:
-    return center + factor * (points - center)
+def scale_about(points, center, factor: float) -> list[tuple[float, float, float]]:
+    """The point rows scaled about the center row by factor: c + f * (p - c)
+    per coordinate, numpy's ``center + factor * (points - center)``."""
+    cx, cy, cz = center
+    return [(cx + factor * (x - cx), cy + factor * (y - cy), cz + factor * (z - cz))
+            for x, y, z in points]
 
 
 # ---------------------------------------------------------------------------

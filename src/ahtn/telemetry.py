@@ -131,19 +131,27 @@ class TaskMark:
         check_known(self.edge, ("start", "end"), "mark edge")
 
 
+class _Layout(tuple):
+    """A validated joint layout: the names tuple that frames with these
+    names share. Equality, hash and repr are the tuple's; only its type
+    tells a frame that it needs no lookup."""
+
+    __slots__ = ()
+
+
 # raw names tuple -> validated, stripped names tuple; a process-wide memo
 # whose values depend only on their key, emptied when it reaches its bound
-_layouts: dict[tuple[str, ...], tuple[str, ...]] = {}
+_layouts: dict[tuple[str, ...], _Layout] = {}
 
 
-def _joint_layout(names) -> tuple[str, ...]:
+def _joint_layout(names) -> _Layout:
     """The shared names tuple of a joint layout, validated on first sight:
     names are stripped, non-empty, free of ``,`` ``=`` ``;`` and unique."""
     key = tuple(names)
     layout = _layouts.get(key)
     if layout is not None:
         return layout
-    layout = tuple(name.strip() for name in key)
+    layout = _Layout(name.strip() for name in key)
     for name in layout:
         if not name or "," in name or "=" in name or ";" in name:
             raise ValueError(f"bad joint name {name!r}: must be non-empty "
@@ -164,18 +172,14 @@ class SkeletonFrame:
     Positions are float64 meters.
     ``names`` is replaced by the validated tuple that every frame with the
     same joint layout shares; a frame built with that tuple skips the
-    validation, not the dtype and shape checks.
+    validation and the lookup, not the dtype and shape checks.
     """
 
     names: tuple[str, ...]
     positions: np.ndarray
 
     def __init__(self, names: tuple[str, ...], positions: np.ndarray):
-        # a layout seen before is looked up once, and the shared tuple
-        # itself is its own entry
-        layout = _layouts.get(names) if type(names) is tuple else None
-        if layout is None:
-            layout = _joint_layout(names)
+        layout = names if type(names) is _Layout else _joint_layout(names)
         pos = np.ascontiguousarray(positions, dtype=np.float64)
         if pos.shape != (len(layout), 3):
             raise ValueError("positions must be shaped (len(names), 3)")

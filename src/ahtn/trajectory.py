@@ -15,23 +15,31 @@ by them.
 The ActionEvaluator is the whole streaming machine, for one user and one
 task activation. It looks joints up by row, never by name: the first
 frame of each joint layout gets a ``LayoutPlan`` (``plan_layout``), the
-rows of the head, the assessed hand, the facing pair and the tracked
-joints, which every later frame of that layout reuses. Frames are height
-corrected first, once each: ``scale_frame`` applies one factor, the
-track's face-hand distance over the learner's ``face_hand_medians`` in
-the same warm-up window. Targets spawn one at a time, in order. The user
-bursts the target in flight by bringing every tracked joint within the
-match radius (closed ball); a frame missing a tracked joint never bursts.
+rows it reads, once each (the tracked joints first, in the track's order,
+then the head, the assessed hand and the facing pair), and where each
+role sits among them; every later frame of that layout reuses it. Each
+frame is read from numpy once (``frame_rows``): its planned rows become
+Python floats, and every later decision uses those, with the IEEE
+operations of numpy's array forms. Frames are height corrected first,
+once each: ``kernels.scale_about`` scales the rows about the head row by
+one factor, the track's face-hand distance over the learner's
+``face_hand_medians`` in the same warm-up window; factor 1 passes them
+through. Targets spawn one at a time, in order; the one in flight is
+converted to rows of floats when it spawns. The user bursts it by
+bringing every tracked joint within the match radius (closed ball,
+``kernels.all_within``); a frame missing a tracked joint never bursts.
 A target with no match for longer than the skip time is retired as
 missed and the next one spawns; retiring the last target completes the
 evaluator. Meanwhile a short sliding window of corrected frames feeds
 anomaly detection (fall, facing away from the station, hand far from its
 target); an anomaly continuously active beyond the wait time aborts the
-evaluation. A ``WindowEntry`` keeps a frame's corrected positions and
-plan, from which the newest entry's head height and facing are read, and
-the hand's distance to the current goal, measured once per goal: again
-only when the cursor moves. ``flush`` replays a warm-up window the task
-ended inside, and ``finalize`` scores the evaluation.
+evaluation. A ``WindowEntry`` keeps a frame's corrected rows and plan,
+from which the newest entry's head height and facing are read, and the
+hand's distance to the current goal, measured once per goal: again only
+when the cursor moves. Two lengths are compared with a bound, the facing
+(degenerate below 1e-9 m) and the hand's distance; each is decided as
+numpy's dot product decides it (``_norm``). ``flush`` replays a warm-up
+window the task ended inside, and ``finalize`` scores the evaluation.
 
 The evaluator reports what happens as feedback primitives, tuples led by
 their kind; ``FEEDBACK_TEXT`` holds each kind's message text.
@@ -53,7 +61,6 @@ ANOMALY_KINDS = ("fall", "orientation", "hand-position")
 ANOMALY_WINDOW = 0.5  # s of corrected frames an anomaly is judged over
 FALL_HEIGHT_FRACTION = 0.5  # of the reference face height; lower is a fall
 HAND_PROXIMITY_FACTOR = 3.0  # match radii; farther from the target is away
-STATION_FORWARD = np.array([0.0, 0.0, 1.0])  # unit; facing against it is away
 
 # feedback kind -> message text, formatted with the task id and then the
 # fields of the primitive, e.g. ("burst", target, joint count)
@@ -191,117 +198,146 @@ def face_hand_medians(frames, hand: str) -> tuple[float, float]:
             float(np.median(np.linalg.norm(heads - hands, axis=1))))
 
 
-def scale_frame(frame: SkeletonFrame, head: int | None,
-                factor: float) -> np.ndarray:
-    """The frame's joint positions scaled about its head, row ``head``, by
-    factor. Factor 1 returns the frame's own positions, and needs no
-    head."""
-    if factor == 1.0:
-        return frame.positions
-    return scale_about(frame.positions, frame.positions[head], float(factor))
-
-
 # ---------------------------------------------------------------------------
 # the per-layout plan and anomalies
 
 @dataclass(frozen=True, eq=False)
 class LayoutPlan:
     """The rows of one joint layout that an evaluator reads, found once
-    per layout: the head, the track's assessed hand, the facing pair (a
-    row minus b row, the right minus the left shoulder when both are
-    tracked, else head-forward minus head), and the tracked joints in the
-    track's order, None when one is missing. Compared by identity."""
+    per layout: ``rows``, the frame rows it takes, once each, and where
+    each role sits among them: the head, the track's assessed hand, the
+    facing pair (a row minus b row, the right minus the left shoulder
+    when both are tracked, else head-forward minus head), and the tracked
+    joints, the first ``tracked`` rows in the track's order, None when
+    one is missing. Compared by identity."""
 
+    rows: np.ndarray
     head: int | None
     hand: int | None
     facing: tuple[int, int, bool] | None  # a, b, whether they are shoulders
-    tracked: np.ndarray | None
+    tracked: int | None
 
 
 def plan_layout(names: tuple[str, ...], track: ReferenceTrack) -> LayoutPlan:
     """The plan of the joint layout ``names`` for an evaluator of track."""
-    rows = {name: i for i, name in enumerate(names)}
-    head = rows.get("head")
-    if "shoulder-left" in rows and "shoulder-right" in rows:
-        facing = (rows["shoulder-right"], rows["shoulder-left"], True)
-    elif "head-forward" in rows and head is not None:
-        facing = (rows["head-forward"], head, False)
+    index = {name: i for i, name in enumerate(names)}
+    tracked = all(j in index for j in track.joint_ids)
+    if "shoulder-left" in index and "shoulder-right" in index:
+        pair, shoulders = ("shoulder-right", "shoulder-left"), True
+    elif "head-forward" in index and "head" in index:
+        pair, shoulders = ("head-forward", "head"), False
     else:
-        facing = None
-    tracked = (np.array([rows[j] for j in track.joint_ids], dtype=np.int64)
-               if all(j in rows for j in track.joint_ids) else None)
-    return LayoutPlan(head, rows.get(track.hand_joint), facing, tracked)
+        pair, shoulders = (), False
+    read = list(dict.fromkeys(
+        j for j in (*(track.joint_ids if tracked else ()), "head",
+                    track.hand_joint, *pair) if j in index))
+    at = {name: i for i, name in enumerate(read)}
+    return LayoutPlan(
+        rows=np.array([index[j] for j in read], dtype=np.intp),
+        head=at.get("head"), hand=at.get(track.hand_joint),
+        facing=(at[pair[0]], at[pair[1]], shoulders) if pair else None,
+        tracked=len(track.joint_ids) if tracked else None)
 
 
-def facing_direction(positions: np.ndarray, plan: LayoutPlan) -> np.ndarray | None:
-    """User facing direction projected to the ground plane (y-up), from
-    the positions of a frame laid out as ``plan`` says.
+def frame_rows(frame: SkeletonFrame, plan: LayoutPlan) -> list[list[float]]:
+    """The rows of frame that plan reads, as Python floats: the one read
+    of a frame's array."""
+    return frame.positions.take(plan.rows, axis=0).tolist()
+
+
+NORM_MARGIN = 1e-9  # relative; far above the few ulps summation order moves a norm
+
+
+def _norm(v, bound: float) -> float:
+    """The length of the 3-vector v, on the same side of bound as numpy's
+    ``math.sqrt(a.dot(a))`` for ``a = np.array(v)``. The dot product may
+    sum with fused multiply-adds, so it can differ in the last bit from
+    ``x*x + y*y + z*z``; that sum decides when it is clear of the bound's
+    square, a normal float, by NORM_MARGIN, and the dot product
+    otherwise."""
+    x, y, z = v
+    s = x * x + y * y + z * z
+    b = bound * bound
+    if b > 1e-300 and abs(s - b) > NORM_MARGIN * b:
+        return math.sqrt(s)
+    a = np.array(v)
+    return math.sqrt(a.dot(a))
+
+
+def facing_direction(rows, plan: LayoutPlan) -> tuple[float, float, float] | None:
+    """User facing direction projected to the ground plane (y-up), a unit
+    (x, 0, z), from the rows of a frame that ``plan`` reads.
 
     Uses the shoulder line when both shoulders are tracked; falls back to
     the head-forward marker joint; None when neither is available or the
-    geometry is degenerate.
+    geometry is degenerate (a length below 1e-9 m).
     """
     if plan.facing is None:
         return None
     a, b, shoulders = plan.facing
-    x, _, z = (positions[a] - positions[b]).tolist()
-    out = np.array((z, 0.0, -x) if shoulders else (x, 0.0, z))
-    norm = math.sqrt(out.dot(out))  # np.linalg.norm's arithmetic
+    (ax, _, az), (bx, _, bz) = rows[a], rows[b]
+    x = ax - bx
+    z = az - bz
+    if shoulders:
+        x, z = z, -x
+    norm = _norm((x, 0.0, z), 1e-9)
     if norm < 1e-9:
         return None
-    return out / norm
+    return x / norm, 0.0, z / norm
 
 
 @dataclass(slots=True, eq=False)
 class WindowEntry:
-    """One corrected frame in the anomaly window: its time, its positions
-    and the plan of their layout, which give the head height and the
+    """One corrected frame in the anomaly window: its time, the corrected
+    rows that its layout's plan reads, which give the head height and the
     facing, and the assessed hand's distance to ``goal``, the goal it was
     last measured against (None without a hand). A new goal, when the
     cursor moves, measures it again."""
 
     t: float
-    positions: np.ndarray
+    rows: list
     plan: LayoutPlan
-    goal: np.ndarray | None = None
+    goal: list[float] | None = None
     distance: float | None = None
 
-    def distance_to(self, goal: np.ndarray) -> float | None:
-        """The hand's distance to goal, measured once per goal."""
+    def distance_to(self, goal: list[float], limit: float) -> float | None:
+        """The hand's distance to goal, measured once per goal, on the
+        same side of limit as numpy's norm."""
         if goal is not self.goal:
             self.goal = goal
             hand = self.plan.hand
             if hand is not None:
-                d = self.positions[hand] - goal
-                self.distance = math.sqrt(d.dot(d))  # np.linalg.norm's arithmetic
+                (hx, hy, hz), (gx, gy, gz) = self.rows[hand], goal
+                self.distance = _norm((hx - gx, hy - gy, hz - gz), limit)
         return self.distance
 
 
 def detect_anomalies(window: Sequence[WindowEntry], track: ReferenceTrack,
-                     hand_goal: np.ndarray | None = None):
+                     hand_goal: list[float] | None = None):
     """Currently active anomaly kinds over a sliding window of corrected
     frames, oldest first.
 
     Returns (kinds, warming_up, facing), where facing is the newest
     frame's facing_direction (None while warming up). A window spanning
     less than ANOMALY_WINDOW seconds only warms up. Fall and orientation
-    are judged on the newest frame, against the track's face height;
-    hand-position requires the assessed hand (``track.hand_joint``) to stay
-    beyond HAND_PROXIMITY_FACTOR * match_radius from ``hand_goal``, its
-    position in the current target, across the whole window.
+    are judged on the newest frame, against the track's face height and
+    the station's forward direction, +z; hand-position requires the
+    assessed hand (``track.hand_joint``) to stay beyond
+    HAND_PROXIMITY_FACTOR * match_radius from ``hand_goal``, its position
+    in the current target, across the whole window.
     """
     if not window or window[-1].t - window[0].t < ANOMALY_WINDOW:
         return set(), True, None
     kinds: set[str] = set()
     latest = window[-1]
-    positions, plan = latest.positions, latest.plan
+    rows, plan = latest.rows, latest.plan
 
     if plan.head is not None:
-        if positions[plan.head, 1] < FALL_HEIGHT_FRACTION * track.face_height:
+        if rows[plan.head][1] < FALL_HEIGHT_FRACTION * track.face_height:
             kinds.add("fall")
 
-    facing = facing_direction(positions, plan)
-    if facing is not None and float(facing @ STATION_FORWARD) < 0.0:  # cos > 90 degrees
+    facing = facing_direction(rows, plan)
+    if facing is not None and facing[2] < 0.0:  # cos to +z below 0: > 90 degrees
         kinds.add("orientation")
 
     if hand_goal is not None:
@@ -309,7 +345,7 @@ def detect_anomalies(window: Sequence[WindowEntry], track: ReferenceTrack,
         away = True
         seen = False
         for entry in window:
-            d = entry.distance_to(hand_goal)
+            d = entry.distance_to(hand_goal, limit)
             if d is None:
                 continue
             seen = True
@@ -367,14 +403,17 @@ class ActionEvaluator:
         self.abort_kind: str | None = None
         self.open_episodes: dict[str, float] = {}  # kind -> onset, oldest first
         self.anomalies: list[Anomaly] = []  # closed episodes
-        # the assessed hand's position in each target, when it is tracked
-        hand = track.hand_joint
-        self._hand_goals = (list(track.positions[:, track.joint_ids.index(hand)])
-                            if hand in track.joint_ids else None)
+        # the target in flight as rows of floats, converted once per
+        # cursor move, and the assessed hand's row in it, when it is tracked
+        self._target = track.positions[0].tolist()
+        self._hand = (track.joint_ids.index(track.hand_joint)
+                      if track.hand_joint in track.joint_ids else None)
         self.factor: float | None = None  # None until the warm-up window closes
         self._pending: list[tuple[float, SkeletonFrame]] = []
         self._window: deque[WindowEntry] = deque()
         self._plans: dict[tuple[str, ...], LayoutPlan] = {}  # by joint layout
+        self._names: tuple[str, ...] | None = None  # the last frame's layout
+        self._plan: LayoutPlan | None = None  # and its plan
         self._unmatchable: set[LayoutPlan] = set()  # warned: a tracked joint is missing
         self._warnings: list[str] = []
         self._facing_warned = False
@@ -422,9 +461,13 @@ class ActionEvaluator:
         return events
 
     def _step(self, t: float, frame: SkeletonFrame) -> list[tuple]:
-        plan = self._plans.get(frame.names)
-        if plan is None:
-            plan = self._plans[frame.names] = plan_layout(frame.names, self.track)
+        names = frame.names
+        if names is not self._names:  # a layout's frames share one tuple
+            plan = self._plans.get(names)
+            if plan is None:
+                plan = self._plans[names] = plan_layout(names, self.track)
+            self._names, self._plan = names, plan
+        plan = self._plan
         if self.factor != 1.0 and plan.head is None:
             # correction scales about the head; without one the frame is unusable
             if not self._headless_warned:
@@ -432,14 +475,16 @@ class ActionEvaluator:
                 self._warnings.append(
                     "frames without head skipped: cannot height-correct")
             return []
-        positions = scale_frame(frame, plan.head, self.factor)
+        rows = frame_rows(frame, plan)
+        if self.factor != 1.0:  # factor 1 passes the rows through
+            rows = scale_about(rows, rows[plan.head], self.factor)
         window = self._window
-        window.append(WindowEntry(t, positions, plan))
+        window.append(WindowEntry(t, rows, plan))
         while len(window) >= 2 and window[1].t <= t - ANOMALY_WINDOW:
             window.popleft()
 
-        goal = (None if self.complete or self._hand_goals is None
-                else self._hand_goals[self.cursor])
+        goal = (None if self.complete or self._hand is None
+                else self._target[self._hand])
         kinds, warming, facing = detect_anomalies(window, self.track, goal)
         events: list[tuple] = []
         if not warming:
@@ -451,7 +496,7 @@ class ActionEvaluator:
             if self.aborted:
                 return events
         if not self.complete:
-            events += self._advance(t, self._matches(positions, plan))
+            events += self._advance(t, self._matches(rows, plan))
         return events
 
     def _advance(self, t: float, matched: bool) -> list[tuple]:
@@ -469,6 +514,7 @@ class ActionEvaluator:
         if self.cursor + 1 < self.track.key_frames:
             self.cursor += 1
             self.spawned_at = t
+            self._target = self.track.positions[self.cursor].tolist()
         else:
             self.complete = True
             events.append(("repetition", 1))
@@ -504,15 +550,14 @@ class ActionEvaluator:
                               for kind, onset in self.open_episodes.items())
         self.open_episodes.clear()
 
-    def _matches(self, positions: np.ndarray, plan: LayoutPlan) -> bool:
+    def _matches(self, rows: list, plan: LayoutPlan) -> bool:
         if plan.tracked is None:
             if plan not in self._unmatchable:  # once per layout
                 self._unmatchable.add(plan)
                 self._warnings.append(
                     "frames missing tracked joints; targets cannot burst")
             return False
-        return all_within(positions.take(plan.tracked, axis=0),
-                          self.track.positions[self.cursor],
+        return all_within(rows[:plan.tracked], self._target,
                           self.params.match_radius)
 
     # -- finalize -----------------------------------------------------------

@@ -18,7 +18,8 @@ from ahtn.telemetry import (Attach, Collision, Event, Pose, RecordingError,
                             TextInput, iter_events, parse_event_line,
                             parse_session, read_events, serialize_event,
                             serialize_recording)
-from ahtn.trajectory import ActionEvaluator, scale_frame
+from ahtn.kernels import scale_about
+from ahtn.trajectory import ActionEvaluator
 from conftest import reduce_reference, reference_track
 
 
@@ -691,7 +692,7 @@ def test_slice_bundled_matches_brute_scan(hydro_net, hydro_rec, hydro_refs):
 
 # -- height correction -------------------------------------------------------
 # the correction factor comes from ActionEvaluator's first-second window;
-# scale_frame applies it
+# kernels.scale_about applies it to the rows the evaluator reads
 
 def corrected_summary(frames, face_hand):
     """Summary after feeding (t, frame) pairs through ActionEvaluator against
@@ -708,15 +709,15 @@ def corrected_summary(frames, face_hand):
 def test_correction_identity_when_same_proportions():
     f = frame(head=(0, 1.7, 0), **{"hand-right": (0.4, 1.7, 0)})
     summary = corrected_summary([(0.0, f), (0.5, f)], 0.4)
-    assert summary.correction_factor == 1.0  # exact, so scale_frame passes f through
-    assert scale_frame(f, f.index("head"), summary.correction_factor) is f.positions
+    assert summary.correction_factor == 1.0  # exact, so the rows pass through
 
 
 def test_correction_scales_about_head():
     f = frame(head=(0.0, 1.6, 0.0), **{"hand-right": (0.4, 1.6, 0.0)})
     summary = corrected_summary([(0.0, f), (0.5, f)], 0.6)
     assert summary.correction_factor == pytest.approx(1.5)
-    out = scale_frame(f, f.index("head"), 1.5)
+    rows = f.positions.tolist()
+    out = scale_about(rows, rows[f.index("head")], 1.5)
     assert np.allclose(out[f.index("head")], [0.0, 1.6, 0.0])
     assert np.allclose(out[f.index("hand-right")], [0.6, 1.6, 0.0])
 
@@ -740,8 +741,9 @@ def test_correction_translation_invariant():
         f1 = frame(head=tuple(np.add(h, shift)),
                    **{"hand-right": tuple(np.add(h, d) + shift)})
         factor = 0.55 / float(np.linalg.norm(d))
-        a = scale_frame(f0, 0, factor)
-        b = scale_frame(f1, 0, factor)
+        rows0, rows1 = f0.positions.tolist(), f1.positions.tolist()
+        a = np.array(scale_about(rows0, rows0[0], factor))
+        b = np.array(scale_about(rows1, rows1[0], factor))
         rel = a - a[0]  # head is row 0
         rel2 = b - b[0]
         assert np.allclose(rel, rel2, atol=1e-9)
@@ -754,11 +756,21 @@ def test_correction_requires_head():
     assert "height correction skipped: no usable frames" in summary.warnings
 
 
-def test_scale_frame_factor_one_is_identity():
-    f = frame(head=(0, 1.7, 0), **{"hand-right": (0.4, 1.2, 0.1)})
-    assert scale_frame(f, 0, 1.0) is f.positions
-    headless = frame(**{"hand-right": (0.4, 1.2, 0.1)})
-    assert scale_frame(headless, None, 1.0) is headless.positions  # needs no head
+def test_factor_one_passes_rows_through_and_needs_no_head():
+    # the target is the reference's hand; at a radius whose square is 0,
+    # only rows read exactly as the frame holds them can burst it
+    ref = [skel_event(0.0, "r", head=(0, 1.6, 0), **{"hand-right": (0.1, 1.3, 0.7)})]
+    track = reference_track(ref, 0.0, 1.0, ("hand-right",),
+                            TrajectoryParams(match_radius=1e-200))
+    ev = ActionEvaluator(replace(track, face_hand_distance=0.4), t_start=0.0)
+    f = frame(head=(0, 1.7, 0), **{"hand-right": (0.4, 1.7, 0)})
+    headless = frame(**{"hand-right": (0.1, 1.3, 0.7)})
+    for t, g in ((0.0, f), (0.5, f), (1.5, headless), (1.6, headless)):
+        ev.observe(t, g)
+    summary = ev.finalize(2.0)
+    assert summary.correction_factor == 1.0
+    assert (summary.burst, summary.missed, summary.repetitions_done) == (2, 0, 1)
+    assert "frames without head skipped: cannot height-correct" not in summary.warnings
 
 
 # -- reference stats ---------------------------------------------------------

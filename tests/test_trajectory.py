@@ -5,16 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ahtn.engine import build_reference_set
-from ahtn.kernels import all_within, scale_about
 from ahtn.model import TrajectoryParams, parse_network
 from ahtn.telemetry import (Event, Pose, SessionRecording, SkeletonFrame,
                             TaskMark, parse_session)
 from ahtn.trajectory import (HAND_PROXIMITY_FACTOR, ActionEvaluator, Anomaly,
                              TrackBuilder, TrajectorySummary, WindowEntry,
-                             detect_anomalies, facing_direction,
+                             detect_anomalies, facing_direction, frame_rows,
                              key_frame_count, plan_layout)
 from conftest import reference_track
 
@@ -311,16 +310,20 @@ def test_score_aborted_and_empty():
 
 # -- anomalies ----------------------------------------------------------------
 # on window entries, the form in which the evaluator keeps its corrected
-# frames, each with the plan of its layout
+# frames: the rows its layout's plan reads, as Python floats, and the plan
 
 def facing_of(f):
-    return facing_direction(f.positions, plan_layout(f.names, TRACK))
+    plan = plan_layout(f.names, TRACK)
+    return facing_direction(frame_rows(f, plan), plan)
 
 
 def entries(samples):
     """Window entries of (t, frame) pairs."""
-    return [WindowEntry(t, f.positions, plan_layout(f.names, TRACK))
-            for t, f in samples]
+    out = []
+    for t, f in samples:
+        plan = plan_layout(f.names, TRACK)
+        out.append(WindowEntry(t, frame_rows(f, plan), plan))
+    return out
 
 
 def test_facing_from_shoulders():
@@ -368,6 +371,82 @@ def test_orientation_anomaly_threshold_is_ninety_degrees():
         assert ("orientation" in kinds) is expect, deg
 
 
+def numpy_facing(positions, a, b, shoulders):
+    """The facing direction in numpy's arithmetic, from the rows a and b of
+    a frame's positions: the oracle of the facing read from Python floats."""
+    x, _, z = (positions[a] - positions[b]).tolist()
+    out = np.array((z, 0.0, -x) if shoulders else (x, 0.0, z))
+    norm = math.sqrt(out.dot(out))
+    if norm < 1e-9:
+        return None
+    return out / norm
+
+
+def polar(length, angle):
+    return length * math.cos(angle), length * math.sin(angle)
+
+
+def lengths_at(bound):
+    """Lengths a few ulps either side of bound, where a dot product that
+    fuses multiply-adds and ``x*x + y*y + z*z`` can disagree on the side."""
+    return st.builds(lambda k: bound * (1 + k * 2.0 ** -52), st.integers(-3, 3))
+
+
+# a direction, any length that is not too short to normalize
+unit = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.1)
+
+
+# separations on either side of the 1e-9 m bound, and on it to the last bit
+separation = (st.floats(1e-10, 1e-8) | lengths_at(1e-9)
+              | st.sampled_from([1e-9, math.nextafter(1e-9, 0.0), math.nextafter(1e-9, 1.0)]))
+
+
+# (x, z) offsets whose norm is 1e-9 by x*x + z*z and not by numpy's dot
+# product, on a BLAS that fuses multiply-adds, or the other way round
+@example(offset=(5.220518327557184e-10, 8.529137611250011e-10),
+         base=(0.0, 0.0, 0.0), shoulders=False)
+@example(offset=(1.7384958931981541e-10, -9.847722174662176e-10),
+         base=(0.0, 0.0, 0.0), shoulders=False)
+@example(offset=(9.916973741291579e-10, 1.2859361626975527e-10),
+         base=(0.0, 0.0, 0.0), shoulders=True)
+@settings(max_examples=300, deadline=None)
+@given(offset=st.builds(polar, separation, st.floats(0.0, 2 * math.pi)),
+       base=st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 2.0), st.floats(-2.0, 2.0))
+       | st.just((0.0, 0.0, 0.0)),
+       shoulders=st.booleans())
+def test_facing_decisions_match_numpy_near_the_degenerate_bound(offset, base, shoulders):
+    (bx, by, bz), (dx, dz) = base, offset
+    moved = (bx + dx, by, bz + dz)
+    if shoulders:
+        f = frame(head=(0.0, 1.7, 0.0), shoulder_left=base, shoulder_right=moved)
+        a, b = 2, 1
+    else:
+        f = frame(head=base, head_forward=moved)
+        a, b = 1, 0
+    expected = numpy_facing(f.positions, a, b, shoulders)
+    facing = facing_of(f)
+    assert (facing is None) == (expected is None)
+    kinds, _, latest_facing = detect_anomalies(window_of(f), TRACK)
+    assert (latest_facing is None) == (expected is None)
+    away = expected is not None and float(expected @ np.array([0.0, 0.0, 1.0])) < 0.0
+    assert ("orientation" in kinds) == away
+
+
+# hands whose distance from the origin is the hand-position limit by
+# x*x + y*y + z*z and not by numpy's dot product, or the other way round
+@example(hand=(0.0687585930665968, -0.23612785472692835, 0.17180189784039293))
+@example(hand=(-0.2023505493775314, 0.11960432031975185, -0.1864110021631273))
+@settings(max_examples=200, deadline=None)
+@given(hand=st.builds(lambda length, v: tuple(length * c / math.hypot(*v) for c in v),
+                      lengths_at(HAND_PROXIMITY_FACTOR * PARAMS.match_radius), unit))
+def test_hand_distance_decision_matches_numpy_at_the_limit(hand):
+    f = frame(head=(0.0, 1.7, 0.0), hand_right=hand)
+    d = np.array(hand)
+    near = math.sqrt(d.dot(d)) <= HAND_PROXIMITY_FACTOR * PARAMS.match_radius
+    kinds, _, _ = detect_anomalies(window_of(f), TRACK, [0.0, 0.0, 0.0])
+    assert ("hand-position" in kinds) == (not near)
+
+
 def test_fall_anomaly_uses_reference_face_height():
     # threshold: half of 1.7 m
     low = frame(head=(0, 0.84, 0))
@@ -377,7 +456,7 @@ def test_fall_anomaly_uses_reference_face_height():
 
 
 def test_hand_position_anomaly_needs_whole_window_away():
-    goal = np.zeros(3)  # of hand-right, TRACK's hand
+    goal = [0.0, 0.0, 0.0]  # of hand-right, TRACK's hand
     far = frame(head=(0, 1.7, 0), hand_right=(0.35, 1.1, 0))
     near = frame(head=(0, 1.7, 0), hand_right=(0.25, 0, 0))
     kinds, _, _ = detect_anomalies(window_of(far), TRACK, goal)
@@ -386,7 +465,7 @@ def test_hand_position_anomaly_needs_whole_window_away():
     kinds, _, _ = detect_anomalies(mixed, TRACK, goal)
     assert "hand-position" not in kinds  # one close sample clears it
     # measured again for a new goal: the near sample is far from this one
-    kinds, _, _ = detect_anomalies(mixed, TRACK, np.array([0.3, 1.7, 0.0]))
+    kinds, _, _ = detect_anomalies(mixed, TRACK, [0.3, 1.7, 0.0])
     assert "hand-position" in kinds
     # no goal, or no hand in the whole window: nothing is measured
     assert "hand-position" not in detect_anomalies(window_of(far), TRACK)[0]
@@ -664,11 +743,8 @@ def test_per_frame_decisions_are_pinned():
 # reference pose, in direction ``shift``, with their own arm length: after
 # correction the tracked joints sit on the match ball (reach 1) or the
 # hand on the hand-position limit (reach HAND_PROXIMITY_FACTOR), up to
-# rounding. Either way, the evaluator decides as the kernels do on the
-# same corrected rows.
-unit = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.1)
-
-
+# rounding. Either way, the evaluator decides as numpy's arithmetic does on
+# the same corrected rows.
 @settings(max_examples=80, deadline=None)
 @given(radius=st.floats(0.01, 0.2), arm=st.floats(0.2, 0.9), reach_dir=unit,
        shift=unit, at_hand_limit=st.booleans())
@@ -688,9 +764,11 @@ def test_burst_and_hand_decisions_match_the_kernels(radius, arm, reach_dir,
     summary = ev.finalize(2.0)
 
     factor = summary.correction_factor
-    rows = (pose.positions if factor == 1.0
-            else scale_about(pose.positions, pose.positions[0], factor))
-    bursts = all_within(rows, track.positions[0], radius)
+    rows, head = pose.positions, pose.positions[0]
+    if factor != 1.0:
+        rows = head + factor * (rows - head)
+    d = rows - track.positions[0]
+    bursts = bool(((d * d).sum(axis=1) <= radius * radius).all())
     assert summary.burst == (2 if bursts else 0)
     d = rows[1] - track.positions[0][1]
     near = math.sqrt(d.dot(d)) <= HAND_PROXIMITY_FACTOR * radius
