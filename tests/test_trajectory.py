@@ -211,6 +211,36 @@ def test_match_requires_every_joint():
     assert "frames missing tracked joints; targets cannot burst" in summary.warnings
 
 
+def test_repeated_tracked_joint_is_one_row_per_listing():
+    # a task may list a joint twice (the parser keeps both): each listing is
+    # a row of every target, matched against that joint's row of the frame,
+    # and not against a row read for another role (here the shoulders)
+    joints = parse_network(
+        "task T\n  kind primitive\n  user single u\n  weight 1.0\n"
+        "  objects cup head hand-right hand-right\n  assess action-level\n"
+        "  feedback final\nend\n").nodes["T"].joints
+    assert joints == ("head", "hand-right", "hand-right")
+
+    def posed(dx):  # the reference pose moved dx along x
+        return frame(head=(dx, 1.7, 0), hand_right=(dx + 1, 1.7, 0),
+                     shoulder_right=(dx - 5, 1.5, 0), shoulder_left=(dx + 5, 1.5, 0))
+
+    track = reference_track(*skel_task([(0.0, posed(0.0))], t1=1.0), joints, PARAMS)
+    assert track.positions.shape == (2, 3, 3)
+
+    def bursts(dx):
+        ev = ActionEvaluator(track, t_start=0.0)
+        for t in (0.0, 0.1, 1.2, 1.3):
+            ev.observe(t, posed(dx))
+        summary = ev.finalize(1.3)
+        assert summary.correction_factor == 1.0
+        return summary.burst
+
+    assert bursts(0.0) == 2
+    assert bursts(PARAMS.match_radius + 1e-6) == 0
+    assert len(plan_layout(posed(0.0).names, track).rows) == 5  # 3 tracked, 2 shoulders
+
+
 # -- stepping and scoring -------------------------------------------------------
 # through observe and finalize. PARKED sits 0.2 m off the 10 s line's first
 # targets: it never bursts, and its hand stays within the hand-position
