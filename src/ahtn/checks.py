@@ -14,12 +14,21 @@ mean position, or the field's last text value with its finite numeric
 reading) with a reference's, computed once when the reference set is
 built (``Reference.features``). Attachment and collision need no
 reference and read the stored transitions and partners.
+
+Each of the three reference-comparing kinds has a measure, which scores
+one reference in numbers (or raises ValueError), and ``described``, which
+turns one measure into its CheckResult. ``evaluate_task_level`` measures
+the user against every reference and writes out only the winner's
+results, so a task's details are formatted once however many references
+it has. The ``*_score`` functions and ``run_check`` are the two steps
+together, for one reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -54,12 +63,18 @@ class TaskScore:
 # ---------------------------------------------------------------------------
 # quaternion helpers
 
+def vector_norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float64 vector: ``np.linalg.norm``'s own
+    expression for one, so the bits are the same, without its checks."""
+    return math.sqrt(v.dot(v))
+
+
 def mean_quaternion(quats: np.ndarray) -> np.ndarray:
     """Sign-aligned component mean, renormalized. quats is (N, 4)."""
     q = np.asarray(quats, dtype=np.float64)
     signs = np.where(q @ q[0] < 0.0, -1.0, 1.0)
     mean = (q * signs[:, None]).mean(axis=0)
-    norm = np.linalg.norm(mean)
+    norm = vector_norm(mean)
     if norm == 0.0:
         raise ValueError("degenerate orientation mean")
     return mean / norm
@@ -76,17 +91,11 @@ def quaternion_angle(q1: np.ndarray, q2: np.ndarray) -> float:
     b = np.asarray(q2, dtype=np.float64)
     if float(a @ b) < 0.0:
         b = -b
-    return 4.0 * math.atan2(float(np.linalg.norm(a - b)),
-                            float(np.linalg.norm(a + b)))
+    return 4.0 * math.atan2(vector_norm(a - b), vector_norm(a + b))
 
 
 # ---------------------------------------------------------------------------
 # reduction
-
-# check kinds that compare the learner with a reference; attachment and
-# collision read only the learner's samples
-FEATURE_KINDS = frozenset({"orientation", "position", "text-input"})
-
 
 @dataclass(frozen=True, slots=True)
 class Feature:
@@ -225,14 +234,25 @@ class TaskSamples:
         return out
 
 
-def _reductions(user: Feature, ref: Feature, user_missing: str,
-                ref_missing: str):
+# what a side without samples lacks, by check kind: the user's, the reference's
+_MISSING = {
+    "orientation": ("no Pose events for {!r}", "no reference Pose events for {!r}"),
+    "position": ("no position samples for {!r}", "no reference positions for {!r}"),
+    "text-input": ("no TextInput for field {!r}",
+                   "no reference TextInput for field {!r}"),
+}
+
+
+def _reductions(user: Feature, ref: Feature, spec: CheckSpec):
     """Both sides' values, or a ValueError for the first side without one."""
-    for feature, missing in ((user, user_missing), (ref, ref_missing)):
-        if not feature.samples:
-            raise ValueError(f"no data: {missing}")
-        if feature.error is not None:
-            raise ValueError(feature.error)
+    if not (user.samples and ref.samples
+            and user.error is None and ref.error is None):
+        for side, feature in enumerate((user, ref)):
+            if not feature.samples:
+                missing = _MISSING[spec.kind][side].format(spec.subject)
+                raise ValueError(f"no data: {missing}")
+            if feature.error is not None:
+                raise ValueError(feature.error)
     return user.value, ref.value
 
 
@@ -243,32 +263,52 @@ def _ramp(value: float, limit: float) -> float:
 # ---------------------------------------------------------------------------
 # the five checks
 
-def orientation_score(user: Feature, ref: Feature, spec: CheckSpec,
-                      defaults: Defaults = DEFAULTS) -> CheckResult:
+# a measure's outcome: the score, then the format of the check's detail
+# and the values it prints
+Measure = tuple
+
+
+def described(kind: str, user: Feature, measure: Measure) -> CheckResult:
+    """The CheckResult of a measure of the user's Feature."""
+    score, detail, *values = measure
+    return CheckResult(kind=kind, score=score, detail=detail.format(*values),
+                       samples_used=user.samples)
+
+
+def _tol(spec: CheckSpec, default: float) -> float:
+    return spec.tol if spec.tol is not None else default
+
+
+def orientation_measure(user: Feature, ref: Feature, spec: CheckSpec,
+                        tol: float) -> Measure:
     """Angle between the mean orientation of the subject in the user's task
     and in the reference, mapped linearly to [0, 1]."""
-    tol = spec.tol if spec.tol is not None else defaults.orientation_tol
-    user_mean, ref_mean = _reductions(
-        user, ref, f"no Pose events for {spec.subject!r}",
-        f"no reference Pose events for {spec.subject!r}")
+    user_mean, ref_mean = _reductions(user, ref, spec)
     theta = quaternion_angle(user_mean, ref_mean)
-    return CheckResult(kind="orientation", score=_ramp(theta, tol),
-                       detail=f"theta={theta:.6f} rad, tol={tol:.6f}",
-                       samples_used=user.samples)
+    return _ramp(theta, tol), "theta={:.6f} rad, tol={:.6f}", theta, tol
+
+
+def orientation_score(user: Feature, ref: Feature, spec: CheckSpec,
+                      defaults: Defaults = DEFAULTS) -> CheckResult:
+    """``orientation_measure``'s CheckResult, at spec's tol or the default."""
+    return described("orientation", user, orientation_measure(
+        user, ref, spec, _tol(spec, defaults.orientation_tol)))
+
+
+def position_measure(user: Feature, ref: Feature, spec: CheckSpec,
+                     tol: float) -> Measure:
+    """Distance between mean user and mean reference position of the
+    subject (game object or skeleton joint), mapped linearly to [0, 1]."""
+    user_mean, ref_mean = _reductions(user, ref, spec)
+    d = vector_norm(user_mean - ref_mean)
+    return _ramp(d, tol), "d={:.6f} m, tol={:.6f}", d, tol
 
 
 def position_score(user: Feature, ref: Feature, spec: CheckSpec,
                    defaults: Defaults = DEFAULTS) -> CheckResult:
-    """Distance between mean user and mean reference position of the
-    subject (game object or skeleton joint), mapped linearly to [0, 1]."""
-    tol = spec.tol if spec.tol is not None else defaults.position_tol
-    user_mean, ref_mean = _reductions(
-        user, ref, f"no position samples for {spec.subject!r}",
-        f"no reference positions for {spec.subject!r}")
-    d = float(np.linalg.norm(user_mean - ref_mean))
-    return CheckResult(kind="position", score=_ramp(d, tol),
-                       detail=f"d={d:.6f} m, tol={tol:.6f}",
-                       samples_used=user.samples)
+    """``position_measure``'s CheckResult, at spec's tol or the default."""
+    return described("position", user, position_measure(
+        user, ref, spec, _tol(spec, defaults.position_tol)))
 
 
 def attachment_score(samples: TaskSamples, spec: CheckSpec) -> CheckResult:
@@ -320,32 +360,30 @@ def collision_score(samples: TaskSamples, spec: CheckSpec,
                        samples_used=k)
 
 
-def text_input_score(user: Feature, ref: Feature, spec: CheckSpec,
-                     defaults: Defaults = DEFAULTS) -> CheckResult:
+def text_input_measure(user: Feature, ref: Feature, spec: CheckSpec,
+                       tol: float) -> Measure:
     """Compare the user's last text input for the field with the
     reference's. A reference value that reads as a finite number ramps
     from 1 at |u-r| <= tol down to 0 at 2*tol, and a user value that does
     not read as one scores 0; any other reference value requires an exact
     string match."""
-    tol = spec.tol if spec.tol is not None else defaults.text_tol
-    user_value, ref_value = _reductions(
-        user, ref, f"no TextInput for field {spec.subject!r}",
-        f"no reference TextInput for field {spec.subject!r}")
+    user_value, ref_value = _reductions(user, ref, spec)
     r, u = ref.number, user.number
     if r is None:
-        return CheckResult(kind="text-input",
-                           score=1.0 if user_value == ref_value else 0.0,
-                           detail=f"string match {user_value!r} vs {ref_value!r}",
-                           samples_used=user.samples)
+        return (1.0 if user_value == ref_value else 0.0,
+                "string match {!r} vs {!r}", user_value, ref_value)
     if u is None:
-        return CheckResult(kind="text-input", score=0.0,
-                           detail=f"unparsable numeric input {user_value!r}",
-                           samples_used=user.samples)
+        return 0.0, "unparsable numeric input {!r}", user_value
     d = abs(u - r)
     score = 1.0 if d <= tol else max(0.0, 1.0 - (d - tol) / tol)
-    return CheckResult(kind="text-input", score=score,
-                       detail=f"|{u!r} - {r!r}| = {d:.6g}, tol {tol:.6g}",
-                       samples_used=user.samples)
+    return score, "|{!r} - {!r}| = {:.6g}, tol {:.6g}", u, r, d, tol
+
+
+def text_input_score(user: Feature, ref: Feature, spec: CheckSpec,
+                     defaults: Defaults = DEFAULTS) -> CheckResult:
+    """``text_input_measure``'s CheckResult, at spec's tol or the default."""
+    return described("text-input", user, text_input_measure(
+        user, ref, spec, _tol(spec, defaults.text_tol)))
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +396,20 @@ _CHECK_FUNCS = {
     "collision": lambda user, ref, spec, d: collision_score(user, spec, d),
     "text-input": text_input_score,
 }
+
+# the kinds that compare the learner with a reference: each one's measure
+# and its default tolerance in ``Defaults``; attachment and collision read
+# only the learner's samples
+_MEASURES = {
+    "orientation": (orientation_measure, "orientation_tol"),
+    "position": (position_measure, "position_tol"),
+    "text-input": (text_input_measure, "text_tol"),
+}
+FEATURE_KINDS = frozenset(_MEASURES)
+
+
+def _error(kind: str, error: ValueError) -> CheckResult:
+    return CheckResult(kind=kind, score=0.0, detail=f"error: {error}")
 
 
 def run_check(spec: CheckSpec, user: TaskSamples | Feature,
@@ -372,21 +424,21 @@ def run_check(spec: CheckSpec, user: TaskSamples | Feature,
     try:
         return _CHECK_FUNCS[spec.kind](user, ref, spec, defaults)
     except ValueError as e:
-        return CheckResult(kind=spec.kind, score=0.0, detail=f"error: {e}")
+        return _error(spec.kind, e)
 
 
 def evaluate_task_level(node: TaskNode, samples: TaskSamples,
                         refs: Sequence[Reference],
                         defaults: Defaults = DEFAULTS) -> TaskScore:
-    """Run every check against each reference and keep the best
-    quality-scaled outcome.
+    """Score every reference and keep the best quality-scaled outcome.
 
     For each reference: omega_r = sum(cweight * score) / sum(cweight),
     scaled by that reference's quality. The reference maximizing the
-    scaled value wins (first on ties); its per-check results are retained.
-    The user's samples are reduced once: attachment and collision are
-    scored once, and the other kinds compare the user's features with
-    each reference's.
+    scaled value wins (first on ties). The user's samples are reduced
+    once: attachment and collision are run once, and each other check
+    measures the user's feature against each reference's, a ValueError
+    scoring 0. Only the winner's measures become CheckResults, so a
+    detail is written once per check, whatever the number of references.
     """
     spec = node.assessment
     if spec is None or not spec.has_task_level:
@@ -396,24 +448,49 @@ def evaluate_task_level(node: TaskNode, samples: TaskSamples,
 
     checks = spec.checks
     user = samples.features()
-    fixed = [None if c.kind in FEATURE_KINDS
-             else run_check(c, samples, None, defaults) for c in checks]
-    keys = [feature_key(c) for c in checks]
-    total_w = sum(c.check_weight for c in checks)
-    best: TaskScore | None = None
-    for index, ref in enumerate(refs):
-        results = tuple(
-            result if result is not None
-            else run_check(c, user[key], ref.features[key], defaults)
-            for c, key, result in zip(checks, keys, fixed))
-        if total_w == 0:
-            omega = 0.0
+    weights = [c.check_weight for c in checks]
+    total_w = sum(weights)
+    # per check: (the result of a check that needs no reference, or None;
+    # else the measure, the user's feature, its key and the tolerance)
+    plan = []
+    for c in checks:
+        if c.kind in _MEASURES:
+            measure, tol_name = _MEASURES[c.kind]
+            key = feature_key(c)
+            plan.append((None, measure, c, user[key], key,
+                         _tol(c, getattr(defaults, tol_name))))
         else:
-            omega = sum(c.check_weight * r.score
-                        for c, r in zip(checks, results)) / total_w
+            plan.append((run_check(c, samples, None, defaults), None, c,
+                         None, None, None))
+
+    best_omega = 0.0
+    best: tuple[int, list] | None = None  # the winner's index and outcomes
+    for index, ref in enumerate(refs):
+        features = ref.features
+        outcomes: list = []  # per check: a result, a measure or a ValueError
+        scores: list[float] = []
+        for fixed, measure, c, mine, key, tol in plan:
+            if fixed is not None:
+                outcome, score = fixed, fixed.score
+            else:
+                try:
+                    outcome = measure(mine, features[key], c, tol)
+                    score = outcome[0]
+                except ValueError as e:
+                    outcome, score = e, 0.0
+            outcomes.append(outcome)
+            scores.append(score)
+        omega = 0.0 if total_w == 0 else sum(map(mul, weights, scores)) / total_w
         omega *= ref.quality
-        if best is None or omega > best.omega:
-            best = TaskScore(omega=omega, checks=results, reference_index=index,
-                             reference_quality=ref.quality)
+        if best is None or omega > best_omega:
+            best_omega, best = omega, (index, outcomes)
     assert best is not None
-    return best
+
+    index, outcomes = best
+    results = tuple(
+        fixed if fixed is not None
+        else _error(c.kind, outcome) if isinstance(outcome, ValueError)
+        else described(c.kind, mine, outcome)
+        for (fixed, _, c, mine, _, _), outcome in zip(plan, outcomes))
+    return TaskScore(omega=best_omega, checks=results, reference_index=index,
+                     reference_quality=refs[index].quality)

@@ -180,6 +180,7 @@ class _TaskRun:
         self.t_end = 0.0
         self.samples: dict[str, TaskSamples] = {}  # by member, while active
         self.evaluators: dict[str, ActionEvaluator] = {}
+        self.best: Reference | None = None  # the action level's, from the start mark
         self.out_of_order = False
         self.result: TaskEntry | None = None
         self.warnings: list[str] = []
@@ -293,7 +294,8 @@ class Session:
         if not refs:
             run.warnings.append("no reference; action level cannot be scored")
             return
-        ref = _best_reference(refs)
+        # the reference of highest quality, the first of equals
+        ref = run.best = max(refs, key=lambda r: r.quality)
         if ref.track is None:
             run.warnings.append(f"action level cannot be scored: {ref.error}")
             return
@@ -325,7 +327,6 @@ class Session:
         node = run.node
         spec = node.assessment
         refs = self.refs.get(node.id)
-        quality = _best_reference(refs).quality if refs else 1.0
         samples, run.samples = run.samples, {}
         if not any(s.count for s in samples.values()):
             run.warnings.append(
@@ -360,7 +361,7 @@ class Session:
                     messages += self._wrap(run, run.t_end, evaluator.flush())
                     traj = evaluator.finalize(run.t_end)
                     run.warnings.extend(traj.warnings)
-                    value = traj.score * quality
+                    value = traj.score * run.best.quality
                 else:
                     value = 0.0
                 parts.append((self.defaults.action_share, value))
@@ -451,11 +452,6 @@ class Session:
             scopes=tuple(scopes), warnings=tuple(self._warnings),
             config=setting_lines(self.defaults)
             + setting_lines(self.config.trajectory))
-
-
-def _best_reference(refs: Sequence[Reference]) -> Reference:
-    """The reference of highest quality, the first of equals."""
-    return max(refs, key=lambda r: r.quality)
 
 
 def score_recording(config: EngineConfig, rec: SessionRecording) -> AssessmentReport:

@@ -52,6 +52,7 @@ from __future__ import annotations
 import graphlib
 import math
 from dataclasses import dataclass, field, fields
+from typing import Iterable
 
 CHECK_KINDS = ("orientation", "position", "attachment", "collision", "text-input")
 _REF_KINDS = ("attachment", "collision")  # the kinds that read a reference object
@@ -156,6 +157,15 @@ def check_known(value, allowed: tuple, what: str) -> None:
         raise ValueError(f"unknown {what} {value!r} ({'|'.join(allowed)})")
 
 
+def check_distinct(ids: Iterable[str], what: str) -> None:
+    """A ValueError naming the first id that what lists twice."""
+    seen: set[str] = set()
+    for i in ids:
+        if i in seen:
+            raise ValueError(f"{what} repeat an id: {i}")
+        seen.add(i)
+
+
 @dataclass(frozen=True)
 class UserScope:
     """Who a task assesses: one user, a whole group (at least two users,
@@ -253,8 +263,8 @@ _REQUIRED = ("users", "weight", "objects", "assessment", "feedback")
 class TaskNode(Settings):
     """A network node. An abstract node has children and nothing of
     ``_PRIMITIVE_ONLY``; a primitive one has no children, sets every
-    field of ``_REQUIRED`` and, when assessed at the action level, lists a
-    joint id in ``objects``."""
+    field of ``_REQUIRED``, lists no id twice in ``objects`` and, when
+    assessed at the action level, lists a joint id there."""
 
     id: str
     kind: str  # abstract | primitive
@@ -286,6 +296,7 @@ class TaskNode(Settings):
         if missing := [n for n in _REQUIRED if n not in given]:
             raise ValueError(f"primitive task is missing {missing[0]}")
         check_known(self.feedback, FEEDBACK_MODES, "feedback mode")
+        check_distinct(self.objects, "objects")
         if self.assessment.has_action_level and not self.joints:
             raise ValueError("trajectory tracks no joint")
 
@@ -476,6 +487,11 @@ def parse_network(text: str) -> TaskNetwork:
         elif directive in ("input", "output", "objects"):
             if not args:
                 raise NetworkError(f"{directive} needs at least one id", lineno)
+            if directive == "objects":
+                try:
+                    check_distinct(args, "objects")
+                except ValueError as e:
+                    raise NetworkError(str(e), lineno) from None
             block.fields[directive] = tuple(args)
         elif directive == "assess":
             if len(args) != 1 or args[0] not in ASSESS_MODES:

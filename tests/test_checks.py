@@ -5,12 +5,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ahtn import engine
-from ahtn.checks import (TaskSamples, attachment_score, collision_score,
+from ahtn.checks import (FEATURE_KINDS, TaskSamples, TaskScore,
+                         attachment_score, collision_score,
                          evaluate_task_level, feature_key,
                          mean_quaternion, orientation_score, position_score,
-                         quaternion_angle, run_check, text_input_score)
+                         quaternion_angle, run_check, text_input_score,
+                         vector_norm)
 from ahtn.model import CheckSpec, Defaults, is_joint_id, parse_network
 from ahtn.telemetry import (Attach, Collision, Event, Pose, SessionRecording,
                             SkeletonFrame, TaskMark, TextInput)
@@ -111,6 +114,24 @@ def test_mean_quaternion_is_unit_and_centered():
         assert np.linalg.norm(mean) == pytest.approx(1.0, abs=1e-12)
         ang = quaternion_angle(mean, np.array(zrot(center)))
         assert ang < 0.25  # inside the sample cone despite sign flips
+
+
+magnitudes = st.floats(min_value=1e-300, max_value=1e150)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((3, 4)).flatmap(lambda n: st.lists(
+    st.tuples(magnitudes, st.booleans()), min_size=n, max_size=n)))
+def test_vector_norm_is_numpys_norm_bit_for_bit(parts):
+    v = np.array([-x if negative else x for x, negative in parts])
+    assert vector_norm(v).hex() == float(np.linalg.norm(v)).hex()
+
+
+def test_mean_quaternion_of_cancelling_samples_is_degenerate():
+    # a zero quaternion first keeps every sign; the opposite samples cancel
+    quats = np.array([(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, -1)], dtype=float)
+    with pytest.raises(ValueError, match="^degenerate orientation mean$"):
+        mean_quaternion(quats)
 
 
 # -- orientation -------------------------------------------------------------
@@ -597,3 +618,105 @@ def test_each_reference_is_read_once_across_sessions(monkeypatch):
     assert [reads.count(i) for i in ref_reducers] == [1, 1, 1, 1]
     assert [reads.count(id(user)) for user in sessions] == [1, 1, 1]
     assert len(reads) == 4 + 3
+
+
+# -- the per-reference oracle -------------------------------------------------
+
+def oracle(node, samples, refs, defaults=Defaults()):
+    """The per-reference loop evaluate_task_level replaced: every check as
+    a CheckResult against every reference, the first best kept."""
+    checks = node.assessment.checks
+    user = samples.features()
+    fixed = [None if c.kind in FEATURE_KINDS
+             else run_check(c, samples, None, defaults) for c in checks]
+    keys = [feature_key(c) for c in checks]
+    total_w = sum(c.check_weight for c in checks)
+    best = None
+    for index, r in enumerate(refs):
+        results = tuple(
+            result if result is not None
+            else run_check(c, user[key], r.features[key], defaults)
+            for c, key, result in zip(checks, keys, fixed))
+        if total_w == 0:
+            omega = 0.0
+        else:
+            omega = sum(c.check_weight * res.score
+                        for c, res in zip(checks, results)) / total_w
+        omega *= r.quality
+        if best is None or omega > best.omega:
+            best = TaskScore(omega=omega, checks=results, reference_index=index,
+                             reference_quality=r.quality)
+    return best
+
+
+ORACLE_CHECKS = (
+    "orientation subject=cup", "orientation subject=dish tol=0.2",
+    "position subject=cup", "position subject=dish tol=0.05",
+    "text-input subject=field", "text-input subject=field tol=0.1",
+    "attachment subject=cup ref=hand", "collision subject=cup",
+)
+POSITIONS = ((0.0, 0.0, 0.0), (0.2, 0.0, 0.0), (0.1, 0.3, -0.2), (2.0, 0.0, 0.0))
+TURNS = (0.0, 0.3, 1.0, 3.0)
+TEXTS = ("1.25", "1.26", "1.3", "0", "blue", "abc", "inf", "-inf", "nan", "1e999")
+
+# an object's poses: none, samples whose orientations cancel, or 1-3 poses
+# drawn from POSITIONS and TURNS; a performance is the cup's, the dish's
+# and the field's last text value, if any
+object_poses = (st.none() | st.just("degenerate")
+                | st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                           min_size=1, max_size=3))
+performances = st.tuples(object_poses, object_poses,
+                         st.none() | st.sampled_from(TEXTS))
+
+
+def performed(cup, dish, value):
+    """The events of a performance, with one hold of the cup and one hit."""
+    events = [attach(1.0, "cup", "hand", True), attach(6.0, "cup", "hand", False),
+              collide(7.0, "cup", "table")]
+    for obj, poses in (("cup", cup), ("dish", dish)):
+        if poses == "degenerate":
+            events += [pose(2.0 + i, obj, (0, 0, 0), q) for i, q in
+                       enumerate(((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, -1)))]
+        elif poses is not None:
+            events += [pose(0.5 + i, obj, POSITIONS[p], zrot(TURNS[q]))
+                       for i, (p, q) in enumerate(poses)]
+    if value is not None:
+        events.append(text(8.0, "field", value))
+    return events
+
+
+@settings(max_examples=150, deadline=None)
+@given(checks=st.lists(st.tuples(st.sampled_from(ORACLE_CHECKS),
+                                 st.sampled_from((0.0, 0.3, 0.7, 1.0, 2.5))),
+                       min_size=1, max_size=6),
+       user=performances,
+       pool=st.lists(performances, min_size=1, max_size=4),
+       picks=st.lists(st.tuples(st.integers(0, 3), st.sampled_from((0.5, 0.9, 1.0))),
+                      min_size=1, max_size=20))
+# zero total cweight: every reference scores 0 and the first wins
+@example(checks=[("position subject=cup", 0.0), ("collision subject=cup", 0.0)],
+         user=([(1, 1)], None, None), pool=[([(0, 0)], None, None)],
+         picks=[(0, 0.5), (0, 1.0)])
+# no learner samples, and a learner text that is not a number against a
+# number, a word and inf; the references lack the cup or cancel
+@example(checks=[(c, 1.0) for c in ORACLE_CHECKS],
+         user=(None, "degenerate", "blue"),
+         pool=[(None, [(0, 0)], "1.25"), ("degenerate", None, "blue"),
+               ([(1, 2)], [(3, 3)], "inf")],
+         picks=[(0, 0.9), (1, 1.0), (2, 1.0), (1, 1.0), (0, 0.9)])
+# twenty references in five tie groups of equal performance and quality
+@example(checks=[(c, 1.0) for c in ORACLE_CHECKS],
+         user=([(1, 1), (2, 0)], [(0, 0)], "1.26"),
+         pool=[([(1, 1)], [(0, 0)], "1.25"), ([(0, 1)], [(0, 0)], "1.3"),
+               ([(2, 0)], [(0, 1)], "1.26"), (None, None, None)],
+         picks=[(i % 4, (0.9, 1.0)[i % 5 == 2]) for i in range(20)])
+def test_evaluate_task_level_equals_the_per_reference_oracle(checks, user, pool, picks):
+    lines = [f"{line} cweight={w}" for line, w in checks]
+    node = node_with(lines)
+    samples = reduced(performed(*user), node.assessment.checks)
+    refs = [reduce_reference(performed(*pool[i % len(pool)]), quality,
+                             checks=lines) for i, quality in picks]
+    got = evaluate_task_level(node, samples, refs)
+    want = oracle(node, samples, refs)
+    assert got == want
+    assert repr(got) == repr(want)  # and the signs of zeros

@@ -118,6 +118,19 @@ def test_config_holds_its_own_copy_of_each_reference_list(
     assert render_report(score_recording(config, hydro_rec)) == before
 
 
+def test_action_level_grades_against_the_first_reference_of_highest_quality(
+        hydro_net, hydro_rec, hydro_refs):
+    (ref,) = hydro_refs["T1"]
+    refs = {**hydro_refs, "T1": [replace(ref, quality=0.6), ref,
+                                 replace(ref, track=None, error="a later equal")]}
+    report = score_recording(cfg(hydro_net, refs), hydro_rec)
+    (entry,) = (e for e in report.scope("student").entries if e.task_id == "T1")
+    (member,) = entry.members
+    assert member.task_score.reference_index == 1
+    assert member.trajectory.score == 1.0 and entry.omega == 1.0
+    assert not any("action level cannot be scored" in w for w in report.warnings)
+
+
 # -- self replay ---------------------------------------------------------------
 
 def test_hydrometer_self_replay_is_perfect(hydro_net, hydro_rec, hydro_refs):

@@ -78,6 +78,7 @@ def test_missing_weight_names_node_and_parameter():
     ("  time -3", "time"),
     ("  flavor vanilla", "unknown directive"),
     ("  user group a a", "scope repeats a user id: a a"),
+    ("  objects cup hand-right head hand-right", "objects repeat an id: hand-right"),
 ])
 def test_bad_directives_report_line_numbers(line, fragment):
     text = "task T\n  kind primitive\n" + line + "\nend\n"
@@ -420,6 +421,8 @@ def test_library_settings_are_checked(hydro_net, build, name):
      "action-level mode takes no checks"),
     (lambda net: replace(net.nodes["T1"], objects=("hand",)),
      "trajectory tracks no joint"),
+    (lambda net: replace(net.nodes["T1"], objects=("hydrometer", "hand", "hydrometer")),
+     "objects repeat an id: hydrometer"),
     (lambda net: UserScope("group", ("student",)),
      "group scope needs at least two user ids"),
     (lambda net: replace(net.nodes["T1"].users, user_ids=()),
@@ -437,8 +440,8 @@ def test_library_settings_are_checked(hydro_net, build, name):
     (lambda net: TaskMark("T4", "stop"), "unknown mark edge 'stop'"),
 ], ids=["CheckSpec.kind", "CheckSpec.ref", "CheckSpec.tol-kind",
         "CheckSpec.ref-kind", "AssessmentSpec.mode", "TaskNode.feedback",
-        "AssessmentSpec.checks", "TaskNode.joints", "UserScope.group",
-        "UserScope.single", "UserScope.repeat", "TaskNode.abstract-children",
+        "AssessmentSpec.checks", "TaskNode.joints", "TaskNode.objects",
+        "UserScope.group", "UserScope.single", "UserScope.repeat", "TaskNode.abstract-children",
         "TaskNode.abstract-field", "TaskNode.primitive-children",
         "TaskNode.required", "TaskMark.edge"])
 def test_library_types_hold_their_rules(hydro_net, build, rule):

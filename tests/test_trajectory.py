@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ahtn.engine import build_reference_set
-from ahtn.model import TrajectoryParams, parse_network
+from ahtn.model import NetworkError, TrajectoryParams, parse_network
 from ahtn.telemetry import (Event, Pose, SessionRecording, SkeletonFrame,
                             TaskMark, parse_session)
 from ahtn.trajectory import (HAND_PROXIMITY_FACTOR, ActionEvaluator, Anomaly,
@@ -212,20 +212,24 @@ def test_match_requires_every_joint():
 
 
 def test_repeated_tracked_joint_is_one_row_per_listing():
-    # a task may list a joint twice (the parser keeps both): each listing is
-    # a row of every target, matched against that joint's row of the frame,
-    # and not against a row read for another role (here the shoulders)
-    joints = parse_network(
-        "task T\n  kind primitive\n  user single u\n  weight 1.0\n"
-        "  objects cup head hand-right hand-right\n  assess action-level\n"
-        "  feedback final\nend\n").nodes["T"].joints
-    assert joints == ("head", "hand-right", "hand-right")
+    # a task cannot list a joint twice, but a track whose joints tuple does
+    # keeps each listing as a row of every target, matched against that
+    # joint's row of the frame, and not against a row read for another
+    # role (here the shoulders)
+    with pytest.raises(NetworkError, match="line 5: objects repeat an id: hand-right"):
+        parse_network(
+            "task T\n  kind primitive\n  user single u\n  weight 1.0\n"
+            "  objects cup head hand-right hand-right\n  assess action-level\n"
+            "  feedback final\nend\n")
 
     def posed(dx):  # the reference pose moved dx along x
         return frame(head=(dx, 1.7, 0), hand_right=(dx + 1, 1.7, 0),
                      shoulder_right=(dx - 5, 1.5, 0), shoulder_left=(dx + 5, 1.5, 0))
 
-    track = reference_track(*skel_task([(0.0, posed(0.0))], t1=1.0), joints, PARAMS)
+    track = reference_track(*skel_task([(0.0, posed(0.0))], t1=1.0),
+                            ("head", "hand-right"), PARAMS)
+    track = replace(track, joint_ids=("head", "hand-right", "hand-right"),
+                    positions=track.positions[:, [0, 1, 1]])
     assert track.positions.shape == (2, 3, 3)
 
     def bursts(dx):
