@@ -4,16 +4,15 @@ by each task's feedback mode, and aggregates per-scope grades.
 An EngineConfig holds one grading run's network, references, ``Defaults``
 and ``TrajectoryParams``, checked once when built; its Sessions trust it.
 A Session consumes one time-ordered event stream (batch or live, the code
-path is identical) and produces an AssessmentReport. Task activations are
-driven by TaskMark events; each activation gives every member of the
-task's scope a ``checks.TaskSamples``, which takes the events the task
-reads and keeps only what its checks need until the end mark scores them.
-For action-level tasks it also steps a per-user ActionEvaluator so bursts
-and anomalies surface as they happen. Events are routed by user: each
-accepted start or end mark rebuilds the map from a user to their active
-runs, so an event reaches only the runs that can take it.
-``build_reference_set`` routes each reference recording by the same marks,
-through a map built the same way, into the same reducer.
+path is identical) and produces an AssessmentReport. A ``TaskWindows``
+cuts it into tasks by one rule, which ``build_reference_set`` cuts each
+reference recording by too: a task's first start mark opens its window,
+the next end mark, even one at the start's time, closes it, and every
+other mark is ignored (a Session warns of each). Each open window gives
+every member of the task's scope a ``checks.TaskSamples``, which takes
+the events the task reads and keeps only what its checks need until the
+end mark scores them. For action-level tasks it also steps a per-user
+ActionEvaluator so bursts and anomalies surface as they happen.
 """
 
 from __future__ import annotations
@@ -21,11 +20,12 @@ from __future__ import annotations
 import math
 import types
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Generic, Iterable, Mapping, Sequence, TypeVar
 
 from .checks import TaskSamples, TaskScore, evaluate_task_level
 from .model import (Defaults, TaskNetwork, TaskNode, TrajectoryParams,
-                    is_joint_id, ready_tasks, setting_lines, validate_network)
+                    check_setting, is_joint_id, ready_tasks, setting_lines,
+                    validate_network)
 from .report import (AssessmentReport, FeedbackMessage, MemberResult,
                      ScopeReport, TaskEntry)
 from .telemetry import (Event, Reference, ReferenceSet, SessionRecording,
@@ -94,14 +94,46 @@ def task_samples(node: TaskNode, t0: float) -> TaskSamples:
     return TaskSamples(spec.checks, node.objects, skeleton, t0)
 
 
-def _routes(entries: Iterable[tuple[str, T]]) -> dict[str, list[T]]:
-    """Each user's entries, in the order given: what a stream's events are
-    routed by. Both sides rebuild it from their open tasks at every mark
-    they accept, so an event reaches only the tasks that can take it."""
-    by_user: dict[str, list[T]] = {}
-    for user, entry in entries:
-        by_user.setdefault(user, []).append(entry)
-    return by_user
+class TaskWindows(Generic[T]):
+    """A stream cut into task windows by its marks: the one rule for what
+    a mark does, shared by a Session and ``build_reference_set``.
+
+    A primitive task's first start mark opens its window, and the next
+    end mark, even one at the start's time, closes it. ``mark`` answers
+    every other mark with why it is ignored. ``open`` holds one entry per
+    scope member of each open window, ``closed`` the tasks whose window
+    has closed, and ``routes``, rebuilt at each mark accepted, each user's
+    entries in network order: what the other events are routed by."""
+
+    def __init__(self, net: TaskNetwork):
+        self.nodes = {i: net.nodes[i] for i in net.primitive_ids()}
+        self.open: dict[str, dict[str, T]] = {}  # task id -> member -> entry
+        self.closed: set[str] = set()
+        self.routes: dict[str, list[T]] = {}
+
+    def mark(self, t: float, mark: TaskMark,
+             open_window: Callable[[TaskNode, float], dict[str, T]]
+             ) -> dict[str, T] | str:
+        """The entries of the window the mark at time t opens, which
+        ``open_window`` makes, or closes; otherwise why it is ignored."""
+        task_id = mark.task_id
+        node = self.nodes.get(task_id)
+        if node is None:
+            return f"mark for unknown or non-primitive task {task_id!r} ignored"
+        if mark.edge == "start":
+            if task_id in self.open or task_id in self.closed:
+                return f"duplicate start mark for task {task_id!r} ignored"
+            window = self.open[task_id] = open_window(node, t)
+        else:
+            window = self.open.pop(task_id, None)
+            if window is None:
+                return f"end mark without active task {task_id!r} ignored"
+            self.closed.add(task_id)
+        self.routes = {}
+        for open_id in self.nodes:
+            for user, entry in self.open.get(open_id, {}).items():
+                self.routes.setdefault(user, []).append(entry)
+        return window
 
 
 def build_reference_set(net: TaskNetwork,
@@ -112,57 +144,51 @@ def build_reference_set(net: TaskNetwork,
     its events and its quality, to what grading reads: the check features
     and, for a trajectory task, the track of the node's joints, matched
     with ``params`` (a ``trajectory.TrackBuilder``, which also measures the
-    performer); ``error`` says why the track could not be built.
+    performer); ``error`` says why the track could not be built. Each
+    quality is checked before its recording is read.
 
     A recording's events may be a ``SessionRecording`` or a reader such as
-    ``telemetry.iter_events`` that never holds them whole. One pass routes
-    them as a live ``Session`` does: a start mark opens a ``task_samples``
-    reducer, and a track builder for a trajectory task; each later event
-    goes to the open tasks whose scope holds its user, and the builder is
-    fed what the reducer's ``add`` takes; the end mark closes the task.
+    ``telemetry.iter_events`` that never holds them whole. One pass cuts
+    them with ``TaskWindows``, as a live ``Session`` does: the window a
+    task's first start mark opens holds a ``task_samples`` reducer, and a
+    track builder for a trajectory task, which every member of the task's
+    scope feeds; each later event goes to the open windows whose scope
+    holds its user, and the builder is fed what the reducer's ``add``
+    takes; the next end mark closes the window and makes the reference.
     Both reduce each event as it arrives, and no event list is kept. So a
     bystander's skeleton cannot shift the reference, and one rule decides
-    what both sides of a comparison read. A task whose marks in a
-    recording are not one start and, at a later time, one end takes no
-    reference from it."""
-    nodes = {i: net.nodes[i] for i in net.primitive_ids()}
-    by_task: ReferenceSet = {i: [] for i in nodes}
+    what both sides of a comparison read: a second pair of marks, or any
+    other mark the rule ignores, changes nothing, and a task whose window
+    the recording never closes takes no reference from it."""
+
+    def open_window(node: TaskNode, t0: float) -> dict[str, tuple]:
+        builder = (TrackBuilder(node, t0, params)
+                   if node.assessment.has_action_level else None)
+        return dict.fromkeys(node.users.user_ids, (task_samples(node, t0), builder))
+
+    by_task: ReferenceSet = {i: [] for i in net.primitive_ids()}
     for events, quality in recordings:
-        runs: dict[str, tuple[TaskSamples, TrackBuilder | None]] = {}  # open tasks
-        closed: dict[str, tuple | None] = {}  # None: the marks are unusable
-        routes: dict[str, list] = {}  # user -> the open runs of their scopes
+        check_setting("in [0, 1]", quality, "reference quality")
+        windows: TaskWindows[tuple] = TaskWindows(net)
         for e in events:
             mark = e.payload
             if type(mark) is not TaskMark:
-                for samples, builder in routes.get(e.user, ()):
+                for samples, builder in windows.routes.get(e.user, ()):
                     if samples.add(e) and builder is not None:
                         builder.add(e)
                 continue
-            node = nodes.get(mark.task_id)
-            if node is None:
+            window = windows.mark(e.t, mark, open_window)
+            if isinstance(window, str) or mark.edge == "start":
                 continue
-            run = runs.pop(node.id, None)
-            if mark.edge == "start" and run is None and node.id not in closed:
-                runs[node.id] = (task_samples(node, e.t), TrackBuilder(node, e.t, params)
-                                 if node.assessment.has_action_level else None)
-            elif mark.edge == "end" and run is not None and e.t > run[0].t0:
-                run[0].t1 = e.t
-                closed[node.id] = run
-            else:
-                closed[node.id] = None
-            routes = _routes((user, run) for task_id, run in runs.items()
-                             for user in nodes[task_id].users.user_ids)
-        for task_id, run in closed.items():
-            if run is None:
-                continue
-            samples, builder = run
+            samples, builder = next(iter(window.values()))
+            samples.t1 = e.t
             track = error = None
             if builder is not None:
                 try:
-                    track = builder.track(samples.t1)
+                    track = builder.track(e.t)
                 except ValueError as err:
                     error = str(err)
-            by_task[task_id].append(Reference(
+            by_task[mark.task_id].append(Reference(
                 quality=quality, features=samples.features(), track=track,
                 error=error))
     return {i: refs for i, refs in by_task.items() if refs}
@@ -175,10 +201,7 @@ class _TaskRun:
         self.node = node
         self.scope_key = node.users.key()
         self.members: tuple[str, ...] = node.users.user_ids
-        self.status = "pending"  # pending | active | done
         self.t_start = 0.0
-        self.t_end = 0.0
-        self.samples: dict[str, TaskSamples] = {}  # by member, while active
         self.evaluators: dict[str, ActionEvaluator] = {}
         self.best: Reference | None = None  # the action level's, from the start mark
         self.out_of_order = False
@@ -196,11 +219,9 @@ class Session:
         self.defaults = config.defaults
         self.net = config.network
         self.refs = config.references
-        self._runs = {i: _TaskRun(self.net.nodes[i])
-                      for i in self.net.primitive_ids()}
-        self._completed: set[str] = set()
-        # user -> (samples, evaluator, run) of each active run they are in
-        self._routes: dict[str, list[tuple]] = {}
+        # each open window's entries: (samples, evaluator, run) per member
+        self._windows: TaskWindows[tuple] = TaskWindows(self.net)
+        self._runs = {i: _TaskRun(node) for i, node in self._windows.nodes.items()}
         self._finalized = False
         self._t0: float | None = None  # the first event's time
         self._last_t = -math.inf
@@ -230,9 +251,9 @@ class Session:
         payload = event.payload
         if isinstance(payload, TaskMark):
             return self._handle_mark(event)
-        # to the runs that can take it: the active runs of its user
+        # to the tasks that can take it: the open windows of its user
         messages: list[FeedbackMessage] = []
-        for samples, evaluator, run in self._routes.get(event.user, ()):
+        for samples, evaluator, run in self._windows.routes.get(event.user, ()):
             if (samples.add(event) and evaluator is not None
                     and isinstance(payload, SkeletonFrame)):
                 primitives = evaluator.observe(t, payload)
@@ -256,36 +277,24 @@ class Session:
 
     def _handle_mark(self, event: Event) -> list[FeedbackMessage]:
         mark: TaskMark = event.payload
-        run = self._runs.get(mark.task_id)
-        if run is None:
-            self._warnings.append(
-                f"mark for unknown or non-primitive task {mark.task_id!r} ignored")
+        window = self._windows.mark(event.t, mark, self._open)
+        if isinstance(window, str):
+            self._warnings.append(window)
             return []
         if mark.edge == "start":
-            if run.status != "pending":
-                self._warnings.append(
-                    f"duplicate start mark for task {mark.task_id!r} ignored")
-                return []
-            run.status = "active"
-            run.t_start = event.t
-            run.samples = {m: task_samples(run.node, event.t)
-                           for m in run.members}
-            if mark.task_id not in ready_tasks(self.net, self._completed):
-                run.out_of_order = True
-                run.warnings.append("started before predecessors completed")
-            self._attach_evaluators(run)
-            self._reroute()
             return []
+        return self._evaluate(self._runs[mark.task_id], window, event.t)
 
-        if run.status != "active":
-            self._warnings.append(
-                f"end mark without active task {mark.task_id!r} ignored")
-            return []
-        run.t_end = event.t
-        run.status = "done"
-        self._reroute()
-        self._completed.add(mark.task_id)
-        return self._evaluate(run)
+    def _open(self, node: TaskNode, t: float) -> dict[str, tuple]:
+        """A window's entries: each member's reducer and evaluator."""
+        run = self._runs[node.id]
+        run.t_start = t
+        if node.id not in ready_tasks(self.net, self._windows.closed):
+            run.out_of_order = True
+            run.warnings.append("started before predecessors completed")
+        self._attach_evaluators(run)
+        return {m: (task_samples(node, t), run.evaluators.get(m), run)
+                for m in run.members}
 
     def _attach_evaluators(self, run: _TaskRun) -> None:
         if not run.node.assessment.has_action_level:
@@ -302,14 +311,7 @@ class Session:
         for member in run.members:
             run.evaluators[member] = ActionEvaluator(ref.track, run.t_start)
 
-    # -- event routing ------------------------------------------------------
-
-    def _reroute(self) -> None:
-        """Route each member's events to the active runs, in network order."""
-        self._routes = _routes(
-            (member, (samples, run.evaluators.get(member), run))
-            for run in self._runs.values() if run.status == "active"
-            for member, samples in run.samples.items())
+    # -- feedback -----------------------------------------------------------
 
     @staticmethod
     def _wrap(run: _TaskRun, t: float,
@@ -323,19 +325,20 @@ class Session:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _evaluate(self, run: _TaskRun) -> list[FeedbackMessage]:
+    def _evaluate(self, run: _TaskRun, window: dict[str, tuple],
+                  t_end: float) -> list[FeedbackMessage]:
         node = run.node
         spec = node.assessment
         refs = self.refs.get(node.id)
-        samples, run.samples = run.samples, {}
-        if not any(s.count for s in samples.values()):
+        if not any(samples.count for samples, _, _ in window.values()):
             run.warnings.append(
                 f"no events routed from {', '.join(run.members)}")
 
         messages: list[FeedbackMessage] = []
         members: list[MemberResult] = []
         for member in run.members:
-            samples[member].t1 = run.t_end
+            samples = window[member][0]
+            samples.t1 = t_end
             task_score: TaskScore | None = None
             traj: TrajectorySummary | None = None
             parts: list[tuple[float, float]] = []  # (share, value)
@@ -343,7 +346,7 @@ class Session:
             if spec.has_task_level:
                 if refs:
                     task_score = evaluate_task_level(
-                        node, samples[member], refs, self.defaults)
+                        node, samples, refs, self.defaults)
                     value = task_score.omega
                     run.warnings.extend(
                         f"check {c.kind} {c.subject}: {r.detail}"
@@ -358,8 +361,8 @@ class Session:
                 if evaluator is not None:
                     # a task that ended inside its first second replays
                     # its warm-up here, and that replay's feedback is sent
-                    messages += self._wrap(run, run.t_end, evaluator.flush())
-                    traj = evaluator.finalize(run.t_end)
+                    messages += self._wrap(run, t_end, evaluator.flush())
+                    traj = evaluator.finalize(t_end)
                     run.warnings.extend(traj.warnings)
                     value = traj.score * run.best.quality
                 else:
@@ -375,7 +378,7 @@ class Session:
 
         omega = sum(m.omega for m in members) / len(members)
         time_factor = 1.0
-        duration = run.t_end - run.t_start
+        duration = t_end - run.t_start
         if node.time_constraint is not None and duration > 0:
             time_factor = min(1.0, node.time_constraint / duration)
             omega *= time_factor
@@ -395,9 +398,9 @@ class Session:
             return messages
         passed = omega >= self.defaults.pass_threshold
         return messages + [
-            FeedbackMessage(run.t_end, run.scope_key, "task-complete",
+            FeedbackMessage(t_end, run.scope_key, "task-complete",
                             f"task={node.id}"),
-            FeedbackMessage(run.t_end, run.scope_key, "task-score",
+            FeedbackMessage(t_end, run.scope_key, "task-score",
                             f"task={node.id} omega={omega:.9f} "
                             f"pass={'true' if passed else 'false'}"),
         ]
@@ -411,10 +414,9 @@ class Session:
             raise ValueError("session already finalized")
         self._finalized = True
 
-        for run in self._runs.values():
-            if run.status == "active":
-                run.status = "done"
-                run.t_end = self._last_t
+        windows = self._windows
+        for task_id, run in self._runs.items():
+            if task_id in windows.open:
                 run.result = TaskEntry(
                     task_id=run.node.id, status="unfinished", omega=0.0,
                     weight=run.node.weight,
@@ -423,7 +425,7 @@ class Session:
                     f"task {run.node.id}: never ended; scored 0")
                 for w in run.warnings:
                     self._warnings.append(f"task {run.node.id}: {w}")
-            elif run.status == "pending":
+            elif task_id not in windows.closed:
                 run.result = TaskEntry(
                     task_id=run.node.id, status="unperformed", omega=0.0,
                     weight=run.node.weight)

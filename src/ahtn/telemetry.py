@@ -45,7 +45,8 @@ order, mark pairs) in one loop, ``_checked``:
   task open; the engine reports that task as unfinished.
 
 Which events belong to a task is one rule, in stream order: those after
-its start mark and before its end mark, so events that share a mark's
+the start mark that opens its window and before the end mark that closes
+it (``engine.TaskWindows``), so events that share a mark's
 timestamp fall on the side of the mark where they were written. Of
 those, a task keeps a scope member's events that one
 ``checks.TaskSamples.add`` takes. ``engine.Session`` applies the rule as

@@ -143,6 +143,22 @@ def test_score_bad_quality_suffix(run, demo_dir, tmp_path):
     assert "bad reference quality" in err
 
 
+def test_score_checks_the_quality_of_a_reference_that_gives_none(
+        run, demo_dir, tmp_path):
+    no_marks = tmp_path / "no-marks.rec"
+    no_marks.write_text("".join(
+        line for line in (demo_dir / "hydrometer.rec").read_text().splitlines(True)
+        if " mark " not in line))
+    code, _, err = run("score", "--net", hydro(demo_dir, "ahtn"),
+                       "--refs", hydro(demo_dir, "rec"),
+                       "--refs", f"{no_marks}@7",
+                       "--session", hydro(demo_dir, "rec"),
+                       "--out", str(tmp_path / "r.txt"))
+    assert code == 1
+    assert err == "ahtn: error: reference quality must be finite and in [0, 1]: 7.0\n"
+    assert not (tmp_path / "r.txt").exists()
+
+
 def test_score_override_flags_echo_into_report(run, demo_dir, tmp_path):
     out_path = tmp_path / "report.txt"
     code, _, _ = run("score", "--net", hydro(demo_dir, "ahtn"),
@@ -239,6 +255,31 @@ def test_stream_report_matches_batch_score(run, demo_dir, tmp_path, monkeypatch)
     assert code == 0
     assert out == ""  # hydrometer tasks all use final feedback
     assert stream_out.read_bytes() == batch_out.read_bytes()
+
+
+def test_second_pair_of_marks_self_replays_in_score_and_stream(
+        run, demo_dir, tmp_path, monkeypatch):
+    # the reference and the session are cut by the same rule: the first
+    # pair of a task's marks, so the second pair is ignored on both sides
+    text = ((demo_dir / "hydrometer.rec").read_text()
+            + "t=26.0 u=student mark T2 start\nt=26.5 u=student mark T2 end\n")
+    rec = tmp_path / "two-pairs.rec"
+    rec.write_text(text)
+    batch_out = tmp_path / "batch.txt"
+    code, _, err = run("score", "--net", hydro(demo_dir, "ahtn"), "--refs", str(rec),
+                       "--session", str(rec), "--out", str(batch_out))
+    assert (code, err) == (0, "")
+    stream_out = tmp_path / "stream.txt"
+    monkeypatch.setattr("sys.stdin", stdin(text))
+    code, _, err = run("stream", "--net", hydro(demo_dir, "ahtn"), "--refs", str(rec),
+                       "--out", str(stream_out))
+    assert (code, err) == (0, "")
+    assert stream_out.read_bytes() == batch_out.read_bytes()
+    report = batch_out.read_text().splitlines()
+    assert "delta 1.000000000" in report
+    assert [line for line in report if line.startswith("warning")] == [
+        "warning duplicate start mark for task 'T2' ignored",
+        "warning end mark without active task 'T2' ignored"]
 
 
 def test_check_error_warning_is_the_same_in_score_and_stream(

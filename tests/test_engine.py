@@ -459,6 +459,19 @@ def test_reference_set_holds_no_events(demo, request):
     assert not any(isinstance(obj, Event) for obj in held_objects(refs))
 
 
+@pytest.mark.parametrize("quality", [7.0, -0.5, float("nan")])
+def test_reference_quality_is_checked_before_its_recording_is_read(
+        hydro_net, hydro_rec, quality):
+    # a recording that would give no reference is checked too
+    def unread():
+        raise AssertionError("the recording was read")
+        yield
+
+    with pytest.raises(ValueError, match=re.escape(
+            f"reference quality must be finite and in [0, 1]: {quality!r}")):
+        build_reference_set(hydro_net, [(hydro_rec, 1.0), (unread(), quality)])
+
+
 def test_reference_without_skeleton_cannot_score_action_level(
         hydro_net, hydro_rec):
     no_skeleton = SessionRecording(
@@ -570,20 +583,23 @@ def held_objects(root):
 
 def test_scored_task_holds_no_events(hydro_net, hydro_rec, hydro_refs):
     session = Session(cfg(hydro_net, hydro_refs))
-    held = {}  # task -> events taken just before its end mark, reducers after
+    held = {}  # task -> events taken just before its end mark, reducers held after
     for event in hydro_rec.events:
         mark = event.payload
         if isinstance(mark, TaskMark) and mark.edge == "end":
-            run = session._runs[mark.task_id]
-            taken = sum(s.count for s in run.samples.values())
+            window = session._windows.open[mark.task_id]
+            reducers = [samples for samples, _, _ in window.values()]
+            taken = sum(samples.count for samples in reducers)
             assert not any(isinstance(obj, Event)
-                           for obj in held_objects(run.samples))
+                           for obj in held_objects(window))
             session.ingest(event)
-            held[mark.task_id] = (taken, run.samples)
+            kept = {id(obj) for obj in held_objects(session._windows)}
+            kept |= {id(obj) for obj in held_objects(session._runs)}
+            held[mark.task_id] = (taken, [s for s in reducers if id(s) in kept])
         else:
             session.ingest(event)
     assert list(held) == ["T1", "T2", "T3", "T4"]
-    assert all(taken > 0 and after == {} for taken, after in held.values())
+    assert all(taken > 0 and after == [] for taken, after in held.values())
 
 
 def test_lifecycle_errors(hydro_net, hydro_rec, hydro_refs):

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ahtn import telemetry
-from ahtn.engine import build_reference_set, task_samples
+from ahtn import engine, telemetry
+from ahtn.engine import (EngineConfig, build_reference_set, score_recording,
+                         task_samples)
 from ahtn.model import TrajectoryParams, parse_network
 from ahtn.telemetry import (Attach, Collision, Event, Pose, RecordingError,
                             SessionRecording, SkeletonFrame, TaskMark,
@@ -580,14 +581,19 @@ def pose_line(t, x):
     return f"t={t} u=a pose x {x} 0 0 0 0 0 1\n"
 
 
+def read_x(feature):
+    """How many poses of x a position feature read and their mean x, None
+    when it read none."""
+    return feature.samples, float(feature.value[0]) if feature.samples else None
+
+
 def taken(rec, task="T"):
     """How many poses of x the task's reference read from rec and their
     mean x; None when rec gives the task no reference."""
     refs = build_reference_set(MARKED_NET, [(rec, 1.0)])
     if task not in refs:
         return None
-    feature = refs[task][0].features["position", "x"]
-    return feature.samples, float(feature.value[0])
+    return read_x(refs[task][0].features["position", "x"])
 
 
 def test_slice_closed_interval():
@@ -627,40 +633,70 @@ def test_slice_excludes_only_own_marks():
 
 
 def test_slice_errors():
-    # no marks, or more than one pair: the task gets no reference
+    # no marks: the task gets no reference
     assert taken(parse_session(pose_line(0, 1))) is None
-    two = parse_session("t=0 u=a mark T start\nt=1 u=a mark T end\n"
-                        "t=2 u=a mark T start\nt=3 u=a mark T end\n"
-                        "t=3 u=a mark U start\n" + pose_line(3.5, 1)
+
+
+def test_slice_reads_the_first_pair_of_marks():
+    # a second pair of marks, which parse_session accepts, changes nothing
+    two = parse_session("t=0 u=a mark T start\n" + pose_line(0.5, 1)
+                        + "t=1 u=a mark T end\nt=2 u=a mark T start\n"
+                        + pose_line(2.5, 2) + "t=3 u=a mark T end\n"
+                        + "t=3 u=a mark U start\n" + pose_line(3.5, 4)
                         + "t=4 u=a mark U end\n")
-    assert taken(two) is None
-    assert taken(two, "U") == (1, pytest.approx(1.0))
+    assert taken(two) == (1, 1.0)
+    assert taken(two, "U") == (1, 4.0)
 
 
-# marks that parse_session rejects but a library-built recording can hold,
-# as (time, edge) of T's marks; each gives T no reference, while U, marked
-# around them, still gets one
+# T's marks as (time, edge) in shapes a library-built recording can hold,
+# with the status a Session gives T and what T reads: how many poses of x
+# and their mean x. parse_session accepts the zero-length pair, as it does
+# a second pair that ends (above); it rejects the other shapes, which hold
+# an end without a start, a nested start or a start still open at the end.
+# U, marked around them, reads every pose.
 LIBRARY_MARK_SHAPES = {
-    "end without start": [(2, "end")],
-    "start without end": [(2, "start")],
-    "zero-length pair": [(2, "start"), (2, "end")],
-    "second pair never ends": [(2, "start"), (3, "end"), (4, "start")],
-    "nested start": [(2, "start"), (3, "start"), (4, "end")],
+    "end without start": ([(2, "end")], "unperformed", None),
+    "start without end": ([(2, "start")], "unfinished", None),
+    "zero-length pair": ([(2, "start"), (2, "end")], "performed", (0, None)),
+    "second pair never ends": ([(2, "start"), (3, "end"), (4, "start")],
+                               "performed", (1, 2.5)),
+    "nested start": ([(2, "start"), (3, "start"), (4, "end")],
+                     "performed", (2, 3.0)),
 }
 
 
 @pytest.mark.parametrize("shape", LIBRARY_MARK_SHAPES)
-def test_unusable_marks_give_their_task_no_reference(shape):
+def test_reference_cuts_a_task_by_its_marks_as_a_session_does(shape, monkeypatch):
+    marks, status, reads = LIBRARY_MARK_SHAPES[shape]
     steps = [(0, TaskMark("U", "start"))]
-    steps += [(t, TaskMark("T", edge)) for t, edge in LIBRARY_MARK_SHAPES[shape]]
+    steps += [(t, TaskMark("T", edge)) for t, edge in marks]
     steps += [(k + 0.5, Pose("x", (k + 0.5, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)))
               for k in range(6)]
     steps += [(6, TaskMark("U", "end"))]
     rec = SessionRecording("library", tuple(
         Event(float(t), "a", payload)
         for t, payload in sorted(steps, key=lambda step: step[0])))
-    assert taken(rec) is None
+    assert taken(rec) == reads
     assert taken(rec, "U") == (6, pytest.approx(3.0))
+
+    # a Session over the same recording reads of T what its reference does
+    clean = parse_session("".join(
+        f"t={k} u=a mark {task} start\n" + pose_line(k + 0.5, 0)
+        + f"t={k + 1} u=a mark {task} end\n"
+        for k, task in enumerate(MARKED_NET.primitive_ids())))
+    read = {}
+    evaluate = engine.evaluate_task_level
+
+    def reading(node, samples, refs, defaults):
+        read[node.id] = read_x(samples.features()["position", "x"])
+        return evaluate(node, samples, refs, defaults)
+
+    monkeypatch.setattr(engine, "evaluate_task_level", reading)
+    config = EngineConfig(MARKED_NET, build_reference_set(MARKED_NET, [(clean, 1.0)]))
+    (entry,) = (e for e in score_recording(config, rec).scope("a").entries
+                if e.task_id == "T")
+    assert entry.status == status
+    assert read.get("T") == reads
 
 
 def test_slice_bundled_matches_brute_scan(hydro_net, hydro_rec, hydro_refs):
