@@ -8,25 +8,29 @@ CheckSpec and fall back to the engine's ``Defaults``.
 
 A task's events are reduced as they arrive, by one ``TaskSamples`` per
 (task, member): its ``add`` decides which events the task reads and keeps
-only the rows the checks need. Orientation, position and text-input
-compare the user's ``features()`` (the subject's mean orientation, its
-mean position, or the field's last text value with its finite numeric
-reading) with a reference's, computed once when the reference set is
-built (``Reference.features``). Attachment and collision need no
-reference and read the stored transitions and partners.
+only the rows the checks need, each subject's as one flat buffer of
+floats. Orientation, position and text-input compare the user's
+``features()`` (the subject's mean orientation, its mean position, or the
+field's last text value with its finite numeric reading) with a
+reference's, computed once when the reference set is built
+(``Reference.features``). Attachment and collision need no reference and
+read the stored transitions and partners.
 
 Each of the three reference-comparing kinds has a measure, which scores
 one reference in numbers (or raises ValueError), and ``described``, which
 turns one measure into its CheckResult. ``evaluate_task_level`` measures
-the user against every reference and writes out only the winner's
-results, so a task's details are formatted once however many references
-it has. The ``*_score`` functions and ``run_check`` are the two steps
-together, for one reference.
+the user against the references in descending quality, stops once no
+reference left can reach the best quality-scaled result, and writes out
+only the winner's results, so a task's details are formatted once however
+many references it has. The ``*_score`` functions and ``run_check`` are
+the two steps together, for one reference.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+from array import array
 from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Sequence
@@ -130,17 +134,30 @@ def _finite_number(text: str) -> float | None:
     return x if math.isfinite(x) else None
 
 
+def _rows(buffer: array, width: int) -> np.ndarray:
+    """A flat buffer of floats as an (n, width) float64 array over it."""
+    return np.frombuffer(buffer).reshape(-1, width)
+
+
+# a sample's floats as the bytes of native doubles, which array("d") holds;
+# appending these is cheaper than extending the array by a tuple
+_QUAT_BYTES = struct.Struct("4d").pack
+_POSITION_BYTES = struct.Struct("3d").pack
+
+
 class TaskSamples:
     """What one member's events in one task reduce to, kept as they arrive.
 
     ``add`` is the one rule for which events a task reads: a Pose or a
     TextInput that names one of its ``objects``, an Attach or a Collision
     with an object on either side, and a SkeletonFrame when ``skeleton``
-    is set; never a mark. Of each event it takes, it keeps only the rows
-    the checks read: the subjects' orientations and positions, the
-    fields' text values, each attachment pair's (t, on) transitions with
-    the first Pose time of each object, and each collision subject's
-    partners. ``count`` is the number of events taken. ``t0`` and ``t1``
+    is set; never a mark. Of each event it takes, it keeps only what the
+    checks read: each subject's orientations or positions as one flat
+    ``array("d")`` of 4 or 3 floats per sample (a joint's row is copied
+    out of its frame's float64 array, so no parse block is kept alive),
+    each field's text count and last value, each attachment pair's (t, on)
+    transitions with the first Pose time of each object, and each
+    collision subject's partners. ``count`` is the number of events taken. ``t0`` and ``t1``
     are the task's marks; ``t1`` is set when the task ends.
     """
 
@@ -151,21 +168,21 @@ class TaskSamples:
         self.t0 = t0
         self.t1: float | None = None
         self.count = 0
-        self.quats: dict[str, list] = {}
-        self.positions: dict[str, list] = {}  # of game objects, from poses
-        self.joints: dict[str, list] = {}  # of joints, from skeleton frames
-        self.texts: dict[str, list[str]] = {}
+        self.quats: dict[str, array] = {}  # 4 floats per sample
+        self.positions: dict[str, array] = {}  # of game objects, from poses
+        self.joints: dict[str, array] = {}  # of joints, from skeleton frames
+        self.texts: dict[str, list] = {}  # [count, last value]
         self.transitions: dict[tuple[str, str], list[tuple[float, bool]]] = {}
         self.first_pose: dict[str, float] = {}
         self.partners: dict[str, list[str]] = {}
         for c in checks:
             if c.kind == "orientation":
-                self.quats[c.subject] = []
+                self.quats[c.subject] = array("d")
             elif c.kind == "position":
                 rows = self.joints if is_joint_id(c.subject) else self.positions
-                rows[c.subject] = []
+                rows[c.subject] = array("d")
             elif c.kind == "text-input":
-                self.texts[c.subject] = []
+                self.texts[c.subject] = [0, None]
             elif c.kind == "attachment":
                 self.transitions[c.subject, c.reference_object] = []
             else:
@@ -180,9 +197,9 @@ class TaskSamples:
             if subject not in self.objects:
                 return False
             if subject in self.quats:
-                self.quats[subject].append(p.orientation)
+                self.quats[subject].frombytes(_QUAT_BYTES(*p.orientation))
             if subject in self.positions:
-                self.positions[subject].append(p.position)
+                self.positions[subject].frombytes(_POSITION_BYTES(*p.position))
             self.first_pose.setdefault(subject, event.t)
         elif kind is SkeletonFrame:
             if not self.skeleton:
@@ -190,12 +207,14 @@ class TaskSamples:
             names = p.names
             for joint, rows in self.joints.items():
                 if joint in names:
-                    rows.append(p.positions[names.index(joint)])
+                    rows.frombytes(p.positions[names.index(joint)].tobytes())
         elif kind is TextInput:
             if p.field_id not in self.objects:
                 return False
-            if p.field_id in self.texts:
-                self.texts[p.field_id].append(p.value)
+            text = self.texts.get(p.field_id)
+            if text is not None:
+                text[0] += 1
+                text[1] = p.value
         elif kind is Attach:
             if p.object_id not in self.objects and p.target_id not in self.objects:
                 return False
@@ -215,22 +234,22 @@ class TaskSamples:
     def features(self) -> dict[FeatureKey, Feature]:
         """A Feature per (kind, subject) of the reference-comparing checks."""
         out: dict[FeatureKey, Feature] = {}
-        for subject, rows in self.quats.items():
-            feature = Feature(len(rows))
-            if rows:
+        for subject, buffer in self.quats.items():
+            n = len(buffer) // 4
+            feature = Feature(n)
+            if n:
                 try:
-                    feature = Feature(len(rows), mean_quaternion(np.asarray(rows)))
+                    feature = Feature(n, mean_quaternion(_rows(buffer, 4)))
                 except ValueError as e:
-                    feature = Feature(len(rows), error=str(e))
+                    feature = Feature(n, error=str(e))
             out["orientation", subject] = feature
-        for subject, rows in (self.positions | self.joints).items():
+        for subject, buffer in (self.positions | self.joints).items():
+            n = len(buffer) // 3
             out["position", subject] = (
-                Feature(len(rows), np.asarray(rows, dtype=np.float64).mean(axis=0))
-                if rows else Feature(0))
-        for subject, values in self.texts.items():
+                Feature(n, _rows(buffer, 3).mean(axis=0)) if n else Feature(0))
+        for subject, (n, value) in self.texts.items():
             out["text-input", subject] = (
-                Feature(len(values), values[-1], _finite_number(values[-1]))
-                if values else Feature(0))
+                Feature(n, value, _finite_number(value)) if n else Feature(0))
         return out
 
 
@@ -430,15 +449,23 @@ def run_check(spec: CheckSpec, user: TaskSamples | Feature,
 def evaluate_task_level(node: TaskNode, samples: TaskSamples,
                         refs: Sequence[Reference],
                         defaults: Defaults = DEFAULTS) -> TaskScore:
-    """Score every reference and keep the best quality-scaled outcome.
+    """Score the references and keep the best quality-scaled outcome.
 
     For each reference: omega_r = sum(cweight * score) / sum(cweight),
     scaled by that reference's quality. The reference maximizing the
-    scaled value wins (first on ties). The user's samples are reduced
-    once: attachment and collision are run once, and each other check
-    measures the user's feature against each reference's, a ValueError
-    scoring 0. Only the winner's measures become CheckResults, so a
-    detail is written once per check, whatever the number of references.
+    scaled value wins (the first in ``refs`` on ties). The user's samples
+    are reduced once: attachment and collision are run once, and each
+    other check measures the user's feature against a reference's, a
+    ValueError scoring 0. Only the winner's measures become CheckResults,
+    so a detail is written once per check, whatever the number of
+    references.
+
+    References are measured in descending quality, equals in ``refs``
+    order, and the scan stops at the first whose quality is below the best
+    scaled omega so far: scores lie in [0, 1] and check weights are not
+    negative, so omega_r is at most 1 and a reference's scaled value at
+    most its quality (IEEE rounding is monotone), and no reference left can
+    beat or tie the winner.
     """
     spec = node.assessment
     if spec is None or not spec.has_task_level:
@@ -463,10 +490,16 @@ def evaluate_task_level(node: TaskNode, samples: TaskSamples,
             plan.append((run_check(c, samples, None, defaults), None, c,
                          None, None, None))
 
+    qualities = [r.quality for r in refs]
     best_omega = 0.0
     best: tuple[int, list] | None = None  # the winner's index and outcomes
-    for index, ref in enumerate(refs):
-        features = ref.features
+    # a stable sort keeps equal qualities in refs order
+    for index in sorted(range(len(refs)), key=qualities.__getitem__,
+                        reverse=True):
+        quality = qualities[index]
+        if best is not None and quality < best_omega:
+            break
+        features = refs[index].features
         outcomes: list = []  # per check: a result, a measure or a ValueError
         scores: list[float] = []
         for fixed, measure, c, mine, key, tol in plan:
@@ -481,8 +514,9 @@ def evaluate_task_level(node: TaskNode, samples: TaskSamples,
             outcomes.append(outcome)
             scores.append(score)
         omega = 0.0 if total_w == 0 else sum(map(mul, weights, scores)) / total_w
-        omega *= ref.quality
-        if best is None or omega > best_omega:
+        omega *= quality
+        if (best is None or omega > best_omega
+                or (omega == best_omega and index < best[0])):
             best_omega, best = omega, (index, outcomes)
     assert best is not None
 
@@ -493,4 +527,4 @@ def evaluate_task_level(node: TaskNode, samples: TaskSamples,
         else described(c.kind, mine, outcome)
         for (fixed, _, c, mine, _, _), outcome in zip(plan, outcomes))
     return TaskScore(omega=best_omega, checks=results, reference_index=index,
-                     reference_quality=refs[index].quality)
+                     reference_quality=qualities[index])

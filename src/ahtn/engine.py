@@ -42,12 +42,15 @@ class EngineConfig:
     validates, each weighted task has a reference, and each reference
     track was built for ``trajectory`` and its task's joints. The
     references are held as a read-only copy, so what was checked is what
-    every Session grades against."""
+    every Session grades against. ``primitives`` maps each primitive
+    task's id to its node, in network order."""
 
     network: TaskNetwork
     references: Mapping[str, Sequence[Reference]]
     defaults: Defaults = field(default_factory=Defaults)
     trajectory: TrajectoryParams = field(default_factory=TrajectoryParams)
+    primitives: Mapping[str, TaskNode] = field(init=False, repr=False,
+                                               compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "references", types.MappingProxyType(
@@ -56,7 +59,9 @@ class EngineConfig:
         if not report.ok:
             first = report.errors()[0]
             raise ValueError(f"invalid network: {first.node_id}: {first.message}")
-        nodes = [self.network.nodes[i] for i in self.network.primitive_ids()]
+        object.__setattr__(self, "primitives", types.MappingProxyType(
+            {i: self.network.nodes[i] for i in self.network.primitive_ids()}))
+        nodes = self.primitives.values()
         missing = [n.id for n in nodes if n.weight > 0 and n.id not in self.references]
         if missing:
             raise ValueError(f"weighted tasks without a reference: {', '.join(missing)}")
@@ -103,10 +108,12 @@ class TaskWindows(Generic[T]):
     every other mark with why it is ignored. ``open`` holds one entry per
     scope member of each open window, ``closed`` the tasks whose window
     has closed, and ``routes``, rebuilt at each mark accepted, each user's
-    entries in network order: what the other events are routed by."""
+    entries in network order: what the other events are routed by.
+    ``nodes`` maps each primitive task's id to its node, in network
+    order; the caller builds it once and shares it."""
 
-    def __init__(self, net: TaskNetwork):
-        self.nodes = {i: net.nodes[i] for i in net.primitive_ids()}
+    def __init__(self, nodes: Mapping[str, TaskNode]):
+        self.nodes = nodes
         self.open: dict[str, dict[str, T]] = {}  # task id -> member -> entry
         self.closed: set[str] = set()
         self.routes: dict[str, list[T]] = {}
@@ -166,10 +173,11 @@ def build_reference_set(net: TaskNetwork,
                    if node.assessment.has_action_level else None)
         return dict.fromkeys(node.users.user_ids, (task_samples(node, t0), builder))
 
-    by_task: ReferenceSet = {i: [] for i in net.primitive_ids()}
+    nodes = {i: net.nodes[i] for i in net.primitive_ids()}
+    by_task: ReferenceSet = {i: [] for i in nodes}
     for events, quality in recordings:
         check_setting("in [0, 1]", quality, "reference quality")
-        windows: TaskWindows[tuple] = TaskWindows(net)
+        windows: TaskWindows[tuple] = TaskWindows(nodes)
         for e in events:
             mark = e.payload
             if type(mark) is not TaskMark:
@@ -220,8 +228,8 @@ class Session:
         self.net = config.network
         self.refs = config.references
         # each open window's entries: (samples, evaluator, run) per member
-        self._windows: TaskWindows[tuple] = TaskWindows(self.net)
-        self._runs = {i: _TaskRun(node) for i, node in self._windows.nodes.items()}
+        self._windows: TaskWindows[tuple] = TaskWindows(config.primitives)
+        self._runs = {i: _TaskRun(node) for i, node in config.primitives.items()}
         self._finalized = False
         self._t0: float | None = None  # the first event's time
         self._last_t = -math.inf
@@ -431,8 +439,7 @@ class Session:
                     weight=run.node.weight)
 
         by_scope: dict[str, list[TaskEntry]] = {}  # in order of first task
-        for task_id in self.net.primitive_ids():
-            run = self._runs[task_id]
+        for run in self._runs.values():
             by_scope.setdefault(run.scope_key, []).append(run.result)
 
         scopes = []

@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -29,6 +30,19 @@ def reduce_reference(events, quality=1.0, t0=0.0, t1=10.0,
     rec = SessionRecording("ref", (Event(t0, "u", TaskMark("T", "start")),
                                    *window, Event(t1, "u", TaskMark("T", "end"))))
     return build_reference_set(net, [(rec, quality)])["T"][0]
+
+
+def held_objects(root):
+    """Every object reachable from root, classes and what they lead to aside."""
+    seen, stack = {id(root)}, [root]
+    while stack:
+        obj = stack.pop()
+        yield obj
+        for child in gc.get_referents(obj):
+            # classes lead to modules and from there to everything
+            if not isinstance(child, type) and id(child) not in seen:
+                seen.add(id(child))
+                stack.append(child)
 
 
 def reference_track(events, t0, t1, joints, params, subject=None):

@@ -1,5 +1,6 @@
 """Task-level checks: oracle values, clamping, and reference selection."""
 
+import dataclasses
 import math
 import random
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ahtn import engine
-from ahtn.checks import (FEATURE_KINDS, TaskSamples, TaskScore,
+from ahtn.checks import (FEATURE_KINDS, Feature, TaskSamples, TaskScore,
                          attachment_score, collision_score,
                          evaluate_task_level, feature_key,
                          mean_quaternion, orientation_score, position_score,
@@ -17,7 +18,7 @@ from ahtn.checks import (FEATURE_KINDS, TaskSamples, TaskScore,
 from ahtn.model import CheckSpec, Defaults, is_joint_id, parse_network
 from ahtn.telemetry import (Attach, Collision, Event, Pose, SessionRecording,
                             SkeletonFrame, TaskMark, TextInput)
-from conftest import reduce_reference
+from conftest import held_objects, reduce_reference
 
 
 def reduced(events, checks, t0=0.0, t1=10.0):
@@ -401,6 +402,106 @@ def test_text_no_data():
         against(text_input_score, [], ref([text(0, "field", "1")]), spec)
 
 
+# -- reduction ---------------------------------------------------------------
+
+def listed_features(events, checks):
+    """What TaskSamples.features gives, from each subject's samples kept
+    as a list of rows and reduced by numpy: the reference the flat buffers
+    are held to."""
+    quats = {c.subject: [] for c in checks if c.kind == "orientation"}
+    rows = {c.subject: [] for c in checks if c.kind == "position"}
+    texts = {c.subject: [] for c in checks if c.kind == "text-input"}
+    for e in events:
+        p = e.payload
+        if isinstance(p, Pose):
+            if p.object_id in quats:
+                quats[p.object_id].append(p.orientation)
+            if p.object_id in rows:
+                rows[p.object_id].append(p.position)
+        elif isinstance(p, SkeletonFrame):
+            for joint in rows:
+                if joint in p.names:
+                    rows[joint].append(p.positions[p.names.index(joint)])
+        elif isinstance(p, TextInput) and p.field_id in texts:
+            texts[p.field_id].append(p.value)
+    out = {}
+    for subject, quat_rows in quats.items():
+        try:
+            value = mean_quaternion(np.asarray(quat_rows)) if quat_rows else None
+            out["orientation", subject] = Feature(len(quat_rows), value)
+        except ValueError as e:
+            out["orientation", subject] = Feature(len(quat_rows), error=str(e))
+    for subject, position_rows in rows.items():
+        out["position", subject] = Feature(
+            len(position_rows),
+            np.asarray(position_rows, dtype=np.float64).mean(axis=0)
+            if position_rows else None)
+    for subject, values in texts.items():
+        number = None
+        if values:
+            try:
+                number = float(values[-1])
+            except ValueError:
+                pass
+            number = number if number is not None and math.isfinite(number) else None
+        out["text-input", subject] = Feature(
+            len(values), values[-1] if values else None, number)
+    return out
+
+
+FEATURE_CHECKS = [CheckSpec(kind="orientation", subject="cup"),
+                  CheckSpec(kind="position", subject="cup"),
+                  CheckSpec(kind="position", subject="head"),
+                  CheckSpec(kind="position", subject="hand-right"),
+                  CheckSpec(kind="text-input", subject="field")]
+# the frames alternate between layouts; the second lacks hand-right
+LAYOUTS = (("head", "hand-right"), ("spine", "head"), ("hand-right", "spine", "head"))
+TEXT_VALUES = ("1.25", "blue", "-0.0", "inf", "7")
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from((1, 2, 5, 2000)), seed=st.integers(0, 2**32 - 1),
+       kinds=st.sets(st.sampled_from(("pose", "skel", "text")), min_size=1))
+@example(n=1, seed=0, kinds={"pose", "skel", "text"})
+@example(n=2000, seed=1, kinds={"pose", "skel", "text"})
+def test_features_equal_the_list_reduction_bit_for_bit(n, seed, kinds):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    positions = (rng.standard_normal((n, 3)) * scale).tolist()
+    quats = rng.standard_normal((n, 4))
+    quats /= np.linalg.norm(quats, axis=1, keepdims=True)
+    # every frame a row view of one block array, as parse_session makes them
+    block = rng.standard_normal((n, 3, 3)) * scale[:, :, None]
+    events = []
+    for i in range(n):
+        t = 0.001 * i
+        if "pose" in kinds:
+            events.append(pose(t, "cup", positions[i], quats[i].tolist()))
+        if "skel" in kinds:
+            names = LAYOUTS[i % len(LAYOUTS)]
+            frame = SkeletonFrame(names, block[i, :len(names)])
+            assert frame.positions.base is block
+            events.append(Event(t=t, user="u", payload=frame))
+        if "text" in kinds:
+            events.append(text(t, "field", TEXT_VALUES[(i + seed) % len(TEXT_VALUES)]))
+    samples = reduced(events, FEATURE_CHECKS)
+    # the samples are copied out: no array, so no parse block, is kept
+    assert not any(isinstance(obj, np.ndarray) for obj in held_objects(samples))
+    got, want = samples.features(), listed_features(events, FEATURE_CHECKS)
+    assert list(got) == list(want)
+    for key, feature in got.items():
+        expected = want[key]
+        assert (feature.samples, feature.number, feature.error) == (
+            expected.samples, expected.number, expected.error), key
+        if isinstance(expected.value, np.ndarray):
+            assert feature.value.dtype == np.float64
+            assert feature.value.tobytes() == expected.value.tobytes(), key
+        else:
+            assert feature.value == expected.value, key
+    assert got["position", "hand-right"].samples == (
+        0 if "skel" not in kinds else n - n // 3 - (n % 3 == 2))
+
+
 # -- run_check wrapper -------------------------------------------------------
 
 def test_run_check_turns_errors_into_zero():
@@ -623,8 +724,9 @@ def test_each_reference_is_read_once_across_sessions(monkeypatch):
 # -- the per-reference oracle -------------------------------------------------
 
 def oracle(node, samples, refs, defaults=Defaults()):
-    """The per-reference loop evaluate_task_level replaced: every check as
-    a CheckResult against every reference, the first best kept."""
+    """The exhaustive per-reference loop evaluate_task_level prunes: every
+    check as a CheckResult against every reference, in refs order, the
+    first best kept."""
     checks = node.assessment.checks
     user = samples.features()
     fixed = [None if c.kind in FEATURE_KINDS
@@ -691,12 +793,29 @@ def performed(cup, dish, value):
                        min_size=1, max_size=6),
        user=performances,
        pool=st.lists(performances, min_size=1, max_size=4),
-       picks=st.lists(st.tuples(st.integers(0, 3), st.sampled_from((0.5, 0.9, 1.0))),
+       picks=st.lists(st.tuples(st.integers(0, 3),
+                                st.sampled_from((0.0, 0.5, 0.9, 1.0))),
                       min_size=1, max_size=20))
 # zero total cweight: every reference scores 0 and the first wins
 @example(checks=[("position subject=cup", 0.0), ("collision subject=cup", 0.0)],
          user=([(1, 1)], None, None), pool=[([(0, 0)], None, None)],
          picks=[(0, 0.5), (0, 1.0)])
+# every quality 0: nothing is pruned, and the first wins
+@example(checks=[("position subject=cup", 1.0)],
+         user=([(1, 1)], None, None), pool=[([(0, 0)], None, None),
+                                             ([(1, 1)], None, None)],
+         picks=[(0, 0.0), (1, 0.0), (1, 0.0)])
+# a lower-quality reference outscores the higher ones
+@example(checks=[("position subject=cup", 1.0)],
+         user=([(3, 0)], None, None),
+         pool=[([(0, 0)], None, None), ([(3, 0)], None, None)],
+         picks=[(0, 1.0), (0, 0.9), (1, 0.5), (1, 0.9), (0, 0.0), (1, 0.5)])
+# a full match at 0.5 ties a half match at 1.0; measured second, it wins
+# for its lower index
+@example(checks=[("position subject=cup", 1.0), ("position subject=dish", 1.0)],
+         user=([(3, 0)], [(3, 0)], None),
+         pool=[([(3, 0)], [(3, 0)], None), ([(3, 0)], [(0, 0)], None)],
+         picks=[(0, 0.5), (1, 1.0)])
 # no learner samples, and a learner text that is not a number against a
 # number, a word and inf; the references lack the cup or cancel
 @example(checks=[(c, 1.0) for c in ORACLE_CHECKS],
@@ -719,4 +838,45 @@ def test_evaluate_task_level_equals_the_per_reference_oracle(checks, user, pool,
     got = evaluate_task_level(node, samples, refs)
     want = oracle(node, samples, refs)
     assert got == want
+    assert got.omega.hex() == want.omega.hex()
     assert repr(got) == repr(want)  # and the signs of zeros
+
+
+class ReadFeatures(dict):
+    """A reference's features that log each reference read into reads."""
+
+    def __init__(self, features, name, reads):
+        super().__init__(features)
+        self.name, self.reads = name, reads
+
+    def __getitem__(self, key):
+        self.reads.append(self.name)
+        return super().__getitem__(key)
+
+
+def test_scan_stops_once_no_reference_can_win():
+    node = node_with(["position subject=cup"])
+    user = [pose(0, "cup", (2.0, 0, 0))]
+    reads = []
+
+    def logged(name, where, quality):
+        r = ref([pose(0, "cup", where)], quality)
+        return dataclasses.replace(r, features=ReadFeatures(r.features, name, reads))
+
+    # far scores 0; near scores 1, so its 0.8 beats every quality below it
+    refs = [logged("low", (2.0, 0, 0), 0.7), logged("far", (0, 0, 0), 1.0),
+            logged("near", (2.0, 0, 0), 0.8), logged("same", (2.0, 0, 0), 0.8),
+            logged("zero", (2.0, 0, 0), 0.0)]
+    out = evaluate_task_level(node, reduced(user, node.assessment.checks), refs)
+    assert (out.reference_index, out.omega, out.reference_quality) == (2, 0.8, 0.8)
+    assert out.checks[0].score == 1.0
+    # descending quality, equals in refs order; "same" ties, so it is read
+    assert reads == ["far", "near", "same"]
+    # sixteen references of qualities in [0.6, 1], as live-class's: one
+    # matched at the top quality settles it
+    reads.clear()
+    qualities = [0.6 + 0.4 * k / 15 for k in (3, 15, 0, 7, 12, 1, 9, 4, 14, 2,
+                                              10, 6, 13, 5, 11, 8)]
+    refs = [logged(i, (2.0, 0, 0), q) for i, q in enumerate(qualities)]
+    out = evaluate_task_level(node, reduced(user, node.assessment.checks), refs)
+    assert (out.reference_index, out.omega, reads) == (1, 1.0, [1])

@@ -2,7 +2,6 @@
 
 import dataclasses
 import functools
-import gc
 import importlib
 import importlib.util
 import io
@@ -27,7 +26,7 @@ from ahtn.telemetry import (Collision, Event, Pose, SessionRecording,
                             SkeletonFrame, TaskMark, TextInput, iter_events,
                             parse_event_line, parse_session, read_events,
                             serialize_recording)
-from conftest import move_marks
+from conftest import held_objects, move_marks
 
 
 def cfg(net, refs, **kw):
@@ -453,6 +452,25 @@ def test_reference_features_are_extracted_at_build_only(
     assert not any(id(samples) in ref_reducers for samples in reads)
 
 
+def test_primitive_tasks_are_found_once_per_config_and_reference_set(
+        monkeypatch, hydro_net, hydro_rec):
+    calls = []
+    primitive_ids = TaskNetwork.primitive_ids
+
+    def counting(net):
+        calls.append(net)
+        return primitive_ids(net)
+
+    monkeypatch.setattr(TaskNetwork, "primitive_ids", counting)
+    refs = build_reference_set(hydro_net, [(hydro_rec, 1.0), (hydro_rec, 0.5)])
+    config = cfg(hydro_net, refs)
+    assert len(calls) == 2
+    reports = [render_report(score_recording(config, hydro_rec)) for _ in range(3)]
+    assert len(calls) == 2
+    assert list(config.primitives) == ["T1", "T2", "T3", "T4"]
+    assert reports[0].count("\ntask T") == 4 and len(set(reports)) == 1
+
+
 @pytest.mark.parametrize("demo", ["hydro", "collab"])
 def test_reference_set_holds_no_events(demo, request):
     refs = request.getfixturevalue(f"{demo}_refs")
@@ -566,19 +584,6 @@ def test_ingest_rejects_regressions(hydro_net, hydro_refs):
     session.ingest(Event(t=5.0, user="student", payload=TaskMark("T1", "start")))
     with pytest.raises(ValueError, match="regression"):
         session.ingest(Event(t=4.0, user="student", payload=TaskMark("T1", "end")))
-
-
-def held_objects(root):
-    """Every object reachable from root, classes and what they lead to aside."""
-    seen, stack = {id(root)}, [root]
-    while stack:
-        obj = stack.pop()
-        yield obj
-        for child in gc.get_referents(obj):
-            # classes lead to modules and from there to everything
-            if not isinstance(child, type) and id(child) not in seen:
-                seen.add(id(child))
-                stack.append(child)
 
 
 def test_scored_task_holds_no_events(hydro_net, hydro_rec, hydro_refs):
