@@ -18,12 +18,12 @@ read the stored transitions and partners.
 
 Each of the three reference-comparing kinds has a measure, which scores
 one reference in numbers (or raises ValueError), and ``described``, which
-turns one measure into its CheckResult. ``evaluate_task_level`` measures
-the user against the references in descending quality, stops once no
-reference left can reach the best quality-scaled result, and writes out
-only the winner's results, so a task's details are formatted once however
-many references it has. The ``*_score`` functions and ``run_check`` are
-the two steps together, for one reference.
+turns one measure into its CheckResult. ``evaluate_task_level`` is the one
+way from a task's samples to its CheckResults: it runs attachment and
+collision once, through ``run_check``, measures the user against the
+references in descending quality, stops once no reference left can reach
+the best quality-scaled result, and writes out only the winner's results,
+so a task's details are formatted once however many references it has.
 """
 
 from __future__ import annotations
@@ -307,13 +307,6 @@ def orientation_measure(user: Feature, ref: Feature, spec: CheckSpec,
     return _ramp(theta, tol), "theta={:.6f} rad, tol={:.6f}", theta, tol
 
 
-def orientation_score(user: Feature, ref: Feature, spec: CheckSpec,
-                      defaults: Defaults = DEFAULTS) -> CheckResult:
-    """``orientation_measure``'s CheckResult, at spec's tol or the default."""
-    return described("orientation", user, orientation_measure(
-        user, ref, spec, _tol(spec, defaults.orientation_tol)))
-
-
 def position_measure(user: Feature, ref: Feature, spec: CheckSpec,
                      tol: float) -> Measure:
     """Distance between mean user and mean reference position of the
@@ -321,13 +314,6 @@ def position_measure(user: Feature, ref: Feature, spec: CheckSpec,
     user_mean, ref_mean = _reductions(user, ref, spec)
     d = vector_norm(user_mean - ref_mean)
     return _ramp(d, tol), "d={:.6f} m, tol={:.6f}", d, tol
-
-
-def position_score(user: Feature, ref: Feature, spec: CheckSpec,
-                   defaults: Defaults = DEFAULTS) -> CheckResult:
-    """``position_measure``'s CheckResult, at spec's tol or the default."""
-    return described("position", user, position_measure(
-        user, ref, spec, _tol(spec, defaults.position_tol)))
 
 
 def attachment_score(samples: TaskSamples, spec: CheckSpec) -> CheckResult:
@@ -398,23 +384,8 @@ def text_input_measure(user: Feature, ref: Feature, spec: CheckSpec,
     return score, "|{!r} - {!r}| = {:.6g}, tol {:.6g}", u, r, d, tol
 
 
-def text_input_score(user: Feature, ref: Feature, spec: CheckSpec,
-                     defaults: Defaults = DEFAULTS) -> CheckResult:
-    """``text_input_measure``'s CheckResult, at spec's tol or the default."""
-    return described("text-input", user, text_input_measure(
-        user, ref, spec, _tol(spec, defaults.text_tol)))
-
-
 # ---------------------------------------------------------------------------
 # combination
-
-_CHECK_FUNCS = {
-    "orientation": orientation_score,
-    "position": position_score,
-    "attachment": lambda user, ref, spec, d: attachment_score(user, spec),
-    "collision": lambda user, ref, spec, d: collision_score(user, spec, d),
-    "text-input": text_input_score,
-}
 
 # the kinds that compare the learner with a reference: each one's measure
 # and its default tolerance in ``Defaults``; attachment and collision read
@@ -431,17 +402,15 @@ def _error(kind: str, error: ValueError) -> CheckResult:
     return CheckResult(kind=kind, score=0.0, detail=f"error: {error}")
 
 
-def run_check(spec: CheckSpec, user: TaskSamples | Feature,
-              ref: Feature | None = None,
+def run_check(spec: CheckSpec, samples: TaskSamples,
               defaults: Defaults = DEFAULTS) -> CheckResult:
-    """Run one check; errors become a 0-score result with the error text.
-
-    For attachment and collision, which need no reference, ``user`` is the
-    user's TaskSamples and ``ref`` is unused; for the other kinds both are
-    the Feature of spec's (kind, subject), the user's and one reference's.
-    """
+    """The result of an attachment or collision check on the user's
+    samples, which no reference enters; a ValueError becomes a 0-score
+    result with the error text."""
     try:
-        return _CHECK_FUNCS[spec.kind](user, ref, spec, defaults)
+        if spec.kind == "attachment":
+            return attachment_score(samples, spec)
+        return collision_score(samples, spec, defaults)
     except ValueError as e:
         return _error(spec.kind, e)
 
@@ -487,8 +456,8 @@ def evaluate_task_level(node: TaskNode, samples: TaskSamples,
             plan.append((None, measure, c, user[key], key,
                          _tol(c, getattr(defaults, tol_name))))
         else:
-            plan.append((run_check(c, samples, None, defaults), None, c,
-                         None, None, None))
+            plan.append((run_check(c, samples, defaults), None, c, None,
+                         None, None))
 
     qualities = [r.quality for r in refs]
     best_omega = 0.0

@@ -520,9 +520,10 @@ def parse_network(text: str) -> TaskNetwork:
 # validation
 
 def validate_network(net: TaskNetwork) -> ValidationReport:
-    """The rules that span nodes: dangling ids and cycles are errors; a
-    zero-weight scope, a check subject its task does not list and an
-    input/output id no task lists are warnings."""
+    """The rules that span nodes: dangling ids, cycles and a network
+    without a primitive task are errors; a zero-weight scope, a check
+    subject its task does not list and an input/output id no task lists
+    are warnings."""
     issues: list[ValidationIssue] = []
 
     def err(node_id: str, msg: str) -> None:
@@ -548,6 +549,8 @@ def validate_network(net: TaskNetwork) -> ValidationReport:
                     warn(node.id, f"input/output id {ref!r} not produced by any task")
             key = node.users.key()
             totals[key] = totals.get(key, 0.0) + node.weight
+    if not totals:
+        err("", "no primitive task")
 
     if _has_cycle(net, lambda n: n.children):
         err("", "cycle in child hierarchy")

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ahtn import engine
-from ahtn.checks import (FEATURE_KINDS, Feature, TaskSamples, TaskScore,
-                         attachment_score, collision_score,
-                         evaluate_task_level, feature_key,
-                         mean_quaternion, orientation_score, position_score,
-                         quaternion_angle, run_check, text_input_score,
+from ahtn.checks import (CheckResult, Feature, TaskSamples, TaskScore,
+                         attachment_score, collision_score, described,
+                         evaluate_task_level, feature_key, mean_quaternion,
+                         orientation_measure, position_measure,
+                         quaternion_angle, run_check, text_input_measure,
                          vector_norm)
-from ahtn.model import CheckSpec, Defaults, is_joint_id, parse_network
+from ahtn.model import (AssessmentSpec, CheckSpec, Defaults, is_joint_id,
+                        parse_network)
 from ahtn.telemetry import (Attach, Collision, Event, Pose, SessionRecording,
                             SkeletonFrame, TaskMark, TextInput)
 from conftest import held_objects, reduce_reference
@@ -56,12 +57,21 @@ def ref(events, quality=1.0, t0=0.0, t1=10.0):
     return reduce_reference(events, quality, t0, t1)
 
 
-def against(check, user_events, reference, spec, *defaults):
-    """Run a reference-comparing check on spec's features of a user's
-    events and of a reference, as evaluate_task_level does."""
+def against(user_events, reference, spec):
+    """The CheckResult evaluate_task_level gives spec, alone in its task,
+    on a user's events against one reference."""
+    node = dataclasses.replace(node_with(["collision subject=cup"]),
+                               assessment=AssessmentSpec("task-level", (spec,)))
+    out = evaluate_task_level(node, reduced(user_events, [spec]), [reference])
+    return out.checks[0]
+
+
+def measured(measure, user_events, reference, spec, tol=1.0):
+    """A check's measure of spec's features of a user's events and of a
+    reference."""
     key = feature_key(spec)
-    return check(reduced(user_events, [spec]).features()[key],
-                 reference.features[key], spec, *defaults)
+    return measure(reduced(user_events, [spec]).features()[key],
+                   reference.features[key], spec, tol)
 
 
 def evaluate(node, user_events, refs):
@@ -141,7 +151,7 @@ def test_orientation_halfway_at_45_degrees():
     user = [pose(1.0, "cup", (0, 0, 0), zrot(math.pi / 4))]
     r = ref([pose(1.0, "cup", (0, 0, 0))])
     spec = CheckSpec(kind="orientation", subject="cup")
-    out = against(orientation_score, user, r, spec)
+    out = against(user, r, spec)
     assert out.score == pytest.approx(0.5, rel=1e-9)  # tol pi/2, angle pi/4
 
 
@@ -149,26 +159,22 @@ def test_orientation_custom_tol():
     user = [pose(1.0, "cup", (0, 0, 0), zrot(math.pi / 4))]
     r = ref([pose(1.0, "cup", (0, 0, 0))])
     spec = CheckSpec(kind="orientation", subject="cup", tol=math.pi / 4)
-    assert against(orientation_score, user, r, spec).score == pytest.approx(
-        0.0, abs=1e-9)
+    assert against(user, r, spec).score == pytest.approx(0.0, abs=1e-9)
 
 
 def test_orientation_identical_is_exactly_one():
     quats = [zrot(0.3), zrot(0.35), zrot(0.32)]
     evs = [pose(i * 0.1, "cup", (0, 0, 0), q) for i, q in enumerate(quats)]
-    out = against(orientation_score, evs, ref(evs),
-                  CheckSpec(kind="orientation", subject="cup"))
+    out = against(evs, ref(evs), CheckSpec(kind="orientation", subject="cup"))
     assert out.score == 1.0
 
 
 def test_orientation_no_data():
     spec = CheckSpec(kind="orientation", subject="cup")
     with pytest.raises(ValueError, match="no data"):
-        against(orientation_score, [],
-                ref([pose(0, "cup", (0, 0, 0))]), spec)
+        measured(orientation_measure, [], ref([pose(0, "cup", (0, 0, 0))]), spec)
     with pytest.raises(ValueError, match="no data"):
-        against(orientation_score, [pose(0, "cup", (0, 0, 0))],
-                ref([]), spec)
+        measured(orientation_measure, [pose(0, "cup", (0, 0, 0))], ref([]), spec)
 
 
 # -- position ----------------------------------------------------------------
@@ -176,16 +182,14 @@ def test_orientation_no_data():
 def test_position_halfway_at_quarter_meter():
     user = [pose(1.0, "cup", (0.25, 0, 0))]
     r = ref([pose(1.0, "cup", (0, 0, 0))])
-    out = against(position_score, user, r,
-                  CheckSpec(kind="position", subject="cup"))
+    out = against(user, r, CheckSpec(kind="position", subject="cup"))
     assert out.score == 0.5  # d 0.25 vs tol 0.5
 
 
 def test_position_uses_means():
     user = [pose(0.0, "cup", (1.0, 0, 0)), pose(1.0, "cup", (-1.0, 0, 0))]
     r = ref([pose(0.0, "cup", (0, 0, 0))])
-    out = against(position_score, user, r,
-                  CheckSpec(kind="position", subject="cup"))
+    out = against(user, r, CheckSpec(kind="position", subject="cup"))
     assert out.score == 1.0
     assert out.samples_used == 2
 
@@ -196,9 +200,9 @@ def test_position_shared_translation_cancels():
         u = [rng.uniform(-1, 1) for _ in range(3)]
         shift = np.array([rng.uniform(-9, 9) for _ in range(3)])
         spec = CheckSpec(kind="position", subject="cup")
-        a = against(position_score, [pose(0, "cup", u)],
+        a = against([pose(0, "cup", u)],
                     ref([pose(0, "cup", (0, 0, 0))]), spec)
-        b = against(position_score, [pose(0, "cup", np.add(u, shift))],
+        b = against([pose(0, "cup", np.add(u, shift))],
                     ref([pose(0, "cup", shift)]), spec)
         assert a.score == pytest.approx(b.score, abs=1e-9)
 
@@ -210,8 +214,7 @@ def test_position_joint_subject_reads_skeleton():
 
     user = [sk(0.0, (0.25, 1.7, 0))]
     r = ref([sk(0.0, (0.0, 1.7, 0))])
-    out = against(position_score, user, r,
-                  CheckSpec(kind="position", subject="head"))
+    out = against(user, r, CheckSpec(kind="position", subject="head"))
     assert out.score == 0.5
 
 
@@ -219,7 +222,7 @@ def test_position_beyond_tolerance_clamps_to_zero():
     user = [pose(0, "cup", (3.0, 0, 0))]
     r = ref([pose(0, "cup", (0, 0, 0))])
     spec = CheckSpec(kind="position", subject="cup")
-    assert against(position_score, user, r, spec).score == 0.0
+    assert against(user, r, spec).score == 0.0
 
 
 # -- attachment --------------------------------------------------------------
@@ -348,32 +351,28 @@ def test_collision_no_events_is_perfect():
 def test_text_numeric_within_tol():
     user = [text(1.0, "field", "1.255")]
     r = ref([text(1.0, "field", "1.25")])
-    out = against(text_input_score, user, r,
-                  CheckSpec(kind="text-input", subject="field"))
+    out = against(user, r, CheckSpec(kind="text-input", subject="field"))
     assert out.score == 1.0
 
 
 def test_text_numeric_ramp_past_tol():
     user = [text(1.0, "field", "1.265")]
     r = ref([text(1.0, "field", "1.25")])
-    out = against(text_input_score, user, r,
-                  CheckSpec(kind="text-input", subject="field"))
+    out = against(user, r, CheckSpec(kind="text-input", subject="field"))
     assert out.score == pytest.approx(0.5, abs=1e-10)  # d 1.5x tol
 
 
 def test_text_numeric_zero_past_double_tol():
     user = [text(1.0, "field", "1.30")]
     r = ref([text(1.0, "field", "1.25")])
-    out = against(text_input_score, user, r,
-                  CheckSpec(kind="text-input", subject="field"))
+    out = against(user, r, CheckSpec(kind="text-input", subject="field"))
     assert out.score == 0.0
 
 
 def test_text_last_value_wins():
     user = [text(1.0, "field", "9.9"), text(2.0, "field", "1.25")]
     r = ref([text(1.0, "field", "1.25")])
-    out = against(text_input_score, user, r,
-                  CheckSpec(kind="text-input", subject="field"))
+    out = against(user, r, CheckSpec(kind="text-input", subject="field"))
     assert out.score == 1.0
     assert out.samples_used == 2
 
@@ -381,17 +380,14 @@ def test_text_last_value_wins():
 def test_text_string_reference_needs_exact_match():
     r = ref([text(1.0, "field", "blue litmus")])
     spec = CheckSpec(kind="text-input", subject="field")
-    assert against(text_input_score, [text(0, "field", "blue litmus")],
-                   r, spec).score == 1.0
-    assert against(text_input_score, [text(0, "field", "Blue litmus")],
-                   r, spec).score == 0.0
+    assert against([text(0, "field", "blue litmus")], r, spec).score == 1.0
+    assert against([text(0, "field", "Blue litmus")], r, spec).score == 0.0
 
 
 def test_text_unparsable_numeric_input_scores_zero():
     user = [text(1.0, "field", "dunno")]
     r = ref([text(1.0, "field", "1.25")])
-    out = against(text_input_score, user, r,
-                  CheckSpec(kind="text-input", subject="field"))
+    out = against(user, r, CheckSpec(kind="text-input", subject="field"))
     assert out.score == 0.0
     assert "unparsable" in out.detail
 
@@ -399,7 +395,7 @@ def test_text_unparsable_numeric_input_scores_zero():
 def test_text_no_data():
     spec = CheckSpec(kind="text-input", subject="field")
     with pytest.raises(ValueError, match="no data"):
-        against(text_input_score, [], ref([text(0, "field", "1")]), spec)
+        measured(text_input_measure, [], ref([text(0, "field", "1")]), spec)
 
 
 # -- reduction ---------------------------------------------------------------
@@ -505,35 +501,19 @@ def test_features_equal_the_list_reduction_bit_for_bit(n, seed, kinds):
 # -- run_check wrapper -------------------------------------------------------
 
 def test_run_check_turns_errors_into_zero():
-    spec = CheckSpec(kind="orientation", subject="cup")
-    key = feature_key(spec)
-    out = run_check(spec, reduced([], [spec]).features()[key],
-                    ref([]).features[key])
-    assert out.score == 0.0
-    assert out.detail.startswith("error: no data")
-
-
-def test_run_check_dispatches_every_kind():
     evs = [pose(0.5, "cup", (0, 0, 0)), attach(1.0, "cup", "hand", True),
-           attach(2.0, "cup", "hand", False), collide(3.0, "cup", "t"),
-           text(4.0, "field", "1.25")]
-    r = ref(evs)
-    kinds = {
-        "orientation": CheckSpec(kind="orientation", subject="cup"),
-        "position": CheckSpec(kind="position", subject="cup"),
-        "attachment": CheckSpec(kind="attachment", subject="cup", reference_object="hand"),
-        "collision": CheckSpec(kind="collision", subject="cup"),
-        "text-input": CheckSpec(kind="text-input", subject="field"),
-    }
-    samples = reduced(evs, list(kinds.values()))
-    user = samples.features()
-    for kind, spec in kinds.items():
-        if kind in ("attachment", "collision"):
-            out = run_check(spec, samples)
-        else:
-            out = run_check(spec, user[feature_key(spec)],
-                            r.features[feature_key(spec)])
-        assert out.kind == kind and 0.0 <= out.score <= 1.0
+           attach(2.0, "cup", "hand", False), collide(3.0, "cup", "t")]
+    samples = reduced(evs, [CUP_IN_HAND, CUP_HITS])
+    assert run_check(CUP_IN_HAND, samples) == CheckResult(
+        "attachment", 0.1, "attached 1.000000 s of 10.000000 s", 2)
+    assert run_check(CUP_HITS, samples) == CheckResult(
+        "collision", 0.99, "1 collisions, penalty 0.01", 1)
+    assert run_check(CUP_HITS, samples, Defaults(collision_penalty=0.5)) == (
+        CheckResult("collision", 0.5, "1 collisions, penalty 0.5", 1))
+    # an off while detached
+    detached = reduced(evs[2:], [CUP_IN_HAND])
+    assert run_check(CUP_IN_HAND, detached) == CheckResult(
+        "attachment", 0.0, "error: attach state mismatch: off while detached")
 
 
 # -- combination and reference selection --------------------------------------
@@ -608,6 +588,8 @@ def test_scores_stay_in_unit_interval_on_random_streams():
         user, r = rand_events(), ref(rand_events())
         out = evaluate(node, user, [r])
         assert 0.0 <= out.omega <= 1.0
+        assert [c.kind for c in out.checks] == [
+            "orientation", "position", "attachment", "collision", "text-input"]
         for c in out.checks:
             assert 0.0 <= c.score <= 1.0
 
@@ -723,22 +705,37 @@ def test_each_reference_is_read_once_across_sessions(monkeypatch):
 
 # -- the per-reference oracle -------------------------------------------------
 
+def oracle_result(c, samples, user, r, defaults):
+    """Check c's CheckResult against reference r, a ValueError scoring 0."""
+    try:
+        if c.kind == "attachment":
+            return attachment_score(samples, c)
+        if c.kind == "collision":
+            return collision_score(samples, c, defaults)
+        measure, default = {
+            "orientation": (orientation_measure, defaults.orientation_tol),
+            "position": (position_measure, defaults.position_tol),
+            "text-input": (text_input_measure, defaults.text_tol),
+        }[c.kind]
+        key = feature_key(c)
+        tol = c.tol if c.tol is not None else default
+        return described(c.kind, user[key],
+                         measure(user[key], r.features[key], c, tol))
+    except ValueError as e:
+        return CheckResult(c.kind, 0.0, f"error: {e}")
+
+
 def oracle(node, samples, refs, defaults=Defaults()):
     """The exhaustive per-reference loop evaluate_task_level prunes: every
     check as a CheckResult against every reference, in refs order, the
     first best kept."""
     checks = node.assessment.checks
     user = samples.features()
-    fixed = [None if c.kind in FEATURE_KINDS
-             else run_check(c, samples, None, defaults) for c in checks]
-    keys = [feature_key(c) for c in checks]
     total_w = sum(c.check_weight for c in checks)
     best = None
     for index, r in enumerate(refs):
-        results = tuple(
-            result if result is not None
-            else run_check(c, user[key], r.features[key], defaults)
-            for c, key, result in zip(checks, keys, fixed))
+        results = tuple(oracle_result(c, samples, user, r, defaults)
+                        for c in checks)
         if total_w == 0:
             omega = 0.0
         else:

@@ -67,6 +67,27 @@ def test_validate_structural_error_exits_one(run, tmp_path):
     assert "ok" not in out.splitlines()
 
 
+# a network with no primitive task grades nothing
+NO_PRIMITIVE = {"empty": "",
+                "all-abstract": "task A\n  kind abstract\n  child B\nend\n"}
+
+
+@pytest.mark.parametrize("name", NO_PRIMITIVE)
+def test_a_network_without_a_primitive_task_fails(run, demo_dir, tmp_path, name):
+    net = tmp_path / "net.ahtn"
+    net.write_text(NO_PRIMITIVE[name])
+    code, out, _ = run("validate", str(net))
+    assert code == 1
+    assert "error: no primitive task" in out.splitlines()
+    assert "ok" not in out.splitlines()
+    out_path = tmp_path / "report.txt"
+    code, _, err = run("score", "--net", str(net), "--refs", hydro(demo_dir, "rec"),
+                       "--session", hydro(demo_dir, "rec"), "--out", str(out_path))
+    assert code == 1
+    assert err.startswith("ahtn: error: invalid network: ")
+    assert not out_path.exists()
+
+
 def test_validate_syntax_error_exits_one(run, tmp_path):
     bad = tmp_path / "bad.ahtn"
     bad.write_text("task A\n  kind sideways\nend\n")
@@ -255,6 +276,45 @@ def test_stream_report_matches_batch_score(run, demo_dir, tmp_path, monkeypatch)
     assert code == 0
     assert out == ""  # hydrometer tasks all use final feedback
     assert stream_out.read_bytes() == batch_out.read_bytes()
+
+
+# each task keeps the reference with the best quality-scaled grade, the
+# first of equals: (references, each task's reference line, delta); off.rec
+# is the recording with T4's reading changed to 9.9
+MULTI_REFERENCE = {
+    "better-second": ((("rec", 0.6), ("rec", 1.0)),
+                      ["index 1 quality 1.000000000"] * 4, "1.000000000"),
+    "tie": ((("rec", 1.0), ("rec", 1.0)),
+            ["index 0 quality 1.000000000"] * 4, "1.000000000"),
+    "lower-quality-wins-t4": ((("off", 1.0), ("rec", 0.9)),
+                              ["index 0 quality 1.000000000"] * 3
+                              + ["index 1 quality 0.900000000"], "0.980000000"),
+}
+
+
+@pytest.mark.parametrize("case", MULTI_REFERENCE)
+def test_each_task_keeps_its_best_reference_in_score_and_stream(
+        run, demo_dir, tmp_path, monkeypatch, case):
+    refs, lines, delta = MULTI_REFERENCE[case]
+    text = (demo_dir / "hydrometer.rec").read_text()
+    off = tmp_path / "off.rec"
+    off.write_text(text.replace('"1.257"', '"9.9"'))
+    paths = {"rec": hydro(demo_dir, "rec"), "off": str(off)}
+    flags = ["--net", hydro(demo_dir, "ahtn")]
+    for name, quality in refs:
+        flags += ["--refs", f"{paths[name]}@{quality}"]
+    batch_out, stream_out = tmp_path / "batch.txt", tmp_path / "stream.txt"
+    code, _, _ = run("score", *flags, "--session", hydro(demo_dir, "rec"),
+                     "--out", str(batch_out))
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", stdin(text))
+    code, _, _ = run("stream", *flags, "--out", str(stream_out))
+    assert code == 0
+    assert stream_out.read_bytes() == batch_out.read_bytes()
+    report = batch_out.read_text().splitlines()
+    assert [line for line in report if "reference index" in line] == [
+        f"  reference {line}" for line in lines]
+    assert f"delta {delta}" in report
 
 
 def test_second_pair_of_marks_self_replays_in_score_and_stream(
