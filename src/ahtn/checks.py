@@ -395,7 +395,6 @@ _MEASURES = {
     "position": (position_measure, "position_tol"),
     "text-input": (text_input_measure, "text_tol"),
 }
-FEATURE_KINDS = frozenset(_MEASURES)
 
 
 def _error(kind: str, error: ValueError) -> CheckResult:

@@ -57,8 +57,9 @@ class EngineConfig:
             {task: tuple(refs) for task, refs in self.references.items()}))
         report = validate_network(self.network)
         if not report.ok:
-            first = report.errors()[0]
-            raise ValueError(f"invalid network: {first.node_id}: {first.message}")
+            first = report.errors()[0]  # a network-wide error names no task
+            raise ValueError(": ".join(filter(None, (
+                "invalid network", first.node_id, first.message))))
         object.__setattr__(self, "primitives", types.MappingProxyType(
             {i: self.network.nodes[i] for i in self.network.primitive_ids()}))
         nodes = self.primitives.values()

@@ -103,12 +103,9 @@ def correlate_values(x: Sequence[float], y: Sequence[float],
         if math.isnan(r):
             raise UndefinedCorrelationError("all-tied ranking in spearman input")
     else:
-        conc, disc, ties_x, ties_y, ties_both = (
-            int(v) for v in kendall_pair_stats(ax, ay))
+        conc, disc, n1, n2 = kendall_pair_stats(ax, ay)
         n = len(ax)
         n0 = n * (n - 1) // 2
-        n1 = ties_x + ties_both
-        n2 = ties_y + ties_both
         denom = math.sqrt(float(n0 - n1) * float(n0 - n2))
         if denom == 0.0:
             raise UndefinedCorrelationError("all-tied ranking in kendall input")

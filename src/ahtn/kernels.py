@@ -47,35 +47,25 @@ def scale_about(points, center, factor: float) -> list[tuple[float, float, float
 # ---------------------------------------------------------------------------
 # rank correlation building blocks
 
-def kendall_pair_stats(x: np.ndarray, y: np.ndarray) -> tuple[int, int, int, int, int]:
+def kendall_pair_stats(x: np.ndarray, y: np.ndarray) -> tuple[int, int, int, int]:
+    """Over all pairs i < j: the concordant and discordant counts, and the
+    pairs tied in x and tied in y (each counting the pairs tied in both),
+    the four counts tau-b reads."""
     # O(n^2) memory; fine for the list sizes rank correlation sees here.
-    dx = np.sign(x[:, None] - x[None, :])
-    dy = np.sign(y[:, None] - y[None, :])
     iu = np.triu_indices(len(x), k=1)
-    dx = dx[iu]
-    dy = dy[iu]
+    dx = np.sign(x[:, None] - x[None, :])[iu]
+    dy = np.sign(y[:, None] - y[None, :])[iu]
     prod = dx * dy
-    concordant = int((prod > 0).sum())
-    discordant = int((prod < 0).sum())
-    ties_x = int(((dx == 0) & (dy != 0)).sum())
-    ties_y = int(((dy == 0) & (dx != 0)).sum())
-    ties_both = int(((dx == 0) & (dy == 0)).sum())
-    return concordant, discordant, ties_x, ties_y, ties_both
+    return (int((prod > 0).sum()), int((prod < 0).sum()),
+            int((dx == 0).sum()), int((dy == 0).sum()))
 
 
 def rank_average(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    n = len(values)
-    while i < n:
-        j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = 0.5 * (i + j) + 1.0
-        ranks[order[i:j + 1]] = avg
-        i = j + 1
-    return ranks
+    """1-based ranks, each group of equal values given its average rank."""
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    end = np.cumsum(counts)  # each group's sorted positions are start..end-1
+    start = end - counts
+    return (0.5 * (start + end - 1) + 1.0)[group]
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:

@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from ahtn.cli import main
 from ahtn.engine import build_reference_set
 from ahtn.fixtures import (collaborative_network, collaborative_reference,
                            hydrometer_network, hydrometer_reference,
@@ -76,6 +77,16 @@ def move_marks(text, fractions):
                          mark)
         out.extend(lines)
     return "\n".join(out) + "\n"
+
+
+@pytest.fixture()
+def run(capsys):
+    """Runs the CLI in-process: (exit code, stdout, stderr)."""
+    def _run(*argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+    return _run
 
 
 @pytest.fixture(scope="session")
