@@ -247,8 +247,35 @@ def test_score_missing_reference_names_tasks(run, demo_dir, tmp_path):
     assert "T1" in err
 
 
+def test_clean_session_has_no_empty_task_warning(run, demo_dir, tmp_path):
+    out = tmp_path / "report.txt"
+    code, _, _ = run("score", "--net", hydro(demo_dir, "ahtn"),
+                     "--refs", hydro(demo_dir, "rec"),
+                     "--session", hydro(demo_dir, "rec"), "--out", str(out))
+    assert code == 0
+    assert "no events routed" not in out.read_text()
+
+
 # -- stream -----------------------------------------------------------------------
-# every score/stream pair is a case of test_contract.py
+# the other score/stream pairs are cases of test_contract.py
+
+def test_stream_report_matches_batch_score(run, demo_dir, tmp_path, monkeypatch):
+    batch_out = tmp_path / "batch.txt"
+    run("score", "--net", hydro(demo_dir, "ahtn"),
+        "--refs", hydro(demo_dir, "rec"),
+        "--session", hydro(demo_dir, "rec"), "--out", str(batch_out))
+
+    stream_out = tmp_path / "stream.txt"
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+        io.BytesIO((demo_dir / "hydrometer.rec").read_bytes()),
+        encoding="utf-8", newline="\n"))
+    code, out, _ = run("stream", "--net", hydro(demo_dir, "ahtn"),
+                       "--refs", hydro(demo_dir, "rec"),
+                       "--out", str(stream_out))
+    assert code == 0
+    assert out == ""  # hydrometer tasks all use final feedback
+    assert stream_out.read_bytes() == batch_out.read_bytes()
+
 
 def test_stream_requires_events(run, demo_dir, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"# nothing here\n")))
