@@ -22,7 +22,7 @@ import argparse
 import logging
 import os
 import sys
-from typing import Iterator
+from typing import Iterable, Iterator, TextIO
 
 from .engine import EngineConfig, Session, build_reference_set
 from .harness import (MAGNITUDE_RULE, METHODS, MIN_TRIALS, correlate_values,
@@ -107,30 +107,30 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_score(args) -> int:
+def _grade(args, events: Iterable[Event], feedback: TextIO | None = None) -> int:
+    """The one grading loop of ``score`` and ``stream``, which differ only
+    in how their events are read: ingest each event and write its feedback
+    lines to ``feedback``, when there is one, before the next is read;
+    then finalize and write the report to ``--out``, when given."""
     session = Session(_engine_config(args))
-    session.consume(_recording(args.session))
-    write_report(session.finalize(), args.out)
-    log.info("wrote report to %s", args.out)
-    return 0
-
-
-def _cmd_stream(args) -> int:
-    session = Session(_engine_config(args))
-    count = 0
-    for event in read_events(recording_lines(sys.stdin.buffer)):
-        count += 1
-        for message in session.ingest(event):
-            sys.stdout.write(message.render() + "\n")
-        sys.stdout.flush()
-    if count == 0:
-        raise ValueError("no events on standard input")
+    for event in events:
+        messages = session.ingest(event)
+        if messages and feedback is not None:
+            feedback.writelines(message.render() + "\n" for message in messages)
+            feedback.flush()
     report = session.finalize()
-    log.info("stream finished: %d events", count)
     if args.out:
         write_report(report, args.out)
         log.info("wrote report to %s", args.out)
     return 0
+
+
+def _cmd_score(args) -> int:
+    return _grade(args, _recording(args.session))
+
+
+def _cmd_stream(args) -> int:
+    return _grade(args, read_events(recording_lines(sys.stdin.buffer)), sys.stdout)
 
 
 def _cmd_simulate(args) -> int:

@@ -209,10 +209,11 @@ class _TaskRun:
     def __init__(self, node: TaskNode):
         self.node = node
         self.scope_key = node.users.key()
-        self.members: tuple[str, ...] = node.users.user_ids
         self.t_start = 0.0
         self.evaluators: dict[str, ActionEvaluator] = {}
-        self.best: Reference | None = None  # the action level's, from the start mark
+        # the action level's reference, set at the start mark when its
+        # track can be scored
+        self.best: Reference | None = None
         self.out_of_order = False
         self.result: TaskEntry | None = None
         self.warnings: list[str] = []
@@ -220,7 +221,10 @@ class _TaskRun:
 
 
 class Session:
-    """Single-writer event consumer producing one AssessmentReport."""
+    """Single-writer event consumer producing one AssessmentReport. Event
+    times must be finite, non-negative and non-decreasing, as the readers
+    check too; ``ingest`` rejects any other time, and ``finalize`` a
+    session that took no event."""
 
     def __init__(self, config: EngineConfig, session_id: str = "session"):
         self.config = config
@@ -233,7 +237,7 @@ class Session:
         self._runs = {i: _TaskRun(node) for i, node in config.primitives.items()}
         self._finalized = False
         self._t0: float | None = None  # the first event's time
-        self._last_t = -math.inf
+        self._last_t = 0.0
         self._timed_out = False
         self._warnings: list[str] = []
 
@@ -243,10 +247,12 @@ class Session:
         if self._finalized:
             raise ValueError("session already finalized")
         t = event.t
+        if not self._last_t <= t < math.inf:  # also false for nan
+            if 0.0 <= t < math.inf:
+                raise ValueError(f"timestamp regression: {t} after {self._last_t}")
+            raise ValueError(f"timestamp out of range: {t}")
         if self._t0 is None:
-            self._t0 = self._last_t = t
-        elif t < self._last_t:
-            raise ValueError(f"timestamp regression: {t} after {self._last_t}")
+            self._t0 = t
         self._last_t = t
         if self._timed_out:
             return []
@@ -295,30 +301,27 @@ class Session:
         return self._evaluate(self._runs[mark.task_id], window, event.t)
 
     def _open(self, node: TaskNode, t: float) -> dict[str, tuple]:
-        """A window's entries: each member's reducer and evaluator."""
+        """A window's entries, in scope order: each member's reducer and,
+        for an action level that can be scored, its evaluator."""
         run = self._runs[node.id]
         run.t_start = t
         if node.id not in ready_tasks(self.net, self._windows.closed):
             run.out_of_order = True
             run.warnings.append("started before predecessors completed")
-        self._attach_evaluators(run)
+        if node.assessment.has_action_level:
+            refs = self.refs.get(node.id)
+            # the reference of highest quality, the first of equals
+            best = max(refs, key=lambda r: r.quality) if refs else None
+            if best is None:
+                run.warnings.append("no reference; action level cannot be scored")
+            elif best.track is None:
+                run.warnings.append(f"action level cannot be scored: {best.error}")
+            else:
+                run.best = best
+                for member in node.users.user_ids:
+                    run.evaluators[member] = ActionEvaluator(best.track, t)
         return {m: (task_samples(node, t), run.evaluators.get(m), run)
-                for m in run.members}
-
-    def _attach_evaluators(self, run: _TaskRun) -> None:
-        if not run.node.assessment.has_action_level:
-            return
-        refs = self.refs.get(run.node.id)
-        if not refs:
-            run.warnings.append("no reference; action level cannot be scored")
-            return
-        # the reference of highest quality, the first of equals
-        ref = run.best = max(refs, key=lambda r: r.quality)
-        if ref.track is None:
-            run.warnings.append(f"action level cannot be scored: {ref.error}")
-            return
-        for member in run.members:
-            run.evaluators[member] = ActionEvaluator(ref.track, run.t_start)
+                for m in node.users.user_ids}
 
     # -- feedback -----------------------------------------------------------
 
@@ -340,13 +343,11 @@ class Session:
         spec = node.assessment
         refs = self.refs.get(node.id)
         if not any(samples.count for samples, _, _ in window.values()):
-            run.warnings.append(
-                f"no events routed from {', '.join(run.members)}")
+            run.warnings.append(f"no events routed from {', '.join(window)}")
 
         messages: list[FeedbackMessage] = []
         members: list[MemberResult] = []
-        for member in run.members:
-            samples = window[member][0]
+        for member, (samples, evaluator, _) in window.items():
             samples.t1 = t_end
             task_score: TaskScore | None = None
             traj: TrajectorySummary | None = None
@@ -366,7 +367,6 @@ class Session:
                     value = 0.0
                 parts.append((1.0 - self.defaults.action_share, value))
             if spec.has_action_level:
-                evaluator = run.evaluators.get(member)
                 if evaluator is not None:
                     # a task that ended inside its first second replays
                     # its warm-up here, and that replay's feedback is sent
@@ -418,7 +418,7 @@ class Session:
 
     def finalize(self) -> AssessmentReport:
         if self._t0 is None:
-            raise ValueError("finalize before start")
+            raise ValueError("no events to grade")
         if self._finalized:
             raise ValueError("session already finalized")
         self._finalized = True
@@ -446,11 +446,10 @@ class Session:
         scopes = []
         for key, entries in by_scope.items():
             entries = tuple(entries)
-            weights = [e.weight for e in entries]
-            omegas = [e.omega for e in entries]
-            total = sum(weights)
-            weighted = sum(w * o for w, o in zip(weights, omegas))
-            delta = aggregate(weights, omegas) if total > 0 else None
+            total = sum(e.weight for e in entries)
+            weighted = sum(e.weight * e.omega for e in entries)
+            # aggregate's sum(W*Omega)/sum(W), from the sums held here
+            delta = weighted / total if total > 0 else None
             scopes.append(ScopeReport(key=key, entries=entries, delta=delta,
                                       weighted_sum=weighted, total_weight=total))
 

@@ -38,11 +38,14 @@ order, mark pairs) in one loop, ``_checked``:
   of a block, per kind and joint count, go through one ``np.loadtxt``
   call, and the frames of a block are rows of one array. A block that
   fails anywhere is parsed again line by line, so errors keep their
-  message and first bad line. A start mark still open at the end raises.
-  ``parse_session(text)`` is ``iter_events`` over a whole text.
+  message and first bad line. ``parse_session(text)`` is ``iter_events``
+  over a whole text.
 - ``read_events(lines)``, the live reader, parses line by line, so each
-  event is yielded as soon as its line is read. A stream may end with a
-  task open; the engine reports that task as unfinished.
+  event is yielded as soon as its line is read.
+
+Both readers, and so ``parse_session``, reject a start mark still open at
+the end of input with its line, so a recording file and the same bytes
+streamed live are accepted or rejected alike.
 
 Which events belong to a task is one rule, in stream order: those after
 the start mark that opens its window and before the end mark that closes
@@ -406,16 +409,15 @@ def iter_events(lines: Iterable[str]) -> Iterator[Event]:
     converted ``PARSE_BLOCK_LINES`` lines at a time. A block is first
     converted in bulk (``_convert_block``); if that meets anything it does
     not accept, the block is parsed again line by line, whose events and
-    errors are the result. The stream checks of ``_checked`` follow, and a
-    start mark still open at the end raises with its line."""
-    return _checked(_blocks(iter(lines)), closed_at_end=True)
+    errors are the result. The stream checks of ``_checked`` follow."""
+    return _checked(_blocks(iter(lines)))
 
 
 def read_events(lines: Iterable[str]) -> Iterator[Event]:
     """The live reader: ``parse_event_line`` and the stream checks of
     ``_checked``, line by line, so each event is yielded as soon as its
-    line is read. A task may still be open at the end."""
-    return _checked([_parse_lines(lines, 1)], closed_at_end=False)
+    line is read."""
+    return _checked([_parse_lines(lines, 1)])
 
 
 def _blocks(lines: Iterator[str]) -> Iterator[Iterable[tuple[int, Event]]]:
@@ -440,12 +442,11 @@ def _parse_lines(lines: Iterable[str], lineno: int) -> Iterator[tuple[int, Event
             yield lineno, parse_event_line(line, lineno)
 
 
-def _checked(blocks: Iterable[Iterable[tuple[int, Event]]],
-             closed_at_end: bool) -> Iterator[Event]:
+def _checked(blocks: Iterable[Iterable[tuple[int, Event]]]) -> Iterator[Event]:
     """The stream checks every reader applies, in line order, to blocks of
     (line number, event) pairs: a timestamp regression and a nested or
-    unopened mark raise with their line, and so, when ``closed_at_end``,
-    does a start mark still open at the end."""
+    unopened mark raise with their line, and so does a start mark still
+    open at the end of input."""
     last_t = -math.inf
     open_marks: dict[str, int] = {}  # task id -> line of its open start mark
     for pairs in blocks:
@@ -457,7 +458,7 @@ def _checked(blocks: Iterable[Iterable[tuple[int, Event]]],
             if type(event.payload) is TaskMark:
                 _track_mark(event.payload, lineno, open_marks)
             yield event
-    if closed_at_end and open_marks:
+    if open_marks:
         task_id, lineno = next(iter(open_marks.items()))
         raise RecordingError(f"unmatched start mark for task {task_id!r}", lineno)
 

@@ -277,14 +277,6 @@ def test_stream_report_matches_batch_score(run, demo_dir, tmp_path, monkeypatch)
     assert stream_out.read_bytes() == batch_out.read_bytes()
 
 
-def test_stream_requires_events(run, demo_dir, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"# nothing here\n")))
-    code, _, err = run("stream", "--net", hydro(demo_dir, "ahtn"),
-                       "--refs", hydro(demo_dir, "rec"))
-    assert code == 1
-    assert "no events on standard input" in err
-
-
 # -- simulate -----------------------------------------------------------------------
 
 def test_simulate_table_and_csv(run, demo_dir, tmp_path):

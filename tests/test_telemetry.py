@@ -134,17 +134,6 @@ def test_parse_session_skips_comments_and_blanks():
     assert len(rec.events) == 1
 
 
-@pytest.mark.parametrize("text,fragment", [
-    ("t=2 u=a collide x y\nt=1 u=a collide x y\n", "timestamp regression"),
-    ("t=0 u=a mark T start\nt=1 u=a mark T start\n", "nested start"),
-    ("t=0 u=a mark T end\n", "end mark without start"),
-    ("t=0 u=a mark T start\n", "unmatched start"),
-])
-def test_parse_session_mark_discipline(text, fragment):
-    with pytest.raises(RecordingError, match=fragment):
-        parse_session(text)
-
-
 def test_equal_timestamps_allowed():
     rec = parse_session("t=1 u=a collide x y\nt=1 u=b collide x y\n")
     assert len(rec.events) == 2
@@ -188,18 +177,27 @@ def per_line_outcome(text, monkeypatch):
     return outcome(text)
 
 
+@pytest.mark.parametrize("text,fragment", [
+    ("t=2 u=a collide x y\nt=1 u=a collide x y\n", "timestamp regression"),
+    ("t=0 u=a mark T start\nt=1 u=a mark T start\n", "nested start"),
+    ("t=0 u=a mark T end\n", "end mark without start"),
+    ("t=0 u=a mark T start\n", "unmatched start"),
+])
+def test_parse_session_mark_discipline(text, fragment):
+    # every reader raises the same error at the same line, a start mark
+    # still open at the end of input included
+    batch = outcome(text)
+    assert batch[0] == "error" and fragment in batch[1]
+    for reader in READERS:
+        assert outcome(text, reader) == batch, reader
+
+
 def assert_readers_agree(text):
     """Every reader gives parse_session's events, or its error at its
-    line. The one documented difference: only a batch reader rejects a
-    start mark still open at the end."""
+    line."""
     batch = outcome(text)
-    open_at_end = batch[0] == "error" and "unmatched start mark" in batch[1]
     for reader in READERS:
-        got = outcome(text, reader)
-        if reader == "read_events" and open_at_end:
-            assert got[0] == "ok"
-        else:
-            assert got == batch, reader
+        assert outcome(text, reader) == batch, reader
     with pytest.MonkeyPatch.context() as mp:
         assert per_line_outcome(text, mp) == batch
 
