@@ -8,15 +8,17 @@ path is identical) and produces an AssessmentReport. A ``TaskWindows``
 cuts it into tasks by one rule, which ``build_reference_set`` cuts each
 reference recording by too: a task's first start mark opens its window,
 the next end mark, even one at the start's time, closes it, and every
-other mark is ignored (a Session warns of each). Each open window gives
-every member of the task's scope a ``checks.TaskSamples``, which takes
-the events the task reads and keeps only what its checks need until the
-end mark scores them. For action-level tasks it also steps a per-user
-ActionEvaluator so bursts and anomalies surface as they happen.
+other mark is ignored (a Session warns of each, and reference building
+logs each). Each open window gives every member of the task's scope a
+``checks.TaskSamples``, which takes the events the task reads and keeps
+only what its checks need until the end mark scores them. For
+action-level tasks it also steps a per-user ActionEvaluator so bursts
+and anomalies surface as they happen.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import types
 from dataclasses import dataclass, field
@@ -34,6 +36,8 @@ from .trajectory import (FEEDBACK_TEXT, PROGRESS_KINDS, ActionEvaluator,
                          TrackBuilder, TrajectorySummary)
 
 T = TypeVar("T")
+
+log = logging.getLogger("ahtn")
 
 
 @dataclass(frozen=True)
@@ -167,7 +171,9 @@ def build_reference_set(net: TaskNetwork,
     bystander's skeleton cannot shift the reference, and one rule decides
     what both sides of a comparison read: a second pair of marks, or any
     other mark the rule ignores, changes nothing, and a task whose window
-    the recording never closes takes no reference from it."""
+    the recording never closes takes no reference from it. Each ignored
+    mark is logged at info level with the recording's index in
+    ``recordings`` and why it is ignored."""
 
     def open_window(node: TaskNode, t0: float) -> dict[str, tuple]:
         builder = (TrackBuilder(node, t0, params)
@@ -176,7 +182,7 @@ def build_reference_set(net: TaskNetwork,
 
     nodes = {i: net.nodes[i] for i in net.primitive_ids()}
     by_task: ReferenceSet = {i: [] for i in nodes}
-    for events, quality in recordings:
+    for index, (events, quality) in enumerate(recordings):
         check_setting("in [0, 1]", quality, "reference quality")
         windows: TaskWindows[tuple] = TaskWindows(nodes)
         for e in events:
@@ -187,7 +193,10 @@ def build_reference_set(net: TaskNetwork,
                         builder.add(e)
                 continue
             window = windows.mark(e.t, mark, open_window)
-            if isinstance(window, str) or mark.edge == "start":
+            if isinstance(window, str):
+                log.info("reference %d: t=%s: %s", index, e.t, window)
+                continue
+            if mark.edge == "start":
                 continue
             samples, builder = next(iter(window.values()))
             samples.t1 = e.t

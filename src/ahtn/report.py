@@ -139,13 +139,17 @@ def render_report(report: AssessmentReport) -> str:
 
 def write_report(report: AssessmentReport, path: str) -> None:
     """Atomic write: render to a temp file in the target directory, then
-    rename over the destination."""
+    rename over the destination. The report gets the mode a newly created
+    file gets, ``0o666`` less the umask; ``mkstemp`` makes it owner-only."""
     text = render_report(report)
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ahtn-report-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -34,12 +34,16 @@ order, mark pairs) in one loop, ``_checked``:
 
 - ``iter_events(lines)``, the batch reader, takes ``PARSE_BLOCK_LINES``
   lines at a time from any iterable of lines, such as ``recording_lines``
-  of an open binary file, so a recording is never held whole. The numbers of all skel and pose lines
-  of a block, per kind and joint count, go through one ``np.loadtxt``
-  call, and the frames of a block are rows of one array. A block that
-  fails anywhere is parsed again line by line, so errors keep their
-  message and first bad line. ``parse_session(text)`` is ``iter_events``
-  over a whole text.
+  of an open binary file, so a recording is never held whole. The
+  numbers of all skel and pose lines of a block, per kind and joint
+  count, go through one ``np.loadtxt`` call, and the frames of a block
+  are rows of one array. A block that fails anywhere is parsed again line
+  by line, so errors keep their message and first bad line. A reader
+  keeps one string per user id and one per pose object id, which every
+  event it converts in bulk shares. ``parse_session(text)`` is the same
+  reader over a whole text; it splits the text one block of lines at a
+  time, so it holds one block of lines at a time, not a second copy of
+  the text.
 - ``read_events(lines)``, the live reader, parses line by line, so each
   event is yielded as soon as its line is read.
 
@@ -386,9 +390,10 @@ def parse_event_line(line: str, lineno: int = 0) -> Event:
 
 
 def parse_session(text: str, session_id: str = "session") -> SessionRecording:
-    """Parse a whole recording with ``iter_events``; its lines end at
-    ``\\n`` alone."""
-    return SessionRecording(session_id, tuple(iter_events(text.split("\n"))))
+    """Parse a whole recording as ``iter_events`` parses its lines, which
+    end at ``\\n`` alone. The text is split one block of lines at a time,
+    so its lines are never held whole next to it."""
+    return SessionRecording(session_id, tuple(_checked(_blocks(_text_blocks(text)))))
 
 
 def recording_lines(fh: BinaryIO) -> Iterator[str]:
@@ -410,7 +415,7 @@ def iter_events(lines: Iterable[str]) -> Iterator[Event]:
     converted in bulk (``_convert_block``); if that meets anything it does
     not accept, the block is parsed again line by line, whose events and
     errors are the result. The stream checks of ``_checked`` follow."""
-    return _checked(_blocks(iter(lines)))
+    return _checked(_blocks(_line_blocks(iter(lines))))
 
 
 def read_events(lines: Iterable[str]) -> Iterator[Event]:
@@ -420,14 +425,40 @@ def read_events(lines: Iterable[str]) -> Iterator[Event]:
     return _checked([_parse_lines(lines, 1)])
 
 
-def _blocks(lines: Iterator[str]) -> Iterator[Iterable[tuple[int, Event]]]:
+def _line_blocks(lines: Iterator[str]) -> Iterator[list[str]]:
+    """The lines in lists of ``PARSE_BLOCK_LINES``."""
+    while block := list(islice(lines, PARSE_BLOCK_LINES)):
+        yield block
+
+
+def _text_blocks(text: str) -> Iterator[list[str]]:
+    """``text.split("\\n")`` in lists of ``PARSE_BLOCK_LINES`` lines, each
+    split from its own slice of the text, found with ``str.find``."""
+    find = text.find
+    start = 0
+    while True:
+        end = start - 1
+        for _ in range(PARSE_BLOCK_LINES):
+            end = find("\n", end + 1)
+            if end < 0:
+                yield text[start:].split("\n")
+                return
+        yield text[start:end].split("\n")
+        start = end + 1
+
+
+def _blocks(blocks: Iterable[list[str]]) -> Iterator[Iterable[tuple[int, Event]]]:
     """The (line number, event) pairs of each block of lines: all of them
     from ``_convert_block``, or, when it refuses the block, the per-line
-    parse's."""
+    parse's. The bulk conversions share one string per user id and one
+    per pose object id through two memos that live as long as the
+    reader."""
+    users: dict[str, str] = {}  # u= token -> user id
+    objects: dict[str, str] = {}  # pose object id -> its first string
     lineno = 1
-    while block := list(islice(lines, PARSE_BLOCK_LINES)):
+    for block in blocks:
         try:
-            yield _convert_block(block, lineno)
+            yield _convert_block(block, lineno, users, objects)
         except ValueError:
             yield _parse_lines(block, lineno)
         lineno += len(block)
@@ -474,12 +505,15 @@ def _track_mark(mark: TaskMark, lineno: int, open_marks: dict[str, int]) -> None
         raise RecordingError(f"end mark without start for task {task_id!r}", lineno)
 
 
-def _convert_block(lines: list[str], lineno: int) -> Iterable[tuple[int, Event]]:
+def _convert_block(lines: list[str], lineno: int, users: dict[str, str],
+                   objects: dict[str, str]) -> Iterable[tuple[int, Event]]:
     """Bulk form of the per-line parse, numbering lines from ``lineno``,
     with the same (line number, event) pairs for every block it accepts;
     it raises ValueError on anything else, and the caller then parses the
     block line by line. It holds no stream state: the stream checks follow
-    in ``_checked``.
+    in ``_checked``. ``users`` maps each ``u=`` token to its user id and
+    ``objects`` each pose object id to its first string, so every event
+    of one user, and every pose of one object, holds the same string.
 
     Pass 1 splits each line into its t=, u= and kind fields. Mark, attach,
     collide and text lines go through ``parse_event_line``; skel and pose
@@ -507,19 +541,27 @@ def _convert_block(lines: list[str], lineno: int) -> Iterable[tuple[int, Event]]
         kind = parts[2] if len(parts) == 4 else None
         linenos.append(lineno)
         if kind != "skel" and kind != "pose":
-            events.append(parse_event_line(line, lineno))
+            event = parse_event_line(line, lineno)
+            user = users.setdefault(parts[1], event.user)
+            events.append(event if user is event.user
+                          else Event(event.t, user, event.payload))
             continue
-        t_text, user, _, rest = parts
-        if t_text[:2] != "t=" or user[:2] != "u=" or len(user) == 2:
-            raise ValueError("bad t= or u= field")
+        t_text, token, _, rest = parts
+        user = users.get(token)
+        if user is None:
+            if token[:2] != "u=" or len(token) == 2:
+                raise ValueError("bad u= field")
+            user = users[token] = token[2:]
+        if t_text[:2] != "t=":
+            raise ValueError("bad t= field")
         t = float(t_text[2:])
         if not 0.0 <= t < math.inf:
             raise ValueError("timestamp out of range")
-        held = (len(events), t, user[2:])
+        held = (len(events), t, user)
         events.append(None)  # filled once the block's numbers are converted
         if kind == "pose":
             obj, numbers = rest.split(None, 1)
-            held_poses.append((*held, obj))
+            held_poses.append((*held, objects.setdefault(obj, obj)))
             pose_numbers.append(numbers)
             continue
         pieces = rest.split(";")

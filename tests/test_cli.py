@@ -1,6 +1,8 @@
 """Command line behavior: exit codes, output formats, flag plumbing."""
 
 import io
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -131,6 +133,25 @@ def test_score_writes_perfect_report(run, demo_dir, tmp_path):
     assert text.startswith("ahtn-report v1\n")
     assert "delta 1.000000000" in text
     assert text.endswith("end-report\n")
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600),
+                                        (0o002, 0o664)],
+                         ids=["umask-022", "umask-077", "umask-002"])
+def test_score_report_mode_follows_the_umask(run, demo_dir, tmp_path, umask, mode):
+    # the report is a new file, not an owner-only temp file
+    out_path = tmp_path / "report.txt"
+    old = os.umask(umask)
+    try:
+        code, _, _ = run("score", "--net", hydro(demo_dir, "ahtn"),
+                         "--refs", hydro(demo_dir, "rec"),
+                         "--session", hydro(demo_dir, "rec"),
+                         "--out", str(out_path))
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE(out_path.stat().st_mode) == mode
+    assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
 
 
 def test_score_reference_quality_scales_grade(run, demo_dir, tmp_path):

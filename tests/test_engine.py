@@ -5,6 +5,7 @@ import functools
 import importlib
 import importlib.util
 import io
+import logging
 import random
 import re
 from dataclasses import replace
@@ -487,6 +488,24 @@ def test_reference_quality_is_checked_before_its_recording_is_read(
     with pytest.raises(ValueError, match=re.escape(
             f"reference quality must be finite and in [0, 1]: {quality!r}")):
         build_reference_set(hydro_net, [(hydro_rec, 1.0), (unread(), quality)])
+
+
+def test_reference_logs_each_mark_it_ignores(hydro_net, hydro_rec, caplog):
+    # the second pair of T2's marks in a copy of the demo, given as the
+    # second reference, changes no reference and is logged with its index
+    two_pairs = parse_session(
+        serialize_recording(hydro_rec)
+        + "t=26.0 u=student mark T2 start\nt=26.5 u=student mark T2 end\n")
+    with caplog.at_level(logging.INFO, logger="ahtn"):
+        refs = build_reference_set(hydro_net, [(hydro_rec, 0.6), (two_pairs, 1.0)])
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("ahtn", logging.INFO,
+         "reference 1: t=26.0: duplicate start mark for task 'T2' ignored"),
+        ("ahtn", logging.INFO,
+         "reference 1: t=26.5: end mark without active task 'T2' ignored")]
+    plain = build_reference_set(hydro_net, [(hydro_rec, 0.6), (hydro_rec, 1.0)])
+    assert render_report(score_recording(cfg(hydro_net, refs), hydro_rec)) == (
+        render_report(score_recording(cfg(hydro_net, plain), hydro_rec)))
 
 
 def test_reference_without_skeleton_cannot_score_action_level(

@@ -4,6 +4,7 @@ reads, height correction."""
 import io
 import math
 import random
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -143,8 +144,9 @@ def test_equal_timestamps_allowed():
 # parse_session converts skel and pose numbers a block at a time and re-runs
 # a block line by line when the bulk pass meets anything it does not accept;
 # the per-line loop is the reference grammar; iter_events does the same
-# over a file's lines, and read_events, the live reader, runs the per-line
-# loop over them
+# over a file's lines and over the whole text's split ("split", which
+# parse_session's block-wise split must match), and read_events, the live
+# reader, runs the per-line loop over them
 
 def _file(text):
     """text as a file, read with each line ending at \\n alone."""
@@ -154,6 +156,7 @@ def _file(text):
 READERS = {
     "parse_session": lambda text: parse_session(text).events,
     "iter_events": lambda text: iter_events(_file(text)),
+    "split": lambda text: iter_events(text.split("\n")),
     "read_events": lambda text: read_events(_file(text)),
 }
 
@@ -342,6 +345,9 @@ def test_bulk_parse_matches_per_line_loop(text, block):
         assert_readers_agree(text)
 
 
+_ROW = "t=0 u=a collide x y"
+
+
 @pytest.mark.parametrize("text", [
     "t=0 u=a skel head=0,1,2;hand-right=3,4,5\nt=1 u=a skel hand-right=0,1,2;head=3,4,5",
     "t=0 u=a skel head=0,1,2\nt=1 u=a skel a=1,2,3;b=4,5,6\nt=2 u=a skel head=7,8,9",
@@ -362,10 +368,77 @@ def test_bulk_parse_matches_per_line_loop(text, block):
     "t=0 u=a skel head=1\x85,2,3\nt=1 u=a skel head=1,\u20282,3",
     "t=0 u=a pose cup 0 0 0\r0 0 0 1\nt=1 u=a pose cup 0\x85 0 0 0 0\u2028 0 1",
     't=0 u=a text f "1\u20285"\nt=0 u=a text f "\x1c"\nt=1 u=a text f "1\x855"',
+    # parse_session splits a text one block at a time, as text.split("\n")
+    # does: texts that end on a block's last line, with and without its
+    # \n, and a \n that is a block's last character
+    *(pytest.param(text, id=name) for name, text in {
+        "empty": "", "newline": "\n", "three-newlines": "\n\n\n",
+        "no-final-newline": _ROW, "final-newline": _ROW + "\n",
+        "one-block": "\n".join([_ROW] * 3),
+        "one-block-newline": "\n".join([_ROW] * 3) + "\n",
+        "newline-ends-block": "\n".join([_ROW] * 2) + "\n",
+        "two-blocks": "\n".join([_ROW] * 6),
+        "two-blocks-newline": "\n".join([_ROW] * 6) + "\n",
+        "bad-line-opens-block": "\n".join([_ROW] * 3) + "\nt=0 u=a warp x\n" + _ROW,
+        "bad-line-after-boundary": "\n".join([_ROW] * 2) + "\n\nt=0 u=a collide x\n",
+    }.items()),
 ])
 def test_bulk_parse_matches_per_line_loop_on_edge_cases(text, monkeypatch):
     monkeypatch.setattr(telemetry, "PARSE_BLOCK_LINES", 3)
     assert_readers_agree(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.text(alphabet="a\n\r", max_size=20), block=st.integers(1, 5))
+def test_text_blocks_are_the_split_lines(text, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(telemetry, "PARSE_BLOCK_LINES", block)
+        blocks = list(telemetry._text_blocks(text))
+    assert [line for lines in blocks for line in lines] == text.split("\n")
+    assert all(len(lines) == block for lines in blocks[:-1])
+    assert 1 <= len(blocks[-1]) <= block
+
+
+def test_parse_session_holds_one_block_of_lines_at_a_time(monkeypatch):
+    # the transient memory of a parse is a block's, not a copy of the text
+    monkeypatch.setattr(telemetry, "PARSE_BLOCK_LINES", 64)
+    text = "".join(
+        f"t={i / 100!r} u=student skel head=0,1.{i},0;hand-right=0.{i},1.25,0\n"
+        f"t={i / 100!r} u=student pose cup {i} 0.5 0 0 0 0 1\n"
+        for i in range(2000))
+    parse_session(text)  # fills the layout memo and numpy's own caches
+    tracemalloc.start()
+    try:
+        rec = parse_session(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rec.events) == 4000
+    assert peak - held < 0.25 * len(text)
+
+
+def test_bulk_parse_keeps_one_string_per_user_and_object(monkeypatch):
+    monkeypatch.setattr(telemetry, "PARSE_BLOCK_LINES", 4)
+    text = "t=0 u=ann mark T start\n" + "".join(
+        f"t={i} u={user} skel head=0,{i},0\n"
+        f"t={i} u={user} pose {obj} {i} 0 0 0 0 0 1\n"
+        for i in range(6) for user, obj in (("ann", "cup"), ("bob", "u=ann"))
+    ) + "t=9 u=ann mark T end\n"
+    events = parse_session(text).events
+    users, objects = {}, {}
+    for e in events:
+        users.setdefault(e.user, set()).add(id(e.user))
+        if type(e.payload) is Pose:
+            objects.setdefault(e.payload.object_id, set()).add(
+                id(e.payload.object_id))
+    # an object named u=ann keeps that text
+    assert users.keys() == {"ann", "bob"} and objects.keys() == {"cup", "u=ann"}
+    assert all(len(ids) == 1 for ids in (*users.values(), *objects.values()))
+    # each parse keeps its own strings
+    again = parse_session(text).events
+    assert again == events
+    assert again[0].user is not events[0].user
+    assert again[2].payload.object_id is not events[2].payload.object_id
 
 
 @pytest.mark.parametrize("number,value", [("1_0", 10.0), ("１２", 12.0),
