@@ -22,7 +22,8 @@ import logging
 import math
 import types
 from dataclasses import dataclass, field
-from typing import Callable, Generic, Iterable, Mapping, Sequence, TypeVar
+from typing import (Callable, Generic, Iterable, Iterator, Mapping, Sequence,
+                    TypeVar)
 
 from .checks import TaskSamples, TaskScore, evaluate_task_level
 from .model import (Defaults, TaskNetwork, TaskNode, TrajectoryParams,
@@ -148,6 +149,29 @@ class TaskWindows(Generic[T]):
         return window
 
 
+def _cut(nodes: Mapping[str, TaskNode], events: Iterable[Event],
+         open_window: Callable[[TaskNode, float], dict[str, tuple]]
+         ) -> Iterator[tuple[Event, dict[str, tuple] | str]]:
+    """Cut a recording's events into task windows by its marks, as a
+    Session does, and hold none of them: the one routing pass of
+    ``build_reference_set`` and of a perturbation study's kept-events
+    pass. ``open_window`` gives each member of a task's scope a
+    (reducer, builder) entry; each event that is not a mark goes to its
+    user's open windows, and a builder that is not None is fed what its
+    reducer's ``add`` takes. Each mark is yielded with what
+    ``TaskWindows.mark`` answered: the window it opened or closed, or why
+    it is ignored."""
+    windows: TaskWindows[tuple] = TaskWindows(nodes)
+    for e in events:
+        mark = e.payload
+        if type(mark) is not TaskMark:
+            for samples, builder in windows.routes.get(e.user, ()):
+                if samples.add(e) and builder is not None:
+                    builder.add(e)
+            continue
+        yield e, windows.mark(e.t, mark, open_window)
+
+
 def build_reference_set(net: TaskNetwork,
                         recordings: Iterable[tuple[Iterable[Event], float]],
                         params: TrajectoryParams = TrajectoryParams()
@@ -184,18 +208,11 @@ def build_reference_set(net: TaskNetwork,
     by_task: ReferenceSet = {i: [] for i in nodes}
     for index, (events, quality) in enumerate(recordings):
         check_setting("in [0, 1]", quality, "reference quality")
-        windows: TaskWindows[tuple] = TaskWindows(nodes)
-        for e in events:
-            mark = e.payload
-            if type(mark) is not TaskMark:
-                for samples, builder in windows.routes.get(e.user, ()):
-                    if samples.add(e) and builder is not None:
-                        builder.add(e)
-                continue
-            window = windows.mark(e.t, mark, open_window)
+        for e, window in _cut(nodes, events, open_window):
             if isinstance(window, str):
                 log.info("reference %d: t=%s: %s", index, e.t, window)
                 continue
+            mark = e.payload
             if mark.edge == "start":
                 continue
             samples, builder = next(iter(window.values()))
@@ -305,6 +322,7 @@ class Session:
         if isinstance(window, str):
             self._warnings.append(window)
             return []
+        log.debug("t=%s: task %s %s", event.t, mark.task_id, mark.edge)
         if mark.edge == "start":
             return []
         return self._evaluate(self._runs[mark.task_id], window, event.t)
@@ -455,10 +473,11 @@ class Session:
         scopes = []
         for key, entries in by_scope.items():
             entries = tuple(entries)
-            total = sum(e.weight for e in entries)
+            weights = [e.weight for e in entries]
+            total = sum(weights)
             weighted = sum(e.weight * e.omega for e in entries)
-            # aggregate's sum(W*Omega)/sum(W), from the sums held here
-            delta = weighted / total if total > 0 else None
+            delta = (aggregate(weights, [e.omega for e in entries])
+                     if total > 0 else None)
             scopes.append(ScopeReport(key=key, entries=entries, delta=delta,
                                       weighted_sum=weighted, total_weight=total))
 

@@ -5,7 +5,9 @@ scores with human grades (Pearson, Spearman with average ranks, Kendall
 tau-b), and perturb()/monotonicity_report() synthesize degraded sessions
 from a reference recording to confirm that the grade falls as corruption
 grows. A study takes the reference's arrays once and draws every trial's
-noise onto them, and it scores the unperturbed reference once.
+noise onto them, and it scores the unperturbed reference once. Each trial
+it builds and grades only the events its grading reads, which gives the
+table the whole corrupted copies give.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import EngineConfig, build_reference_set, score_recording
+from .engine import (EngineConfig, _cut, build_reference_set, score_recording,
+                     task_samples)
 from .kernels import kendall_pair_stats, pearson, rank_average
 from .model import (Settings, TaskNetwork, TrajectoryParams, check_setting,
                     setting, settings)
@@ -165,46 +168,66 @@ def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _Prepared:
-    """What perturb reads of one recording, taken once: the indices of the
-    events it redraws, by kind; pose positions and orientations and every
-    frame's joints as arrays; the attach intervals; every event's time;
-    and the objects an injected collision names. A study prepares its
-    reference once and perturbs it every trial."""
+    """What perturb reads of one recording, taken once: every pose
+    position and orientation and every frame's joints as arrays, so each
+    noise block is drawn at full size; the attach intervals; the objects
+    an injected collision names; and, of the events a trial keeps, each
+    one's time and where the redrawn poses, frames and text inputs sit. A
+    study prepares its reference once and perturbs it every trial.
 
-    def __init__(self, rec: SessionRecording):
+    ``keep``, the ascending indices of the events a trial keeps, must hold
+    every event that is not a Pose or a SkeletonFrame; perturb then builds
+    events for the kept rows only and returns the kept events, corrupted.
+    With no ``keep`` a trial keeps every event."""
+
+    def __init__(self, rec: SessionRecording, keep: Sequence[int] | None = None):
         self.rec = rec
         events = rec.events
+        if keep is None:
+            keep = range(len(events))
+        self.events = [events[i] for i in keep]
+        self.times = np.array([e.t for e in self.events], dtype=np.float64)
+        # an event's index in the recording -> its place among those kept
+        slot = (keep if isinstance(keep, range)
+                else {i: j for j, i in enumerate(keep)})
         at: dict[type, list[int]] = {Pose: [], SkeletonFrame: [], TextInput: []}
         for i, e in enumerate(events):
-            slot = at.get(type(e.payload))
-            if slot is not None:
-                slot.append(i)
-        self.times = np.array([e.t for e in events], dtype=np.float64)
+            indices = at.get(type(e.payload))
+            if indices is not None:
+                indices.append(i)
 
-        self.pose_at = at[Pose]
-        poses = [events[i] for i in self.pose_at]
-        self.pose_t = [e.t for e in poses]
-        self.pose_user = [e.user for e in poses]
-        self.pose_object = [e.payload.object_id for e in poses]
+        def kept_rows(indices: list[int]) -> tuple[list[int], list[int]]:
+            """Which of a kind's events a trial keeps, and their places."""
+            rows = [r for r, i in enumerate(indices) if i in slot]
+            return rows, [slot[indices[r]] for r in rows]
+
+        poses = [events[i] for i in at[Pose]]
         n = len(poses)
         self.position = np.array([e.payload.position for e in poses],
                                  dtype=np.float64).reshape(n, 3)
         self.orientation = np.array([e.payload.orientation for e in poses],
                                     dtype=np.float64).reshape(n, 4)
+        self.pose_rows, self.pose_at = kept_rows(at[Pose])
+        kept = [poses[r] for r in self.pose_rows]
+        self.pose_t = [e.t for e in kept]
+        self.pose_user = [e.user for e in kept]
+        self.pose_object = [e.payload.object_id for e in kept]
 
-        self.frame_at = at[SkeletonFrame]
-        frames = [events[i] for i in self.frame_at]
-        self.frame_t = [e.t for e in frames]
-        self.frame_user = [e.user for e in frames]
-        self.frame_names = [e.payload.names for e in frames]
-        ends = np.cumsum([len(names) for names in self.frame_names], dtype=np.int64)
+        frames = [events[i] for i in at[SkeletonFrame]]
+        ends = np.cumsum([len(e.payload.names) for e in frames], dtype=np.int64)
         # each frame's rows of the joint array
-        self.frame_rows = list(map(slice, [0, *ends[:-1].tolist()], ends.tolist()))
+        rows = list(map(slice, [0, *ends[:-1].tolist()], ends.tolist()))
         self.joints = (np.concatenate([e.payload.positions for e in frames])
                        if frames else np.empty((0, 3)))
+        kept_frames, self.frame_at = kept_rows(at[SkeletonFrame])
+        self.frame_rows = [rows[r] for r in kept_frames]
+        kept = [frames[r] for r in kept_frames]
+        self.frame_t = [e.t for e in kept]
+        self.frame_user = [e.user for e in kept]
+        self.frame_names = [e.payload.names for e in kept]
 
-        self.text_at = at[TextInput]
-        self.texts = [events[i] for i in self.text_at]
+        self.text_at = [slot[i] for i in at[TextInput]]
+        self.texts = [events[i] for i in at[TextInput]]
 
         open_on: dict[tuple[str, str], int] = {}
         self.attach_pairs: list[tuple[int, int | None]] = []
@@ -214,14 +237,15 @@ class _Prepared:
                 continue
             key = (p.object_id, p.target_id)
             if p.attached:
-                open_on[key] = i
+                open_on[key] = slot[i]
             elif key in open_on:
-                self.attach_pairs.append((open_on.pop(key), i))
+                self.attach_pairs.append((open_on.pop(key), slot[i]))
         self.attach_pairs.extend((i, None) for i in open_on.values())
 
         # the two most posed objects collide, the first event's user reports it
         counts: dict[str, int] = {}
-        for obj in self.pose_object:
+        for e in poses:
+            obj = e.payload.object_id
             counts[obj] = counts.get(obj, 0) + 1
         ranked = sorted(counts, key=lambda o: (-counts[o], o))
         self.colliding = ((ranked[0], ranked[1] if len(ranked) > 1 else "noise")
@@ -245,7 +269,10 @@ def perturb(rec: SessionRecording, spec: PerturbationSpec,
     part of the result: changing it changes every seeded study.
 
     The noise lands on arrays taken from the recording once
-    (``prepared``); perturb takes them itself when it is given none.
+    (``prepared``); perturb takes them itself when it is given none, and
+    then returns the whole corrupted copy. Arrays prepared with a keep-set
+    give the kept events of that copy: every block is still drawn whole,
+    so each kept event is corrupted exactly as in the whole copy.
     """
     if spec.is_identity:
         return rec
@@ -256,7 +283,7 @@ def perturb(rec: SessionRecording, spec: PerturbationSpec,
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.seed)))
 
     dropped = _dropped_attach_events(prepared, spec, rng)
-    events = list(rec.events)
+    events = list(prepared.events)
     # in draw order
     for indices, fresh in ((prepared.pose_at, _noisy_poses(prepared, spec, rng)),
                            (prepared.frame_at, _noisy_frames(prepared, spec, rng)),
@@ -275,8 +302,9 @@ def perturb(rec: SessionRecording, spec: PerturbationSpec,
 
 def _noisy_poses(prepared: _Prepared, spec: PerturbationSpec, rng) -> list[Event]:
     """Position noise, then a rotation by angle ~ N(0, orientation_sigma)
-    about a uniformly random axis, for every pose."""
-    n = len(prepared.pose_at)
+    about a uniformly random axis, for every pose; events for the kept
+    ones."""
+    n = len(prepared.position)
     position = prepared.position + spec.position_sigma * rng.standard_normal((n, 3))
     axis = rng.standard_normal((n, 3))
     angle = rng.standard_normal(n) * spec.orientation_sigma
@@ -288,16 +316,17 @@ def _noisy_poses(prepared: _Prepared, spec: PerturbationSpec, rng) -> list[Event
                                np.cos(half)))
     q = _quat_mul(q_noise, orientation[turn])
     orientation[turn] = q / np.sqrt((q * q).sum(axis=1))[:, None]
+    rows = prepared.pose_rows
     # zip over columns builds each tuple directly, with no per-row list
     return list(map(Event, prepared.pose_t, prepared.pose_user,
-                    map(Pose, prepared.pose_object, zip(*position.T.tolist()),
-                        zip(*orientation.T.tolist()))))
+                    map(Pose, prepared.pose_object, zip(*position[rows].T.tolist()),
+                        zip(*orientation[rows].T.tolist()))))
 
 
 def _noisy_frames(prepared: _Prepared, spec: PerturbationSpec,
                   rng) -> list[Event]:
     """Position noise on every joint; frames keep their layout's names.
-    Nothing is replaced when the noise is 0."""
+    Events for the kept frames; nothing is replaced when the noise is 0."""
     noise = rng.standard_normal(prepared.joints.shape)
     if spec.position_sigma == 0:
         return []
@@ -328,8 +357,9 @@ def _noisy_text(prepared: _Prepared, spec: PerturbationSpec,
 
 def _dropped_attach_events(prepared: _Prepared, spec: PerturbationSpec,
                            rng) -> list[int]:
-    """Indices, ascending, of the attach on/off events whose whole
-    interval is dropped: one draw per interval, in the order they close."""
+    """Places, ascending, among the kept events of the attach on/off
+    events whose whole interval is dropped: one draw per interval, in the
+    order they close."""
     draws = rng.random(len(prepared.attach_pairs)).tolist()
     return sorted(i for pair, u in zip(prepared.attach_pairs, draws)
                   if u < spec.drop_attach_prob for i in pair if i is not None)
@@ -380,9 +410,15 @@ def monotonicity_report(net: TaskNetwork, reference: SessionRecording,
                         ) -> list[MonotonicityRow]:
     """Score `trials` perturbed copies of the reference at each magnitude,
     matching trajectories with ``trajectory``, and tabulate the session
-    grade. The reference is prepared for ``perturb`` once. An identity
-    spec (magnitude 0) gives the reference itself, so it is scored once
-    and its grade serves every such trial."""
+    grade. An identity spec (magnitude 0) gives the reference itself, so
+    it is scored once and its grade serves every such trial.
+
+    The reference is prepared for ``perturb`` once, with the events a
+    graded trial reads (``_graded``): each trial is built and scored from
+    those alone. Every noise block is still drawn whole, and the dropped
+    events are ones no task reads, so the table is the one the whole
+    corrupted copies give, bit for bit; ``perturb`` called on its own
+    still returns the whole copy."""
     if trials < MIN_TRIALS:
         raise ValueError("trials below minimum")
     if len(magnitudes) == 0:
@@ -392,7 +428,7 @@ def monotonicity_report(net: TaskNetwork, reference: SessionRecording,
 
     refs = build_reference_set(net, [(reference, 1.0)], trajectory)
     config = EngineConfig(net, refs, trajectory=trajectory)
-    prepared = _Prepared(reference)
+    prepared = _Prepared(reference, _graded(config, reference))
     unperturbed: float | None = None
     rows: list[MonotonicityRow] = []
     for mi, magnitude in enumerate(magnitudes):
@@ -414,6 +450,40 @@ def monotonicity_report(net: TaskNetwork, reference: SessionRecording,
                                     std_delta=float(arr.std()),
                                     trials=trials))
     return rows
+
+
+class _Taken:
+    """Stands in for a track builder in the routing pass: the ids of the
+    events a window's reducer takes."""
+
+    def __init__(self):
+        self.ids: set[int] = set()
+
+    def add(self, event: Event) -> None:
+        self.ids.add(id(event))
+
+
+def _graded(config: EngineConfig, rec: SessionRecording) -> list[int]:
+    """Indices of the events a graded trial of rec keeps: each pose or
+    frame that an open window's reducer takes, cut and routed by the rule
+    a Session grades by; every other event, since the drop, text and
+    collision draws index them; and the first and last event that is not
+    an Attach. Drops remove only attach events, so a trial of the kept
+    events starts and ends when the whole one does, which a Session reads
+    as its first time and duration and collision injection as its span."""
+    taken = _Taken()
+
+    def open_window(node, t0):
+        return dict.fromkeys(node.users.user_ids, (task_samples(node, t0), taken))
+
+    events = rec.events
+    for _ in _cut(config.primitives, events, open_window):
+        pass
+    spans = [i for i, e in enumerate(events) if type(e.payload) is not Attach]
+    ends = {spans[0], spans[-1]} if spans else set()
+    return [i for i, e in enumerate(events)
+            if id(e) in taken.ids or i in ends
+            or type(e.payload) not in (Pose, SkeletonFrame)]
 
 
 def _session_delta(config: EngineConfig, rec: SessionRecording) -> float:

@@ -12,11 +12,16 @@ still open at the end or no events at all included, the other rejects
 with the same error, and neither writes a report."""
 
 import io
+import os
+import subprocess
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable
 
 import pytest
 
+import ahtn
 from ahtn.telemetry import (Event, SessionRecording, SkeletonFrame, TaskMark,
                             parse_session, serialize_recording)
 
@@ -287,3 +292,31 @@ def test_collaborative_self_replay_sends_live_feedback(
     assert len(scores) == 5 and all("pass=true" in line for line in scores)
     assert any("kind=burst" in line for line in lines)
 
+
+
+def test_task_marks_are_logged_at_debug_only(demo_dir, tmp_path):
+    # in a fresh interpreter each, so that AHTN_LOG configures logging
+    net, rec = demo_dir / "hydrometer.ahtn", demo_dir / "hydrometer.rec"
+    marks = [line.split() for line in rec.read_text(encoding="utf-8").splitlines()
+             if " mark " in line]
+    expected = [f"ahtn: DEBUG: {t}: task {task} {edge}"
+                for t, _, _, task, edge in marks]
+    assert len(expected) == 8
+    env = {k: v for k, v in os.environ.items() if k != "AHTN_LOG"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(Path(ahtn.__file__).parents[1]), env.get("PYTHONPATH"))))
+    files = ["--net", str(net), "--refs", str(rec), "--out", str(tmp_path / "r.txt")]
+    for level in (None, "debug"):
+        if level:
+            env["AHTN_LOG"] = level
+        errs = [subprocess.run(
+            [sys.executable, "-m", "ahtn.cli", command, *files, *extra],
+            input=rec.read_bytes() if command == "stream" else b"",
+            capture_output=True, env=env, timeout=120, check=True).stderr
+            for command, extra in (("score", ("--session", str(rec))), ("stream", ()))]
+        if level is None:
+            assert errs == [b"", b""]
+        else:
+            debug = [[line for line in err.decode().splitlines() if "DEBUG" in line]
+                     for err in errs]
+            assert debug == [expected, expected]

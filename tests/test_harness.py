@@ -14,8 +14,12 @@ from ahtn.harness import (METHODS, MonotonicityRow, PerturbationSpec,
                           correlate_values, format_monotonicity,
                           monotonicity_csv, monotonicity_report,
                           parse_score_pairs, perturb, spec_for_magnitude)
-from ahtn.telemetry import (Attach, Collision, Pose, SkeletonFrame, TextInput,
-                            parse_session, serialize_recording)
+from ahtn.engine import EngineConfig, build_reference_set, score_recording
+from ahtn.model import parse_network
+from ahtn.report import render_report
+from ahtn.telemetry import (Attach, Collision, Event, Pose, SessionRecording,
+                            SkeletonFrame, TaskMark, TextInput, parse_session,
+                            serialize_recording)
 
 
 # -- correlation ---------------------------------------------------------------
@@ -311,6 +315,89 @@ def test_perturb_refuses_arrays_of_another_recording(hydro_rec, collab_rec):
         perturb(collab_rec, spec, arrays)
 
 
+# -- a study's trials: only the events grading reads -----------------------------
+
+def assert_kept_trials_grade_as_whole(net, rec, magnitudes, seeds):
+    """Each trial of the kept events renders the same report as the whole
+    corrupted copy; returns how many events a trial keeps."""
+    config = EngineConfig(net, build_reference_set(net, [(rec, 1.0)]))
+    kept = harness._Prepared(rec, harness._graded(config, rec))
+    for magnitude in magnitudes:
+        for seed in seeds:
+            spec = spec_for_magnitude(magnitude, seed)
+            whole = render_report(score_recording(config, perturb(rec, spec)))
+            assert render_report(score_recording(
+                config, perturb(rec, spec, kept))) == whole, (magnitude, seed)
+    return len(kept.events)
+
+
+@pytest.mark.parametrize("demo", ["hydro", "collab"])
+def test_a_trial_of_the_kept_events_grades_as_the_whole_copy(request, demo):
+    net = request.getfixturevalue(f"{demo}_net")
+    rec = request.getfixturevalue(f"{demo}_rec")
+    kept = assert_kept_trials_grade_as_whole(net, rec, (0.02, 0.3, 1.0), range(3))
+    assert kept < len(rec.events) / 2
+
+
+EDGE_NET = """task T
+  kind primitive
+  user single u
+  weight 1.0
+  objects cup dish
+  assess task-level
+  check position subject=cup
+  check attachment subject=cup ref=dish
+  check collision subject=cup
+  feedback final
+end
+"""
+
+
+def posed(user, t0, t1):
+    """Cup and dish poses of user every 0.1 s from t0 up to t1."""
+    return [Event(k / 10, user, Pose(obj, (0.1 * k, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)))
+            for k in range(round(t0 * 10), round(t1 * 10))
+            for obj in ("cup", "dish")]
+
+
+def mark(t, edge):
+    return Event(t, "u", TaskMark("T", edge))
+
+
+def attach(t, on):
+    return Event(t, "u", Attach("cup", "dish", on))
+
+
+# the poses before the start mark and after the end mark are read by no task
+EDGE_RECORDINGS = {
+    # the draw drops the first interval, so the first event left is a pose
+    # no task reads
+    "first-event-attach": [attach(0.0, True), *posed("u", 0.0, 1.0), mark(1.0, "start"),
+                           *posed("u", 1.0, 3.0), attach(3.0, False),
+                           *posed("u", 3.0, 5.0), mark(5.0, "end"),
+                           *posed("u", 5.0, 6.0)],
+    "last-event-attach": [*posed("u", 0.0, 1.0), mark(1.0, "start"),
+                          attach(1.5, True), *posed("u", 1.0, 5.0), attach(4.5, False),
+                          mark(5.0, "end"), *posed("u", 5.0, 6.0), attach(6.5, True)],
+    "bystander-in-window": [*posed("u", 0.0, 1.0), mark(1.0, "start"),
+                            *posed("u", 1.0, 5.0), *posed("v", 1.0, 5.0),
+                            mark(5.0, "end"), *posed("u", 5.0, 6.0)],
+    "duplicate-start": [*posed("u", 0.0, 1.0), mark(1.0, "start"), *posed("u", 1.0, 2.0),
+                        mark(2.0, "start"), *posed("u", 2.0, 5.0), mark(5.0, "end"),
+                        *posed("u", 5.0, 6.0)],
+}
+
+
+@pytest.mark.parametrize("name", EDGE_RECORDINGS)
+def test_kept_events_grade_as_whole_at_the_edges(name):
+    # in time order; events that share a time keep their order
+    rec = SessionRecording(name, tuple(sorted(EDGE_RECORDINGS[name],
+                                              key=lambda e: e.t)))
+    kept = assert_kept_trials_grade_as_whole(
+        parse_network(EDGE_NET), rec, (0.3, 1.0), range(4))
+    assert kept < len(rec.events)
+
+
 def test_perturb_offsets_numeric_text(hydro_rec):
     out = perturb(hydro_rec, PerturbationSpec(text_error=0.5, seed=2))
     before = [e.payload.value for e in hydro_rec.events
@@ -350,15 +437,21 @@ def test_seeded_study_is_pinned(hydro_net, hydro_rec):
 
 
 def test_identity_trials_are_scored_once(hydro_net, hydro_rec, monkeypatch):
-    scored = []
-    score = harness.score_recording
+    # perfbench's per-trial hooks time these two calls
+    scored, perturbed = [], []
+    score, corrupt = harness.score_recording, harness.perturb
     monkeypatch.setattr(harness, "score_recording",
                         lambda config, rec: scored.append(rec) or score(config, rec))
+    monkeypatch.setattr(harness, "perturb", lambda rec, spec, prepared: (
+        perturbed.append(spec) or corrupt(rec, spec, prepared)))
     rows = monotonicity_report(hydro_net, hydro_rec, [0.0, 0.05], trials=10, seed=2)
     assert rows[0].trials == 10 and rows[0].mean_delta == 1.0
     # the reference itself once, then each perturbed copy
     assert len(scored) == 11 and scored[0] is hydro_rec
     assert all(rec is not hydro_rec for rec in scored[1:])
+    # once per trial, the identity spec of magnitude 0 included
+    assert len(perturbed) == 20
+    assert sum(not spec.is_identity for spec in perturbed) == 10
 
 
 def test_monotonicity_formatting():
